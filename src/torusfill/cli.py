@@ -49,12 +49,18 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse):
+    """Read a JSON file and parse it; any fault in its content is malformed input.
+
+    Wrong shapes (a number where a list belongs, a list where an object
+    belongs, short triples) surface as TypeError or IndexError, and zero
+    denominators as ZeroDivisionError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+            return parse(json.load(fh))
+    except (OSError, json.JSONDecodeError, TypeError, IndexError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _dump(data, path: str | None):
@@ -71,7 +77,7 @@ def _lattice_from_args(args) -> Lattice2:
         mu1, mu2 = (_parse_rational(x) for x in args.lattice)
         return Lattice2.rectangular(mu1, mu2)
     if getattr(args, "lattice_file", None):
-        return Lattice2.from_json(_load_json(args.lattice_file))
+        return _load_json(args.lattice_file, Lattice2.from_json)
     raise InputError("a lattice is required (--lattice MU1 MU2 or --lattice-file)")
 
 
@@ -101,7 +107,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    region = Region.from_json(_load_json(args.region))
+    region = _load_json(args.region, Region.from_json)
     region.validate()
     lattice = _lattice_from_args(args)
     verdict = injects(region, lattice)
@@ -149,19 +155,12 @@ def _matrix_from_json(data):
     if n != 2:
         raise InputError("surd-valued matrices are supported only for n=2 (4x4)")
 
-    def entry(x):
-        if isinstance(x, int):
-            return SurdScalar.rational(x)
-        try:
-            return SurdScalar.from_triples(x)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad matrix entry {x!r}: {exc}") from exc
-
-    return AlternatingSurdMatrix([entry(x) for x in upper])
+    return AlternatingSurdMatrix([SurdScalar.rational(x) if isinstance(x, int)
+                                  else SurdScalar.from_triples(x) for x in upper])
 
 
 def cmd_type(args) -> int:
-    matrix = _matrix_from_json(_load_json(args.matrix))
+    matrix = _load_json(args.matrix, _matrix_from_json)
     if not isinstance(matrix, AlternatingIntMatrix):
         raise InputError("polarization type needs an integer matrix")
     divisors, base_change = polarization_type(matrix)
@@ -170,7 +169,9 @@ def cmd_type(args) -> int:
 
 
 def cmd_period_lattice(args) -> int:
-    matrix = _matrix_from_json(_load_json(args.matrix))
+    if args.bound < 1:  # the box [-bound, bound]^4 would hold no nonzero vector
+        raise InputError(f"--bound must be at least 1, got {args.bound}")
+    matrix = _load_json(args.matrix, _matrix_from_json)
     if not isinstance(matrix, AlternatingSurdMatrix):
         raise InputError("period-lattice needs a surd-valued 4x4 matrix")
     result = normalize_basis(matrix)
@@ -293,7 +294,7 @@ def render_svg(region: Region, lattice: Lattice2, translate_ring: bool = True) -
 
 
 def cmd_svg(args) -> int:
-    region = Region.from_json(_load_json(args.region))
+    region = _load_json(args.region, Region.from_json)
     lattice = _lattice_from_args(args)
     svg = render_svg(region, lattice, translate_ring=not args.no_ring)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, FillingError, LatticeFormError, SeshadriError,
-            KeyError, ValueError) as exc:
+            KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -246,10 +246,6 @@ class Region:
         return cls([ConvexPolygon.from_json(p) for p in data["polygons"]])
 
 
-def region_area(r: Region) -> SurdScalar:
-    return r.area()
-
-
 def region_overlap_area(a: Region, b: Region) -> SurdScalar:
     total = rat(0)
     for p in a.pieces:
@@ -284,9 +280,6 @@ class AffineMap2:
         (a, b), (c, d) = self.linear
         return a * d - b * c
 
-    def is_area_preserving(self) -> bool:
-        return self.det() == rat(1)
-
     def apply(self, p: Point2) -> Point2:
         (a, b), (c, d) = self.linear
         return Point2(
@@ -313,14 +306,6 @@ class AffineMap2:
     def __repr__(self):
         (a, b), (c, d) = self.linear
         return f"AffineMap2([[{a},{b}],[{c},{d}]] + ({self.translation.x1},{self.translation.x2}))"
-
-
-def apply_affine(m: AffineMap2, r: Region) -> Region:
-    return m.apply_region(r)
-
-
-def translate(r: Region, v: Point2) -> Region:
-    return r.translate(v)
 
 
 def rectangle(x_lo, x_hi, y_lo, y_hi) -> ConvexPolygon:

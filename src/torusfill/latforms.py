@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import lcm
+from operator import mul
 
-import numpy as np
-
-from .surd import SurdScalar, decimal_sqrt, rat, rationally_independent, scalar
+from .surd import (SurdScalar, decimal_sqrt, eliminate, prime_factors, rat,
+                   rational_relations, rationally_independent, scalar)
 
 
 class LatticeFormError(ValueError):
@@ -49,26 +50,8 @@ class AlternatingIntMatrix:
                 if m[i][j] != -m[j][i]:
                     raise LatticeFormError("matrix is not antisymmetric")
         self.entries = m
-        if not self._nondegenerate():
+        if not _det_int(m):
             raise LatticeFormError("matrix is degenerate")
-
-    def _nondegenerate(self) -> bool:
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        det = Fraction(1)
-        for col in range(self.n):
-            piv = next((r for r in range(col, self.n) if m[r][col]), None)
-            if piv is None:
-                return False
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, self.n):
-                f = m[r][col] * inv
-                if f:
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return det != 0
 
     @classmethod
     def from_blocks(cls, diag: list[int]) -> "AlternatingIntMatrix":
@@ -236,23 +219,7 @@ def _mat_mul_int(a, b):
 
 
 def _det_int(a) -> int:
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    n = len(m)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return int(det)
+    return int(eliminate(a)[1])
 
 
 def _perm_matrix(perm) -> list[list[int]]:
@@ -360,58 +327,12 @@ def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> Normalizatio
 
 
 def _fresh_prime(used_radicands) -> int:
-    primes_used: set[int] = set()
-    for r in used_radicands:
-        rr, d = r, 2
-        while d * d <= rr:
-            if rr % d == 0:
-                primes_used.add(d)
-                while rr % d == 0:
-                    rr //= d
-            d += 1
-        if rr > 1:
-            primes_used.add(rr)
+    """Smallest prime dividing none of the used radicands."""
+    primes_used = set().union(*map(prime_factors, used_radicands))
     p = 2
-    while True:
-        if p not in primes_used and all(p % q for q in range(2, p)):
-            return p
+    while p in primes_used or prime_factors(p) != {p}:
         p += 1
-
-
-def _rational_relations(values: list[SurdScalar]) -> list[list[Fraction]]:
-    """Basis of the rational left-kernel: vectors n with sum n_i * values_i = 0."""
-    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
-    rows = [[v.coefficient(c) for c in cols] for v in values]
-    # kernel of rows^T * n = 0  <=>  n in null space of the matrix with
-    # columns indexed by radicands
-    m = [[rows[i][j] for i in range(len(values))] for j in range(len(cols))]
-    n = len(values)
-    # gaussian elimination on m (len(cols) x n), find the null space
-    mat = [row[:] for row in m]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * bb for a, bb in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
+    return p
 
 
 @dataclass
@@ -497,7 +418,7 @@ def build_period_lattice(b: AlternatingSurdMatrix, max_rounds: int = 8) -> Perio
         rounds += 1
         if rounds > max_rounds:
             raise SearchExhausted("perturbation search exhausted")
-        relations = _rational_relations([p, q, r, s])
+        relations = rational_relations([p, q, r, s])
         moved = False
         for rel in relations:
             for w in directions:
@@ -566,44 +487,27 @@ class NoCurvesCertificate:
 def _integer_relation_exists(values: list[SurdScalar], bound: int) -> bool:
     """Any nonzero integer vector n with |n_i| <= bound and sum n_i v_i = 0?
 
-    The coefficient matrix over the radicand basis is cleared to integers and
-    the full grid is scanned with vectorized exact integer arithmetic.
+    Decided exactly from the rational kernel.  Every kernel vector is
+    sum_j t_j k_j over the RREF basis k_j, where t_j is its coordinate in the
+    j-th free column; an integer vector inside the box therefore has integer
+    t in [-bound, bound]^dim, and those are enumerated, keeping the ones whose
+    pivot coordinates are integers within the bound.
     """
-    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
-    rows = [[v.coefficient(c) for c in cols] for v in values]
-    mat = []
-    for j in range(len(cols)):
-        column = [rows[i][j] for i in range(len(values))]
-        denom = 1
-        for f in column:
-            denom = denom * f.denominator // np.gcd(denom, f.denominator)
-        mat.append([int(f * denom) for f in column])
-    max_entry = max((abs(int(e)) for row in mat for e in row), default=0)
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    if max_entry * bound * len(values) < 2 ** 62:
-        mask = None
-        for col in mat:
-            acc = (col[0] * rng[:, None, None, None]
-                   + col[1] * rng[None, :, None, None]
-                   + col[2] * rng[None, None, :, None]
-                   + col[3] * rng[None, None, None, :])
-            zero = acc == 0
-            mask = zero if mask is None else (mask & zero)
-            if not mask.any():
-                return False
-        mask[bound, bound, bound, bound] = False
-        return bool(mask.any())
-    # exact fallback for oversized coefficients
-    for n1 in rng:
-        for n2 in rng:
-            for n3 in rng:
-                for n4 in rng:
-                    if not (n1 or n2 or n3 or n4):
-                        continue
-                    if all(int(n1) * mat_c[0] + int(n2) * mat_c[1]
-                           + int(n3) * mat_c[2] + int(n4) * mat_c[3] == 0
-                           for mat_c in mat):
-                        return True
+    if bound < 1:
+        return False
+    basis = rational_relations(values)
+    if not basis:
+        return False
+    if any(v.is_zero() for v in values):
+        return True  # a unit vector is a relation
+    # no zero value, so the kernel has dimension at most 3 here; scale the
+    # basis to integers so that den * n_i = sum_j t_j rows[i][j]
+    den = lcm(*(x.denominator for k in basis for x in k))
+    rows = [[int(x * den) for x in coord] for coord in zip(*basis)]
+    for t in product(range(-bound, bound + 1), repeat=len(basis)):
+        if any(t) and all(y % den == 0 and abs(y) <= bound * den
+                          for y in (sum(map(mul, row, t)) for row in rows)):
+            return True
     return False
 
 
@@ -613,9 +517,9 @@ def verify_no_curves(sol: PeriodLatticeSolution, bound: int = 20) -> NoCurvesCer
     Named checks: rational independence of (p, q, r, s); irrationality of
     p s - q r (in its rho^2-scaled form); positivity x > 0 and
     x y - u^2 - v^2 > 0 (checked rho^2-exactly); the compatibility equation;
-    and a bounded brute-force integer-relation search on the elimination
-    identity -n1 r + n2 p - n3 s + n4 q = 0 that any integral class would
-    have to satisfy.
+    and a bounded integer-relation search on the elimination identity
+    -n1 r + n2 p - n3 s + n4 q = 0 that any integral class would have to
+    satisfy.
     """
     b = sol.b
     b13, b14 = b.entry(0, 2), b.entry(0, 3)

@@ -286,12 +286,6 @@ class ShearSequence:
             cur = plane_image(s, cur)
         return cur
 
-    def stages(self) -> list[Region]:
-        out = [self.source]
-        for s in self.shears:
-            out.append(plane_image(s, out[-1]))
-        return out
-
     def to_json(self):
         return {"shears": [s.to_json() for s in self.shears],
                 "source": self.source.to_json()}

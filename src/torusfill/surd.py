@@ -35,7 +35,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, t * m
 
 
-def _prime_factors(n: int) -> frozenset[int]:
+def prime_factors(n: int) -> frozenset[int]:
+    """The distinct prime factors of a positive integer."""
     out, m, d = set(), n, 2
     while d * d <= m:
         if m % d == 0:
@@ -189,12 +190,12 @@ class SurdScalar:
             raise SurdError("division by zero scalar")
         if self.is_rational():
             return SurdScalar.rational(1 / self.as_fraction())
-        primes = sorted(set().union(*(_prime_factors(r) for r in self._terms if r > 1)))
+        primes = sorted(set().union(*(prime_factors(r) for r in self._terms if r > 1)))
         prod = SurdScalar.rational(1)
         for mask in range(1, 1 << len(primes)):
             flip = {primes[i] for i in range(len(primes)) if mask >> i & 1}
             conj = SurdScalar({
-                r: -c if len(flip & _prime_factors(r)) % 2 else c
+                r: -c if len(flip & prime_factors(r)) % 2 else c
                 for r, c in self._terms.items()
             })
             prod = prod * conj
@@ -306,8 +307,10 @@ class SurdScalar:
         return bool(self._terms)
 
     def __hash__(self) -> int:
+        # equal values hash equally: a rational scalar hashes like its Fraction
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = (hash(self.as_fraction()) if self.is_rational()
+                          else hash(frozenset(self._terms.items())))
         return self._hash
 
     def __float__(self) -> float:
@@ -391,40 +394,62 @@ def sqrt(n: int) -> SurdScalar:
     return SurdScalar.sqrt_int(n)
 
 
-def rationally_independent(values: list[SurdScalar]) -> bool:
-    """True iff no nonzero rational combination of the values vanishes.
+def eliminate(matrix) -> tuple[list[list[Fraction]], Fraction]:
+    """Exact Gauss-Jordan elimination of a rational matrix.
 
-    Equivalent to the coefficient matrix (rows = values, columns = radicands)
-    having rank equal to the number of values, by the linear independence of
-    square roots of distinct squarefree integers.
+    Returns (kernel, det).  The kernel is a basis of {x : matrix x = 0} read
+    off the reduced row echelon form: one vector per free column, in
+    ascending column order, with 1 in that column and 0 in the other free
+    columns, so the rank is the column count minus its length.  det is the
+    determinant of a square matrix (0 when singular, and 0 for any other
+    shape).
     """
+    m = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][fc]
+        kernel.append(vec)
+    return kernel, det if len(pivots) == len(m) == ncols else Fraction(0)
+
+
+def rational_relations(values: list[SurdScalar]) -> list[list[Fraction]]:
+    """Basis of the rational vectors n with sum n_i * values_i = 0.
+
+    Square roots of distinct squarefree integers are linearly independent,
+    so this is the kernel of the coefficient matrix (rows = radicands,
+    columns = values), in the order `eliminate` gives.
+    """
+    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
+    return eliminate([[v.coefficient(c) for v in values] for c in cols])[0]
+
+
+def rationally_independent(values: list[SurdScalar]) -> bool:
+    """True iff no nonzero rational combination of the values vanishes."""
     if not values:
         raise ValueError("rationally_independent needs a nonempty list")
-    rows = [v.terms for v in values]
-    cols = sorted(set().union(*[set(r) for r in rows]) or {1})
-    matrix = [[row.get(c, Fraction(0)) for c in cols] for row in rows]
-    return _rank(matrix) == len(values)
-
-
-def _rank(matrix: list[list[Fraction]]) -> int:
-    m = [row[:] for row in matrix]
-    rank, col = 0, 0
-    ncols = len(m[0]) if m else 0
-    while rank < len(m) and col < ncols:
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return not rational_relations(values)
 
 
 def decimal_sqrt(x: SurdScalar, digits: int = 50) -> str:

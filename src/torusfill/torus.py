@@ -128,7 +128,7 @@ def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
 
 
 def covered_fraction(r: Region, lattice: Lattice2) -> SurdScalar:
-    """region_area / covolume; rejects regions that do not inject."""
+    """Area of the region over the covolume; rejects regions that do not inject."""
     verdict = injects(r, lattice)
     if not verdict.ok:
         raise TorusError(f"region does not inject: {verdict.collisions[:3]}")

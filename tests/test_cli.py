@@ -1,8 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import torusfill
 from torusfill.cli import main, render_svg
 from torusfill.fillings import example_T2k2
 from torusfill.geom import Region
@@ -70,6 +75,30 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "error" in err
     code, _, err = run_cli(["verify", str(bad_file), "--lattice", "0", "1"], capsys)
     assert code == 2  # degenerate lattice is malformed input too
+
+
+SQUARE = {"polygons": [[[[[1, 0, 1]], []], [[[1, 1, 1]], []], [[[1, 1, 1]], [[1, 1, 1]]],
+                        [[], [[1, 1, 1]]]]]}
+SURD_FORM = {"n": 2, "upper": [[[1, 0, 1]], [[1, 1, 1]], [[2, 1, 1]],
+                               [[1, -1, 1]], [[1, -1, 1]], [[1, 0, 1]]]}
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["verify", "{input}", "--lattice", "1", "1"], {"polygons": 5}),
+    (["verify", "{input}", "--lattice", "1", "1"], [SQUARE]),
+    (["period-lattice", "{input}"], {"n": 2, "upper": [[[1, 1, 0]]] + SURD_FORM["upper"][1:]}),
+    (["verify", "{input}", "--lattice", "1", "1", "--out", "{missing}"], SQUARE),
+    (["period-lattice", "{input}", "--bound", "-1"], SURD_FORM),
+    (["period-lattice", "{input}", "--bound", "0"], SURD_FORM),
+], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
+        "negative-bound", "zero-bound"])
+def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
+    input_file = tmp_path / "input.json"
+    input_file.write_text(json.dumps(data))
+    names = {"input": str(input_file), "missing": str(tmp_path / "no-such-dir" / "x.json")}
+    code, _, err = run_cli([a.format(**names) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_seshadri_csv(capsys):
@@ -183,6 +212,15 @@ def test_precision_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["verify", str(region_file), "--lattice", "2", "1"], capsys)
     assert code == 0
     assert json.loads(out)["covered_fraction_decimal"] == "1.00000000"
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is a test-only dependency; the package must not import it
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, torusfill.cli; sys.exit('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr or "importing torusfill.cli loaded numpy"
 
 
 def test_console_entry_point():

@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
+
+from test_acceptance import _random_surd_matrix
 
 from torusfill.latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,
     BlowupClass,
     LatticeFormError,
+    SearchExhausted,
     build_period_lattice,
     cone_contains,
     kahler_excluded,
@@ -19,7 +24,7 @@ from torusfill.latforms import (
     _det_int,
     _integer_relation_exists,
 )
-from torusfill.surd import rat, rationally_independent, sqrt
+from torusfill.surd import rat, rational_relations, rationally_independent, sqrt
 
 
 def snf_paired_divisors(entries) -> tuple[int, ...]:
@@ -239,14 +244,81 @@ def test_verify_no_curves_conditions():
     assert cert.failed() == []
 
 
+def grid_relation_exists(values, bound) -> bool:
+    """Reference oracle: scan the whole box [-bound, bound]^4 for an integer
+    relation, with vectorized exact int64 arithmetic."""
+    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
+    mat = []
+    for c in cols:
+        column = [v.coefficient(c) for v in values]
+        denom = lcm(*(f.denominator for f in column))
+        mat.append([int(f * denom) for f in column])
+    assert max(abs(e) for row in mat for e in row) * bound * len(values) < 2 ** 62
+    rng = np.arange(-bound, bound + 1, dtype=np.int64)
+    mask = np.ones((len(rng),) * 4, dtype=bool)
+    for col in mat:
+        mask &= (col[0] * rng[:, None, None, None]
+                 + col[1] * rng[None, :, None, None]
+                 + col[2] * rng[None, None, :, None]
+                 + col[3] * rng[None, None, None, :]) == 0
+    mask[bound, bound, bound, bound] = False
+    return bool(mask.any())
+
+
 def test_integer_relation_search():
-    assert _integer_relation_exists([rat(1), rat(2), rat(3), rat(-1)], 20)
-    assert not _integer_relation_exists([rat(1), sqrt(2), sqrt(3), sqrt(6)], 20)
-    # a zero value admits the obvious relation
-    assert _integer_relation_exists([rat(21), rat(1), rat(0), sqrt(2)], 20)
-    # relation with larger coefficients is invisible below its size
-    assert not _integer_relation_exists([rat(21), rat(1), sqrt(2), sqrt(3)], 20)
-    assert _integer_relation_exists([rat(21), rat(1), sqrt(2), sqrt(3)], 21)
+    for values, bound, expected in [
+        ([rat(1), rat(2), rat(3), rat(-1)], 20, True),
+        ([rat(1), rat(2), rat(3), rat(-1)], 0, False),  # the box holds only 0
+        ([rat(1), sqrt(2), sqrt(3), sqrt(6)], 20, False),
+        # a zero value admits the obvious relation
+        ([rat(21), rat(1), rat(0), sqrt(2)], 20, True),
+        # relation with larger coefficients is invisible below its size
+        ([rat(21), rat(1), sqrt(2), sqrt(3)], 20, False),
+        ([rat(21), rat(1), sqrt(2), sqrt(3)], 21, True),
+    ]:
+        assert _integer_relation_exists(values, bound) == expected
+        assert grid_relation_exists(values, bound) == expected
+
+
+def random_quadruple(rng, dim):
+    """Four nonzero scalars whose rational relations form a kernel of
+    dimension dim: random rational combinations of 4 - dim independent
+    generators.  For dim 3 the single generator is 1 in about half the
+    draws, which gives rational quadruples."""
+    rational = dim == 3 and rng.random() < 0.5
+    gens = [rat(1)] if rational else rng.sample([rat(1), sqrt(2), sqrt(3), sqrt(5)], 4 - dim)
+    while True:
+        values = [sum((rat(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) * g for g in gens),
+                      rat(0)) for _ in range(4)]
+        if all(values) and len(rational_relations(values)) == dim:
+            return values
+
+
+def test_integer_relation_search_matches_grid_on_random_kernels():
+    rng = random.Random(20261017)
+    verdicts = {True: 0, False: 0}
+    for dim in (1, 2, 3):
+        for _ in range(40):
+            values, bound = random_quadruple(rng, dim), rng.randint(1, 4)
+            found = _integer_relation_exists(values, bound)
+            assert found == grid_relation_exists(values, bound), (values, bound)
+            verdicts[found] += 1
+    assert min(verdicts.values()) >= 10  # both verdicts are exercised
+
+
+def test_integer_relation_search_matches_grid_on_corpus():
+    # the criterion-10 corpus, as verify_no_curves searches it
+    rng = random.Random(1234)
+    done = 0
+    while done < 10:
+        try:
+            normalized = normalize_basis(_random_surd_matrix(rng))
+        except SearchExhausted:
+            continue
+        sol = build_period_lattice(normalized.matrix)
+        values = [-sol.r, sol.p, -sol.s, sol.q]
+        assert _integer_relation_exists(values, 20) == grid_relation_exists(values, 20)
+        done += 1
 
 
 def test_cone_predicates():

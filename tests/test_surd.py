@@ -3,14 +3,18 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nonzero_surds, rationals, surds
 from torusfill.surd import (
     SurdError,
     SurdScalar,
     decimal_sqrt,
+    eliminate,
     rat,
+    rational_relations,
     rationally_independent,
     sqrt,
     squarefree_decompose,
@@ -79,6 +83,36 @@ def test_rationally_independent_brute_force_confirmation():
             found = combo
             break
     assert found is not None
+
+
+@given(st.lists(surds(), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_rational_relations_match_sympy_nullspace(values):
+    # sympy's nullspace is also read off the RREF, one vector per free column
+    # in ascending order, so the two bases must agree vector by vector
+    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
+    matrix = sympy.Matrix([[v.coefficient(c) for v in values] for c in cols])
+    expected = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in matrix.nullspace()]
+    assert rational_relations(values) == expected
+    assert rationally_independent(values) == (not expected)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_eliminate_determinant_and_rank_match_sympy(rows):
+    kernel, det = eliminate(rows)
+    matrix = sympy.Matrix(rows)
+    assert det == Fraction(int(matrix.det().p), int(matrix.det().q))
+    assert len(kernel) == len(rows) - matrix.rank()
+    assert all(not any(matrix * sympy.Matrix(vec)) for vec in kernel)
+
+
+@given(rationals())
+def test_rational_scalars_hash_like_their_fraction(q):
+    assert hash(rat(q)) == hash(q)
+    assert len({rat(q), q}) == 1
+    assert len({rat(1), 1, Fraction(1)}) == 1
 
 
 def test_is_rational():
