@@ -94,7 +94,8 @@ def cmd_construct(args) -> int:
     if name in ("example2", "example3", "theorem1"):
         kwargs["eps"] = _parse_rational(args.eps)
     if name == "example2":
-        kwargs["orientation"] = args.orientation
+        # argparse strips a literal "--" value, so --orientation=-- arrives as []
+        kwargs["orientation"] = "--" if args.orientation == [] else args.orientation
     cert = CONSTRUCTORS[name](**kwargs)
     _dump(cert.to_json(), args.cert_out)
     if args.out:
@@ -140,10 +141,12 @@ def _matrix_from_json(data):
     if "upper" not in data or "n" not in data:
         raise InputError("matrix JSON needs fields 'n' and 'upper'")
     n = data["n"]
+    if type(n) is not int or n < 1:  # bool is a subclass of int
+        raise InputError(f"'n' must be a positive integer, got {n!r}")
     upper = data["upper"]
     if len(upper) != n * (2 * n - 1):
         raise InputError(f"n={n} needs {n * (2 * n - 1)} upper entries, got {len(upper)}")
-    if all(isinstance(x, int) for x in upper):
+    if all(type(x) is int for x in upper):
         dim = 2 * n
         m = [[0] * dim for _ in range(dim)]
         it = iter(upper)
@@ -155,7 +158,7 @@ def _matrix_from_json(data):
     if n != 2:
         raise InputError("surd-valued matrices are supported only for n=2 (4x4)")
 
-    return AlternatingSurdMatrix([SurdScalar.rational(x) if isinstance(x, int)
+    return AlternatingSurdMatrix([SurdScalar.rational(x) if type(x) is int
                                   else SurdScalar.from_triples(x) for x in upper])
 
 

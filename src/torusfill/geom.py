@@ -63,13 +63,14 @@ class ConvexPolygon:
     to start at the lexicographically smallest vertex, positive area required.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_box")
 
     def __init__(self, vertices: list[Point2]):
         vs = _canonicalize(vertices)
         if vs is None:
             raise GeometryError(f"degenerate polygon: {[str(v.x1)+','+str(v.x2) for v in vertices]}")
         self.vertices = vs
+        self._box = None
 
     @classmethod
     def maybe(cls, vertices: list[Point2]) -> "ConvexPolygon | None":
@@ -85,12 +86,17 @@ class ConvexPolygon:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def translate(self, v: Point2) -> "ConvexPolygon":
-        return _raw([p + v for p in self.vertices])
+        x1, x2, y1, y2 = self.bounding_box()
+        return _raw([p + v for p in self.vertices],
+                    (x1 + v.x1, x2 + v.x1, y1 + v.x2, y2 + v.x2))
 
     def bounding_box(self):
-        xs = [p.x1 for p in self.vertices]
-        ys = [p.x2 for p in self.vertices]
-        return min(xs), max(xs), min(ys), max(ys)
+        """(x_min, x_max, y_min, y_max), computed once and kept."""
+        if self._box is None:
+            xs = [p.x1 for p in self.vertices]
+            ys = [p.x2 for p in self.vertices]
+            self._box = min(xs), max(xs), min(ys), max(ys)
+        return self._box
 
     def contains(self, p: Point2) -> bool:
         """True iff p is interior (open polygon)."""
@@ -114,10 +120,12 @@ class ConvexPolygon:
         return cls([Point2.from_json(p) for p in data])
 
 
-def _raw(vertices: list[Point2]) -> ConvexPolygon:
-    """Construct trusting the input (already canonical counterclockwise)."""
+def _raw(vertices: list[Point2], box=None) -> ConvexPolygon:
+    """Construct trusting the input (already canonical counterclockwise) and,
+    when given, its bounding box."""
     poly = object.__new__(ConvexPolygon)
     poly.vertices = vertices
+    poly._box = box
     return poly
 
 
@@ -181,7 +189,11 @@ def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon |
 
 
 def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    """Exact intersection of two convex polygons; None when it has zero area."""
+    """Exact intersection of two convex polygons; None when it has zero area.
+
+    Pairs whose bounding boxes meet in zero area are rejected before any
+    half-plane is clipped.
+    """
     ax1, ax2, ay1, ay2 = a.bounding_box()
     bx1, bx2, by1, by2 = b.bounding_box()
     if (ax2 - bx1).sign() <= 0 or (bx2 - ax1).sign() <= 0:
@@ -249,13 +261,7 @@ class Region:
 def region_overlap_area(a: Region, b: Region) -> SurdScalar:
     total = rat(0)
     for p in a.pieces:
-        px1, px2, py1, py2 = p.bounding_box()
         for q in b.pieces:
-            qx1, qx2, qy1, qy2 = q.bounding_box()
-            if (px2 - qx1).sign() <= 0 or (qx2 - px1).sign() <= 0:
-                continue
-            if (py2 - qy1).sign() <= 0 or (qy2 - py1).sign() <= 0:
-                continue
             total = total + overlap_area(p, q)
     return total
 

@@ -83,10 +83,12 @@ class SurdScalar:
         """Canonicalize arbitrary (radicand, coefficient) pairs."""
         acc: dict[int, Fraction] = {}
         for rad, coeff in pairs:
+            if type(rad) is not int:  # a float is not truncated; bool subclasses int
+                raise TypeError(f"radicand must be an integer, got {rad!r}")
             c = Fraction(coeff)
             if not c:
                 continue
-            s, t = squarefree_decompose(int(rad))
+            s, t = squarefree_decompose(rad)
             acc[t] = acc.get(t, Fraction(0)) + c * s
         return cls({t: c for t, c in acc.items() if c})
 

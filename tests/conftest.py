@@ -6,7 +6,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st
 
+from torusfill.geom import Region, pt, rectangle
 from torusfill.surd import SurdScalar
+from torusfill.torus import Lattice2
 
 SMALL_RADICANDS = [1, 2, 3, 5, 6]
 
@@ -37,3 +39,16 @@ def rationals(draw, bound=9):
     num = draw(st.integers(min_value=-bound, max_value=bound))
     den = draw(st.integers(min_value=1, max_value=bound))
     return Fraction(num, den)
+
+
+SKEW = Lattice2(pt(1, 0), pt(Fraction(1, 2), 1))
+
+
+def skewed_doubled_regions():
+    """(a, b), region pairs: a small square plus its translate by a*g1 + b*g2
+    of SKEW, nudged so that they overlap; collisions occur only at
+    mixed-coefficient lattice vectors."""
+    base = rectangle(0, Fraction(1, 4), 0, Fraction(1, 4))
+    nudge = pt(Fraction(1, 100), Fraction(1, 100))
+    return [((a, b), Region([base, base.translate(SKEW.vector(a, b) + nudge)]))
+            for a, b in [(2, -1), (1, 1), (-1, 2), (0, 1), (3, -2)]]

@@ -81,6 +81,10 @@ SQUARE = {"polygons": [[[[[1, 0, 1]], []], [[[1, 1, 1]], []], [[[1, 1, 1]], [[1,
                         [[], [[1, 1, 1]]]]]}
 SURD_FORM = {"n": 2, "upper": [[[1, 0, 1]], [[1, 1, 1]], [[2, 1, 1]],
                                [[1, -1, 1]], [[1, -1, 1]], [[1, 0, 1]]]}
+# the unit square with the x-coordinate of (1, 0) written with radicand 1.5,
+# which int() would have truncated to the valid square
+FLOAT_RADICAND_SQUARE = {"polygons": [[SQUARE["polygons"][0][0], [[[1.5, 1, 1]], []],
+                                       *SQUARE["polygons"][0][2:]]]}
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -90,8 +94,11 @@ SURD_FORM = {"n": 2, "upper": [[[1, 0, 1]], [[1, 1, 1]], [[2, 1, 1]],
     (["verify", "{input}", "--lattice", "1", "1", "--out", "{missing}"], SQUARE),
     (["period-lattice", "{input}", "--bound", "-1"], SURD_FORM),
     (["period-lattice", "{input}", "--bound", "0"], SURD_FORM),
+    (["verify", "{input}", "--lattice", "1", "1"], FLOAT_RADICAND_SQUARE),
+    (["type", "{input}"], {"n": 0, "upper": []}),
+    (["type", "{input}"], {"n": 2, "upper": [True, 0, 0, 0, 0, 3]}),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
-        "negative-bound", "zero-bound"])
+        "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))
@@ -99,6 +106,15 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     code, _, err = run_cli([a.format(**names) for a in argv], capsys)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_construct_example2_orientation_minus_minus(capsys):
+    # argparse strips the literal value "--"; the command must still build it
+    code, out, _ = run_cli(["construct", "example2", "--orientation=--"], capsys)
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["valid"] is True
+    assert SurdScalar.from_triples(cert["fraction"]) == Fraction(8, 9)
 
 
 def test_seshadri_csv(capsys):

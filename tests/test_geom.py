@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals
+from conftest import SKEW, rationals, skewed_doubled_regions
 from torusfill.geom import (
     AffineMap2,
     ConvexPolygon,
@@ -12,6 +12,7 @@ from torusfill.geom import (
     Point2,
     Region,
     clip,
+    clip_halfplane,
     overlap_area,
     pt,
     rectangle,
@@ -20,6 +21,7 @@ from torusfill.geom import (
     symmetric_difference_area,
 )
 from torusfill.surd import rat, sqrt
+from torusfill.torus import candidate_vectors, injects
 
 
 def diamond_poly(a) -> ConvexPolygon:
@@ -118,11 +120,20 @@ def test_region_json_round_trip():
 
 
 @st.composite
-def triangles(draw):
-    coords = [draw(rationals(bound=6)) for _ in range(6)]
-    poly = ConvexPolygon.maybe([pt(coords[0], coords[1]),
-                                pt(coords[2], coords[3]),
-                                pt(coords[4], coords[5])])
+def coordinates(draw, surd=False):
+    """A rational, or with surd=True an element of Q(sqrt 2)."""
+    c = rat(draw(rationals(bound=6)))
+    return c + rat(draw(rationals(bound=3))) * sqrt(2) if surd else c
+
+
+@st.composite
+def points(draw, surd=False):
+    return Point2(draw(coordinates(surd)), draw(coordinates(surd)))
+
+
+@st.composite
+def triangles(draw, surd=False):
+    poly = ConvexPolygon.maybe([draw(points(surd)) for _ in range(3)])
     if poly is None:
         return rectangle(0, 1, 0, 1)
     return poly
@@ -153,3 +164,118 @@ def test_clip_area_matches_shapely_oracle(a, b):
 def test_region_overlap_self(a):
     reg = Region([a])
     assert region_overlap_area(reg, reg) == reg.area()
+
+
+def hull_area_oracle(a: ConvexPolygon, b: ConvexPolygon) -> Fraction:
+    """Intersection area of two convex polygons with rational vertices, found
+    without clipping: the intersection is the convex hull of the vertices of
+    each polygon that lie in the other (boundary included) and of the points
+    where their edges cross."""
+    pa = [(v.x1.as_fraction(), v.x2.as_fraction()) for v in a.vertices]
+    pb = [(v.x1.as_fraction(), v.x2.as_fraction()) for v in b.vertices]
+
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    def inside(p, poly):  # poly counterclockwise
+        return all(cross(poly[i - 1], poly[i], p) >= 0 for i in range(len(poly)))
+
+    found = {p for p in pa if inside(p, pb)} | {p for p in pb if inside(p, pa)}
+    for p, p2 in zip(pa, pa[1:] + pa[:1]):
+        for q, q2 in zip(pb, pb[1:] + pb[:1]):
+            dp, dq = (p2[0] - p[0], p2[1] - p[1]), (q2[0] - q[0], q2[1] - q[1])
+            denom = dp[0] * dq[1] - dp[1] * dq[0]
+            if denom == 0:  # parallel: any shared endpoints are already found
+                continue
+            w = (q[0] - p[0], q[1] - p[1])
+            t = (w[0] * dq[1] - w[1] * dq[0]) / denom
+            u = (w[0] * dp[1] - w[1] * dp[0]) / denom
+            if 0 <= t <= 1 and 0 <= u <= 1:
+                found.add((p[0] + t * dp[0], p[1] + t * dp[1]))
+    pts = sorted(found)
+    if len(pts) < 3:
+        return Fraction(0)
+
+    def half(seq):  # Andrew's monotone chain
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    hull = half(pts) + half(pts[::-1])
+    twice = sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(hull, hull[1:] + hull[:1]))
+    return twice / 2
+
+
+@given(triangles(), triangles())
+@settings(max_examples=200, deadline=None)
+def test_clip_area_matches_hull_oracle(a, b):
+    assert overlap_area(a, b) == hull_area_oracle(a, b)
+
+
+def test_hull_oracle_on_known_overlaps():
+    assert hull_area_oracle(rectangle(0, 2, 0, 2), rectangle(1, 3, 1, 3)) == 1
+    assert hull_area_oracle(rectangle(0, 1, 0, 1), rectangle(1, 2, 0, 1)) == 0
+    half = ConvexPolygon([pt(0, 0), pt(1, 0), pt(0, 1)])
+    assert hull_area_oracle(half, rectangle(0, 1, 0, 1)) == Fraction(1, 2)
+
+
+def box_of_vertices(poly: ConvexPolygon):
+    xs = [p.x1 for p in poly.vertices]
+    ys = [p.x2 for p in poly.vertices]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+@given(st.one_of(triangles(), triangles(surd=True)),
+       st.one_of(points(), points(surd=True)), st.one_of(points(), points(surd=True)))
+@settings(max_examples=60, deadline=None)
+def test_translated_box_matches_recomputed(p, v, w):
+    moved = p.translate(v)
+    assert moved.bounding_box() == box_of_vertices(moved)
+    twice = moved.translate(w)
+    assert twice.bounding_box() == box_of_vertices(twice)
+    assert p.bounding_box() == box_of_vertices(p)
+
+
+def unfiltered_overlap(a: Region, b: Region):
+    """Sum over all piece pairs of chained half-plane clips, with no box test."""
+    total = rat(0)
+    for p in a.pieces:
+        for q in b.pieces:
+            c = p
+            for s, t in q.edges():
+                c = clip_halfplane(c, s, t)
+                if c is None:
+                    break
+            if c is not None:
+                total = total + c.area()
+    return total
+
+
+@given(st.booleans().flatmap(lambda surd: st.tuples(
+    st.lists(triangles(surd), min_size=1, max_size=3),
+    st.lists(triangles(surd), min_size=1, max_size=3),
+    points(surd))))
+@settings(max_examples=60, deadline=None)
+def test_region_overlap_area_matches_unfiltered_oracle(case):
+    ps, qs, v = case
+    a, b = Region(ps), Region(qs).translate(v)
+    assert region_overlap_area(a, b) == unfiltered_overlap(a, b)
+    assert region_overlap_area(a, a) == unfiltered_overlap(a, a)
+
+
+def test_injects_collisions_match_unfiltered_oracle():
+    for _, region in skewed_doubled_regions():
+        expected = []
+        for a, b in candidate_vectors(region, SKEW):
+            v = SKEW.vector(a, b)
+            # translates rebuilt from their vertices, so no box is carried over
+            moved = Region([ConvexPolygon([p + v for p in piece.vertices])
+                            for piece in region.pieces])
+            overlap = unfiltered_overlap(region, moved)
+            if overlap.sign() > 0:
+                expected.append(((a, b), overlap))
+        assert expected
+        assert injects(region, SKEW).collisions == expected

@@ -159,6 +159,14 @@ def test_serialization_round_trip():
     assert SurdScalar.from_triples([[8, 1, 1]]) == 2 * sqrt(2)  # canonicalized on read
 
 
+@pytest.mark.parametrize("radicand", [1.5, 2.0, True, Fraction(2)])
+def test_non_integer_radicand_rejected(radicand):
+    with pytest.raises(TypeError):
+        SurdScalar.from_triples([[radicand, 1, 1]])
+    with pytest.raises(TypeError):  # also when its coefficient is zero
+        SurdScalar.from_terms([(radicand, 0)])
+
+
 @given(surds(), surds(), surds())
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import SKEW, skewed_doubled_regions
 from torusfill.fillings import diamond, example_T2k2, example_eight_ninths
 from torusfill.geom import Region, pt, rectangle
 from torusfill.surd import rat
@@ -138,13 +139,8 @@ def test_monte_carlo_full_fillings_cover_everything():
 
 def test_injects_catches_skewed_collisions():
     # collisions that only occur at mixed-coefficient lattice vectors
-    skew = Lattice2(pt(1, 0), pt(Fraction(1, 2), 1))
-    base = rectangle(0, Fraction(1, 4), 0, Fraction(1, 4))
-    for a, b in [(2, -1), (1, 1), (-1, 2), (0, 1), (3, -2)]:
-        v = skew.vector(a, b)
-        nudge = pt(Fraction(1, 100), Fraction(1, 100))
-        doubled = Region([base, base.translate(v + nudge)])
-        verdict = injects(doubled, skew)
+    for (a, b), doubled in skewed_doubled_regions():
+        verdict = injects(doubled, SKEW)
         assert not verdict.ok
         assert any(ab in ((a, b), (-a, -b)) for ab, _ in verdict.collisions)
 
