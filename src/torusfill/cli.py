@@ -76,7 +76,7 @@ def _lattice_from_args(args) -> Lattice2:
     if args.lattice:
         mu1, mu2 = (_parse_rational(x) for x in args.lattice)
         return Lattice2.rectangular(mu1, mu2)
-    if getattr(args, "lattice_file", None):
+    if args.lattice_file:
         return _load_json(args.lattice_file, Lattice2.from_json)
     raise InputError("a lattice is required (--lattice MU1 MU2 or --lattice-file)")
 
@@ -308,6 +308,13 @@ def cmd_svg(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+def _add_lattice_options(p: argparse.ArgumentParser) -> None:
+    # one lattice source: given both, neither may be silently ignored
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--lattice", nargs=2, metavar=("MU1", "MU2"))
+    group.add_argument("--lattice-file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusfill",
@@ -326,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck a region file against a lattice")
     p.add_argument("region")
-    p.add_argument("--lattice", nargs=2, metavar=("MU1", "MU2"))
-    p.add_argument("--lattice-file")
+    _add_lattice_options(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -355,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svg", help="render a region and its lattice translates")
     p.add_argument("region")
-    p.add_argument("--lattice", nargs=2, metavar=("MU1", "MU2"))
-    p.add_argument("--lattice-file")
+    _add_lattice_options(p)
     p.add_argument("--no-ring", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_svg)

@@ -198,11 +198,21 @@ class AlternatingSurdMatrix:
                    for other in nonzero[1:])
 
     def conjugated(self, u: list[list[int]]) -> "AlternatingSurdMatrix":
-        bu = [[sum((self.m[i][k] * u[k][j] for k in range(4)), rat(0))
-               for j in range(4)] for i in range(4)]
-        full = [[sum((rat(u[k][i]) * bu[k][j] for k in range(4)), rat(0))
-                 for j in range(4)] for i in range(4)]
-        return AlternatingSurdMatrix([full[i][j] for i, j in UPPER_INDEX])
+        """U^T B U, summing only its nonzero integer terms u_ki u_lj b_kl.
+
+        b_kk = 0, so k = l never contributes: a permutation reindexes the
+        entries and a transvection touches one row and one column.
+        """
+        cols = [[(k, u[k][i]) for k in range(4) if u[k][i]] for i in range(4)]
+        upper = []
+        for i, j in UPPER_INDEX:
+            acc = rat(0)
+            for k, a in cols[i]:
+                for l, c in cols[j]:
+                    if k != l:
+                        acc = acc + (self.m[k][l] if a * c == 1 else self.m[k][l] * (a * c))
+            upper.append(acc)
+        return AlternatingSurdMatrix(upper)
 
     def to_json(self):
         return {"n": 2, "upper": [x.to_triples() for x in self.upper]}
@@ -447,10 +457,11 @@ def build_period_lattice(b: AlternatingSurdMatrix, max_rounds: int = 8) -> Perio
             raise SearchExhausted("no perturbation direction kills the relations")
 
     d = p * s - q * r
-    x = (s * b13 - q * b14) / d
-    y = (p * b24 - r * b23) / d
-    u = (p * b14 - r * b13) / d
-    if u != (s * b23 - q * b24) / d:
+    d_inv = d.inverse()
+    x = (s * b13 - q * b14) * d_inv
+    y = (p * b24 - r * b23) * d_inv
+    u = (p * b14 - r * b13) * d_inv
+    if u != (s * b23 - q * b24) * d_inv:
         raise LatticeFormError("compatibility violated after perturbation")
 
     if b12.is_zero() and b34.is_zero():
@@ -462,7 +473,7 @@ def build_period_lattice(b: AlternatingSurdMatrix, max_rounds: int = 8) -> Perio
         return PeriodLatticeSolution(b, p, q, r, s, x, y, u, rat(0), rho_sq,
                                      True, fresh_used)
     v = b12
-    rho_sq = b34 / (b12 * d)
+    rho_sq = b34 / b12 * d_inv
     return PeriodLatticeSolution(b, p, q, r, s, x, y, u, v, rho_sq,
                                  False, fresh_used)
 

@@ -109,7 +109,8 @@ class SurdScalar:
         return not self._terms
 
     def is_rational(self) -> bool:
-        return all(r == 1 for r in self._terms)
+        t = self._terms
+        return not t or (len(t) == 1 and 1 in t)
 
     def is_irrational(self) -> bool:
         return not self.is_rational()
@@ -155,6 +156,13 @@ class SurdScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # a rational factor scales the other's coefficients, radicands unchanged
+        if other.is_rational():
+            q = other._terms.get(1)
+            return SurdScalar({r: c * q for r, c in self._terms.items()} if q else {})
+        if self.is_rational():
+            q = self._terms.get(1)
+            return SurdScalar({r: q * c for r, c in other._terms.items()} if q else {})
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms.items():
             for r2, c2 in other._terms.items():
@@ -182,29 +190,23 @@ class SurdScalar:
         return out
 
     def inverse(self) -> SurdScalar:
-        """Multiplicative inverse, by rationalization with conjugates.
+        """Multiplicative inverse, by rationalizing one prime at a time.
 
-        Division by a rational is the trivial case; a single-radical scalar
-        p + q*sqrt(n) is rationalized against p - q*sqrt(n); scalars with more
-        radicals are rationalized against all sign-flip conjugates.
+        For each prime p of the radicands, write the denominator as
+        a + b*sqrt(p) with a, b free of sqrt(p), and multiply numerator and
+        denominator by a - b*sqrt(p): the new denominator a^2 - p*b^2 is free
+        of sqrt(p) and nonzero, since sqrt(p) does not lie in the field the
+        other square roots generate.  After the last prime it is rational.
         """
         if self.is_zero():
             raise SurdError("division by zero scalar")
-        if self.is_rational():
-            return SurdScalar.rational(1 / self.as_fraction())
-        primes = sorted(set().union(*(prime_factors(r) for r in self._terms if r > 1)))
-        prod = SurdScalar.rational(1)
-        for mask in range(1, 1 << len(primes)):
-            flip = {primes[i] for i in range(len(primes)) if mask >> i & 1}
-            conj = SurdScalar({
-                r: -c if len(flip & prime_factors(r)) % 2 else c
-                for r, c in self._terms.items()
-            })
-            prod = prod * conj
-        norm = prod * self
-        if not norm.is_rational() or norm.is_zero():
+        num, den = SurdScalar.rational(1), self
+        for p in sorted(set().union(*(prime_factors(r) for r in self._terms if r > 1))):
+            conj = SurdScalar({r: -c if r % p == 0 else c for r, c in den._terms.items()})
+            num, den = num * conj, den * conj
+        if not den.is_rational() or den.is_zero():
             raise SurdError(f"rationalization failed for {self}")
-        return prod * SurdScalar.rational(1 / norm.as_fraction())
+        return num * SurdScalar.rational(1 / den.as_fraction())
 
     def __truediv__(self, other) -> SurdScalar:
         other = _coerce(other)
@@ -344,7 +346,7 @@ class SurdScalar:
 
     @classmethod
     def from_triples(cls, triples) -> SurdScalar:
-        return cls.from_terms((r, Fraction(num, den)) for r, num, den in triples)
+        return cls.from_terms((r, _fraction(num, den)) for r, num, den in triples)
 
     def decimal(self, digits: int = 30) -> str:
         """Deterministic fixed-point decimal rendering (round half away)."""
@@ -365,6 +367,13 @@ class SurdScalar:
             body = str(c) if r == 1 else (f"{c}*v{r}" if c not in (1, -1) else f"{'-' if c < 0 else ''}v{r}")
             parts.append(body if not parts or body.startswith("-") else "+" + body)
         return "".join(parts).replace("v", "√")
+
+
+def _fraction(num, den) -> Fraction:
+    # bool subclasses int, so JSON true would otherwise read as 1
+    if type(num) is not int or type(den) is not int:
+        raise TypeError(f"numerator and denominator must be integers, got {num!r}, {den!r}")
+    return Fraction(num, den)
 
 
 def _coerce(value) -> SurdScalar:

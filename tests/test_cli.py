@@ -85,6 +85,12 @@ SURD_FORM = {"n": 2, "upper": [[[1, 0, 1]], [[1, 1, 1]], [[2, 1, 1]],
 # which int() would have truncated to the valid square
 FLOAT_RADICAND_SQUARE = {"polygons": [[SQUARE["polygons"][0][0], [[[1.5, 1, 1]], []],
                                        *SQUARE["polygons"][0][2:]]]}
+# JSON true is not the integer 1: the square with x = [1, true, 1] at (1, 0),
+# and the surd form with the entry sqrt(2) written [2, 1, true]
+BOOL_NUMERATOR_SQUARE = {"polygons": [[SQUARE["polygons"][0][0], [[[1, True, 1]], []],
+                                       *SQUARE["polygons"][0][2:]]]}
+BOOL_DENOMINATOR_FORM = {"n": 2, "upper": [*SURD_FORM["upper"][:2], [[2, 1, True]],
+                                           *SURD_FORM["upper"][3:]]}
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -97,8 +103,11 @@ FLOAT_RADICAND_SQUARE = {"polygons": [[SQUARE["polygons"][0][0], [[[1.5, 1, 1]],
     (["verify", "{input}", "--lattice", "1", "1"], FLOAT_RADICAND_SQUARE),
     (["type", "{input}"], {"n": 0, "upper": []}),
     (["type", "{input}"], {"n": 2, "upper": [True, 0, 0, 0, 0, 3]}),
+    (["verify", "{input}", "--lattice", "1", "1"], BOOL_NUMERATOR_SQUARE),
+    (["period-lattice", "{input}"], BOOL_DENOMINATOR_FORM),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
-        "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry"])
+        "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry",
+        "bool-numerator", "bool-denominator"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))
@@ -162,6 +171,23 @@ def test_verify_with_lattice_file(tmp_path, capsys):
     assert json.loads(out)["verdicts"]["fundamental_domain"]
 
 
+@pytest.mark.parametrize("command", ["verify", "svg"])
+def test_lattice_and_lattice_file_exclusive(tmp_path, capsys, command):
+    # given both, one of them would be silently ignored
+    from torusfill.torus import Lattice2
+    region_file = tmp_path / "region.json"
+    region_file.write_text(json.dumps(SQUARE))
+    lattice_file = tmp_path / "lattice.json"
+    lattice_file.write_text(json.dumps(Lattice2.rectangular(2, 1).to_json()))
+    argv = [command, str(region_file), "--lattice", "1", "1",
+            "--lattice-file", str(lattice_file), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_type_command_six_by_six(tmp_path, capsys):
     # upper triangle of blockdiag(2, 6, 18), row-major: 15 entries
     upper = [2, 0, 0, 0, 0,
@@ -186,6 +212,24 @@ def test_period_lattice_command(tmp_path, capsys):
     report = json.loads(out)
     assert report["no_curves"]["ok"]
     assert len(report["solution"]["rho_decimal_50"].split(".")[1]) == 50
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "period_lattice_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda case: f"form{case['index']}")
+def test_period_lattice_matches_golden_bytes(tmp_path, capsys, case):
+    # The golden file holds criterion-10 forms (the index-th draw of
+    # test_acceptance._random_surd_matrix from random.Random(1234)) and the
+    # full stdout of `period-lattice` on them, recorded before the scalar
+    # core was rewritten for speed.  A change to these bytes must be
+    # deliberate: regenerate the file and say why.
+    matrix_file = tmp_path / "form.json"
+    matrix_file.write_text(json.dumps(case["matrix"]))
+    code, out, _ = run_cli(["period-lattice", str(matrix_file),
+                            "--bound", str(GOLDEN["bound"])], capsys)
+    assert code == case["exit"]
+    assert out == case["stdout"]
 
 
 def test_svg_deterministic(tmp_path, capsys):

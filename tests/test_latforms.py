@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import numpy as np
@@ -15,6 +16,7 @@ from torusfill.latforms import (
     BlowupClass,
     LatticeFormError,
     SearchExhausted,
+    UPPER_INDEX,
     build_period_lattice,
     cone_contains,
     kahler_excluded,
@@ -23,6 +25,8 @@ from torusfill.latforms import (
     verify_no_curves,
     _det_int,
     _integer_relation_exists,
+    _perm_matrix,
+    _transvection,
 )
 from torusfill.surd import rat, rational_relations, rationally_independent, sqrt
 
@@ -58,6 +62,18 @@ def random_unimodular(rng, n) -> list[list[int]]:
         for row in u:
             row[i] += k * row[j]
     return u
+
+
+def dense_conjugated(b, u) -> AlternatingSurdMatrix:
+    """Oracle: U^T B U as two dense 4x4 products over all 16 terms each."""
+    bu = [[sum((b.m[i][k] * u[k][j] for k in range(4)), rat(0))
+           for j in range(4)] for i in range(4)]
+    full = [[sum((rat(u[k][i]) * bu[k][j] for k in range(4)), rat(0))
+             for j in range(4)] for i in range(4)]
+    return AlternatingSurdMatrix([full[i][j] for i, j in UPPER_INDEX])
+
+
+NORMALIZER_TRANSVECTION_PAIRS = ((1, 2), (1, 3), (3, 0), (2, 0), (3, 1), (2, 1), (0, 2), (0, 3))
 
 
 def test_polarization_examples():
@@ -175,10 +191,40 @@ def test_normalize_postconditions_random():
         b12, b34 = m.entry(0, 1), m.entry(2, 3)
         assert (b12.is_zero() and b34.is_zero()) or (
             b12.sign() > 0 and b34.sign() > 0 and rationally_independent([b12, b34]))
-        # conjugation really relates input and output
-        assert b.conjugated(res.base_change).upper == m.upper
+        # conjugation really relates input and output (by the dense oracle)
+        assert dense_conjugated(b, res.base_change).upper == m.upper
         assert abs(_det_int(res.base_change)) == 1
         checked += 1
+
+
+def test_conjugated_matches_dense_oracle():
+    rng = random.Random(29)
+    forms = [random_surd_matrix(rng) for _ in range(4)]
+    changes = [random_unimodular(rng, 4) for _ in range(40)]
+    changes += [_perm_matrix(perm) for perm in permutations(range(4))]
+    changes += [_transvection(target, source, k)
+                for target, source in NORMALIZER_TRANSVECTION_PAIRS
+                for k in range(-10, 11) if k]
+    for b in forms:
+        for u in changes:
+            assert b.conjugated(u).to_json() == dense_conjugated(b, u).to_json(), (b.upper, u)
+
+
+def test_normalize_picks_same_base_change_as_dense_oracle(monkeypatch):
+    rng = random.Random(1234)
+    forms = [_random_surd_matrix(rng) for _ in range(20)]
+
+    def outcome(b):
+        try:
+            res = normalize_basis(b)
+        except SearchExhausted:
+            return None
+        return [x.to_triples() for x in res.matrix.upper], res.base_change, res.determinant
+
+    sparse = [outcome(b) for b in forms]
+    monkeypatch.setattr(AlternatingSurdMatrix, "conjugated", dense_conjugated)
+    assert [outcome(b) for b in forms] == sparse
+    assert all(sparse)
 
 
 def test_normalize_rejects_rational_input():

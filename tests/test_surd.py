@@ -1,6 +1,7 @@
 import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from torusfill.surd import (
     SurdScalar,
     decimal_sqrt,
     eliminate,
+    prime_factors,
     rat,
     rational_relations,
     rationally_independent,
@@ -167,6 +169,12 @@ def test_non_integer_radicand_rejected(radicand):
         SurdScalar.from_terms([(radicand, 0)])
 
 
+@pytest.mark.parametrize("triple", [[2, True, 1], [2, 1, True], [1, 1.0, 1], [1, 1, 2.0]])
+def test_non_integer_numerator_or_denominator_rejected(triple):
+    with pytest.raises(TypeError):
+        SurdScalar.from_triples([triple])
+
+
 @given(surds(), surds(), surds())
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c):
@@ -212,6 +220,7 @@ def test_independence_scale_invariant(a, b, q):
 @settings(max_examples=40, deadline=None)
 def test_inverse_round_trip(v):
     assert v * v.inverse() == rat(1)
+    assert v.inverse().to_triples() == conjugate_product_inverse(v).to_triples()
 
 
 @given(surds())
@@ -222,3 +231,75 @@ def test_sign_matches_decimal_oracle(v):
         assert abs(oracle) < Decimal("1e-50")
     else:
         assert v.sign() == (1 if oracle > 0 else -1)
+
+
+def conjugate_product_inverse(v):
+    """Oracle: the inverse by the product of all 2^k - 1 sign-flip conjugates
+    over the k primes of the radicands (the norm to Q, divided out)."""
+    primes = sorted(set().union(*(prime_factors(r) for r in v.radicands if r > 1)))
+    prod_conj = rat(1)
+    for mask in range(1, 1 << len(primes)):
+        flip = {primes[i] for i in range(len(primes)) if mask >> i & 1}
+        prod_conj = prod_conj * SurdScalar({
+            r: -c if len(flip & prime_factors(r)) % 2 else c for r, c in v.terms.items()})
+    norm = prod_conj * v
+    assert norm.is_rational() and not norm.is_zero()
+    return prod_conj * rat(1 / norm.as_fraction())
+
+
+WIDE_PRIMES = [2, 3, 5, 7, 11]
+
+
+@st.composite
+def wide_surds(draw):
+    """Nonzero scalars with up to 6 terms whose radicands are products of
+    4-5 distinct primes from WIDE_PRIMES, every one of them occurring."""
+    primes = draw(st.lists(st.sampled_from(WIDE_PRIMES), min_size=4, max_size=5, unique=True))
+    products = sorted({prod(c) for n in range(len(primes) + 1)
+                       for c in itertools.combinations(primes, n)})
+    rads = draw(st.lists(st.sampled_from(products), min_size=1, max_size=5, unique=True))
+    missing = [p for p in primes if all(r % p for r in rads)]
+    if missing:
+        rads.append(prod(missing))
+    coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
+    return SurdScalar.from_terms(
+        (r, Fraction(draw(coeffs), draw(st.integers(min_value=1, max_value=9)))) for r in rads)
+
+
+@given(wide_surds())
+@settings(max_examples=40, deadline=None)
+def test_inverse_matches_conjugate_product_oracle(v):
+    assert len(set().union(*map(prime_factors, v.radicands))) >= 4
+    inv = v.inverse()
+    assert v * inv == rat(1)
+    assert inv.to_triples() == conjugate_product_inverse(v).to_triples()
+
+
+def termwise_product(a, b):
+    """Oracle: the product term by term, each radicand product reduced."""
+    pairs = []
+    for r1, c1 in a.terms.items():
+        for r2, c2 in b.terms.items():
+            s, t = squarefree_decompose(r1 * r2)
+            pairs.append((t, c1 * c2 * s))
+    return SurdScalar.from_terms(pairs)
+
+
+def test_rational_times_irrational_products():
+    x = rat(3) - 2 * sqrt(2) + sqrt(15) / 3
+    q = rat(Fraction(-3, 2))
+    expected = SurdScalar.from_terms([(1, Fraction(-9, 2)), (2, 3), (15, Fraction(-1, 2))])
+    assert q * x == expected and x * q == expected
+    assert Fraction(-3, 2) * x == expected and x * Fraction(-3, 2) == expected
+    assert 2 * x == x * 2 == x + x
+    assert rat(1) * x == x * 1 == x
+    for zero in (rat(0), 0, Fraction(0)):
+        assert (zero * x).is_zero() and (x * zero).is_zero()
+        assert (zero * x).to_triples() == (x * zero).to_triples() == []
+
+
+@given(surds(), rationals())
+@settings(max_examples=60, deadline=None)
+def test_rational_factor_matches_termwise_oracle(a, q):
+    assert (a * rat(q)).to_triples() == termwise_product(a, rat(q)).to_triples()
+    assert (rat(q) * a).to_triples() == termwise_product(rat(q), a).to_triples()
