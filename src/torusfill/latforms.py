@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from functools import reduce
+from itertools import chain, permutations, product
 from math import lcm
 from operator import mul
 
@@ -33,6 +34,12 @@ class SearchExhausted(LatticeFormError):
 
 def _ident(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _mat_mul_int(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 class AlternatingIntMatrix:
@@ -63,12 +70,8 @@ class AlternatingIntMatrix:
         return cls(m)
 
     def conjugated(self, u: list[list[int]]) -> "AlternatingIntMatrix":
-        n = self.n
-        bu = [[sum(self.entries[i][k] * u[k][j] for k in range(n)) for j in range(n)]
-              for i in range(n)]
-        return AlternatingIntMatrix(
-            [[sum(u[k][i] * bu[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)])
+        ut = [list(col) for col in zip(*u)]
+        return AlternatingIntMatrix(_mat_mul_int(ut, _mat_mul_int(self.entries, u)))
 
 
 def polarization_type(b: AlternatingIntMatrix) -> tuple[tuple[int, ...], list[list[int]]]:
@@ -141,8 +144,7 @@ def polarization_type(b: AlternatingIntMatrix) -> tuple[tuple[int, ...], list[li
 
     order = [idx for _, i, j in pairs for idx in (i, j)]
     perm = [[int(order[c] == r) for c in range(n)] for r in range(n)]
-    u_final = [[sum(u[r][k] * perm[k][c] for k in range(n)) for c in range(n)]
-               for r in range(n)]
+    u_final = _mat_mul_int(u, perm)
     divisors = tuple(d for d, _, _ in pairs)
     check = b.conjugated(u_final)
     expect = AlternatingIntMatrix.from_blocks(list(divisors))
@@ -168,12 +170,15 @@ class AlternatingSurdMatrix:
         up = [scalar(x) for x in upper]
         if len(up) != 6:
             raise LatticeFormError("need the 6 strict upper-triangle entries")
+        self._fill(up)
+        if self.volume_coefficient().is_zero():
+            raise LatticeFormError("form is degenerate")
+
+    def _fill(self, up: list[SurdScalar]) -> None:
         self.m = [[rat(0) for _ in range(4)] for _ in range(4)]
         for (i, j), x in zip(UPPER_INDEX, up):
             self.m[i][j] = x
             self.m[j][i] = -x
-        if self.volume_coefficient().is_zero():
-            raise LatticeFormError("form is degenerate")
 
     def entry(self, i: int, j: int) -> SurdScalar:
         return self.m[i][j]
@@ -189,19 +194,15 @@ class AlternatingSurdMatrix:
 
     def is_irrational(self) -> bool:
         """True iff the six entries do not all lie on a single rational ray."""
-        nonzero = [x for x in self.upper if not x.is_zero()]
-        if not nonzero:
-            return False
-        if len(nonzero) == 1:
-            return False
-        return any(rationally_independent([nonzero[0], other])
-                   for other in nonzero[1:])
+        return _off_one_rational_ray(self.upper)
 
     def conjugated(self, u: list[list[int]]) -> "AlternatingSurdMatrix":
-        """U^T B U, summing only its nonzero integer terms u_ki u_lj b_kl.
+        """U^T B U for a unimodular U, summing only its nonzero terms u_ki u_lj b_kl.
 
         b_kk = 0, so k = l never contributes: a permutation reindexes the
-        entries and a transvection touches one row and one column.
+        entries and a transvection touches one row and one column.  The
+        omega^2 coefficient only changes by det U = +-1, so the result is
+        nondegenerate without a check.
         """
         cols = [[(k, u[k][i]) for k in range(4) if u[k][i]] for i in range(4)]
         upper = []
@@ -212,7 +213,9 @@ class AlternatingSurdMatrix:
                     if k != l:
                         acc = acc + (self.m[k][l] if a * c == 1 else self.m[k][l] * (a * c))
             upper.append(acc)
-        return AlternatingSurdMatrix(upper)
+        result = AlternatingSurdMatrix.__new__(AlternatingSurdMatrix)
+        result._fill(upper)
+        return result
 
     def to_json(self):
         return {"n": 2, "upper": [x.to_triples() for x in self.upper]}
@@ -222,10 +225,10 @@ class AlternatingSurdMatrix:
         return cls([SurdScalar.from_triples(x) for x in data["upper"]])
 
 
-def _mat_mul_int(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+def _off_one_rational_ray(values: list[SurdScalar]) -> bool:
+    """True iff the nonzero values do not all lie on a single rational ray."""
+    nonzero = [x for x in values if not x.is_zero()]
+    return any(rationally_independent([nonzero[0], other]) for other in nonzero[1:])
 
 
 def _det_int(a) -> int:
@@ -262,11 +265,7 @@ def _condition_i(b: AlternatingSurdMatrix) -> bool:
 
 
 def _condition_ii(b: AlternatingSurdMatrix) -> bool:
-    vec = [b.entry(0, 2), b.entry(0, 3), b.entry(1, 2), b.entry(1, 3)]
-    nonzero = [x for x in vec if not x.is_zero()]
-    if not nonzero:
-        return False
-    return any(rationally_independent([nonzero[0], other]) for other in nonzero[1:])
+    return _off_one_rational_ray([b.entry(0, 2), b.entry(0, 3), b.entry(1, 2), b.entry(1, 3)])
 
 
 def _postconditions_hold(b: AlternatingSurdMatrix) -> bool:
@@ -281,53 +280,37 @@ def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> Normalizatio
     After a unimodular base change the returned matrix B' has (i) b'_12 and
     b'_34 either both zero or rationally independent and positive, and (ii)
     (b'_13, b'_14, b'_23, b'_24) not a multiple of a rational vector, with
-    b'_13 b'_24 - b'_14 b'_23 > 0.  The base change has determinant +1 except
-    when the input orientation (sign of the omega^2 coefficient) must be
-    reversed first, in which case a single determinant -1 relabeling is
-    absorbed into the returned matrix.
+    b'_13 b'_24 - b'_14 b'_23 > 0.  The omega^2 coefficient of U^T B U is
+    det U times that of B, so the base change is one of the 12 permutations
+    whose sign is the input's orientation (the sign of its omega^2
+    coefficient), followed by up to two transvections: its determinant equals
+    that orientation.
+
+    Candidates are visited permutation first, then permutation and one
+    transvection, then permutation and two transvections where the first
+    already fixes condition (i); the first one meeting the contract wins.
     """
     if not b.is_irrational():
         raise LatticeFormError("form is rational; normalization needs an irrational form")
 
-    candidates: list[list[list[int]]] = []
-    for perm in permutations(range(4)):
-        candidates.append(_perm_matrix(perm))
+    orientation = b.volume_coefficient().sign()
+    starts = [([u0], b.conjugated(u0))
+              for u0 in map(_perm_matrix, permutations(range(4)))
+              if _det_int(u0) == orientation]
+    transvections = [_transvection(target, source, k)
+                     for target, source in ((1, 2), (1, 3), (3, 0), (2, 0),
+                                            (3, 1), (2, 1), (0, 2), (0, 3))
+                     for k in range(-k_range, k_range + 1) if k]
 
-    transvections: list[list[list[int]]] = [_ident(4)]
-    for target, source in ((1, 2), (1, 3), (3, 0), (2, 0), (3, 1), (2, 1), (0, 2), (0, 3)):
-        for k in range(-k_range, k_range + 1):
-            if k:
-                transvections.append(_transvection(target, source, k))
+    def extend(level):
+        for path, m in level:
+            for t in transvections:
+                yield path + [t], m.conjugated(t)
 
-    # pass 1: permutation only; pass 2: permutation then one transvection;
-    # pass 3: permutation then two transvections (condition fixes compose)
-    for u0 in candidates:
-        b0 = b.conjugated(u0)
-        if b0.volume_coefficient().sign() <= 0:
-            continue
-        if _postconditions_hold(b0):
-            return NormalizationResult(b0, u0, _det_int(u0))
-    for u0 in candidates:
-        b0 = b.conjugated(u0)
-        if b0.volume_coefficient().sign() <= 0:
-            continue
-        for t1 in transvections[1:]:
-            b1 = b0.conjugated(t1)
-            if _postconditions_hold(b1):
-                return NormalizationResult(b1, _mat_mul_int(u0, t1), _det_int(u0))
-    for u0 in candidates:
-        b0 = b.conjugated(u0)
-        if b0.volume_coefficient().sign() <= 0:
-            continue
-        for t1 in transvections:
-            b1 = b0.conjugated(t1)
-            if not _condition_i(b1):
-                continue
-            for t2 in transvections[1:]:
-                b2 = b1.conjugated(t2)
-                if _postconditions_hold(b2):
-                    u = _mat_mul_int(_mat_mul_int(u0, t1), t2)
-                    return NormalizationResult(b2, u, _det_int(u0))
+    fixed_i = ((path, m) for path, m in extend(starts) if _condition_i(m))
+    for path, m in chain(starts, extend(starts), extend(fixed_i)):
+        if _postconditions_hold(m):
+            return NormalizationResult(m, reduce(_mat_mul_int, path), orientation)
     raise SearchExhausted(
         "no combination of the implemented permutation/transvection branches "
         f"normalized the form (search range {k_range})")
@@ -527,10 +510,11 @@ def verify_no_curves(sol: PeriodLatticeSolution, bound: int = 20) -> NoCurvesCer
 
     Named checks: rational independence of (p, q, r, s); irrationality of
     p s - q r (in its rho^2-scaled form); positivity x > 0 and
-    x y - u^2 - v^2 > 0 (checked rho^2-exactly); the compatibility equation;
-    and a bounded integer-relation search on the elimination identity
-    -n1 r + n2 p - n3 s + n4 q = 0 that any integral class would have to
-    satisfy.
+    x y - u^2 - v^2 > 0 (checked rho^2-exactly, as rho^2 > 0 and
+    x y - u^2 - v^2 rho^2 > 0, so rho^2 is never inverted); the compatibility
+    equation; and a bounded integer-relation search on the elimination
+    identity -n1 r + n2 p - n3 s + n4 q = 0 that any integral class would
+    have to satisfy.
     """
     b = sol.b
     b13, b14 = b.entry(0, 2), b.entry(0, 3)
@@ -539,8 +523,8 @@ def verify_no_curves(sol: PeriodLatticeSolution, bound: int = 20) -> NoCurvesCer
         "rationally_independent": rationally_independent([sol.p, sol.q, sol.r, sol.s]),
         "ps_qr_irrational": (sol.rho_sq * sol.det).is_irrational(),
         "x_positive": sol.x.sign() > 0,
-        "positivity": ((sol.x * sol.y - sol.u * sol.u) / sol.rho_sq
-                       - sol.v * sol.v).sign() > 0,
+        "positivity": (sol.rho_sq.sign() > 0 and (
+            sol.x * sol.y - sol.u * sol.u - sol.v * sol.v * sol.rho_sq).sign() > 0),
         "compatibility": sol.r * b13 - sol.p * b14 == sol.q * b24 - sol.s * b23,
         "integer_search": not _integer_relation_exists(
             [-sol.r, sol.p, -sol.s, sol.q], bound),

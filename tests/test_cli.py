@@ -105,9 +105,13 @@ BOOL_DENOMINATOR_FORM = {"n": 2, "upper": [*SURD_FORM["upper"][:2], [[2, 1, True
     (["type", "{input}"], {"n": 2, "upper": [True, 0, 0, 0, 0, 3]}),
     (["verify", "{input}", "--lattice", "1", "1"], BOOL_NUMERATOR_SQUARE),
     (["period-lattice", "{input}"], BOOL_DENOMINATOR_FORM),
+    # omega^2 = b13 b24 - b14 b23 - b12 b34 = 0 with b12 = sqrt 2
+    (["period-lattice", "{input}"], {"n": 2, "upper": [[[2, 1, 1]], 0, 0, 0, 0, 0]}),
+    # b12 = 1 and b34 = 2 written as triples: nondegenerate but rational
+    (["period-lattice", "{input}"], {"n": 2, "upper": [[[1, 1, 1]], 0, 0, 0, 0, [[1, 2, 1]]]}),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
         "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry",
-        "bool-numerator", "bool-denominator"])
+        "bool-numerator", "bool-denominator", "degenerate-surd-form", "rational-surd-form"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))

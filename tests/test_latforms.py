@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -15,6 +16,7 @@ from torusfill.latforms import (
     AlternatingSurdMatrix,
     BlowupClass,
     LatticeFormError,
+    NormalizationResult,
     SearchExhausted,
     UPPER_INDEX,
     build_period_lattice,
@@ -23,9 +25,13 @@ from torusfill.latforms import (
     normalize_basis,
     polarization_type,
     verify_no_curves,
+    _condition_i,
     _det_int,
+    _ident,
     _integer_relation_exists,
+    _mat_mul_int,
     _perm_matrix,
+    _postconditions_hold,
     _transvection,
 )
 from torusfill.surd import rat, rational_relations, rationally_independent, sqrt
@@ -74,6 +80,63 @@ def dense_conjugated(b, u) -> AlternatingSurdMatrix:
 
 
 NORMALIZER_TRANSVECTION_PAIRS = ((1, 2), (1, 3), (3, 0), (2, 0), (3, 1), (2, 1), (0, 2), (0, 3))
+
+
+def three_pass_normalize(b, k_range=10) -> NormalizationResult:
+    """Reference: the normalizer as three passes over all 24 permutations,
+    each re-conjugating the input and skipping the negatively oriented
+    conjugates.  Fixes the order in which candidates are tried."""
+    if not b.is_irrational():
+        raise LatticeFormError("form is rational; normalization needs an irrational form")
+
+    candidates = [_perm_matrix(perm) for perm in permutations(range(4))]
+    transvections = [_ident(4)]
+    for target, source in NORMALIZER_TRANSVECTION_PAIRS:
+        for k in range(-k_range, k_range + 1):
+            if k:
+                transvections.append(_transvection(target, source, k))
+
+    # pass 1: permutation only; pass 2: permutation then one transvection;
+    # pass 3: permutation then two transvections (condition fixes compose)
+    for u0 in candidates:
+        b0 = b.conjugated(u0)
+        if b0.volume_coefficient().sign() <= 0:
+            continue
+        if _postconditions_hold(b0):
+            return NormalizationResult(b0, u0, _det_int(u0))
+    for u0 in candidates:
+        b0 = b.conjugated(u0)
+        if b0.volume_coefficient().sign() <= 0:
+            continue
+        for t1 in transvections[1:]:
+            b1 = b0.conjugated(t1)
+            if _postconditions_hold(b1):
+                return NormalizationResult(b1, _mat_mul_int(u0, t1), _det_int(u0))
+    for u0 in candidates:
+        b0 = b.conjugated(u0)
+        if b0.volume_coefficient().sign() <= 0:
+            continue
+        for t1 in transvections:
+            b1 = b0.conjugated(t1)
+            if not _condition_i(b1):
+                continue
+            for t2 in transvections[1:]:
+                b2 = b1.conjugated(t2)
+                if _postconditions_hold(b2):
+                    u = _mat_mul_int(_mat_mul_int(u0, t1), t2)
+                    return NormalizationResult(b2, u, _det_int(u0))
+    raise SearchExhausted(f"three passes found nothing (search range {k_range})")
+
+
+# the irrational forms that the tests below normalize one by one
+HAND_PICKED_FORMS = [
+    [1, sqrt(2), 0, 0, 1, 1],
+    [0, 1, sqrt(2), -1, -1, 0],
+    [1, sqrt(2), 0, 0, 0, 1],
+    [1, sqrt(2), 1, 5, 7, 1],
+    [0, 1 + sqrt(2), sqrt(3), -sqrt(6), 1, 0],
+    [1, 1 + sqrt(2), sqrt(3), -sqrt(6), 1, sqrt(5)],
+]
 
 
 def test_polarization_examples():
@@ -212,19 +275,25 @@ def test_conjugated_matches_dense_oracle():
 
 def test_normalize_picks_same_base_change_as_dense_oracle(monkeypatch):
     rng = random.Random(1234)
-    forms = [_random_surd_matrix(rng) for _ in range(20)]
+    forms = ([_random_surd_matrix(rng) for _ in range(20)]
+             + [AlternatingSurdMatrix(upper) for upper in HAND_PICKED_FORMS])
 
-    def outcome(b):
+    def outcome(normalize, b, k_range):
         try:
-            res = normalize_basis(b)
+            res = normalize(b, k_range)
         except SearchExhausted:
             return None
         return [x.to_triples() for x in res.matrix.upper], res.base_change, res.determinant
 
-    sparse = [outcome(b) for b in forms]
+    found = {k_range: [outcome(normalize_basis, b, k_range) for b in forms]
+             for k_range in (1, 10)}
+    for k_range, outcomes in found.items():
+        assert [outcome(three_pass_normalize, b, k_range) for b in forms] == outcomes
+    assert all(found[10])
+    # both orientations occur, so the determinant is exercised as -1 and +1
+    assert {det for _, _, det in found[10]} == {-1, 1}
     monkeypatch.setattr(AlternatingSurdMatrix, "conjugated", dense_conjugated)
-    assert [outcome(b) for b in forms] == sparse
-    assert all(sparse)
+    assert [outcome(normalize_basis, b, 10) for b in forms] == found[10]
 
 
 def test_normalize_rejects_rational_input():
@@ -288,6 +357,22 @@ def test_verify_no_curves_conditions():
         "rationally_independent", "ps_qr_irrational", "x_positive",
         "positivity", "compatibility", "integer_search"}
     assert cert.failed() == []
+
+
+def test_positivity_needs_rho_sq_positive_and_weighs_v_by_rho_sq():
+    b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
+    sol = build_period_lattice(normalize_basis(b).matrix)
+
+    def positivity(x_y, v, rho_sq):
+        # x y - u^2 = x_y with u = 0
+        hand_built = dataclasses.replace(sol, x=rat(1), y=rat(x_y), u=rat(0),
+                                         v=rat(v), rho_sq=rat(rho_sq))
+        return verify_no_curves(hand_built).conditions["positivity"]
+
+    assert positivity(2, 1, 1)        # 2 - 1 > 0
+    assert not positivity(2, 1, 3)    # 2 - 3 < 0, though 2 - 1 > 0
+    assert not positivity(2, 0, 0)    # rho^2 = 0
+    assert not positivity(-5, 1, -1)  # rho^2 < 0, though (-5) / (-1) - 1 > 0
 
 
 def grid_relation_exists(values, bound) -> bool:
