@@ -175,7 +175,8 @@ class FillingCertificate:
 
 def certify(name, params, source, shears, lattice, identities=None) -> FillingCertificate:
     seq = ShearSequence(list(shears), source)
-    final = seq.final_region()
+    composability = check_composable(seq)
+    final = composability.final
     final.validate()
     verdict = injects(final, lattice)
     fraction = final.area() / lattice.covolume() if verdict.ok else None
@@ -185,7 +186,7 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
         sequence=seq,
         final=final,
         lattice=lattice,
-        composability=check_composable(seq),
+        composability=composability,
         injectivity=verdict,
         symplecticity=[induced_4d_check(s) for s in seq.shears],
         source_area=source.area(),

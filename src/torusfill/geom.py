@@ -156,6 +156,11 @@ def _canonicalize(vertices: list[Point2]) -> list[Point2] | None:
         a, b, c = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
         if _orient(a, b, c) <= 0:
             return None  # not strictly convex
+    return _from_lowest(vs)
+
+
+def _from_lowest(vs: list[Point2]) -> list[Point2]:
+    """Rotate a cyclic vertex list to start at its lexicographically smallest vertex."""
     start = min(range(len(vs)), key=lambda i: (vs[i].x1, vs[i].x2))
     return vs[start:] + vs[:start]
 
@@ -294,7 +299,16 @@ class AffineMap2:
         )
 
     def apply_polygon(self, poly: ConvexPolygon) -> ConvexPolygon:
-        return ConvexPolygon([self.apply(v) for v in poly.vertices])
+        """Image of a polygon, in canonical form without re-canonicalising.
+
+        An invertible affine map keeps a polygon strictly convex with no
+        collinear vertices; only the orientation (reversed when det < 0) and
+        the starting vertex can change.
+        """
+        vs = [self.apply(v) for v in poly.vertices]
+        if self.det().sign() < 0:
+            vs.reverse()
+        return _raw(_from_lowest(vs))
 
     def apply_region(self, r: Region) -> Region:
         return Region([self.apply_polygon(p) for p in r.pieces])

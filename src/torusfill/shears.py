@@ -167,8 +167,8 @@ class Shear:
     def _coord(self, p: Point2) -> SurdScalar:
         return p.x2 if self.axis == "x1" else p.x1
 
-    def _clip_to_slab(self, poly: ConvexPolygon, i: int) -> ConvexPolygon | None:
-        lo, hi = self.f.slab_bounds(i)
+    def _clip_to_slab(self, poly: ConvexPolygon, lo, hi) -> ConvexPolygon | None:
+        """Clip to lo <= coordinate <= hi; a bound of None is not clipped."""
         out = poly
         if self.axis == "x1":  # slab in the x2 coordinate
             if lo is not None:
@@ -181,6 +181,29 @@ class Shear:
             if out is not None and hi is not None:
                 out = clip_halfplane(out, pt(hi, 0), pt(hi, 1))
         return out
+
+    def split(self, poly: ConvexPolygon, moving_only: bool = False):
+        """(slab, part) for every slab the open polygon meets, in slab order.
+
+        The polygon's bounding-box interval in the slab coordinate is bisected
+        to the slabs it meets, so no clip comes out empty for lack of overlap.
+        Each part is clipped only along the breakpoints inside that interval;
+        a polygon inside one slab is its own part.  With moving_only, slabs
+        where the shear is the identity are skipped before any clip.
+        """
+        x_lo, x_hi, y_lo, y_hi = poly.bounding_box()
+        lo, hi = (y_lo, y_hi) if self.axis == "x1" else (x_lo, x_hi)
+        f = self.f
+        first, last = f._slab_index(lo), f._slab_index(hi)
+        if last and hi == f.breakpoints[last - 1]:
+            last -= 1  # the polygon only touches the slab above its top end
+        for i in range(first, last + 1):
+            if moving_only and f.slab_is_identity(i):
+                continue
+            part = self._clip_to_slab(poly, f.breakpoints[i - 1] if i > first else None,
+                                      f.breakpoints[i] if i < last else None)
+            if part is not None:
+                yield i, part
 
     def reflect_x1(self) -> "Shear":
         """Conjugate by (x1, x2) -> (-x1, x2)."""
@@ -223,13 +246,8 @@ def _precompose_neg(f: PLFunction) -> PLFunction:
 
 def plane_image(shear: Shear, region: Region) -> Region:
     """Image of a region, split along slab boundaries; exact and area-preserving."""
-    out: list[ConvexPolygon] = []
-    for piece in region.pieces:
-        for i in range(shear.f.num_slabs):
-            part = shear._clip_to_slab(piece, i)
-            if part is not None:
-                out.append(shear.slab_plane_map(i).apply_polygon(part))
-    return Region(out)
+    return Region([shear.slab_plane_map(i).apply_polygon(part)
+                   for piece in region.pieces for i, part in shear.split(piece)])
 
 
 def moved_set(shear: Shear, region: Region) -> Region:
@@ -238,15 +256,8 @@ def moved_set(shear: Shear, region: Region) -> Region:
     Computed at slab granularity: all slabs whose local offset function is not
     identically zero, clipped to the region.
     """
-    out: list[ConvexPolygon] = []
-    for piece in region.pieces:
-        for i in range(shear.f.num_slabs):
-            if shear.f.slab_is_identity(i):
-                continue
-            part = shear._clip_to_slab(piece, i)
-            if part is not None:
-                out.append(part)
-    return Region(out)
+    return Region([part for piece in region.pieces
+                   for _, part in shear.split(piece, moving_only=True)])
 
 
 @dataclass
@@ -263,7 +274,8 @@ class Violation:
 @dataclass
 class ComposabilityReport:
     ok: bool
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
+    final: Region = field(repr=False)  # the source pushed through every shear
 
     def to_json(self):
         return {
@@ -280,12 +292,6 @@ class ShearSequence:
     shears: list[Shear]
     source: Region
 
-    def final_region(self) -> Region:
-        cur = self.source
-        for s in self.shears:
-            cur = plane_image(s, cur)
-        return cur
-
     def to_json(self):
         return {"shears": [s.to_json() for s in self.shears],
                 "source": self.source.to_json()}
@@ -301,7 +307,8 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
 
     For i < j the j-th shear must act as the identity on the image (under
     shears i..j-1) of the set moved by shear i; violations are reported as
-    the overlapping area, found exactly.
+    the overlapping area, found exactly.  The walk pushes the source through
+    every shear once, and the report carries that final region along.
     """
     violations: list[Violation] = []
     carried: list[tuple[int, Region]] = []  # moved sets, pushed to current stage
@@ -316,7 +323,7 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
         carried = [(i, plane_image(shear, img)) for i, img in carried]
         carried.append((j, plane_image(shear, moved_j)))
         cur = plane_image(shear, cur)
-    return ComposabilityReport(not violations, violations)
+    return ComposabilityReport(not violations, violations, cur)
 
 
 # -- induced 4D symplectomorphism ------------------------------------------

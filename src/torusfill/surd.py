@@ -10,7 +10,7 @@ coincides with equality of real values.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class SurdError(ArithmeticError):
@@ -166,9 +166,11 @@ class SurdScalar:
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms.items():
             for r2, c2 in other._terms.items():
-                # sqrt(r1)*sqrt(r2) = g*sqrt(t) where r1*r2 = g*g*t
-                s, t = squarefree_decompose(r1 * r2)
-                v = acc.get(t, Fraction(0)) + c1 * c2 * s
+                # radicands are squarefree, so sqrt(r1)*sqrt(r2) = g*sqrt(t)
+                # with g = gcd(r1, r2) and t = (r1/g)*(r2/g) squarefree
+                g = gcd(r1, r2)
+                t = (r1 // g) * (r2 // g)
+                v = acc.get(t, Fraction(0)) + c1 * c2 * g
                 if v:
                     acc[t] = v
                 else:

@@ -67,6 +67,24 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert report["collisions"]
 
 
+def test_verify_large_prime_radicand_finishes(tmp_path):
+    # a vertex at sqrt(2^31 - 1)/46340, just right of x1 = 1: clipping against
+    # the (1, 0) translate divides by surds in sqrt(p), whose inverse once
+    # factored p*p by trial division and never returned
+    p = 2**31 - 1
+    zero, one = [[1, 0, 1]], [[1, 1, 1]]
+    region = {"polygons": [[[zero, zero], [[[p, 1, 46340]], zero], [zero, one]]]}
+    region_file = tmp_path / "prime.json"
+    region_file.write_text(json.dumps(region))
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfill.cli", "verify", str(region_file),
+         "--lattice", "1", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)["verdicts"]["injective"] == (proc.returncode == 0)
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad_file = tmp_path / "broken.json"
     bad_file.write_text("{not json")
@@ -232,6 +250,23 @@ def test_period_lattice_matches_golden_bytes(tmp_path, capsys, case):
     matrix_file.write_text(json.dumps(case["matrix"]))
     code, out, _ = run_cli(["period-lattice", str(matrix_file),
                             "--bound", str(GOLDEN["bound"])], capsys)
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+CONSTRUCT_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "construct_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CONSTRUCT_GOLDEN["cases"],
+                         ids=lambda case: " ".join(case["argv"][1:]))
+def test_construct_matches_golden_bytes(capsys, case):
+    # The golden file holds the full stdout of `construct` for all seven
+    # constructions, eps = 0 (jump shears) and eps > 0, and all four example2
+    # orientations, recorded before the shear layer was rewritten for speed.
+    # A change to these bytes must be deliberate: regenerate the file and say
+    # why.
+    code, out, _ = run_cli(case["argv"], capsys)
     assert code == case["exit"]
     assert out == case["stdout"]
 

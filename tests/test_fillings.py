@@ -278,7 +278,7 @@ def test_certificate_json_round_trip():
     blob = cert.to_json()
     assert blob["valid"] and blob["is_fundamental_domain"] is False
     seq = ShearSequence.from_json({"shears": blob["shears"], "source": blob["source"]})
-    final = seq.final_region()
+    final = check_composable(seq).final
     assert symmetric_difference_area(final, cert.final).is_zero()
     again = Region.from_json(blob["final"])
     assert symmetric_difference_area(again, cert.final).is_zero()

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import torusfill.shears as shears_module
 from conftest import rationals
+from torusfill.fillings import certify
 from torusfill.geom import (
+    AffineMap2,
     ConvexPolygon,
     Point2,
     Region,
+    clip_halfplane,
     pt,
     rectangle,
     symmetric_difference_area,
@@ -27,6 +31,7 @@ from torusfill.shears import (
     plane_image,
 )
 from torusfill.surd import rat, sqrt
+from torusfill.torus import Lattice2
 
 
 def diamond_region(a) -> Region:
@@ -212,7 +217,7 @@ def test_moved_and_fixed_sets_partition_region():
         for i in range(shear.f.num_slabs):
             if not shear.f.slab_is_identity(i):
                 continue
-            part = shear._clip_to_slab(piece, i)
+            part = shear._clip_to_slab(piece, *shear.f.slab_bounds(i))
             if part is not None:
                 fixed_area = fixed_area + part.area()
     assert moved.area() + fixed_area == reg.area()
@@ -225,8 +230,9 @@ def test_composite_agrees_with_pointwise_map():
     neg = PLFunction(f.breakpoints, [-s for s in f.slopes], anchor=(0, 0))
     seq = ShearSequence([Shear("x1", f), Shear("x2", neg)],
                         diamond_region(Fraction(4, 3)))
-    assert check_composable(seq).ok
-    final = seq.final_region()
+    report = check_composable(seq)
+    assert report.ok
+    final = report.final
     samples = [pt(Fraction(a, 24), Fraction(b, 24))
                for a in range(-15, 16, 3) for b in range(-15, 16, 3)]
     checked = 0
@@ -265,3 +271,174 @@ def test_random_shears_preserve_area_and_symplecticity(b0, slope, axis):
     shear = Shear(axis, f)
     assert plane_image(shear, reg).area() == reg.area()
     assert induced_4d_check(shear).ok
+
+
+# -- the full-slab loop as an oracle for the slab-range split ----------------
+
+def full_slab_parts(shear, piece, moving_only=False):
+    """Clip the piece against every slab in turn, as the shear layer once did."""
+    for i in range(shear.f.num_slabs):
+        if moving_only and shear.f.slab_is_identity(i):
+            continue
+        part = shear._clip_to_slab(piece, *shear.f.slab_bounds(i))
+        if part is not None:
+            yield i, part
+
+
+def full_slab_plane_image(shear, region):
+    return Region([ConvexPolygon([shear.slab_plane_map(i).apply(v) for v in part.vertices])
+                   for piece in region.pieces
+                   for i, part in full_slab_parts(shear, piece)])
+
+
+def full_slab_moved_set(shear, region):
+    return Region([part for piece in region.pieces
+                   for _, part in full_slab_parts(shear, piece, moving_only=True)])
+
+
+@st.composite
+def slab_profiles(draw):
+    """A PL profile with 1 to 4 breakpoints, rational or in Q(sqrt 2), with or
+    without jumps, often with an identity slab."""
+    surd = draw(st.booleans())
+    raw = draw(st.lists(rationals(bound=6), min_size=1, max_size=4, unique=True))
+    bps = sorted(rat(b) + (sqrt(2) / 7 if surd else 0) for b in raw)
+    slopes = draw(st.lists(rationals(bound=4), min_size=len(bps) + 1,
+                           max_size=len(bps) + 1))
+    jumps = (draw(st.lists(rationals(bound=3), min_size=len(bps), max_size=len(bps)))
+             if draw(st.booleans()) else None)
+    k = draw(st.integers(0, len(bps)))  # the anchor's slab
+    ends = [bps[0] - 1] + bps + [bps[-1] + 1]
+    anchor = ((ends[k] + ends[k + 1]) / 2, draw(rationals(bound=2)))
+    if draw(st.booleans()):  # make slab k an identity slab
+        slopes[k], anchor = 0, (anchor[0], 0)
+    return PLFunction(bps, slopes, anchor=anchor, jumps=jumps)
+
+
+@st.composite
+def slab_pieces(draw, f, axis):
+    """A trapezoid or triangle whose interval in the slab coordinate has its
+    ends on breakpoints, inside one slab, or spanning several slabs."""
+    bps = f.breakpoints
+    ends = [bps[0] - 1] + bps + [bps[-1] + 1]
+    mode = draw(st.sampled_from(["on_breakpoints", "one_slab", "spanning"]))
+    if mode == "on_breakpoints":
+        i, j = sorted(draw(st.lists(st.integers(0, len(ends) - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        lo, hi = ends[i], ends[j]
+    elif mode == "one_slab":
+        k = draw(st.integers(0, len(ends) - 2))
+        t1, t2 = sorted(draw(st.lists(st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1]),
+                                      min_size=2, max_size=2, unique=True)))
+        width = ends[k + 1] - ends[k]
+        lo, hi = ends[k] + width * t1, ends[k] + width * t2
+    else:
+        lo = ends[0] + rat(draw(rationals(bound=4))) / 4
+        hi = ends[-1] - rat(draw(rationals(bound=4))) / 4
+        if lo >= hi:
+            lo, hi = ends[0], ends[-1]
+    y1, y2, y3, y4 = (rat(draw(rationals(bound=5))) for _ in range(4))
+    if draw(st.booleans()):  # trapezoid with its sides on coordinate lines
+        coords = [(lo, y1), (hi, y2), (hi, y2 + abs(y3) + 1), (lo, y1 + abs(y4) + 1)]
+    else:
+        mid = lo + (hi - lo) * rat(draw(st.sampled_from([0, Fraction(1, 2), 1])))
+        apex = max(y1, y2) + abs(y3) + 1
+        coords = [(lo, y1), (hi, y2), (mid, apex)]
+    if axis == "x1":  # the slab coordinate is x2
+        return ConvexPolygon([Point2(other, c) for c, other in coords])
+    return ConvexPolygon([Point2(c, other) for c, other in coords])
+
+
+@given(st.sampled_from(["x1", "x2"]).flatmap(lambda axis: slab_profiles().flatmap(
+    lambda f: st.tuples(st.just(Shear(axis, f)),
+                        st.lists(slab_pieces(f, axis), min_size=1, max_size=3)))))
+@settings(max_examples=120, deadline=None)
+def test_slab_range_split_matches_full_slab_loop(case):
+    shear, pieces = case
+    reg = Region(pieces)
+    image, oracle = plane_image(shear, reg), full_slab_plane_image(shear, reg)
+    assert [p.vertices for p in image.pieces] == [p.vertices for p in oracle.pieces]
+    moved, moved_oracle = moved_set(shear, reg), full_slab_moved_set(shear, reg)
+    assert [p.vertices for p in moved.pieces] == [p.vertices for p in moved_oracle.pieces]
+
+
+def test_piece_touching_a_breakpoint_is_not_clipped(monkeypatch):
+    # the box of each piece ends exactly on a breakpoint: only the slab on
+    # the inside of that end is met, and the piece is taken without a clip
+    shear = Shear("x1", ramp())
+    third = Fraction(1, 3)
+    below, inside = rectangle(0, 1, -1, -third), rectangle(0, 1, -third, third)
+    clips = []
+    counting = lambda *args: clips.append(args) or clip_halfplane(*args)
+    monkeypatch.setattr(shears_module, "clip_halfplane", counting)
+    assert [(i, part) for i, part in shear.split(below)] == [(0, below)]
+    assert [(i, part) for i, part in shear.split(inside)] == [(1, inside)]
+    assert list(shear.split(inside, moving_only=True)) == []
+    assert clips == []
+    across = rectangle(0, 1, -1, 1)
+    assert [i for i, _ in shear.split(across)] == [0, 1, 2]
+    assert len(clips) == 4  # one cut per side of each inner breakpoint
+    for piece in (below, inside, across):
+        assert plane_image(shear, Region([piece])).pieces == \
+            full_slab_plane_image(shear, Region([piece])).pieces
+
+
+@st.composite
+def affine_maps(draw):
+    """Shears, the coordinate reflections (det < 0), and general invertible
+    maps, with rational or Q(sqrt 2) entries."""
+    kind = draw(st.sampled_from(["shear_x1", "shear_x2", "reflect_x1", "reflect_x2",
+                                 "general"]))
+    s = rat(draw(rationals(bound=5))) + (sqrt(2) if draw(st.booleans()) else 0)
+    t = pt(draw(rationals(bound=5)), draw(rationals(bound=5)))
+    if kind == "shear_x1":
+        return AffineMap2(((1, s), (0, 1)), t)
+    if kind == "shear_x2":
+        return AffineMap2(((1, 0), (s, 1)), t)
+    if kind == "reflect_x1":
+        return AffineMap2(((-1, 0), (0, 1)), t)
+    if kind == "reflect_x2":
+        return AffineMap2(((1, 0), (0, -1)), t)
+    a, b, c, d = (rat(draw(rationals(bound=4))) for _ in range(4))
+    assume(not (a * d - b * c).is_zero())
+    return AffineMap2(((a, b), (c, d)), t)
+
+
+@given(affine_maps(), slab_profiles().flatmap(
+    lambda f: slab_pieces(f, "x2")))
+@settings(max_examples=80, deadline=None)
+def test_apply_polygon_matches_canonicalising_constructor(m, poly):
+    image = m.apply_polygon(poly)
+    assert image.vertices == ConvexPolygon([m.apply(v) for v in poly.vertices]).vertices
+    assert image.area() == abs(m.det()) * poly.area()
+
+
+def test_apply_polygon_reflection_keeps_canonical_form():
+    tri = ConvexPolygon([pt(0, 0), pt(2, 0), pt(1, 3)])
+    flip = AffineMap2(((-1, 0), (0, 1)), pt(0, 0))
+    assert flip.det().sign() < 0
+    assert flip.apply_polygon(tri).vertices == [pt(-2, 0), pt(0, 0), pt(-1, 3)]
+
+
+def test_certify_pushes_the_source_through_each_shear_once(monkeypatch):
+    # follow the chain source -> image -> image ...: each link is a
+    # plane_image call whose input is the source or an earlier link's output
+    source = diamond_region(Fraction(4, 3))
+    f = ramp()
+    shears = [Shear("x1", f),
+              Shear("x2", PLFunction(f.breakpoints, [-s for s in f.slopes], anchor=(0, 0)))]
+    chain, kept, links = {id(source)}, [], []
+    original = shears_module.plane_image
+
+    def counting(shear, region):
+        result = original(shear, region)
+        kept.append(result)  # keeps every id unique while the test runs
+        if id(region) in chain:
+            chain.add(id(result))
+            links.append(shear)
+        return result
+
+    monkeypatch.setattr(shears_module, "plane_image", counting)
+    cert = certify("pair", {}, source, shears, Lattice2.rectangular(1, 1))
+    assert cert.valid
+    assert links == shears

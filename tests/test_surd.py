@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusfill.surd as surd_module
 from conftest import nonzero_surds, rationals, surds
 from torusfill.surd import (
     SurdError,
@@ -303,3 +304,37 @@ def test_rational_times_irrational_products():
 def test_rational_factor_matches_termwise_oracle(a, q):
     assert (a * rat(q)).to_triples() == termwise_product(a, rat(q)).to_triples()
     assert (rat(q) * a).to_triples() == termwise_product(rat(q), a).to_triples()
+
+
+SQUAREFREE = [n for n in range(1, 400) if squarefree_decompose(n)[0] == 1]
+
+
+@given(st.sampled_from(SQUAREFREE), st.sampled_from(SQUAREFREE),
+       rationals().filter(bool), rationals().filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_root_product_matches_squarefree_decomposition(r1, r2, c1, c2):
+    s, t = squarefree_decompose(r1 * r2)
+    product = SurdScalar.from_terms([(r1, c1)]) * SurdScalar.from_terms([(r2, c2)])
+    assert product.to_triples() == SurdScalar.from_terms([(t, c1 * c2 * s)]).to_triples()
+
+
+@given(wide_surds(), wide_surds())
+@settings(max_examples=40, deadline=None)
+def test_product_matches_termwise_oracle(a, b):
+    assert (a * b).to_triples() == termwise_product(a, b).to_triples()
+
+
+def test_large_prime_root_product_needs_no_factoring(monkeypatch):
+    # sqrt(p)*sqrt(p) once factored p*p by trial division up to p, which
+    # hangs for a large prime p; the product needs only a gcd
+    p = 2**31 - 1
+    root, root2 = sqrt(p), sqrt(2)
+
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(surd_module, "squarefree_decompose", refuse)
+    assert root * root == rat(p)
+    assert (root + 1) * (root - 1) == rat(p - 1)
+    assert ((root + 1) * (root2 * root)).to_triples() == [[2, p, 1], [2 * p, 1, 1]]
+    assert (1 / (root + 1)) * (root + 1) == rat(1)
