@@ -14,7 +14,6 @@ from .fillings import (
     FillingCertificate,
     cube_filling,
     diamond,
-    distorted_diamond,
     example_T2k2,
     example_eight_ninths,
     example_fortynine_fiftieths,

@@ -115,10 +115,6 @@ class DistortedDiamond:
         return Region([p.translate(center) for p in pieces])
 
 
-def distorted_diamond(spec: DistortedDiamond) -> Region:
-    return spec.region()
-
-
 @dataclass
 class FillingCertificate:
     """Verification bundle for one constructed embedding."""

@@ -72,12 +72,6 @@ class ConvexPolygon:
         self.vertices = vs
         self._box = None
 
-    @classmethod
-    def maybe(cls, vertices: list[Point2]) -> "ConvexPolygon | None":
-        """Canonicalize, returning None for zero-area (point/segment) input."""
-        vs = _canonicalize(vertices)
-        return None if vs is None else _raw(vs)
-
     def area(self) -> SurdScalar:
         return shoelace(self.vertices)
 
@@ -174,7 +168,14 @@ def shoelace(vertices: list[Point2]) -> SurdScalar:
 
 
 def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon | None:
-    """Clip to the closed half-plane on the left of the directed line a->b."""
+    """Clip to the closed half-plane on the left of the directed line a->b.
+
+    The cut of a canonical polygon is canonical but for its starting vertex:
+    the kept vertices stay counterclockwise, at most two output vertices lie
+    on the cut line and each crossing lies strictly inside its edge, so no
+    vertex repeats, no three in a row are collinear, and three or more
+    output vertices enclose positive area.
+    """
     d = b - a
     out: list[Point2] = []
     vs = poly.vertices
@@ -190,7 +191,7 @@ def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon |
             # intersection of segment pq with the line through a, b
             t = d.cross(a - p) / d.cross(q - p)
             out.append(p + (q - p).scale(t))
-    return ConvexPolygon.maybe(out) if len(out) >= 3 else None
+    return _raw(_from_lowest(out)) if len(out) >= 3 else None
 
 
 def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:

@@ -86,13 +86,6 @@ def polarization_type(b: AlternatingIntMatrix) -> tuple[tuple[int, ...], list[li
     m = [row[:] for row in b.entries]
     u = _ident(n)
 
-    def basis_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        m[i], m[j] = m[j], m[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-
     def basis_add(i, j, t):
         # lambda_i += t * lambda_j
         for row in m:

@@ -182,14 +182,13 @@ class Shear:
                 out = clip_halfplane(out, pt(hi, 0), pt(hi, 1))
         return out
 
-    def split(self, poly: ConvexPolygon, moving_only: bool = False):
+    def split(self, poly: ConvexPolygon):
         """(slab, part) for every slab the open polygon meets, in slab order.
 
         The polygon's bounding-box interval in the slab coordinate is bisected
         to the slabs it meets, so no clip comes out empty for lack of overlap.
         Each part is clipped only along the breakpoints inside that interval;
-        a polygon inside one slab is its own part.  With moving_only, slabs
-        where the shear is the identity are skipped before any clip.
+        a polygon inside one slab is its own part.
         """
         x_lo, x_hi, y_lo, y_hi = poly.bounding_box()
         lo, hi = (y_lo, y_hi) if self.axis == "x1" else (x_lo, x_hi)
@@ -198,8 +197,6 @@ class Shear:
         if last and hi == f.breakpoints[last - 1]:
             last -= 1  # the polygon only touches the slab above its top end
         for i in range(first, last + 1):
-            if moving_only and f.slab_is_identity(i):
-                continue
             part = self._clip_to_slab(poly, f.breakpoints[i - 1] if i > first else None,
                                       f.breakpoints[i] if i < last else None)
             if part is not None:
@@ -257,7 +254,7 @@ def moved_set(shear: Shear, region: Region) -> Region:
     identically zero, clipped to the region.
     """
     return Region([part for piece in region.pieces
-                   for _, part in shear.split(piece, moving_only=True)])
+                   for i, part in shear.split(piece) if not shear.f.slab_is_identity(i)])
 
 
 @dataclass
@@ -307,23 +304,27 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
 
     For i < j the j-th shear must act as the identity on the image (under
     shears i..j-1) of the set moved by shear i; violations are reported as
-    the overlapping area, found exactly.  The walk pushes the source through
-    every shear once, and the report carries that final region along.
+    the overlapping area, found exactly.  Each piece is labelled with the
+    shears that have moved it, so the walk splits every piece once per
+    shear, and the report carries the final region along.
     """
     violations: list[Violation] = []
-    carried: list[tuple[int, Region]] = []  # moved sets, pushed to current stage
-    cur = seq.source
+    cur = [(piece, ()) for piece in seq.source.pieces]  # (piece, shears that moved it)
     for j, shear in enumerate(seq.shears):
-        moved_j = moved_set(shear, cur)
-        for i, img in carried:
-            hit = moved_set(shear, img)
-            a = hit.area()
-            if a.sign() > 0:
-                violations.append(Violation(i, j, a))
-        carried = [(i, plane_image(shear, img)) for i, img in carried]
-        carried.append((j, plane_image(shear, moved_j)))
-        cur = plane_image(shear, cur)
-    return ComposabilityReport(not violations, violations, cur)
+        hits: dict[int, SurdScalar] = {}
+        nxt = []
+        for piece, movers in cur:
+            for k, part in shear.split(piece):
+                if shear.f.slab_is_identity(k):
+                    nxt.append((part, movers))
+                    continue
+                for i in movers:
+                    hits[i] = hits.get(i, rat(0)) + part.area()
+                nxt.append((shear.slab_plane_map(k).apply_polygon(part), movers + (j,)))
+        violations += [Violation(i, j, a) for i, a in sorted(hits.items())]
+        cur = nxt
+    return ComposabilityReport(not violations, violations,
+                               Region([piece for piece, _ in cur]))
 
 
 # -- induced 4D symplectomorphism ------------------------------------------
@@ -343,7 +344,8 @@ def _mat4(rows):
 
 def _mat4_mul(a, b):
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(4)), rat(0)) for j in range(4))
+        tuple(sum((a[i][k] * b[k][j] for k in range(4) if a[i][k] and b[k][j]), rat(0))
+              for j in range(4))
         for i in range(4)
     )
 

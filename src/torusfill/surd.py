@@ -348,6 +348,10 @@ class SurdScalar:
 
     @classmethod
     def from_triples(cls, triples) -> SurdScalar:
+        """Read [radicand, numerator, denominator] triples.  Radicands must lie
+        below 2**32, so that factoring one by trial division cannot hang."""
+        if any(type(r) is int and r >= 2**32 for r, *_ in triples):
+            raise ValueError("radicands must be below 2**32")
         return cls.from_terms((r, _fraction(num, den)) for r, num, den in triples)
 
     def decimal(self, digits: int = 30) -> str:
@@ -392,11 +396,6 @@ def scalar(value) -> SurdScalar:
     if out is NotImplemented:
         raise TypeError(f"cannot interpret {value!r} as an exact scalar")
     return out
-
-
-# Module-level conveniences used throughout the geometry layer.
-ZERO = SurdScalar.rational(0)
-ONE = SurdScalar.rational(1)
 
 
 def rat(value) -> SurdScalar:

@@ -85,6 +85,21 @@ def test_verify_large_prime_radicand_finishes(tmp_path):
     assert json.loads(proc.stdout)["verdicts"]["injective"] == (proc.returncode == 0)
 
 
+def test_verify_rejects_radicand_beyond_bound(tmp_path):
+    # 2^61 - 1 is prime: factoring it by trial division once ran for hours
+    zero, one = [[1, 0, 1]], [[1, 1, 1]]
+    region = {"polygons": [[[zero, zero], [[[2**61 - 1, 1, 1]], zero], [zero, one]]]}
+    region_file = tmp_path / "huge.json"
+    region_file.write_text(json.dumps(region))
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfill.cli", "verify", str(region_file),
+         "--lattice", "1", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "radicand" in proc.stderr and proc.stdout == ""
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad_file = tmp_path / "broken.json"
     bad_file.write_text("{not json")
@@ -269,6 +284,30 @@ def test_construct_matches_golden_bytes(capsys, case):
     code, out, _ = run_cli(case["argv"], capsys)
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+VERIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN["cases"],
+                         ids=lambda case: f"Q(sqrt{case['field']})-{case['pieces']}pieces-exit{case['exit']}")
+def test_verify_matches_golden_bytes(tmp_path, capsys, case):
+    # The golden file holds jigsaw fundamental domains over Q, Q(sqrt 2) and
+    # Q(sqrt 3), half of them with one piece displaced so that `verify` exits
+    # 1, and the report of `verify` on each without its run-dependent
+    # "input" path and "timings".  A change to these bytes must be
+    # deliberate: regenerate the file and say why.
+    region_file, lattice_file = tmp_path / "region.json", tmp_path / "lattice.json"
+    region_file.write_text(json.dumps(case["region"]))
+    lattice_file.write_text(json.dumps(case["lattice"]))
+    code, out, _ = run_cli(["verify", str(region_file), "--lattice-file", str(lattice_file)],
+                           capsys)
+    report = json.loads(out)
+    assert report.pop("input") == str(region_file)
+    assert set(report.pop("timings")) == {"seconds"}
+    assert code == case["exit"]
+    assert json.dumps(report, indent=2) == case["report"]
 
 
 def test_svg_deterministic(tmp_path, capsys):

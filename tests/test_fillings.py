@@ -9,7 +9,6 @@ from torusfill.fillings import (
     FillingError,
     cube_filling,
     diamond,
-    distorted_diamond,
     example_T2k2,
     example_eight_ninths,
     example_fortynine_fiftieths,
@@ -43,7 +42,7 @@ def test_diamond_basics():
 
 def test_distorted_diamond_area_and_validation():
     sym = DistortedDiamond.symmetric(2)
-    assert distorted_diamond(sym).area() == rat(2)
+    assert sym.region().area() == rat(2)
     b = rat(3) - 2 * sqrt(2)
     spec = DistortedDiamond(
         sqrt(2),
@@ -51,7 +50,7 @@ def test_distorted_diamond_area_and_validation():
         w_left=(1 + b) / 2, w_right=(1 - b) / 2,
     )
     assert spec.w_right == (1 - b) / 2
-    assert distorted_diamond(spec).area() == rat(1)  # a^2/2 for a = sqrt 2
+    assert spec.region().area() == rat(1)  # a^2/2 for a = sqrt 2
     with pytest.raises(FillingError):
         DistortedDiamond(2, h_top=1, h_bot=1, w_left=1, w_right=1)
     with pytest.raises(FillingError):

@@ -133,10 +133,10 @@ def points(draw, surd=False):
 
 @st.composite
 def triangles(draw, surd=False):
-    poly = ConvexPolygon.maybe([draw(points(surd)) for _ in range(3)])
-    if poly is None:
+    try:
+        return ConvexPolygon([draw(points(surd)) for _ in range(3)])
+    except GeometryError:  # collinear or repeated points
         return rectangle(0, 1, 0, 1)
-    return poly
 
 
 @given(triangles(), triangles())
@@ -279,3 +279,91 @@ def test_injects_collisions_match_unfiltered_oracle():
                 expected.append(((a, b), overlap))
         assert expected
         assert injects(region, SKEW).collisions == expected
+
+
+# -- the canonicalising clip as an oracle for the canonical-by-construction one
+
+def canonicalising_clip_halfplane(poly, a, b):
+    """clip_halfplane as it once was: the kept vertices and the crossings are
+    run through the validating constructor."""
+    d = b - a
+    vs = poly.vertices
+    sides = [d.cross(p - a).sign() for p in vs]
+    if all(s >= 0 for s in sides):
+        return poly
+    out = []
+    for i in range(len(vs)):
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        sp, sq = sides[i], sides[(i + 1) % len(vs)]
+        if sp >= 0:
+            out.append(p)
+        if sp * sq < 0:
+            out.append(p + (q - p).scale(d.cross(a - p) / d.cross(q - p)))
+    try:
+        return ConvexPolygon(out)
+    except (GeometryError, IndexError):  # fewer than three vertices, or zero area
+        return None
+
+
+@st.composite
+def convex_polygons(draw, surd=False):
+    """3 to 6 points of the parabola x2 = x1^2, in order, under a random shear
+    and translation: a strictly convex polygon with up to six vertices."""
+    ts = sorted(draw(st.lists(rationals(bound=4), min_size=3, max_size=6, unique=True)))
+    s, t = draw(coordinates(surd)), draw(points(surd))
+    return ConvexPolygon([Point2(rat(x) + s * rat(x * x), rat(x * x)) + t for x in ts])
+
+
+@st.composite
+def clip_lines(draw, poly, surd=False):
+    """A directed line that cuts the polygon at random, passes through a
+    vertex, runs along an edge, joins two vertices, or touches it at a
+    single vertex; either direction."""
+    vs = poly.vertices
+    k = draw(st.integers(0, len(vs) - 1))
+    prev, v, nxt = vs[k - 1], vs[k], vs[(k + 1) % len(vs)]
+    mode = draw(st.sampled_from(["random", "through_vertex", "along_edge",
+                                 "two_vertices", "touching_vertex"]))
+    if mode == "random":
+        a, b = draw(points(surd)), draw(points(surd))
+    elif mode == "through_vertex":
+        a, b = v, draw(points(surd))
+    elif mode == "along_edge":
+        a, b = v, nxt
+    elif mode == "two_vertices":
+        a, b = v, vs[draw(st.integers(0, len(vs) - 1))]
+    else:  # parallel to the chord prev -> nxt: meets the polygon only at v
+        a, b = v, v + (nxt - prev)
+    if a == b:
+        b = a + pt(1, draw(rationals(bound=3)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@given(st.booleans().flatmap(lambda surd: convex_polygons(surd).flatmap(
+    lambda poly: st.tuples(st.just(poly), clip_lines(poly, surd)))))
+@settings(max_examples=300, deadline=None)
+def test_clip_halfplane_matches_canonicalising_oracle(case):
+    poly, (a, b) = case
+    got, want = clip_halfplane(poly, a, b), canonicalising_clip_halfplane(poly, a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.vertices == want.vertices
+        assert got.bounding_box() == box_of_vertices(got)
+
+
+def test_clip_halfplane_edge_cases():
+    sq = rectangle(0, 2, 0, 2)
+    # along an edge: the whole square on its left, nothing on its right
+    assert clip_halfplane(sq, pt(0, 0), pt(2, 0)) is sq
+    assert clip_halfplane(sq, pt(2, 0), pt(0, 0)) is None
+    # touching at the single vertex (2, 2) from outside, in both directions
+    assert clip_halfplane(sq, pt(2, 2), pt(0, 4)) is sq
+    assert clip_halfplane(sq, pt(0, 4), pt(2, 2)) is None
+    # the diagonal through two vertices keeps a triangle with both on the cut
+    assert clip_halfplane(sq, pt(0, 0), pt(2, 2)).vertices == [pt(0, 0), pt(2, 2), pt(0, 2)]
+    # through one vertex and across the opposite edge; the result starts at
+    # its lowest vertex, a crossing
+    cut = clip_halfplane(sq, pt(0, 1), pt(2, 0))
+    assert cut.vertices == [pt(0, 1), pt(2, 0), pt(2, 2), pt(0, 2)]
+    for poly in (cut, clip_halfplane(sq, pt(0, 0), pt(2, 2))):
+        assert poly.vertices == ConvexPolygon(poly.vertices).vertices

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,12 @@ from torusfill.geom import (
 )
 from torusfill.shears import (
     OMEGA0,
+    ComposabilityReport,
     PLFunction,
     Shear,
     ShearError,
     ShearSequence,
+    Violation,
     check_composable,
     fiber_parallelogram,
     induced_4d_check,
@@ -373,7 +376,7 @@ def test_piece_touching_a_breakpoint_is_not_clipped(monkeypatch):
     monkeypatch.setattr(shears_module, "clip_halfplane", counting)
     assert [(i, part) for i, part in shear.split(below)] == [(0, below)]
     assert [(i, part) for i, part in shear.split(inside)] == [(1, inside)]
-    assert list(shear.split(inside, moving_only=True)) == []
+    assert moved_set(shear, Region([inside])).pieces == []
     assert clips == []
     across = rectangle(0, 1, -1, 1)
     assert [i for i, _ in shear.split(across)] == [0, 1, 2]
@@ -421,24 +424,81 @@ def test_apply_polygon_reflection_keeps_canonical_form():
 
 
 def test_certify_pushes_the_source_through_each_shear_once(monkeypatch):
-    # follow the chain source -> image -> image ...: each link is a
-    # plane_image call whose input is the source or an earlier link's output
-    source = diamond_region(Fraction(4, 3))
+    # shear j splits each piece that enters stage j exactly once; the pieces
+    # entering stage j + 1 are the parts that stage j yields
+    h = Fraction(2, 3)  # the size-4/3 diamond, cut in two along x1 = 0
+    source = Region([ConvexPolygon([pt(-h, 0), pt(0, -h), pt(0, h)]),
+                     ConvexPolygon([pt(0, -h), pt(h, 0), pt(0, h)])])
     f = ramp()
     shears = [Shear("x1", f),
               Shear("x2", PLFunction(f.breakpoints, [-s for s in f.slopes], anchor=(0, 0)))]
-    chain, kept, links = {id(source)}, [], []
-    original = shears_module.plane_image
+    calls, parts = Counter(), Counter()
+    original = Shear.split
 
-    def counting(shear, region):
-        result = original(shear, region)
-        kept.append(result)  # keeps every id unique while the test runs
-        if id(region) in chain:
-            chain.add(id(result))
-            links.append(shear)
-        return result
+    def counting(shear, *args, **kwargs):
+        calls[id(shear)] += 1
+        for item in original(shear, *args, **kwargs):
+            parts[id(shear)] += 1
+            yield item
 
-    monkeypatch.setattr(shears_module, "plane_image", counting)
+    monkeypatch.setattr(Shear, "split", counting)
     cert = certify("pair", {}, source, shears, Lattice2.rectangular(1, 1))
     assert cert.valid
-    assert links == shears
+    entering = len(source.pieces)
+    for shear in shears:
+        assert calls[id(shear)] == entering
+        assert parts[id(shear)] > entering  # every stage cuts some piece
+        entering = parts[id(shear)]
+    assert entering == len(cert.final.pieces)
+
+
+# -- carried moved sets as an oracle for the labelled walk -------------------
+
+def carried_check_composable(seq):
+    """check_composable as it once was: the image of each earlier shear's
+    moved set is carried beside the region and split again at every stage."""
+    violations, carried, cur = [], [], seq.source
+    for j, shear in enumerate(seq.shears):
+        moved_j = moved_set(shear, cur)
+        for i, img in carried:
+            a = moved_set(shear, img).area()
+            if a.sign() > 0:
+                violations.append(Violation(i, j, a))
+        carried = [(i, plane_image(shear, img)) for i, img in carried]
+        carried.append((j, plane_image(shear, moved_j)))
+        cur = plane_image(shear, cur)
+    return ComposabilityReport(not violations, violations, cur)
+
+
+def assert_matches_carried_oracle(seq):
+    report, oracle = check_composable(seq), carried_check_composable(seq)
+    assert report.to_json() == oracle.to_json()
+    assert [p.vertices for p in report.final.pieces] == \
+        [p.vertices for p in oracle.final.pieces]
+    return report
+
+
+SOURCES = [
+    diamond_region(Fraction(4, 3)),
+    Region([rectangle(-3, 0, -2, 2), rectangle(0, 3, -2, 2)]),
+    Region([ConvexPolygon([pt(-2, -1), Point2(sqrt(2), rat(-1)), pt(0, 2)])]),
+]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["x1", "x2"]), slab_profiles()),
+                min_size=1, max_size=4),
+       st.sampled_from(SOURCES))
+@settings(max_examples=60, deadline=None)
+def test_labelled_walk_matches_carried_oracle(profiles, source):
+    seq = ShearSequence([Shear(axis, f) for axis, f in profiles], source)
+    assert_matches_carried_oracle(seq)
+
+
+def test_piece_moved_by_three_shears_violates_every_pair():
+    seq = ShearSequence([Shear("x1", PLFunction.linear(1)),
+                         Shear("x2", PLFunction.linear(1)),
+                         Shear("x1", PLFunction.linear(1))],
+                        Region([rectangle(0, 1, 0, 1)]))
+    report = assert_matches_carried_oracle(seq)
+    assert [(v.first, v.second) for v in report.violations] == [(0, 1), (0, 2), (1, 2)]
+    assert all(v.overlap == rat(1) for v in report.violations)
