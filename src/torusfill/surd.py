@@ -49,6 +49,26 @@ def prime_factors(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _coprime_base(ns) -> list[int]:
+    """Pairwise coprime factors > 1 whose products give each squarefree n:
+    two sharing a gcd g > 1 give way to g and their (coprime) cofactors."""
+    base: set[int] = set()
+    todo = list(ns)
+    while todo:
+        m = todo.pop()
+        if m == 1 or m in base:
+            continue
+        for b in base:
+            g = gcd(m, b)
+            if g > 1:
+                base.remove(b)
+                todo += [g, m // g, b // g]
+                break
+        else:
+            base.add(m)
+    return sorted(base)
+
+
 def _sqrt_interval(n: int, prec: int) -> tuple[Fraction, Fraction]:
     """Enclosure of sqrt(n) with denominator 2**prec."""
     lo = isqrt(n << (2 * prec))
@@ -192,19 +212,20 @@ class SurdScalar:
         return out
 
     def inverse(self) -> SurdScalar:
-        """Multiplicative inverse, by rationalizing one prime at a time.
+        """Multiplicative inverse, by rationalizing over a coprime base.
 
-        For each prime p of the radicands, write the denominator as
-        a + b*sqrt(p) with a, b free of sqrt(p), and multiply numerator and
-        denominator by a - b*sqrt(p): the new denominator a^2 - p*b^2 is free
-        of sqrt(p) and nonzero, since sqrt(p) does not lie in the field the
-        other square roots generate.  After the last prime it is rational.
+        Each radicand is a product of pairwise coprime factors b, found by
+        gcds alone.  For each b, write the denominator as a + c*sqrt(b) with
+        a, c free of sqrt(b), and multiply numerator and denominator by
+        a - c*sqrt(b): the new denominator a^2 - b*c^2 is free of sqrt(b) and
+        nonzero, since b is squarefree and coprime to the other factors, so
+        sqrt(b) does not lie in the field their square roots generate.
         """
         if self.is_zero():
             raise SurdError("division by zero scalar")
         num, den = SurdScalar.rational(1), self
-        for p in sorted(set().union(*(prime_factors(r) for r in self._terms if r > 1))):
-            conj = SurdScalar({r: -c if r % p == 0 else c for r, c in den._terms.items()})
+        for b in _coprime_base(r for r in self._terms if r > 1):
+            conj = SurdScalar({r: -c if r % b == 0 else c for r, c in den._terms.items()})
             num, den = num * conj, den * conj
         if not den.is_rational() or den.is_zero():
             raise SurdError(f"rationalization failed for {self}")

@@ -2,9 +2,10 @@
 
 Exact injectivity of a bounded region modulo a lattice, covered-fraction
 computation, and fundamental-domain certification.  Injectivity is decided
-by enumerating every nonzero lattice vector that could bring the region's
-bounding box back onto itself and checking that the overlap area with each
-translate is exactly zero (shared edges allowed, per the open-set convention).
+in lattice coordinates, where a lattice vector is an integer shift: each
+pair of pieces is clipped only at the shifts in the integer ranges of their
+boxes, and the overlap area must be exactly zero (shared edges allowed, per
+the open-set convention).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .surd import SurdScalar, rat, scalar
-from .geom import Point2, Region, pt, region_overlap_area
+from .geom import AffineMap2, Point2, Region, clip, pt
 
 
 class TorusError(ValueError):
@@ -69,61 +70,36 @@ class InjectivityReport:
         }
 
 
-def _interval_for_b(a: int, u, v, lo, hi):
-    """Solve lo <= a*u + b*v <= hi for b; returns (blo, bhi) or None or 'all'."""
-    base_lo = lo - rat(a) * u
-    base_hi = hi - rat(a) * u
-    if v.sign() == 0:
-        return "all" if base_lo.sign() <= 0 <= base_hi.sign() else None
-    if v.sign() > 0:
-        return base_lo / v, base_hi / v
-    return base_hi / v, base_lo / v
+def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
+    """Exact verdict: does r map injectively to the torus plane quotient?
 
-
-def candidate_vectors(r: Region, lattice: Lattice2):
-    """Nonzero (a, b) with r and r + a*g1 + b*g2 having touching bounding boxes.
-
-    Only one of each +/- pair is produced (overlap with the translate by v
-    equals overlap with the translate by -v).
+    In lattice coordinates a*g1 + b*g2 is the shift (a, b).  Piece q
+    shifted by (a, b) meets piece p in positive area only if a lies strictly
+    between p.umin - q.umax and p.umax - q.umin (b likewise), so floors and
+    ceilings of the boxes, taken once per piece, bound the shifts each
+    ordered pair needs.  Shifts by v and -v overlap equally, so only a > 0,
+    or a = 0 < b, is tried.  The map has determinant 1/covolume > 0, so
+    plane areas are lattice areas times the covolume.
     """
-    x1, x2, y1, y2 = r.bounding_box()
-    bx_lo, bx_hi = x1 - x2, x2 - x1
-    by_lo, by_hi = y1 - y2, y2 - y1
     g1, g2 = lattice.g1, lattice.g2
     det = lattice.covolume()
-    # a-range from the box corners mapped through the inverse basis matrix
-    corners = [pt(bx_lo, by_lo), pt(bx_lo, by_hi), pt(bx_hi, by_lo), pt(bx_hi, by_hi)]
-    a_vals = [c.cross(g2) / det for c in corners]
-    a_min, a_max = min(a_vals).floor(), max(a_vals).ceil()
-    for a in range(max(a_min, 0), a_max + 1):
-        ix = _interval_for_b(a, g1.x1, g2.x1, bx_lo, bx_hi)
-        iy = _interval_for_b(a, g1.x2, g2.x2, by_lo, by_hi)
-        if ix is None or iy is None:
-            continue
-        if ix == "all" and iy == "all":  # impossible for a genuine lattice
-            raise TorusError("unbounded candidate set")
-        if ix == "all":
-            blo, bhi = iy
-        elif iy == "all":
-            blo, bhi = ix
-        else:
-            blo, bhi = max(ix[0], iy[0]), min(ix[1], iy[1])
-        if (bhi - blo).sign() < 0:
-            continue
-        for b in range(blo.ceil(), bhi.floor() + 1):
-            if a == 0 and b <= 0:
-                continue
-            yield a, b
-
-
-def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
-    """Exact verdict: does r map injectively to the torus plane quotient?"""
-    collisions = []
-    for a, b in candidate_vectors(r, lattice):
-        v = lattice.vector(a, b)
-        overlap = region_overlap_area(r, r.translate(v))
-        if overlap.sign() > 0:
-            collisions.append(((a, b), overlap))
+    inv = rat(1) / det
+    to_lattice = AffineMap2(((g2.x2 * inv, -g2.x1 * inv), (-g1.x2 * inv, g1.x1 * inv)),
+                            pt(0, 0))
+    pieces = [to_lattice.apply_polygon(p) for p in r.pieces]
+    boxes = [(u1.floor(), u2.ceil(), w1.floor(), w2.ceil())
+             for u1, u2, w1, w2 in (p.bounding_box() for p in pieces)]
+    overlaps: dict[tuple[int, int], SurdScalar] = {}
+    for p, (pu1, pu2, pw1, pw2) in zip(pieces, boxes):
+        for q, (qu1, qu2, qw1, qw2) in zip(pieces, boxes):
+            for a in range(max(pu1 - qu2 + 1, 0), pu2 - qu1):
+                for b in range(pw1 - qw2 + 1, pw2 - qw1):
+                    if a == 0 and b <= 0:
+                        continue
+                    c = clip(p, q.translate(pt(a, b)))
+                    if c is not None:
+                        overlaps[a, b] = overlaps.get((a, b), rat(0)) + c.area()
+    collisions = [(ab, area * det) for ab, area in sorted(overlaps.items())]
     return InjectivityReport(not collisions, collisions)
 
 

@@ -15,6 +15,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from conftest import candidate_vectors
 from torusfill.cli import main as cli_main
 from torusfill.fillings import (
     cube_filling,
@@ -40,7 +41,6 @@ from torusfill.latforms import (
 from torusfill.seshadri import pell_min, width_filling_convert
 from torusfill.shears import OMEGA0, jacobian_4d
 from torusfill.surd import rat, sqrt
-from torusfill.torus import candidate_vectors
 
 
 def report(number: int, message: str, t0: float) -> None:

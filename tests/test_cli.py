@@ -85,6 +85,24 @@ def test_verify_large_prime_radicand_finishes(tmp_path):
     assert json.loads(proc.stdout)["verdicts"]["injective"] == (proc.returncode == 0)
 
 
+def test_verify_two_large_prime_radicands_finishes(tmp_path):
+    # legs sqrt(2^31 - 1)/46340 and sqrt(2147483629)/46340, both primes: the
+    # clips divide by surds in sqrt(p*q), whose inverse once factored p*q by
+    # trial division and never returned
+    zero = [[1, 0, 1]]
+    legs = [[[2**31 - 1, 1, 46340]], [[2147483629, 1, 46340]]]
+    region = {"polygons": [[[zero, zero], [legs[0], zero], [zero, legs[1]]]]}
+    region_file = tmp_path / "two_primes.json"
+    region_file.write_text(json.dumps(region))
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfill.cli", "verify", str(region_file),
+         "--lattice", "1", "1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["verdicts"]["injective"] is False
+
+
 def test_verify_rejects_radicand_beyond_bound(tmp_path):
     # 2^61 - 1 is prime: factoring it by trial division once ran for hours
     zero, one = [[1, 0, 1]], [[1, 1, 1]]

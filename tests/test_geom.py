@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SKEW, rationals, skewed_doubled_regions
+from conftest import SKEW, candidate_vectors, rationals, skewed_doubled_regions
 from torusfill.geom import (
     AffineMap2,
     ConvexPolygon,
@@ -21,7 +21,7 @@ from torusfill.geom import (
     symmetric_difference_area,
 )
 from torusfill.surd import rat, sqrt
-from torusfill.torus import candidate_vectors, injects
+from torusfill.torus import injects
 
 
 def diamond_poly(a) -> ConvexPolygon:

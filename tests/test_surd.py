@@ -13,6 +13,7 @@ from conftest import nonzero_surds, rationals, surds
 from torusfill.surd import (
     SurdError,
     SurdScalar,
+    _coprime_base,
     decimal_sqrt,
     eliminate,
     prime_factors,
@@ -232,6 +233,16 @@ def test_sign_matches_decimal_oracle(v):
         assert abs(oracle) < Decimal("1e-50")
     else:
         assert v.sign() == (1 if oracle > 0 else -1)
+
+
+def test_coprime_base_splits_by_gcds():
+    assert _coprime_base([6, 10, 15]) == [2, 3, 5]
+    assert _coprime_base([30, 42]) == [5, 6, 7]  # 6 is not split further
+    assert _coprime_base([]) == []
+    p, q = 2**31 - 1, 2147483629
+    assert _coprime_base([p * q, p]) == sorted([p, q])
+    x = sqrt(p) + sqrt(q) + sqrt(p) * sqrt(q)  # sqrt(p*q) itself would factor p*q
+    assert x * x.inverse() == rat(1)
 
 
 def conjugate_product_inverse(v):

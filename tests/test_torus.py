@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SKEW, skewed_doubled_regions
+import torusfill.geom as geom_module
+import torusfill.torus as torus_module
+from conftest import (SKEW, candidate_collisions, candidate_vectors, rationals,
+                      skewed_doubled_regions)
 from torusfill.fillings import diamond, example_T2k2, example_eight_ninths
-from torusfill.geom import Region, pt, rectangle
-from torusfill.surd import rat
+from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle
+from torusfill.surd import rat, sqrt
 from torusfill.torus import (
     Lattice2,
     TorusError,
@@ -152,3 +157,97 @@ def test_lattice_json_and_orientation():
     assert swapped.covolume() == rat(1)
     with pytest.raises(TorusError):
         Lattice2(pt(1, 1), pt(2, 2))
+
+
+def test_one_vector_two_piece_pairs_overlap_summed():
+    # at (1, 0) the shifted A lands on B and the shifted C on D; no other
+    # vector gives positive overlap
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    reg = Region([rectangle(0, half, 0, half), rectangle(half, Fraction(3, 2), 0, half),
+                  rectangle(0, quarter, half, 1), rectangle(quarter, Fraction(5, 4), half, 1)])
+    collisions = injects(reg, UNIT).collisions
+    assert collisions == [((1, 0), rat(Fraction(3, 8)))]
+    assert collisions == candidate_collisions(reg, UNIT)
+
+
+def _cell_triangles(lattice):
+    """The basis parallelogram cut along its diagonal: lattice boxes [0, 1]^2."""
+    o, g1, g2 = pt(0, 0), lattice.g1, lattice.g2
+    return [ConvexPolygon([o, g1, g1 + g2]), ConvexPolygon([o, g1 + g2, g2])]
+
+
+@pytest.mark.parametrize("lattice", [UNIT, SKEW], ids=["unit", "skew"])
+def test_integer_box_jigsaw_is_fundamental(lattice):
+    # every lattice box ends exactly on integers, where the open shift
+    # ranges must exclude the touching translates
+    lower, upper = _cell_triangles(lattice)
+    reg = Region([lower.translate(lattice.vector(2, -1)), upper.translate(lattice.vector(-1, 3))])
+    assert injects(reg, lattice).ok
+    assert is_fundamental_domain(reg, lattice)
+    nudged = Region([lower, upper.translate(lattice.g2.scale(Fraction(1, 100)))])
+    verdict = injects(nudged, lattice)
+    assert not verdict.ok and verdict.collisions == candidate_collisions(nudged, lattice)
+
+
+SCATTERED_JIGSAW = Region([
+    piece.translate(pt(*shift))
+    for piece, shift in zip(
+        [ConvexPolygon([pt(x, 0), pt(x + Fraction(1, 3), 0), pt(x + Fraction(1, 3), 1)])
+         for x in (0, Fraction(1, 3), Fraction(2, 3))]
+        + [ConvexPolygon([pt(x, 0), pt(x + Fraction(1, 3), 1), pt(x, 1)])
+           for x in (0, Fraction(1, 3), Fraction(2, 3))],
+        [(2, -1), (-2, 0), (0, 2), (1, 1), (-1, -2), (2, 2)])
+])
+
+
+def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
+    # six strips of the unit cell scattered over radius 2: every piece pair
+    # tried at every bounding-box candidate would be 36 clips per candidate
+    calls = []
+    original = geom_module.clip
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(geom_module, "clip", counted)
+    monkeypatch.setattr(torus_module, "clip", counted, raising=False)
+    verdict = injects(SCATTERED_JIGSAW, UNIT)
+    clips = len(calls)
+    assert verdict.ok and is_fundamental_domain(SCATTERED_JIGSAW, UNIT)
+    pieces = len(SCATTERED_JIGSAW.pieces)
+    candidates = len(list(candidate_vectors(SCATTERED_JIGSAW, UNIT)))
+    assert 0 < clips < pieces * pieces * candidates
+
+
+@st.composite
+def _pieces(draw, surd):
+    def coord(bound):
+        c = rat(draw(rationals(bound=bound)))
+        return c + rat(draw(rationals(bound=2))) * sqrt(2) if surd else c
+
+    if draw(st.booleans()):
+        x, y = coord(3), coord(3)
+        w = rat(draw(st.integers(min_value=1, max_value=12))) / 4
+        h = rat(draw(st.integers(min_value=1, max_value=12))) / 4
+        return rectangle(x, x + w, y, y + h)
+    try:
+        return ConvexPolygon([pt(coord(3), coord(3)) for _ in range(3)])
+    except GeometryError:  # collinear or repeated points
+        return rectangle(0, 1, 0, 1)
+
+
+EQUIVALENCE_LATTICES = [
+    SKEW,
+    Lattice2(pt(sqrt(2), Fraction(1, 3)), pt(Fraction(-1, 2), 1)),
+    Lattice2(pt(0, 1), pt(Fraction(3, 2), Fraction(-1, 3))),  # input basis negatively oriented
+]
+FAR = [pt(0, 0), pt(Fraction(-52, 3), Fraction(-29, 7)), pt(31, -12) + pt(sqrt(2), 0)]
+
+
+@given(st.booleans().flatmap(lambda surd: st.lists(_pieces(surd), min_size=1, max_size=4)),
+       st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
+@settings(max_examples=40, deadline=None)
+def test_injects_matches_candidate_vector_oracle(pieces, lattice, offset):
+    reg = Region(pieces).translate(offset)
+    assert injects(reg, lattice).collisions == candidate_collisions(reg, lattice)
