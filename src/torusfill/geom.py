@@ -59,8 +59,9 @@ def _orient(a: Point2, b: Point2, c: Point2) -> int:
 class ConvexPolygon:
     """Strictly convex polygon, vertices stored counterclockwise.
 
-    Canonical form: consecutive collinear vertices merged, vertex list rotated
-    to start at the lexicographically smallest vertex, positive area required.
+    Canonical form: repeated and collinear points merged, the rest bounding a
+    strictly convex polygon that winds once (see `_canonicalize`), vertex list
+    rotated to start at the lexicographically smallest vertex.
     """
 
     __slots__ = ("vertices", "_box")
@@ -68,7 +69,8 @@ class ConvexPolygon:
     def __init__(self, vertices: list[Point2]):
         vs = _canonicalize(vertices)
         if vs is None:
-            raise GeometryError(f"degenerate polygon: {[str(v.x1)+','+str(v.x2) for v in vertices]}")
+            raise GeometryError("not a strictly convex polygon winding once: "
+                                f"{[str(v.x1)+','+str(v.x2) for v in vertices]}")
         self.vertices = vs
         self._box = None
 
@@ -124,32 +126,31 @@ def _raw(vertices: list[Point2], box=None) -> ConvexPolygon:
 
 
 def _canonicalize(vertices: list[Point2]) -> list[Point2] | None:
-    vs = [vertices[0]]
-    for p in vertices[1:]:
-        if p != vs[-1]:
-            vs.append(p)
-    while len(vs) > 1 and vs[0] == vs[-1]:
-        vs.pop()
-    if len(vs) < 3:
+    """Canonical vertex list of the polygon a cyclic point list bounds, or None.
+
+    Repeated points and points collinear with their neighbours are merged
+    away (a vertex whose turn is 0 is dropped and its neighbours' turns are
+    recomputed). What is left must bound a strictly convex polygon that winds
+    once: every turn has the same sign, and the lexicographic up/down
+    direction of the edges switches exactly twice around the cycle (a list
+    turning one way throughout but winding k times switches 2k times).
+    Either orientation is read; the result is counterclockwise and starts
+    at the lowest vertex.
+    """
+    vs = [p for i, p in enumerate(vertices) if p != vertices[i - 1]]
+    turns = [_orient(vs[i - 1], p, vs[(i + 1) % len(vs)]) for i, p in enumerate(vs)]
+    while len(vs) >= 3 and 0 in turns:
+        i = turns.index(0)
+        del vs[i], turns[i]
+        for j in (i - 1, i % len(vs)):
+            turns[j] = _orient(vs[j - 1], vs[j], vs[(j + 1) % len(vs)])
+    if len(vs) < 3 or len(set(turns)) != 1:
         return None
-    if shoelace(vs).sign() < 0:
+    up = [(p.x1, p.x2) < (q.x1, q.x2) for p, q in zip(vs, vs[1:] + vs[:1])]
+    if sum(u != w for u, w in zip(up, up[1:] + up[:1])) != 2:
+        return None
+    if turns[0] < 0:
         vs.reverse()
-    # drop vertices collinear with their neighbours
-    changed = True
-    while changed and len(vs) >= 3:
-        changed = False
-        for i in range(len(vs)):
-            a, b, c = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
-            if _orient(a, b, c) == 0:
-                vs.pop(i)
-                changed = True
-                break
-    if len(vs) < 3 or shoelace(vs).sign() <= 0:
-        return None
-    for i in range(len(vs)):
-        a, b, c = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
-        if _orient(a, b, c) <= 0:
-            return None  # not strictly convex
     return _from_lowest(vs)
 
 
@@ -224,10 +225,8 @@ class Region:
 
     __slots__ = ("pieces",)
 
-    def __init__(self, pieces: list[ConvexPolygon], validate: bool = False):
+    def __init__(self, pieces: list[ConvexPolygon]):
         self.pieces = list(pieces)
-        if validate:
-            self.validate()
 
     def validate(self) -> None:
         for i in range(len(self.pieces)):
@@ -313,12 +312,6 @@ class AffineMap2:
 
     def apply_region(self, r: Region) -> Region:
         return Region([self.apply_polygon(p) for p in r.pieces])
-
-    def compose(self, inner: "AffineMap2") -> "AffineMap2":
-        (a, b), (c, d) = self.linear
-        (e, f), (g, h) = inner.linear
-        lin = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-        return AffineMap2(lin, self.apply(inner.translation))
 
     @classmethod
     def identity(cls) -> "AffineMap2":

@@ -140,9 +140,6 @@ class SurdScalar:
             raise SurdError(f"{self} is irrational")
         return self._terms.get(1, Fraction(0))
 
-    def is_integer(self) -> bool:
-        return self.is_rational() and self.as_fraction().denominator == 1
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> SurdScalar:

@@ -172,6 +172,18 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_verify_rejects_star_polygon(tmp_path, capsys):
+    # the pentagram turns left at every vertex but winds twice; read as one
+    # convex piece it counted the central pentagon twice (area 152)
+    star = [[[[1, x, 1]], [[1, y, 1]]] for x, y in
+            [(0, 10), (6, -8), (-10, 3), (10, 3), (-6, -8)]]
+    region_file = tmp_path / "star.json"
+    region_file.write_text(json.dumps({"polygons": [star]}))
+    code, out, err = run_cli(["verify", str(region_file), "--lattice", "20", "20"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "winding once" in err and "Traceback" not in err
+
+
 def test_construct_example2_orientation_minus_minus(capsys):
     # argparse strips the literal value "--"; the command must still build it
     code, out, _ = run_cli(["construct", "example2", "--orientation=--"], capsys)

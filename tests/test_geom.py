@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import SKEW, candidate_vectors, rationals, skewed_doubled_regions
@@ -11,6 +11,9 @@ from torusfill.geom import (
     GeometryError,
     Point2,
     Region,
+    _canonicalize,
+    _from_lowest,
+    _orient,
     clip,
     clip_halfplane,
     overlap_area,
@@ -53,6 +56,13 @@ def test_polygon_canonicalization():
         ConvexPolygon([pt(0, 0), pt(1, 0), pt(2, 0)])
     with pytest.raises(GeometryError):  # nonconvex
         ConvexPolygon([pt(0, 0), pt(2, 0), pt(1, Fraction(1, 10)), pt(1, 1)])
+    with pytest.raises(GeometryError):  # turns left at every vertex, winds twice
+        ConvexPolygon(PENTAGRAM)
+    with pytest.raises(GeometryError):  # the unit square, twice round
+        ConvexPolygon([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)] * 2)
+
+
+PENTAGRAM = [pt(0, 10), pt(6, -8), pt(-10, 3), pt(10, 3), pt(-6, -8)]
 
 
 def test_clip_idempotent_and_disjoint():
@@ -367,3 +377,98 @@ def test_clip_halfplane_edge_cases():
     assert cut.vertices == [pt(0, 1), pt(2, 0), pt(2, 2), pt(0, 2)]
     for poly in (cut, clip_halfplane(sq, pt(0, 0), pt(2, 2))):
         assert poly.vertices == ConvexPolygon(poly.vertices).vertices
+
+
+# -- the shoelace canonicaliser as an oracle for the one-pass turn-sign one
+
+def shoelace_canonicalize(vertices):
+    """_canonicalize as it once was: orientation from the shoelace sum, a
+    collinear pass restarted after every removal, then a convexity pass.
+    It accepts lists that turn left throughout but wind more than once."""
+    vs = [vertices[0]]
+    for p in vertices[1:]:
+        if p != vs[-1]:
+            vs.append(p)
+    while len(vs) > 1 and vs[0] == vs[-1]:
+        vs.pop()
+    if len(vs) < 3:
+        return None
+    if shoelace(vs).sign() < 0:
+        vs.reverse()
+    changed = True
+    while changed and len(vs) >= 3:
+        changed = False
+        for i in range(len(vs)):
+            a, b, c = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
+            if _orient(a, b, c) == 0:
+                vs.pop(i)
+                changed = True
+                break
+    if len(vs) < 3 or shoelace(vs).sign() <= 0:
+        return None
+    for i in range(len(vs)):
+        a, b, c = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
+        if _orient(a, b, c) <= 0:
+            return None
+    return _from_lowest(vs)
+
+
+def winds_once(vs):
+    """A counterclockwise list with left turns throughout winds once iff every
+    fan triangle from its first vertex is counterclockwise."""
+    return all(_orient(vs[0], vs[i], vs[i + 1]) > 0 for i in range(1, len(vs) - 1))
+
+
+R2 = sqrt(2) / 2
+REGULAR = [
+    [pt(1, 0), pt(0, 1), pt(-1, -1)],                       # affine-regular triangle
+    [pt(1, 0), pt(0, 1), pt(-1, 0), pt(0, -1)],
+    [pt(1, 0), pt(1, 1), pt(0, 1), pt(-1, 0), pt(-1, -1), pt(0, -1)],  # affine-regular
+    [pt(1, 0), Point2(R2, R2), pt(0, 1), Point2(-R2, R2),
+     pt(-1, 0), Point2(-R2, -R2), pt(0, -1), Point2(R2, -R2)],
+]
+
+
+@st.composite
+def vertex_lists(draw):
+    """3 to 8 small grid points, or a regular polygon visited with step 1 to 3
+    (a star or a repeated cycle when the step or the count says so); then
+    midpoints, spikes past the next vertex and repeated points inserted,
+    either orientation, and an optional sqrt 2 shear."""
+    count = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        grid = st.integers(-2, 2)
+        vs = [pt(draw(grid), draw(grid)) for _ in range(count)]
+    else:
+        base = draw(st.sampled_from(REGULAR))
+        start, step = draw(st.integers(0, len(base) - 1)), draw(st.integers(1, 3))
+        vs = [base[(start + i * step) % len(base)] for i in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(vs) - 1))
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        kind = draw(st.sampled_from(["midpoint", "spike", "repeat"]))
+        if kind == "midpoint":
+            vs.insert(i + 1, p + (q - p).scale(Fraction(1, 2)))
+        elif kind == "spike":  # out past q along pq and back to q
+            vs.insert(i + 1, q + (q - p).scale(Fraction(draw(st.integers(1, 4)), 2)))
+        else:
+            vs.insert(i, p)
+    if draw(st.booleans()):
+        vs.reverse()
+    if draw(st.booleans()):
+        shear = AffineMap2(((1, sqrt(2)), (0, 1)), pt(0, 0))
+        vs = [shear.apply(p) for p in vs]
+    return vs
+
+
+@given(vertex_lists())
+@settings(max_examples=400, deadline=None)
+def test_canonicalize_matches_shoelace_oracle(vs):
+    want = shoelace_canonicalize(vs)
+    if want is not None and winds_once(want):
+        event("strictly convex, winds once")
+        assert _canonicalize(vs) == want
+    else:
+        event("rejected by the oracle" if want is None else "winds more than once")
+        assert _canonicalize(vs) is None
+
