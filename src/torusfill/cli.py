@@ -158,7 +158,7 @@ def _matrix_from_json(data):
     if n != 2:
         raise InputError("surd-valued matrices are supported only for n=2 (4x4)")
 
-    return AlternatingSurdMatrix([SurdScalar.rational(x) if type(x) is int
+    return AlternatingSurdMatrix([rat(x) if type(x) is int
                                   else SurdScalar.from_triples(x) for x in upper])
 
 

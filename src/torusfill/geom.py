@@ -231,7 +231,7 @@ class Region:
     def validate(self) -> None:
         for i in range(len(self.pieces)):
             for j in range(i + 1, len(self.pieces)):
-                if overlap_area(self.pieces[i], self.pieces[j]).sign() != 0:
+                if clip(self.pieces[i], self.pieces[j]) is not None:
                     raise GeometryError(f"region pieces {i} and {j} overlap")
 
     def area(self) -> SurdScalar:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, permutations, product
-from math import lcm
+from itertools import chain, combinations, permutations, product
+from math import gcd, lcm
 from operator import mul
 
-from .surd import (SurdScalar, decimal_sqrt, eliminate, prime_factors, rat,
-                   rational_relations, rationally_independent, scalar)
+from .surd import (SurdScalar, decimal_sqrt, eliminate, rat, rational_relations,
+                   rationally_independent, scalar, sqrt)
 
 
 class LatticeFormError(ValueError):
@@ -228,6 +228,11 @@ def _det_int(a) -> int:
     return int(eliminate(a)[1])
 
 
+def _perm_sign(perm) -> int:
+    """Sign of a permutation: -1 to the number of its inversions."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+
+
 def _perm_matrix(perm) -> list[list[int]]:
     # column j of the matrix is e_{perm[j]}: new basis vector j = old perm[j]
     return [[int(perm[j] == i) for j in range(4)] for i in range(4)]
@@ -288,8 +293,8 @@ def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> Normalizatio
 
     orientation = b.volume_coefficient().sign()
     starts = [([u0], b.conjugated(u0))
-              for u0 in map(_perm_matrix, permutations(range(4)))
-              if _det_int(u0) == orientation]
+              for u0 in (_perm_matrix(p) for p in permutations(range(4))
+                         if _perm_sign(p) == orientation)]
     transvections = [_transvection(target, source, k)
                      for target, source in ((1, 2), (1, 3), (3, 0), (2, 0),
                                             (3, 1), (2, 1), (0, 2), (0, 3))
@@ -313,12 +318,15 @@ def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> Normalizatio
 
 
 def _fresh_prime(used_radicands) -> int:
-    """Smallest prime dividing none of the used radicands."""
-    primes_used = set().union(*map(prime_factors, used_radicands))
-    p = 2
-    while p in primes_used or prime_factors(p) != {p}:
-        p += 1
-    return p
+    """Smallest prime dividing none of the used radicands.
+
+    It is the smallest m >= 2 coprime to all of them: each prime factor of
+    such an m is coprime to them too and no larger than m, so m is prime.
+    """
+    m = 2
+    while any(gcd(m, r) > 1 for r in used_radicands):
+        m += 1
+    return m
 
 
 @dataclass
@@ -412,7 +420,7 @@ def build_period_lattice(b: AlternatingSurdMatrix, max_rounds: int = 8) -> Perio
                 if pairing.is_zero():
                     continue
                 prime = _fresh_prime(used)
-                radical = SurdScalar.sqrt_int(prime)
+                radical = sqrt(prime)
                 t = rat(1)
                 for _ in range(64):
                     cand = [old + t * radical * wi
@@ -442,7 +450,7 @@ def build_period_lattice(b: AlternatingSurdMatrix, max_rounds: int = 8) -> Perio
 
     if b12.is_zero() and b34.is_zero():
         prime = _fresh_prime(used)
-        rho_sq = SurdScalar.sqrt_int(prime)
+        rho_sq = sqrt(prime)
         fresh_used.append(prime)
         if not (rho_sq * d).is_irrational():
             raise LatticeFormError("fresh radical failed to make rho^2 * D irrational")

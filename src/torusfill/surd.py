@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import add, ge, gt, le, lt, sub
 
 
 class SurdError(ArithmeticError):
@@ -33,20 +34,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
                 t *= d
         d += 1 if d == 2 else 2
     return s, t * m
-
-
-def prime_factors(n: int) -> frozenset[int]:
-    """The distinct prime factors of a positive integer."""
-    out, m, d = set(), n, 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.add(m)
-    return frozenset(out)
 
 
 def _coprime_base(ns) -> list[int]:
@@ -85,18 +72,7 @@ class SurdScalar:
         self._terms: dict[int, Fraction] = terms or {}
         self._hash: int | None = None
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def rational(cls, value) -> SurdScalar:
-        q = Fraction(value)
-        return cls({1: q} if q else {})
-
-    @classmethod
-    def sqrt_int(cls, n: int) -> SurdScalar:
-        """sqrt(n) for a positive integer n, reduced to s*sqrt(t)."""
-        s, t = squarefree_decompose(n)
-        return cls({t: Fraction(s)})
+    # -- constructors (see also `rat` and `sqrt`) ----------------------------
 
     @classmethod
     def from_terms(cls, pairs) -> SurdScalar:
@@ -142,18 +118,22 @@ class SurdScalar:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other) -> SurdScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _merge(self, other: SurdScalar, op) -> SurdScalar:
+        """self op other for op in (add, sub), term by term."""
         acc = dict(self._terms)
         for rad, c in other._terms.items():
-            s = acc.get(rad, Fraction(0)) + c
+            s = op(acc.get(rad, Fraction(0)), c)
             if s:
                 acc[rad] = s
             else:
                 acc.pop(rad, None)
         return SurdScalar(acc)
+
+    def __add__(self, other) -> SurdScalar:
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._merge(other, add)
 
     __radd__ = __add__
 
@@ -164,22 +144,25 @@ class SurdScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, sub)
 
     def __rsub__(self, other) -> SurdScalar:
-        return (-self) + other
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._merge(self, sub)
 
     def __mul__(self, other) -> SurdScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # a rational factor scales the other's coefficients, radicands unchanged
+        # a rational factor, put second, scales the other's coefficients and
+        # leaves its radicands unchanged
+        if self.is_rational():
+            self, other = other, self
         if other.is_rational():
             q = other._terms.get(1)
             return SurdScalar({r: c * q for r, c in self._terms.items()} if q else {})
-        if self.is_rational():
-            q = self._terms.get(1)
-            return SurdScalar({r: q * c for r, c in other._terms.items()} if q else {})
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms.items():
             for r2, c2 in other._terms.items():
@@ -199,7 +182,7 @@ class SurdScalar:
     def __pow__(self, n: int) -> SurdScalar:
         if n < 0:
             return self.inverse() ** (-n)
-        out = SurdScalar.rational(1)
+        out = rat(1)
         base, k = self, n
         while k:
             if k & 1:
@@ -220,26 +203,27 @@ class SurdScalar:
         """
         if self.is_zero():
             raise SurdError("division by zero scalar")
-        num, den = SurdScalar.rational(1), self
+        if self.is_rational():
+            return rat(1 / self.as_fraction())
+        num, den = rat(1), self
         for b in _coprime_base(r for r in self._terms if r > 1):
             conj = SurdScalar({r: -c if r % b == 0 else c for r, c in den._terms.items()})
             num, den = num * conj, den * conj
         if not den.is_rational() or den.is_zero():
             raise SurdError(f"rationalization failed for {self}")
-        return num * SurdScalar.rational(1 / den.as_fraction())
+        return num * rat(1 / den.as_fraction())
 
     def __truediv__(self, other) -> SurdScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_rational():
-            if other.is_zero():
-                raise SurdError("division by zero scalar")
-            return self * SurdScalar.rational(1 / other.as_fraction())
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> SurdScalar:
-        return _coerce(other) / self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     # -- ordering and sign ---------------------------------------------------
 
@@ -296,33 +280,24 @@ class SurdScalar:
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+    def _compare(self, other, test):
+        """test(sign of self - other, 0) for test in (lt, le, gt, ge)."""
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return test(self._merge(other, sub).sign(), 0)
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
+        return self._compare(other, lt)
 
     def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
+        return self._compare(other, le)
 
     def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
+        return self._compare(other, gt)
 
     def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
+        return self._compare(other, ge)
 
     def __abs__(self) -> SurdScalar:
         return -self if self.sign() < 0 else self
@@ -404,7 +379,7 @@ def _coerce(value) -> SurdScalar:
     if isinstance(value, SurdScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return SurdScalar.rational(value)
+        return rat(value)
     return NotImplemented
 
 
@@ -417,11 +392,15 @@ def scalar(value) -> SurdScalar:
 
 
 def rat(value) -> SurdScalar:
-    return SurdScalar.rational(value)
+    """The rational scalar with the value of an int or a Fraction."""
+    q = Fraction(value)
+    return SurdScalar({1: q} if q else {})
 
 
 def sqrt(n: int) -> SurdScalar:
-    return SurdScalar.sqrt_int(n)
+    """sqrt(n) for a positive integer n, reduced to s*sqrt(t)."""
+    s, t = squarefree_decompose(n)
+    return SurdScalar({t: Fraction(s)})
 
 
 def eliminate(matrix) -> tuple[list[list[Fraction]], Fraction]:

@@ -7,6 +7,8 @@ from math import lcm
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from test_acceptance import _random_surd_matrix
@@ -27,10 +29,12 @@ from torusfill.latforms import (
     verify_no_curves,
     _condition_i,
     _det_int,
+    _fresh_prime,
     _ident,
     _integer_relation_exists,
     _mat_mul_int,
     _perm_matrix,
+    _perm_sign,
     _postconditions_hold,
     _transvection,
 )
@@ -294,6 +298,35 @@ def test_normalize_picks_same_base_change_as_dense_oracle(monkeypatch):
     assert {det for _, _, det in found[10]} == {-1, 1}
     monkeypatch.setattr(AlternatingSurdMatrix, "conjugated", dense_conjugated)
     assert [outcome(normalize_basis, b, 10) for b in forms] == found[10]
+
+
+def test_normalize_depth_two_branch_is_reached():
+    # at k_range 1 no permutation, alone or followed by one transvection
+    # (of any source and target), meets the contract; the depth-2 branch does
+    b = AlternatingSurdMatrix([1, sqrt(2), sqrt(2), sqrt(2), -sqrt(2), sqrt(2)])
+    starts = [b.conjugated(_perm_matrix(perm)) for perm in permutations(range(4))]
+    assert not any(_postconditions_hold(m) for m in starts)
+    assert not any(_postconditions_hold(m.conjugated(_transvection(target, source, k)))
+                   for m in starts for target in range(4) for source in range(4)
+                   if target != source for k in (-1, 1))
+    res = normalize_basis(b, k_range=1)
+    expected = [[0, 1, 0, 0], [1, 0, 0, -1], [0, 1, 1, 0], [0, 0, 0, 1]]
+    assert res.base_change == expected
+    assert three_pass_normalize(b, k_range=1).base_change == expected
+    assert _postconditions_hold(res.matrix)
+    assert dense_conjugated(b, expected).upper == res.matrix.upper
+
+
+def test_permutation_sign_is_the_determinant():
+    for perm in permutations(range(4)):
+        assert _perm_sign(perm) == _det_int(_perm_matrix(perm))
+
+
+@given(st.sets(st.integers(min_value=1, max_value=3000), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_fresh_prime_is_smallest_prime_dividing_no_radicand(used):
+    expected = next(p for p in sympy.primerange(2, 10**4) if all(r % p for r in used))
+    assert _fresh_prime(used) == expected
 
 
 def test_normalize_rejects_rational_input():

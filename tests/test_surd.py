@@ -1,4 +1,5 @@
 import itertools
+import operator
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import prod
@@ -16,7 +17,6 @@ from torusfill.surd import (
     _coprime_base,
     decimal_sqrt,
     eliminate,
-    prime_factors,
     rat,
     rational_relations,
     rationally_independent,
@@ -248,12 +248,13 @@ def test_coprime_base_splits_by_gcds():
 def conjugate_product_inverse(v):
     """Oracle: the inverse by the product of all 2^k - 1 sign-flip conjugates
     over the k primes of the radicands (the norm to Q, divided out)."""
-    primes = sorted(set().union(*(prime_factors(r) for r in v.radicands if r > 1)))
+    primes = sorted(set().union(*(sympy.primefactors(r) for r in v.radicands)))
     prod_conj = rat(1)
     for mask in range(1, 1 << len(primes)):
         flip = {primes[i] for i in range(len(primes)) if mask >> i & 1}
         prod_conj = prod_conj * SurdScalar({
-            r: -c if len(flip & prime_factors(r)) % 2 else c for r, c in v.terms.items()})
+            r: -c if len(flip.intersection(sympy.primefactors(r))) % 2 else c
+            for r, c in v.terms.items()})
     norm = prod_conj * v
     assert norm.is_rational() and not norm.is_zero()
     return prod_conj * rat(1 / norm.as_fraction())
@@ -281,7 +282,7 @@ def wide_surds(draw):
 @given(wide_surds())
 @settings(max_examples=40, deadline=None)
 def test_inverse_matches_conjugate_product_oracle(v):
-    assert len(set().union(*map(prime_factors, v.radicands))) >= 4
+    assert len(set().union(*map(sympy.primefactors, v.radicands))) >= 4
     inv = v.inverse()
     assert v * inv == rat(1)
     assert inv.to_triples() == conjugate_product_inverse(v).to_triples()
@@ -349,3 +350,77 @@ def test_large_prime_root_product_needs_no_factoring(monkeypatch):
     assert (root + 1) * (root - 1) == rat(p - 1)
     assert ((root + 1) * (root2 * root)).to_triples() == [[2, p, 1], [2 * p, 1, 1]]
     assert (1 / (root + 1)) * (root + 1) == rat(1)
+
+
+# -- every operator against a term-wise dict oracle ----------------------------
+
+def oracle_terms(value):
+    """An operand as {radicand: coefficient}, zero coefficients left out."""
+    if isinstance(value, SurdScalar):
+        return value.terms
+    return {1: Fraction(value)} if value else {}
+
+
+def oracle_merge(x, y, sign):
+    out = dict(x)
+    for r, c in y.items():
+        out[r] = out.get(r, 0) + sign * c
+    return {r: c for r, c in out.items() if c}
+
+
+def oracle_mul(x, y):
+    out = {}
+    for r1, c1 in x.items():
+        for r2, c2 in y.items():
+            s, t = 1, 1
+            for p, e in sympy.factorint(r1 * r2).items():
+                s, t = s * p ** (e // 2), t * p ** (e % 2)
+            out[t] = out.get(t, 0) + c1 * c2 * s
+    return {r: c for r, c in out.items() if c}
+
+
+def oracle_sign(x):
+    value = decimal_value(SurdScalar.from_terms(x.items()), digits=80)
+    return 0 if abs(value) < Decimal("1e-50") else (1 if value > 0 else -1)
+
+
+OPERANDS = st.one_of(surds(), st.integers(min_value=-9, max_value=9), rationals())
+
+
+@given(surds(), OPERANDS, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_operators_match_termwise_oracle(a, b, swap):
+    # a SurdScalar on either side of an int, a Fraction or another SurdScalar
+    x, y = (b, a) if swap else (a, b)
+    tx, ty = oracle_terms(x), oracle_terms(y)
+    assert (x + y).terms == oracle_merge(tx, ty, 1)
+    assert (x - y).terms == oracle_merge(tx, ty, -1)
+    assert (x * y).terms == oracle_mul(tx, ty)
+    s = oracle_sign(oracle_merge(tx, ty, -1))
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (x == y, x != y) == (s == 0, s != 0)
+    if ty:
+        assert oracle_mul((x / y).terms, ty) == tx
+    else:
+        with pytest.raises(SurdError, match="division by zero scalar"):
+            x / y
+    if a.is_zero():
+        with pytest.raises(SurdError, match="division by zero scalar"):
+            a.inverse()
+    else:
+        assert oracle_mul(a.inverse().terms, a.terms) == {1: 1}
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.lt, operator.le, operator.gt, operator.ge])
+@pytest.mark.parametrize("value", [rat(1), 1 + sqrt(2)], ids=["rational", "irrational"])
+def test_float_operand_raises_type_error(op, value):
+    with pytest.raises(TypeError):
+        op(value, 1.0)
+    with pytest.raises(TypeError):
+        op(1.0, value)
+
+
+def test_float_is_never_equal():
+    assert not rat(1) == 1.0 and not 1.0 == rat(1)
+    assert rat(1) != 1.0 and 1.0 != rat(1)

@@ -1,11 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusfill
 import torusfill.geom as geom_module
 import torusfill.torus as torus_module
 from conftest import (SKEW, candidate_collisions, candidate_vectors, rationals,
@@ -251,3 +257,35 @@ FAR = [pt(0, 0), pt(Fraction(-52, 3), Fraction(-29, 7)), pt(31, -12) + pt(sqrt(2
 def test_injects_matches_candidate_vector_oracle(pieces, lattice, offset):
     reg = Region(pieces).translate(offset)
     assert injects(reg, lattice).collisions == candidate_collisions(reg, lattice)
+
+
+@given(st.lists(_pieces(False), min_size=1, max_size=3), st.sampled_from(EQUIVALENCE_LATTICES),
+       st.integers(min_value=-20, max_value=20), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_injects_on_skewed_basis_matches_candidate_vector_oracle(pieces, lattice, n, first):
+    # g1 + n*g2 (or g2 + n*g1) spans the same lattice; collisions are
+    # reported in the coefficients of the basis as given
+    g1, g2 = lattice.g1, lattice.g2
+    skewed = Lattice2(g1 + g2.scale(n), g2) if first else Lattice2(g1, g2 + g1.scale(n))
+    reg = Region(pieces)
+    assert injects(reg, skewed).collisions == candidate_collisions(reg, skewed)
+
+
+def test_verify_on_far_skewed_basis_finishes(tmp_path):
+    # the unit square and the basis (1, 2^40), (0, sqrt 2): shift ranges
+    # taken from this basis itself have about 2^40 entries
+    zero, one = [[1, 0, 1]], [[1, 1, 1]]
+    region = {"polygons": [[[zero, zero], [one, zero], [one, one], [zero, one]]]}
+    lattice = {"basis": [[one, [[1, 2**40, 1]]], [zero, [[2, 1, 1]]]]}
+    region_file, lattice_file = tmp_path / "square.json", tmp_path / "lattice.json"
+    region_file.write_text(json.dumps(region))
+    lattice_file.write_text(json.dumps(lattice))
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfill.cli", "verify", str(region_file),
+         "--lattice-file", str(lattice_file)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdicts"]["injective"] and report["collisions"] == []
+    assert report["covered_fraction"] == [[2, 1, 2]]
