@@ -5,12 +5,21 @@ pairwise distinct squarefree positive integers n_i (n_i = 1 is the rational
 part).  Square roots of distinct squarefree integers are linearly independent
 over the rationals, so the canonical form is unique and structural equality
 coincides with equality of real values.
+
+A scalar is stored as {n_i: nonzero int numerator} over one positive int
+denominator, with no factor common to the denominator and all numerators.
++, - and * work on integers and divide each result by one gcd.  sign, floor
+and approx bound value * denominator * 2**prec between two integers built
+from isqrt(n_i * 4**prec), doubling prec until the bounds decide.
+`Fraction` appears only where a value enters or leaves: `terms`,
+`coefficient`, `as_fraction`, `from_terms`, the triples, `approx`, the hash
+of a rational and `eliminate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import add, ge, gt, le, lt, sub
 
 
@@ -56,20 +65,38 @@ def _coprime_base(ns) -> list[int]:
     return sorted(base)
 
 
-def _sqrt_interval(n: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(n) with denominator 2**prec."""
-    lo = isqrt(n << (2 * prec))
-    return Fraction(lo, 1 << prec), Fraction(lo + 1, 1 << prec)
+def _make(num: dict[int, int], den: int) -> SurdScalar:
+    """The scalar with numerators num over den, already canonical."""
+    out = object.__new__(SurdScalar)
+    out._num, out._den, out._hash = num, den, None
+    return out
+
+
+def _reduced(num: dict[int, int], den: int) -> SurdScalar:
+    """The scalar with nonzero numerators num over den > 0, divided through
+    by the gcd of den and the numerators."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {r: n // g for r, n in num.items()}
+            den //= g
+    return _make(num, den)
 
 
 class SurdScalar:
     """Immutable exact scalar: a rational combination of square roots."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        # terms must already be canonical: squarefree keys, nonzero Fractions
-        self._terms: dict[int, Fraction] = terms or {}
+        # terms must already be canonical: squarefree keys, nonzero rationals
+        # in lowest terms, so that no prime divides the lcm of their
+        # denominators and every scaled numerator
+        terms = terms or {}
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._num: dict[int, int] = {r: c.numerator * (den // c.denominator)
+                                     for r, c in terms.items()}
+        self._den: int = den
         self._hash: int | None = None
 
     # -- constructors (see also `rat` and `sqrt`) ----------------------------
@@ -92,21 +119,21 @@ class SurdScalar:
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {r: Fraction(n, self._den) for r, n in self._num.items()}
 
     @property
     def radicands(self) -> frozenset[int]:
-        return frozenset(self._terms)
+        return frozenset(self._num)
 
     def coefficient(self, radicand: int) -> Fraction:
-        return self._terms.get(radicand, Fraction(0))
+        return Fraction(self._num.get(radicand, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        t = self._terms
-        return not t or (len(t) == 1 and 1 in t)
+        num = self._num
+        return not num or (len(num) == 1 and 1 in num)
 
     def is_irrational(self) -> bool:
         return not self.is_rational()
@@ -114,20 +141,23 @@ class SurdScalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise SurdError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     # -- ring operations ----------------------------------------------------
 
     def _merge(self, other: SurdScalar, op) -> SurdScalar:
-        """self op other for op in (add, sub), term by term."""
-        acc = dict(self._terms)
-        for rad, c in other._terms.items():
-            s = op(acc.get(rad, Fraction(0)), c)
+        """self op other for op in (add, sub), term by term over the lcm of
+        the two denominators."""
+        g = gcd(self._den, other._den)
+        a, b = other._den // g, self._den // g
+        acc = {r: n * a for r, n in self._num.items()}
+        for rad, n in other._num.items():
+            s = op(acc.get(rad, 0), n * b)
             if s:
                 acc[rad] = s
             else:
                 acc.pop(rad, None)
-        return SurdScalar(acc)
+        return _reduced(acc, self._den * a)
 
     def __add__(self, other) -> SurdScalar:
         other = _coerce(other)
@@ -138,7 +168,7 @@ class SurdScalar:
     __radd__ = __add__
 
     def __neg__(self) -> SurdScalar:
-        return SurdScalar({r: -c for r, c in self._terms.items()})
+        return _make({r: -n for r, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> SurdScalar:
         other = _coerce(other)
@@ -156,26 +186,27 @@ class SurdScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # a rational factor, put second, scales the other's coefficients and
+        # a rational factor, put second, scales the other's numerators and
         # leaves its radicands unchanged
         if self.is_rational():
             self, other = other, self
+        den = self._den * other._den
         if other.is_rational():
-            q = other._terms.get(1)
-            return SurdScalar({r: c * q for r, c in self._terms.items()} if q else {})
-        acc: dict[int, Fraction] = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in other._terms.items():
+            q = other._num.get(1)
+            return _reduced({r: n * q for r, n in self._num.items()} if q else {}, den)
+        acc: dict[int, int] = {}
+        for r1, n1 in self._num.items():
+            for r2, n2 in other._num.items():
                 # radicands are squarefree, so sqrt(r1)*sqrt(r2) = g*sqrt(t)
                 # with g = gcd(r1, r2) and t = (r1/g)*(r2/g) squarefree
                 g = gcd(r1, r2)
                 t = (r1 // g) * (r2 // g)
-                v = acc.get(t, Fraction(0)) + c1 * c2 * g
+                v = acc.get(t, 0) + n1 * n2 * g
                 if v:
                     acc[t] = v
                 else:
                     acc.pop(t, None)
-        return SurdScalar(acc)
+        return _reduced(acc, den)
 
     __rmul__ = __mul__
 
@@ -191,6 +222,12 @@ class SurdScalar:
             k >>= 1
         return out
 
+    def _reciprocal(self) -> SurdScalar:
+        """1/self for a nonzero rational self: numerator and denominator
+        swap places, and the sign moves to the new numerator."""
+        n = self._num[1]
+        return _make({1: self._den if n > 0 else -self._den}, abs(n))
+
     def inverse(self) -> SurdScalar:
         """Multiplicative inverse, by rationalizing over a coprime base.
 
@@ -204,14 +241,14 @@ class SurdScalar:
         if self.is_zero():
             raise SurdError("division by zero scalar")
         if self.is_rational():
-            return rat(1 / self.as_fraction())
+            return self._reciprocal()
         num, den = rat(1), self
-        for b in _coprime_base(r for r in self._terms if r > 1):
-            conj = SurdScalar({r: -c if r % b == 0 else c for r, c in den._terms.items()})
+        for b in _coprime_base(r for r in self._num if r > 1):
+            conj = _make({r: -n if r % b == 0 else n for r, n in den._num.items()}, den._den)
             num, den = num * conj, den * conj
         if not den.is_rational() or den.is_zero():
             raise SurdError(f"rationalization failed for {self}")
-        return num * rat(1 / den.as_fraction())
+        return num * den._reciprocal()
 
     def __truediv__(self, other) -> SurdScalar:
         other = _coerce(other)
@@ -234,51 +271,53 @@ class SurdScalar:
         enclosure, doubling the precision until it excludes zero (guaranteed
         to terminate since a nonzero canonical scalar is a nonzero real).
         """
-        if not self._terms:
+        if not self._num:
             return 0
-        if len(self._terms) == 1:
-            ((rad, c),) = self._terms.items()
-            return 1 if c > 0 else -1
+        if len(self._num) == 1:
+            ((rad, n),) = self._num.items()
+            return 1 if n > 0 else -1
         prec = 16
         while True:
-            lo, hi = self._interval(prec)
+            lo, hi = self._enclosure(prec)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             prec *= 2
 
-    def _interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
-        for rad, c in self._terms.items():
+    def _enclosure(self, prec: int) -> tuple[int, int]:
+        """Integers lo <= self * den * 2**prec <= hi, from the integer square
+        roots isqrt(r * 4**prec) <= sqrt(r) * 2**prec < isqrt(...) + 1."""
+        lo = hi = 0
+        for rad, n in self._num.items():
             if rad == 1:
-                lo += c
-                hi += c
+                lo += n << prec
+                hi += n << prec
                 continue
-            slo, shi = _sqrt_interval(rad, prec)
-            if c > 0:
-                lo += c * slo
-                hi += c * shi
+            s = isqrt(rad << (2 * prec))
+            if n > 0:
+                lo += n * s
+                hi += n * (s + 1)
             else:
-                lo += c * shi
-                hi += c * slo
+                lo += n * (s + 1)
+                hi += n * s
         return lo, hi
 
     def approx(self, digits: int = 30) -> Fraction:
         """A rational within 10**-digits of the true value."""
-        bound = Fraction(1, 10 ** digits)
         prec = 32
         while True:
-            lo, hi = self._interval(prec)
-            if hi - lo < bound:
-                return (lo + hi) / 2
+            lo, hi = self._enclosure(prec)
+            scale = self._den << prec
+            if (hi - lo) * 10 ** digits < scale:
+                return Fraction(lo + hi, 2 * scale)
             prec *= 2
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def _compare(self, other, test):
         """test(sign of self - other, 0) for test in (lt, le, gt, ge)."""
@@ -303,13 +342,13 @@ class SurdScalar:
         return -self if self.sign() < 0 else self
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __hash__(self) -> int:
         # equal values hash equally: a rational scalar hashes like its Fraction
         if self._hash is None:
             self._hash = (hash(self.as_fraction()) if self.is_rational()
-                          else hash(frozenset(self._terms.items())))
+                          else hash((self._den, frozenset(self._num.items()))))
         return self._hash
 
     def __float__(self) -> float:
@@ -318,12 +357,13 @@ class SurdScalar:
     def floor(self) -> int:
         """Exact integer floor."""
         if self.is_rational():
-            return self.as_fraction().numerator // self.as_fraction().denominator
+            return self._num.get(1, 0) // self._den
         prec = 32
         while True:
-            lo, hi = self._interval(prec)
-            flo = lo.numerator // lo.denominator
-            if flo == hi.numerator // hi.denominator:
+            lo, hi = self._enclosure(prec)
+            scale = self._den << prec
+            flo = lo // scale
+            if flo == hi // scale:
                 return flo
             prec *= 2
 
@@ -333,11 +373,13 @@ class SurdScalar:
     # -- serialization and display -------------------------------------------
 
     def to_triples(self) -> list[list[int]]:
-        """Canonical [radicand, numerator, denominator] triples, sorted."""
-        return [
-            [r, c.numerator, c.denominator]
-            for r, c in sorted(self._terms.items())
-        ]
+        """Canonical [radicand, numerator, denominator] triples, sorted, each
+        coefficient in lowest terms."""
+        out = []
+        for r, n in sorted(self._num.items()):
+            g = gcd(n, self._den)
+            out.append([r, n // g, self._den // g])
+        return out
 
     @classmethod
     def from_triples(cls, triples) -> SurdScalar:
@@ -359,10 +401,10 @@ class SurdScalar:
         return f"SurdScalar({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for r, c in sorted(self._terms.items()):
+        for r, c in sorted(self.terms.items()):
             body = str(c) if r == 1 else (f"{c}*v{r}" if c not in (1, -1) else f"{'-' if c < 0 else ''}v{r}")
             parts.append(body if not parts or body.startswith("-") else "+" + body)
         return "".join(parts).replace("v", "√")
@@ -392,15 +434,17 @@ def scalar(value) -> SurdScalar:
 
 
 def rat(value) -> SurdScalar:
-    """The rational scalar with the value of an int or a Fraction."""
-    q = Fraction(value)
-    return SurdScalar({1: q} if q else {})
+    """The rational scalar with the value of an int or a Fraction; anything
+    else (a float, a string) raises TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"rat needs an int or a Fraction, got {value!r}")
+    return _make({1: value.numerator} if value else {}, value.denominator)
 
 
 def sqrt(n: int) -> SurdScalar:
     """sqrt(n) for a positive integer n, reduced to s*sqrt(t)."""
     s, t = squarefree_decompose(n)
-    return SurdScalar({t: Fraction(s)})
+    return _make({t: s}, 1)
 
 
 def eliminate(matrix) -> tuple[list[list[Fraction]], Fraction]:

@@ -1,6 +1,7 @@
 import os
 import sys
 from fractions import Fraction
+from math import prod
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -11,17 +12,26 @@ from torusfill.surd import SurdScalar, rat
 from torusfill.torus import Lattice2, TorusError
 
 SMALL_RADICANDS = [1, 2, 3, 5, 6]
+LARGE_PRIMES = [2**31 - 1, 998244353, 1000000007, 2**61 - 1]
 
 
 @st.composite
-def surds(draw, radicands=None, max_terms=3):
+def surds(draw, radicands=None, max_terms=3, large=False):
+    """Scalars with coefficients num/den, |num| <= 9 and den <= 9; with
+    large=True, |num| <= 10**30 and den a small integer times up to two
+    primes from LARGE_PRIMES, so that operands share large factors."""
     rads = draw(st.lists(
         st.sampled_from(radicands or SMALL_RADICANDS),
         min_size=0, max_size=max_terms, unique=True))
     terms = []
     for r in rads:
-        num = draw(st.integers(min_value=-9, max_value=9))
-        den = draw(st.integers(min_value=1, max_value=9))
+        if large:
+            num = draw(st.integers(min_value=-10**30, max_value=10**30))
+            den = draw(st.integers(min_value=1, max_value=9)) * prod(
+                draw(st.lists(st.sampled_from(LARGE_PRIMES), max_size=2)))
+        else:
+            num = draw(st.integers(min_value=-9, max_value=9))
+            den = draw(st.integers(min_value=1, max_value=9))
         terms.append((r, Fraction(num, den)))
     return SurdScalar.from_terms(terms)
 

@@ -1,6 +1,7 @@
 import itertools
+import math
 import operator
-from decimal import Decimal, getcontext
+from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
 from math import prod
 
@@ -146,6 +147,30 @@ def test_floor_ceil():
     assert (-sqrt(2)).floor() == -2
     assert rat(Fraction(-7, 2)).floor() == -4
     assert rat(3).floor() == 3
+
+
+def oracle_floor(value):
+    """floor(value) from the 80-digit decimal evaluation, or from the exact
+    Fraction when the value is rational."""
+    if value.is_rational():
+        return math.floor(value.as_fraction())
+    return int(decimal_value(value, digits=80).to_integral_value(rounding=ROUND_FLOOR))
+
+
+@given(st.one_of(surds(), surds(large=True)))
+@settings(max_examples=80, deadline=None)
+def test_floor_ceil_match_decimal_oracle(v):
+    assert v.floor() == oracle_floor(v)
+    assert v.ceil() == -oracle_floor(-v)
+
+
+@pytest.mark.parametrize("a, b", [(99, 70), (577, 408), (665857, 470832)])
+def test_floor_ceil_of_pell_near_integers(a, b):
+    # a^2 - 2 b^2 = 1, so 0 < a - b*sqrt(2) = 1 / (a + b*sqrt(2)) < 1/(2a)
+    near = a - b * sqrt(2)
+    assert (near.floor(), near.ceil()) == (0, 1)
+    assert ((-near).floor(), (-near).ceil()) == (-1, 0)
+    assert oracle_floor(near) == 0 and oracle_floor(-near) == -1
 
 
 def test_decimal_rendering():
@@ -424,3 +449,65 @@ def test_float_operand_raises_type_error(op, value):
 def test_float_is_never_equal():
     assert not rat(1) == 1.0 and not 1.0 == rat(1)
     assert rat(1) != 1.0 and 1.0 != rat(1)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, "1/3", "2", Decimal("0.5"), None, 1j])
+def test_rat_accepts_only_int_or_fraction(value):
+    # Fraction(value) would read a float's binary value or parse a string
+    with pytest.raises(TypeError):
+        rat(value)
+
+
+def test_rat_of_int_and_fraction():
+    assert rat(3).to_triples() == [[1, 3, 1]]
+    assert rat(Fraction(-6, 4)).to_triples() == [[1, -3, 2]]
+    assert rat(0).is_zero() and rat(Fraction(0)).is_zero()
+
+
+# -- equal values are equal and hash equally, however they are built ---------
+
+def oracle_triples(terms):
+    return [[r, c.numerator, c.denominator] for r, c in sorted(terms.items())]
+
+
+def assert_same(x, y):
+    assert x == y and hash(x) == hash(y)
+    assert x.to_triples() == y.to_triples()
+
+
+@given(surds(large=True), surds(large=True), nonzero_surds(large=True))
+@settings(max_examples=80, deadline=None)
+def test_large_coefficients_equal_values_equal_and_hash_equally(a, b, c):
+    assert_same((a + b) - b, a)
+    if not b.is_zero():
+        assert_same(a * b / b, a)
+    assert_same(a / c + b / c, (a + b) / c)
+    for x, y in [(a, b), (a, c), (b, c)]:
+        tx, ty = oracle_terms(x), oracle_terms(y)
+        assert (x + y).to_triples() == oracle_triples(oracle_merge(tx, ty, 1))
+        assert (x - y).to_triples() == oracle_triples(oracle_merge(tx, ty, -1))
+        assert (x * y).to_triples() == oracle_triples(oracle_mul(tx, ty))
+        rational = SurdScalar.from_terms([(1, x.coefficient(1))])
+        assert hash(rational) == hash(x.coefficient(1))
+
+
+def test_no_fraction_built_per_operation(monkeypatch):
+    # operators work on integer numerators over one denominator; a Fraction
+    # per operation is what the representation avoids
+    a = rat(Fraction(3, 7)) - 2 * sqrt(2) + rat(Fraction(5, 11)) * sqrt(15)
+    b = 1 + sqrt(2) / 3 - sqrt(3)
+    q = Fraction(-5, 6)
+    original = Fraction.__new__
+    built = []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Fraction(1, 2) and built == [(1, 2)]  # the patch is live
+    built.clear()
+    results = [a + b, a - b, a * b, b * a, a + 1, 2 - a, a * q, q * a, a < b, a == b,
+               a == 1, a.sign(), b.sign(), a.floor(), b.ceil(), a.inverse(), b.inverse()]
+    assert built == []
+    assert results[8:11] == [True, False, False]
