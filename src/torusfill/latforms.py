@@ -26,7 +26,14 @@ class LatticeFormError(ValueError):
 
 
 class SearchExhausted(LatticeFormError):
-    """The implemented normalization branches did not apply."""
+    """A search of `normalize_basis` or `build_period_lattice` ran dry.
+
+    Their docstrings argue that neither can on valid input: the normaliser
+    always finds a candidate for an irrational form, and the perturbation
+    always finds a direction for a normalized one.  The raises stay as
+    guards, so a gap in either argument shows as this error and not as a
+    wrong certificate.
+    """
 
 
 # -- integer alternating matrices and polarization type -----------------------
@@ -213,10 +220,6 @@ class AlternatingSurdMatrix:
     def to_json(self):
         return {"n": 2, "upper": [x.to_triples() for x in self.upper]}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([SurdScalar.from_triples(x) for x in data["upper"]])
-
 
 def _off_one_rational_ray(values: list[SurdScalar]) -> bool:
     """True iff the nonzero values do not all lie on a single rational ray."""
@@ -272,7 +275,7 @@ def _postconditions_hold(b: AlternatingSurdMatrix) -> bool:
             and (b.entry(0, 2) * b.entry(1, 3) - b.entry(0, 3) * b.entry(1, 2)).sign() > 0)
 
 
-def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> NormalizationResult:
+def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
     """Normalize an irrational form per the two-condition contract.
 
     After a unimodular base change the returned matrix B' has (i) b'_12 and
@@ -281,12 +284,60 @@ def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> Normalizatio
     b'_13 b'_24 - b'_14 b'_23 > 0.  The omega^2 coefficient of U^T B U is
     det U times that of B, so the base change is one of the 12 permutations
     whose sign is the input's orientation (the sign of its omega^2
-    coefficient), followed by up to two transvections: its determinant equals
-    that orientation.
+    coefficient), followed by up to two transvections lambda_t += k lambda_s,
+    t and s on different sides of {1, 2 | 3, 4}, 1 <= |k| <= 10: its
+    determinant equals that orientation.
 
     Candidates are visited permutation first, then permutation and one
     transvection, then permutation and two transvections where the first
     already fixes condition (i); the first one meeting the contract wins.
+
+    Why some candidate always meets the contract.  Every candidate has
+    omega^2 coefficient V > 0, and V = b_13 b_24 - b_14 b_23 - b_12 b_34, so
+    (i) already gives the sign in (ii); what remains is (i) and the rank
+    (over Q) of the cross block (b_13, b_14, b_23, b_24).  One fixed odd
+    permutation flips V, and the odd permutations are it followed by the even
+    ones, so take V > 0 and even permutations.
+    - An even permutation moves to (b_12, b_34) the two entries of one of the
+      pairings {12|34}, {13|24}, {14|23} of the old indices (the pairing's
+      diagonal), in either order and either both negated or neither; the
+      other four entries, up to sign, form the cross block.
+    - Let d, d' be the diagonal, x, y a pairing's two cross entries and u, v
+      the other two.  Some listed transvection adds +-k y to d; it adds
+      +-k d' to x and leaves d', y, u and v alone.  With the permutation
+      that makes d' > 0 and the sign of k that moves d toward the sign of
+      d', the result meets the contract iff
+      (S) d + ky has the sign of d', for every |k| > |d| / |y|;
+      (I) d + ky and d' are rationally independent, which fails for at most
+          one k unless y and d lie in Q d';
+      (X) {u, v, y, x + k d'} has rank >= 2, which fails for at most one k
+          unless u, v, y, x and d' lie on one rational line.
+    - A pairing with diagonal (0, 0) has every nonzero entry in its cross
+      block, of rank >= 2 as the form is irrational: a permutation suffices.
+    - Otherwise let z be an entry of largest magnitude, R its pairing and
+      (z, w) R's diagonal.  Take a pairing P != R with a diagonal entry
+      d' not in Q z (so d' != 0), d the other one, and y = z.  As
+      |d| <= |z|, (S) holds for all 2 <= |k| <= 10; (I) and (X) each fail
+      for at most one k, since z, d' are independent.  One transvection
+      suffices.
+    - Else both pairings P != R have nonzero diagonals inside Q z, so R's
+      cross block lies in Q z and w does not, the form being irrational.
+      Let m be the largest magnitude in R's cross block.  Adding k y to z,
+      keeping w, with |y| = m: (I) and (X) hold for every k, as z + ky is in
+      Q z and x + kw is not; (S) holds for some |k| <= 10 if z and w have
+      one sign or 10 m > |z|.  Adding k w to the smaller entry d of a
+      P != R, keeping the larger d': (I) holds as d + kw is not in Q z, and
+      (X) holds as the third pairing's nonzero diagonal and w lie in the
+      new cross block; (S) holds for k = +-10 if 10 |w| > m >= |d|.
+    - Else z and w differ in sign and 10 |w| <= m.  Adding k y to w with
+      |y| = m and k = +-1 gives w the sign of z, and condition (i), leaving
+      the cross block in Q z.  A second transvection adding k y' to z, for
+      a nonzero cross entry y' and k of the sign that keeps the sign of z,
+      puts x' + kw' (x' paired with y') outside Q z next to y': the
+      contract holds after two transvections.
+    So the final SearchExhausted is unreachable for an irrational form; the
+    form with b_12 = 10, b_13 = b_14 = b_24 = 1, b_23 = -1 and
+    b_34 = -sqrt(2)/20 is one that needs two transvections.
     """
     if not b.is_irrational():
         raise LatticeFormError("form is rational; normalization needs an irrational form")
@@ -298,7 +349,7 @@ def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> Normalizatio
     transvections = [_transvection(target, source, k)
                      for target, source in ((1, 2), (1, 3), (3, 0), (2, 0),
                                             (3, 1), (2, 1), (0, 2), (0, 3))
-                     for k in range(-k_range, k_range + 1) if k]
+                     for k in range(-10, 11) if k]
 
     def extend(level):
         for path, m in level:
@@ -310,8 +361,7 @@ def normalize_basis(b: AlternatingSurdMatrix, k_range: int = 10) -> Normalizatio
         if _postconditions_hold(m):
             return NormalizationResult(m, reduce(_mat_mul_int, path), orientation)
     raise SearchExhausted(
-        "no combination of the implemented permutation/transvection branches "
-        f"normalized the form (search range {k_range})")
+        "no permutation followed by at most two transvections normalized the form")
 
 
 # -- period lattice construction ----------------------------------------------
@@ -372,13 +422,31 @@ class PeriodLatticeSolution:
         }
 
 
-def build_period_lattice(b: AlternatingSurdMatrix, max_rounds: int = 8) -> PeriodLatticeSolution:
+def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
     """Solve the six period equations for a normalized form.
 
     Starts from the feasible base point (p, q, r, s) = (b13, b23, b14, b24),
     perturbs it inside the compatibility hyperplane with fresh-radical
     directions until the quadruple is rationally independent, then reads off
     (x, y, u) by the closed formulas and fixes v and rho^2 by case.
+
+    Why the perturbation ends after at most two rounds.  By condition (ii)
+    the base point has rational rank >= 2, so its relation space R (the
+    rational n with n . (p, q, r, s) = 0) has dimension <= 2.  A round takes
+    the first relation n and direction w with n . w != 0 and moves the point
+    to x + t sqrt(P) w, for a rational t and a prime P dividing no radicand
+    used so far.  The entries of w and x lie in the field K of the used
+    square roots, and sqrt(P) is not in K, so a rational n' kills the new
+    point iff n' . x = 0 and n' . w = 0.  The new R is the part of the old
+    one orthogonal to w, which misses n, so each round lowers its dimension.
+    The base point lies in the open set {s b13 - q b14 > 0, p s - q r > 0}
+    (both read b13 b24 - b14 b23 > 0 there), each accepted point does too,
+    and the set is open, so halving t from 1 reaches it after finitely many
+    steps.  A relation pairing to zero with all six directions would be
+    normal to their span, which is the whole compatibility hyperplane when
+    b13 b24 != b14 b23; then (-b14, -b24, b13, b23) would be a multiple of
+    it, against condition (ii), so SearchExhausted does not fire here on a
+    normalized form.
     """
     b12, b13, b14 = b.entry(0, 1), b.entry(0, 2), b.entry(0, 3)
     b23, b24, b34 = b.entry(1, 2), b.entry(1, 3), b.entry(2, 3)
@@ -407,38 +475,23 @@ def build_period_lattice(b: AlternatingSurdMatrix, max_rounds: int = 8) -> Perio
         (rat(0), b13, b24, rat(0)),
     ]
 
-    rounds = 0
     while not rationally_independent([p, q, r, s]):
-        rounds += 1
-        if rounds > max_rounds:
-            raise SearchExhausted("perturbation search exhausted")
-        relations = rational_relations([p, q, r, s])
-        moved = False
-        for rel in relations:
-            for w in directions:
-                pairing = sum((rat(c) * wi for c, wi in zip(rel, w)), rat(0))
-                if pairing.is_zero():
-                    continue
-                prime = _fresh_prime(used)
-                radical = sqrt(prime)
-                t = rat(1)
-                for _ in range(64):
-                    cand = [old + t * radical * wi
-                            for old, wi in zip((p, q, r, s), w)]
-                    if in_open_set(*cand):
-                        break
-                    t = t / 2
-                else:
-                    continue
-                p, q, r, s = cand
-                used.add(prime)
-                fresh_used.append(prime)
-                moved = True
-                break
-            if moved:
-                break
-        if not moved:
+        w = next((w for rel in rational_relations([p, q, r, s]) for w in directions
+                  if not sum((rat(c) * wi for c, wi in zip(rel, w)), rat(0)).is_zero()),
+                 None)
+        if w is None:
             raise SearchExhausted("no perturbation direction kills the relations")
+        prime = _fresh_prime(used)
+        step = [sqrt(prime) * wi for wi in w]
+        t = rat(1)
+        while True:
+            cand = [old + t * dw for old, dw in zip((p, q, r, s), step)]
+            if in_open_set(*cand):
+                break
+            t = t / 2
+        p, q, r, s = cand
+        used.add(prime)
+        fresh_used.append(prime)
 
     d = p * s - q * r
     d_inv = d.inverse()

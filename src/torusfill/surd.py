@@ -65,6 +65,26 @@ def _coprime_base(ns) -> list[int]:
     return sorted(base)
 
 
+def _canonical(pairs) -> tuple[dict[int, int], int]:
+    """Numerators over one denominator for the sum of c * sqrt(r) over the
+    (r, c) pairs: radicands reduced to squarefree keys, zero terms dropped.
+    Each coefficient sum is in lowest terms and the denominator is the lcm of
+    theirs, so no prime divides it and every numerator."""
+    acc: dict[int, int | Fraction] = {}
+    for rad, coeff in pairs:
+        if type(rad) is not int:  # a float is not truncated; bool subclasses int
+            raise TypeError(f"radicand must be an integer, got {rad!r}")
+        if not isinstance(coeff, (int, Fraction)):  # as `rat`: no float, no string
+            raise TypeError(f"coefficient must be an int or a Fraction, got {coeff!r}")
+        if not coeff:
+            continue
+        s, t = squarefree_decompose(rad)
+        acc[t] = acc.get(t, 0) + coeff * s
+    terms = [(t, c) for t, c in acc.items() if c]
+    den = lcm(*(c.denominator for _, c in terms))
+    return {t: c.numerator * (den // c.denominator) for t, c in terms}, den
+
+
 def _make(num: dict[int, int], den: int) -> SurdScalar:
     """The scalar with numerators num over den, already canonical."""
     out = object.__new__(SurdScalar)
@@ -88,32 +108,20 @@ class SurdScalar:
 
     __slots__ = ("_num", "_den", "_hash")
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        # terms must already be canonical: squarefree keys, nonzero rationals
-        # in lowest terms, so that no prime divides the lcm of their
-        # denominators and every scaled numerator
-        terms = terms or {}
-        den = lcm(*(c.denominator for c in terms.values()))
-        self._num: dict[int, int] = {r: c.numerator * (den // c.denominator)
-                                     for r, c in terms.items()}
-        self._den: int = den
+    def __init__(self, terms: dict[int, int | Fraction] | None = None):
+        """The scalar sum of c * sqrt(r) over the items r: c of terms, put in
+        canonical form as `from_terms` does."""
+        self._num, self._den = _canonical((terms or {}).items())
         self._hash: int | None = None
 
     # -- constructors (see also `rat` and `sqrt`) ----------------------------
 
     @classmethod
     def from_terms(cls, pairs) -> SurdScalar:
-        """Canonicalize arbitrary (radicand, coefficient) pairs."""
-        acc: dict[int, Fraction] = {}
-        for rad, coeff in pairs:
-            if type(rad) is not int:  # a float is not truncated; bool subclasses int
-                raise TypeError(f"radicand must be an integer, got {rad!r}")
-            c = Fraction(coeff)
-            if not c:
-                continue
-            s, t = squarefree_decompose(rad)
-            acc[t] = acc.get(t, Fraction(0)) + c * s
-        return cls({t: c for t, c in acc.items() if c})
+        """Canonicalize arbitrary (radicand, coefficient) pairs.  A radicand
+        must be an int and a coefficient an int or a Fraction; anything else
+        raises TypeError."""
+        return _make(*_canonical(pairs))
 
     # -- inspection --------------------------------------------------------
 

@@ -281,6 +281,21 @@ def test_period_lattice_command(tmp_path, capsys):
     assert len(report["solution"]["rho_decimal_50"].split(".")[1]) == 50
 
 
+def test_period_lattice_of_far_from_boundary_form(tmp_path, capsys):
+    # b12 = -10^30 sqrt 3, b14 = -sqrt 2 + 10^10 sqrt 3, b23 = 2 sqrt 2: the
+    # perturbation needs more than 64 halvings of its step on each direction
+    # it tries, and a search capped there exited 2 on this valid form
+    matrix_file = tmp_path / "form.json"
+    matrix_file.write_text(json.dumps({"n": 2, "upper": [
+        [[3, -10**30, 1]], [], [[2, -1, 1], [3, 10**10, 1]], [[2, 2, 1]], [], []]}))
+    code, out, err = run_cli(["period-lattice", str(matrix_file)], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["no_curves"]["ok"]
+    assert len(report["no_curves"]["conditions"]) == 6
+    assert all(report["no_curves"]["conditions"].values())
+
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "period_lattice_golden.json").read_text())
 
 

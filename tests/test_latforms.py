@@ -282,39 +282,74 @@ def test_normalize_picks_same_base_change_as_dense_oracle(monkeypatch):
     forms = ([_random_surd_matrix(rng) for _ in range(20)]
              + [AlternatingSurdMatrix(upper) for upper in HAND_PICKED_FORMS])
 
-    def outcome(normalize, b, k_range):
-        try:
-            res = normalize(b, k_range)
-        except SearchExhausted:
-            return None
+    def outcome(normalize, b):
+        res = normalize(b)
         return [x.to_triples() for x in res.matrix.upper], res.base_change, res.determinant
 
-    found = {k_range: [outcome(normalize_basis, b, k_range) for b in forms]
-             for k_range in (1, 10)}
-    for k_range, outcomes in found.items():
-        assert [outcome(three_pass_normalize, b, k_range) for b in forms] == outcomes
-    assert all(found[10])
+    found = [outcome(normalize_basis, b) for b in forms]
+    assert [outcome(three_pass_normalize, b) for b in forms] == found
     # both orientations occur, so the determinant is exercised as -1 and +1
-    assert {det for _, _, det in found[10]} == {-1, 1}
+    assert {det for _, _, det in found} == {-1, 1}
     monkeypatch.setattr(AlternatingSurdMatrix, "conjugated", dense_conjugated)
-    assert [outcome(normalize_basis, b, 10) for b in forms] == found[10]
+    assert [outcome(normalize_basis, b) for b in forms] == found
+
+
+def no_candidate_up_to_one_transvection(b, k_range):
+    """True iff no permutation, alone or followed by one transvection of any
+    source and target with |k| <= k_range, meets the contract."""
+    starts = [b.conjugated(_perm_matrix(perm)) for perm in permutations(range(4))]
+    return (not any(_postconditions_hold(m) for m in starts)
+            and not any(_postconditions_hold(m.conjugated(_transvection(target, source, k)))
+                        for m in starts for target in range(4) for source in range(4)
+                        if target != source
+                        for k in range(-k_range, k_range + 1) if k))
 
 
 def test_normalize_depth_two_branch_is_reached():
-    # at k_range 1 no permutation, alone or followed by one transvection
-    # (of any source and target), meets the contract; the depth-2 branch does
+    # at k_range 1 no permutation, alone or followed by one transvection,
+    # meets the contract; the oracle's depth-2 pass does
     b = AlternatingSurdMatrix([1, sqrt(2), sqrt(2), sqrt(2), -sqrt(2), sqrt(2)])
-    starts = [b.conjugated(_perm_matrix(perm)) for perm in permutations(range(4))]
-    assert not any(_postconditions_hold(m) for m in starts)
-    assert not any(_postconditions_hold(m.conjugated(_transvection(target, source, k)))
-                   for m in starts for target in range(4) for source in range(4)
-                   if target != source for k in (-1, 1))
-    res = normalize_basis(b, k_range=1)
+    assert no_candidate_up_to_one_transvection(b, 1)
     expected = [[0, 1, 0, 0], [1, 0, 0, -1], [0, 1, 1, 0], [0, 0, 0, 1]]
+    res = three_pass_normalize(b, k_range=1)
     assert res.base_change == expected
-    assert three_pass_normalize(b, k_range=1).base_change == expected
     assert _postconditions_hold(res.matrix)
     assert dense_conjugated(b, expected).upper == res.matrix.upper
+
+
+def test_normalize_needs_two_transvections_at_default_range():
+    # the family that normalize_basis names in its docstring: every entry but
+    # b34 is rational, the largest one (b12) and b34 have opposite signs,
+    # 10 * max|b13, b14, b23, b24| <= |b12| and 10 |b34| <= max|...|, so no
+    # single transvection with |k| <= 10 helps and two do
+    b = AlternatingSurdMatrix([10, 1, 1, -1, 1, -sqrt(2) / 20])
+    assert no_candidate_up_to_one_transvection(b, 10)
+    res = normalize_basis(b)
+    expected = [[1, 0, 0, -10], [0, 1, 0, 0], [0, -9, 1, 0], [0, 0, 0, 1]]
+    assert res.base_change == expected
+    assert three_pass_normalize(b).base_change == expected
+    assert _postconditions_hold(res.matrix)
+    assert dense_conjugated(b, expected).upper == res.matrix.upper
+    assert verify_no_curves(build_period_lattice(res.matrix)).ok
+
+
+def test_normalize_matches_oracle_on_small_entry_forms():
+    # a seeded sample of the irrational nondegenerate forms with entries in
+    # {0, +-1, +-sqrt 2, +-(1 + sqrt 2)}
+    values = [rat(0), rat(1), rat(-1), sqrt(2), -sqrt(2), 1 + sqrt(2), -1 - sqrt(2)]
+    rng = random.Random(20261018)
+    forms = []
+    while len(forms) < 200:
+        try:
+            b = AlternatingSurdMatrix([rng.choice(values) for _ in range(6)])
+        except LatticeFormError:
+            continue
+        if b.is_irrational():
+            forms.append(b)
+    for b in forms:
+        res, oracle = normalize_basis(b), three_pass_normalize(b)
+        assert res.matrix.to_json() == oracle.matrix.to_json(), b.upper
+        assert (res.base_change, res.determinant) == (oracle.base_change, oracle.determinant)
 
 
 def test_permutation_sign_is_the_determinant():
@@ -483,6 +518,41 @@ def test_integer_relation_search_matches_grid_on_corpus():
         values = [-sol.r, sol.p, -sol.s, sol.q]
         assert _integer_relation_exists(values, 20) == grid_relation_exists(values, 20)
         done += 1
+
+
+WIDE_MAGNITUDES = [1, 2, 3, 10**10, 10**20, 10**30]
+
+# draws of wide_magnitude_form from random.Random(3) on which the first
+# perturbation direction needs more than 64 halvings and no later direction
+# does better: a search capped at 64 halvings per direction gave up on them
+CAPPED_HALVING_DRAWS = [302, 377, 627, 635, 772, 780, 811, 922, 959, 1113, 1243,
+                        1276, 1326, 1367, 1380, 1410, 1416]
+
+
+def wide_magnitude_form(rng) -> AlternatingSurdMatrix:
+    """Entries sum +-m sqrt(r) over r in {1, 2, 3, 5}, each term drawn with
+    probability 0.3, m from WIDE_MAGNITUDES; irrational and nondegenerate."""
+    while True:
+        upper = [sum((rat(rng.choice((-1, 1)) * rng.choice(WIDE_MAGNITUDES)) * sqrt(r)
+                      for r in (1, 2, 3, 5) if rng.random() < 0.3), rat(0))
+                 for _ in range(6)]
+        try:
+            m = AlternatingSurdMatrix(upper)
+        except LatticeFormError:
+            continue
+        if m.is_irrational():
+            return m
+
+
+def test_period_lattices_of_wide_magnitude_forms():
+    rng = random.Random(3)
+    draws = [wide_magnitude_form(rng) for _ in range(1500)]
+    for b in draws[:100] + [draws[i] for i in CAPPED_HALVING_DRAWS]:
+        sol = build_period_lattice(normalize_basis(b).matrix)
+        # at most two perturbation rounds, plus rho^2's prime in the zero case
+        assert len(sol.fresh_radicals) <= 2 + sol.zero_case
+        cert = verify_no_curves(sol)
+        assert cert.ok, (cert.failed(), b.upper)
 
 
 def test_cone_predicates():

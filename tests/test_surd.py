@@ -458,6 +458,24 @@ def test_rat_accepts_only_int_or_fraction(value):
         rat(value)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, "1/3", "2", Decimal("0.5"), None, 1j])
+def test_from_terms_accepts_only_int_or_fraction_coefficients(value):
+    # as for rat: no float read at its binary value, no string parsed
+    with pytest.raises(TypeError):
+        SurdScalar.from_terms([(2, value)])
+    with pytest.raises(TypeError):
+        SurdScalar({2: value})
+
+
+def test_constructor_canonicalizes_like_from_terms():
+    four = SurdScalar({4: Fraction(1)})
+    assert four == rat(2) and hash(four) == hash(rat(2)) and str(four) == "2"
+    mixed = SurdScalar({8: 3, 2: Fraction(1, 2), 3: 0})
+    assert mixed == SurdScalar.from_terms([(8, 3), (2, Fraction(1, 2))]) == Fraction(13, 2) * sqrt(2)
+    assert hash(mixed) == hash(Fraction(13, 2) * sqrt(2))
+    assert SurdScalar({2: 1, 8: Fraction(-1, 2)}).is_zero() and SurdScalar().is_zero()
+
+
 def test_rat_of_int_and_fraction():
     assert rat(3).to_triples() == [[1, 3, 1]]
     assert rat(Fraction(-6, 4)).to_triples() == [[1, -3, 2]]
