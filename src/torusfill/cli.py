@@ -3,14 +3,13 @@
 Exit codes: 0 = success / verified, 1 = verification failed (a report is
 still printed), 2 = malformed input.  Exact scalars are serialized as
 [radicand, numerator, denominator] triples; decimals appear only in
-human-readable report fields (TORUSFILL_PRECISION digits, default 30).
+human-readable report fields, with 30 digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -33,13 +32,6 @@ from .seshadri import SeshadriError, pell_min, table
 
 class InputError(ValueError):
     pass
-
-
-def _precision() -> int:
-    try:
-        return max(1, int(os.environ.get("TORUSFILL_PRECISION", "30")))
-    except ValueError:
-        return 30
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -115,7 +107,6 @@ def cmd_verify(args) -> int:
     area = region.area()
     covol = lattice.covolume()
     fraction = area / covol if verdict.ok else None
-    digits = _precision()
     report = {
         "input": args.region,
         "lattice": lattice.to_json(),
@@ -126,7 +117,7 @@ def cmd_verify(args) -> int:
         "area": area.to_triples(),
         "covolume": covol.to_triples(),
         "covered_fraction": fraction.to_triples() if fraction is not None else None,
-        "covered_fraction_decimal": fraction.decimal(digits) if fraction is not None else None,
+        "covered_fraction_decimal": fraction.decimal(30) if fraction is not None else None,
         "collisions": verdict.to_json()["collisions"],
         "timings": {"seconds": round(time.perf_counter() - t0, 6)},
     }

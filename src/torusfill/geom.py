@@ -94,10 +94,6 @@ class ConvexPolygon:
             self._box = min(xs), max(xs), min(ys), max(ys)
         return self._box
 
-    def contains(self, p: Point2) -> bool:
-        """True iff p is interior (open polygon)."""
-        return all(_orient(a, b, p) > 0 for a, b in self.edges())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ConvexPolygon) and self.vertices == other.vertices
 
@@ -215,11 +211,6 @@ def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     return result
 
 
-def overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> SurdScalar:
-    c = clip(a, b)
-    return rat(0) if c is None else c.area()
-
-
 class Region:
     """Finite union of convex polygons whose pairwise overlaps have zero area."""
 
@@ -261,19 +252,6 @@ class Region:
     @classmethod
     def from_json(cls, data) -> "Region":
         return cls([ConvexPolygon.from_json(p) for p in data["polygons"]])
-
-
-def region_overlap_area(a: Region, b: Region) -> SurdScalar:
-    total = rat(0)
-    for p in a.pieces:
-        for q in b.pieces:
-            total = total + overlap_area(p, q)
-    return total
-
-
-def symmetric_difference_area(a: Region, b: Region) -> SurdScalar:
-    """area(a) + area(b) - 2*overlap; zero iff the regions agree a.e."""
-    return a.area() + b.area() - rat(2) * region_overlap_area(a, b)
 
 
 class AffineMap2:

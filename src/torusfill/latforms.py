@@ -50,12 +50,17 @@ def _mat_mul_int(a, b):
 
 
 class AlternatingIntMatrix:
-    """Antisymmetric nondegenerate integer matrix of even size."""
+    """Antisymmetric nondegenerate integer matrix of even size.  An entry
+    that is not an int (a float, a bool, a string) raises TypeError."""
 
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        m = [list(map(int, row)) for row in entries]
+        m = [list(row) for row in entries]
+        for row in m:
+            for e in row:
+                if type(e) is not int:
+                    raise TypeError(f"matrix entries must be integers, got {e!r}")
         self.n = len(m)
         if self.n % 2 or any(len(row) != self.n for row in m):
             raise LatticeFormError("need a square matrix of even size")

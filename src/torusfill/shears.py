@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .surd import SurdScalar, rat, scalar
-from .geom import (
-    AffineMap2,
-    ConvexPolygon,
-    Point2,
-    Region,
-    clip_halfplane,
-    pt,
-)
+from .geom import AffineMap2, ConvexPolygon, Region, clip_halfplane, pt
 
 
 class ShearError(ValueError):
@@ -119,11 +112,6 @@ class PLFunction:
     def is_continuous(self) -> bool:
         return all(j.is_zero() for j in self.jumps)
 
-    def is_unit_profile(self) -> bool:
-        """Continuous and nondecreasing with slopes in [0, 1] (a u+/v+ profile)."""
-        return self.is_continuous() and all(
-            s.sign() >= 0 and (s - 1).sign() <= 0 for s in self.slopes)
-
     def to_json(self):
         data = {
             "breakpoints": [b.to_triples() for b in self.breakpoints],
@@ -164,9 +152,6 @@ class Shear:
             return AffineMap2(((1, s), (0, 1)), pt(c, 0))
         return AffineMap2(((1, 0), (s, 1)), pt(0, c))
 
-    def _coord(self, p: Point2) -> SurdScalar:
-        return p.x2 if self.axis == "x1" else p.x1
-
     def _clip_to_slab(self, poly: ConvexPolygon, lo, hi) -> ConvexPolygon | None:
         """Clip to lo <= coordinate <= hi; a bound of None is not clipped."""
         out = poly
@@ -204,19 +189,17 @@ class Shear:
 
     def reflect_x1(self) -> "Shear":
         """Conjugate by (x1, x2) -> (-x1, x2)."""
-        f = self.f
-        if self.axis == "x1":
-            g = PLFunction(f.breakpoints, [-s for s in f.slopes],
-                           anchor=(f.anchor[0], -f.anchor[1]),
-                           jumps=[-j for j in f.jumps])
-        else:
-            g = _precompose_neg(f)
-        return Shear(self.axis, g)
+        return self._reflect("x1")
 
     def reflect_x2(self) -> "Shear":
         """Conjugate by (x1, x2) -> (x1, -x2)."""
+        return self._reflect("x2")
+
+    def _reflect(self, flipped: str) -> "Shear":
+        """Conjugate by negating the `flipped` coordinate: f is negated when
+        that is the shear's own axis, and precomposed with x -> -x otherwise."""
         f = self.f
-        if self.axis == "x2":
+        if self.axis == flipped:
             g = PLFunction(f.breakpoints, [-s for s in f.slopes],
                            anchor=(f.anchor[0], -f.anchor[1]),
                            jumps=[-j for j in f.jumps])
@@ -239,22 +222,6 @@ def _precompose_neg(f: PLFunction) -> PLFunction:
     jumps = [-j for j in reversed(f.jumps)]
     x0 = f.anchor[0]
     return PLFunction(bps, slopes, anchor=(-x0, f.anchor[1]), jumps=jumps)
-
-
-def plane_image(shear: Shear, region: Region) -> Region:
-    """Image of a region, split along slab boundaries; exact and area-preserving."""
-    return Region([shear.slab_plane_map(i).apply_polygon(part)
-                   for piece in region.pieces for i, part in shear.split(piece)])
-
-
-def moved_set(shear: Shear, region: Region) -> Region:
-    """Sub-region of `region` on which the planar shear is not the identity.
-
-    Computed at slab granularity: all slabs whose local offset function is not
-    identically zero, clipped to the region.
-    """
-    return Region([part for piece in region.pieces
-                   for i, part in shear.split(piece) if not shear.f.slab_is_identity(i)])
 
 
 @dataclass
@@ -342,18 +309,6 @@ def _mat4(rows):
     return tuple(tuple(scalar(e) for e in row) for row in rows)
 
 
-def _mat4_mul(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(4) if a[i][k] and b[k][j]), rat(0))
-              for j in range(4))
-        for i in range(4)
-    )
-
-
-def _mat4_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
-
-
 def jacobian_4d(axis: str, slope) -> tuple:
     s = scalar(slope)
     if axis == "x1":
@@ -362,7 +317,11 @@ def jacobian_4d(axis: str, slope) -> tuple:
 
 
 def is_symplectic_4d(j) -> bool:
-    return _mat4_mul(_mat4_transpose(j), _mat4_mul(_mat4(OMEGA0), j)) == _mat4(OMEGA0)
+    """J^T Omega0 J = Omega0.  Both sides are antisymmetric, so only the six
+    entries above the diagonal are compared; entry (a, b) of the left side is
+    the symplectic pairing of columns a and b of J."""
+    return all(j[0][a] * j[2][b] - j[2][a] * j[0][b] + j[1][a] * j[3][b] - j[3][a] * j[1][b]
+               == OMEGA0[a][b] for a in range(4) for b in range(a + 1, 4))
 
 
 @dataclass
@@ -398,13 +357,3 @@ def induced_4d_check(shear: Shear) -> SymplecticityRecord:
         j = jacobian_4d(shear.axis, slope)
         slabs.append(SlabSymplecticity(i, slope, is_symplectic_4d(j)))
     return SymplecticityRecord(shear.axis, slabs)
-
-
-def fiber_parallelogram(shear: Shear, at: Point2) -> AffineMap2:
-    """The y-plane map over `at`; at a breakpoint the right-hand slab is used."""
-    x = shear._coord(at)
-    i = shear.f._slab_index(x)
-    s = shear.f.slopes[i]
-    if shear.axis == "x1":
-        return AffineMap2(((1, 0), (-s, 1)), pt(0, 0))
-    return AffineMap2(((1, -s), (0, 1)), pt(0, 0))

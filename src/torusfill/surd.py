@@ -450,9 +450,9 @@ def rat(value) -> SurdScalar:
 
 
 def sqrt(n: int) -> SurdScalar:
-    """sqrt(n) for a positive integer n, reduced to s*sqrt(t)."""
-    s, t = squarefree_decompose(n)
-    return _make({t: s}, 1)
+    """sqrt(n) for a positive integer n, reduced to s*sqrt(t); anything but
+    an int (a float, a bool) raises TypeError, as in `from_terms`."""
+    return SurdScalar.from_terms([(n, 1)])
 
 
 def eliminate(matrix) -> tuple[list[list[Fraction]], Fraction]:

@@ -7,7 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st
 
-from torusfill.geom import Region, pt, rectangle, region_overlap_area
+from torusfill.geom import ConvexPolygon, Point2, Region, clip, pt, rectangle
 from torusfill.surd import SurdScalar, rat
 from torusfill.torus import Lattice2, TorusError
 
@@ -49,6 +49,31 @@ def rationals(draw, bound=9):
     num = draw(st.integers(min_value=-bound, max_value=bound))
     den = draw(st.integers(min_value=1, max_value=bound))
     return Fraction(num, den)
+
+
+# -- overlap areas and interior points, as oracles ----------------------------
+
+def contains(poly: ConvexPolygon, p: Point2) -> bool:
+    """True iff p is interior to the (open) polygon."""
+    return all((b - a).cross(p - a).sign() > 0 for a, b in poly.edges())
+
+
+def overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> SurdScalar:
+    c = clip(a, b)
+    return rat(0) if c is None else c.area()
+
+
+def region_overlap_area(a: Region, b: Region) -> SurdScalar:
+    total = rat(0)
+    for p in a.pieces:
+        for q in b.pieces:
+            total = total + overlap_area(p, q)
+    return total
+
+
+def symmetric_difference_area(a: Region, b: Region) -> SurdScalar:
+    """area(a) + area(b) - 2*overlap; zero iff the regions agree a.e."""
+    return a.area() + b.area() - rat(2) * region_overlap_area(a, b)
 
 
 SKEW = Lattice2(pt(1, 0), pt(Fraction(1, 2), 1))

@@ -15,7 +15,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from conftest import candidate_vectors
+from conftest import candidate_vectors, region_overlap_area, symmetric_difference_area
 from torusfill.cli import main as cli_main
 from torusfill.fillings import (
     cube_filling,
@@ -27,7 +27,7 @@ from torusfill.fillings import (
     theorem1_constants,
     theorem1_filling,
 )
-from torusfill.geom import AffineMap2, pt, region_overlap_area, symmetric_difference_area
+from torusfill.geom import AffineMap2, pt
 from torusfill.latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import region_overlap_area, symmetric_difference_area
 from torusfill.fillings import (
     DistortedDiamond,
     FillingError,
@@ -22,8 +23,6 @@ from torusfill.geom import (
     ConvexPolygon,
     Region,
     pt,
-    region_overlap_area,
-    symmetric_difference_area,
 )
 from torusfill.shears import ShearSequence, check_composable
 from torusfill.surd import rat, sqrt

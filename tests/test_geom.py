@@ -4,7 +4,15 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import SKEW, candidate_vectors, rationals, skewed_doubled_regions
+from conftest import (
+    SKEW,
+    candidate_vectors,
+    overlap_area,
+    rationals,
+    region_overlap_area,
+    skewed_doubled_regions,
+    symmetric_difference_area,
+)
 from torusfill.geom import (
     AffineMap2,
     ConvexPolygon,
@@ -16,12 +24,9 @@ from torusfill.geom import (
     _orient,
     clip,
     clip_halfplane,
-    overlap_area,
     pt,
     rectangle,
-    region_overlap_area,
     shoelace,
-    symmetric_difference_area,
 )
 from torusfill.surd import rat, sqrt
 from torusfill.torus import injects
@@ -156,17 +161,6 @@ def test_clip_bounds_and_symmetry(a, b):
     assert ab == overlap_area(b, a)
     assert ab <= a.area() and ab <= b.area()
     assert ab.sign() >= 0
-
-
-@given(triangles(), triangles())
-@settings(max_examples=50, deadline=None)
-def test_clip_area_matches_shapely_oracle(a, b):
-    shapely = pytest.importorskip("shapely.geometry")
-    poly_a = shapely.Polygon([(float(v.x1), float(v.x2)) for v in a.vertices])
-    poly_b = shapely.Polygon([(float(v.x1), float(v.x2)) for v in b.vertices])
-    expected = poly_a.intersection(poly_b).area
-    exact = float(overlap_area(a, b))
-    assert abs(exact - expected) < 1e-9
 
 
 @given(triangles())

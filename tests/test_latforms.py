@@ -183,6 +183,15 @@ def test_alternating_matrix_validation():
         AlternatingIntMatrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 0]])
 
 
+@pytest.mark.parametrize("upper, lower", [(1.7, -1.7), (1.0, -1.0), (True, -1), ("1", "-1"),
+                                          (Fraction(1), Fraction(-1))])
+def test_alternating_matrix_accepts_only_int_entries(upper, lower):
+    # int() would truncate [[0, 1.7], [-1.7, 0]] to a matrix of type (1,)
+    with pytest.raises(TypeError):
+        AlternatingIntMatrix([[0, upper], [lower, 0]])
+    assert polarization_type(AlternatingIntMatrix([[0, 1], [-1, 0]]))[0] == (1,)
+
+
 def test_surd_matrix_basics():
     b = AlternatingSurdMatrix([1, sqrt(2), 0, 0, 1, 1])
     assert b.entry(0, 1) == rat(1)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torusfill.shears as shears_module
-from conftest import rationals
+from conftest import contains, rationals, symmetric_difference_area
 from torusfill.fillings import certify
 from torusfill.geom import (
     AffineMap2,
@@ -16,7 +16,6 @@ from torusfill.geom import (
     clip_halfplane,
     pt,
     rectangle,
-    symmetric_difference_area,
 )
 from torusfill.shears import (
     OMEGA0,
@@ -27,11 +26,9 @@ from torusfill.shears import (
     ShearSequence,
     Violation,
     check_composable,
-    fiber_parallelogram,
     induced_4d_check,
+    is_symplectic_4d,
     jacobian_4d,
-    moved_set,
-    plane_image,
 )
 from torusfill.surd import rat, sqrt
 from torusfill.torus import Lattice2
@@ -48,6 +45,11 @@ def ramp() -> PLFunction:
     """0 on [-1/3, 1/3], slope 1 outside."""
     third = Fraction(1, 3)
     return PLFunction([-third, third], [1, 0, 1], anchor=(0, 0))
+
+
+def image_under(shear, region) -> Region:
+    """The region pushed through one shear, as `check_composable` reports it."""
+    return check_composable(ShearSequence([shear], region)).final
 
 
 def test_pl_function_evaluation():
@@ -68,16 +70,6 @@ def test_pl_function_validation():
         PLFunction([0], [1, 1], anchor=(0, 0))  # anchor on a breakpoint
 
 
-def test_unit_profile_flag():
-    profile = PLFunction([0, Fraction(3, 2)], [Fraction(1, 2), 1, Fraction(1, 3)],
-                         anchor=(1, Fraction(1, 2)))
-    assert profile.is_unit_profile()
-    assert not PLFunction.linear(2).is_unit_profile()
-    assert not PLFunction.linear(Fraction(-1, 2)).is_unit_profile()
-    jumpy = PLFunction([0], [0, 0], anchor=(1, 0), jumps=[1])
-    assert not jumpy.is_unit_profile()
-
-
 def test_pl_function_with_jumps():
     f = PLFunction([0, 1], [Fraction(1, 2), 0, Fraction(1, 2)],
                    anchor=(Fraction(1, 2), 0),
@@ -91,15 +83,15 @@ def test_pl_function_with_jumps():
 def test_identity_shear_fixes_region():
     reg = diamond_region(Fraction(4, 3))
     shear = Shear("x1", PLFunction.constant(0))
-    assert symmetric_difference_area(plane_image(shear, reg), reg).is_zero()
-    assert moved_set(shear, reg).area().is_zero()
+    assert symmetric_difference_area(image_under(shear, reg), reg).is_zero()
+    assert full_slab_moved_set(shear, reg).area().is_zero()
 
 
 def test_example2_shear_moves_upper_triangle():
     # the x1-shear that is 0 on [-1/3, 1/3] with slope 1 outside moves the
     # apex (0, 2/3) of the size-4/3 diamond to (1/3, 2/3)
     reg = diamond_region(Fraction(4, 3))
-    image = plane_image(Shear("x1", ramp()), reg)
+    image = image_under(Shear("x1", ramp()), reg)
     third, two_thirds = Fraction(1, 3), Fraction(2, 3)
     upper = ConvexPolygon([pt(-third, third), pt(third, third), pt(third, two_thirds)])
     assert any(piece == upper for piece in image.pieces)
@@ -108,10 +100,10 @@ def test_example2_shear_moves_upper_triangle():
 
 def test_moved_set_examples():
     reg = diamond_region(Fraction(4, 3))
-    moved = moved_set(Shear("x1", ramp()), reg)
+    moved = full_slab_moved_set(Shear("x1", ramp()), reg)
     # the two triangles |x2| > 1/3, each of base 2/3 and height 1/3
     assert moved.area() == rat(Fraction(2, 9))
-    full = moved_set(Shear("x1", PLFunction.linear(1)), reg)
+    full = full_slab_moved_set(Shear("x1", PLFunction.linear(1)), reg)
     assert full.area() == reg.area()
 
 
@@ -120,7 +112,7 @@ def test_plane_image_preserves_area():
     f = PLFunction([Fraction(-1, 2), Fraction(1, 4)], [2, Fraction(-1, 3), 0],
                    anchor=(0, Fraction(1, 7)))
     for axis in ("x1", "x2"):
-        assert plane_image(Shear(axis, f), reg).area() == reg.area()
+        assert image_under(Shear(axis, f), reg).area() == reg.area()
 
 
 def test_check_composable_single_and_pair():
@@ -143,21 +135,25 @@ def test_check_composable_violation():
     assert report.violations[0].overlap == rat(1)
 
 
-def test_jacobians_symplectic_by_direct_product():
-    # independent 4x4 product over Fractions
+def dense_is_symplectic(j) -> bool:
+    """J^T Omega0 J == Omega0, by the two full 4x4 products."""
     def matmul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)]
+        return [[sum(a[i][k] * b[k][c] for k in range(4)) for c in range(4)]
                 for i in range(4)]
 
+    omega = [list(row) for row in OMEGA0]
+    return matmul([list(col) for col in zip(*j)], matmul(omega, j)) == omega
+
+
+def test_jacobians_symplectic_by_direct_product():
+    # independent 4x4 product over Fractions
     for axis, slope in (("x1", Fraction(0)), ("x1", Fraction(7, 3)),
                         ("x2", Fraction(-5, 2)), ("x2", Fraction(1))):
         if axis == "x1":
             j = [[1, slope, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -slope, 1]]
         else:
             j = [[1, 0, 0, 0], [slope, 1, 0, 0], [0, 0, 1, -slope], [0, 0, 0, 1]]
-        jt = [list(row) for row in zip(*j)]
-        omega = [list(row) for row in OMEGA0]
-        assert matmul(jt, matmul(omega, j)) == omega
+        assert dense_is_symplectic(j)
         lib = jacobian_4d(axis, slope)
         assert [[float(e) for e in row] for row in lib] == [[float(e) for e in row] for row in j]
 
@@ -170,28 +166,33 @@ def test_induced_4d_check_all_slabs():
         assert len(record.slabs) == 4
 
 
-def test_fiber_parallelogram():
-    shear = Shear("x1", ramp())
-    ident = fiber_parallelogram(shear, pt(0, 0))
-    assert ident.linear == (((rat(1)), rat(0)), (rat(0), rat(1)))
-    steep = fiber_parallelogram(shear, pt(0, 1))
-    assert steep.linear[1][0] == rat(-1)
-    # at a breakpoint the right-hand slab applies
-    assert fiber_parallelogram(shear, pt(0, Fraction(1, 3))).linear[1][0] == rat(-1)
-    assert fiber_parallelogram(shear, pt(0, Fraction(-1, 3))).linear[1][0] == rat(0)
-    assert fiber_parallelogram(Shear("x2", ramp()), pt(1, 0)).linear[0][1] == rat(-1)
+def test_slab_check_rejects_non_symplectic_jacobians():
+    j = [list(row) for row in jacobian_4d("x1", 2)]
+    assert is_symplectic_4d(j)
+    j[3][2] = rat(2)  # the lift's entry is -2
+    assert not is_symplectic_4d(j)
+    # every one-entry change of a lift gets the verdict of the full product
+    verdicts = Counter()
+    for axis in ("x1", "x2"):
+        for a in range(4):
+            for b in range(4):
+                j = [list(row) for row in jacobian_4d(axis, sqrt(2))]
+                j[a][b] = j[a][b] + 1
+                verdicts[is_symplectic_4d(j)] += 1
+                assert is_symplectic_4d(j) == dense_is_symplectic(j)
+    assert verdicts[True] and verdicts[False]
 
 
 def test_shear_reflections():
     f = ramp()
     shear = Shear("x1", f)
     reg = diamond_region(Fraction(4, 3))
-    image = plane_image(shear, reg)
-    mirrored = plane_image(shear.reflect_x1(), reg)
+    image = image_under(shear, reg)
+    mirrored = image_under(shear.reflect_x1(), reg)
     flip = lambda r: Region([ConvexPolygon([pt(-v.x1, v.x2) for v in p.vertices])
                              for p in r.pieces])
     assert symmetric_difference_area(flip(image), mirrored).is_zero()
-    mirrored2 = plane_image(shear.reflect_x2(), reg)
+    mirrored2 = image_under(shear.reflect_x2(), reg)
     flip2 = lambda r: Region([ConvexPolygon([pt(v.x1, -v.x2) for v in p.vertices])
                               for p in r.pieces])
     assert symmetric_difference_area(flip2(image), mirrored2).is_zero()
@@ -214,7 +215,7 @@ def test_shear_json_round_trip():
 def test_moved_and_fixed_sets_partition_region():
     reg = diamond_region(Fraction(4, 3))
     shear = Shear("x1", ramp())
-    moved = moved_set(shear, reg)
+    moved = full_slab_moved_set(shear, reg)
     fixed_area = rat(0)
     for piece in reg.pieces:
         for i in range(shear.f.num_slabs):
@@ -248,7 +249,7 @@ def test_composite_agrees_with_pointwise_map():
         if any(q.x1 == bp for bp in neg.breakpoints):
             continue
         image = pt(q.x1, q.x2 + neg.value(q.x1))
-        assert any(piece.contains(image) or any(v == image for v in piece.vertices)
+        assert any(contains(piece, image) or any(v == image for v in piece.vertices)
                    or _on_boundary(piece, image)
                    for piece in final.pieces)
         checked += 1
@@ -272,7 +273,7 @@ def test_random_shears_preserve_area_and_symplecticity(b0, slope, axis):
     f = PLFunction(breakpoints, [slope, 0, -slope], anchor=(b0 + Fraction(1, 2), 0))
     reg = Region([rectangle(-2, 2, -2, 2)])
     shear = Shear(axis, f)
-    assert plane_image(shear, reg).area() == reg.area()
+    assert image_under(shear, reg).area() == reg.area()
     assert induced_4d_check(shear).ok
 
 
@@ -358,11 +359,8 @@ def slab_pieces(draw, f, axis):
 @settings(max_examples=120, deadline=None)
 def test_slab_range_split_matches_full_slab_loop(case):
     shear, pieces = case
-    reg = Region(pieces)
-    image, oracle = plane_image(shear, reg), full_slab_plane_image(shear, reg)
-    assert [p.vertices for p in image.pieces] == [p.vertices for p in oracle.pieces]
-    moved, moved_oracle = moved_set(shear, reg), full_slab_moved_set(shear, reg)
-    assert [p.vertices for p in moved.pieces] == [p.vertices for p in moved_oracle.pieces]
+    for piece in pieces:
+        assert list(shear.split(piece)) == list(full_slab_parts(shear, piece))
 
 
 def test_piece_touching_a_breakpoint_is_not_clipped(monkeypatch):
@@ -376,14 +374,13 @@ def test_piece_touching_a_breakpoint_is_not_clipped(monkeypatch):
     monkeypatch.setattr(shears_module, "clip_halfplane", counting)
     assert [(i, part) for i, part in shear.split(below)] == [(0, below)]
     assert [(i, part) for i, part in shear.split(inside)] == [(1, inside)]
-    assert moved_set(shear, Region([inside])).pieces == []
+    assert shear.f.slab_is_identity(1)  # so the piece inside is not moved
     assert clips == []
     across = rectangle(0, 1, -1, 1)
     assert [i for i, _ in shear.split(across)] == [0, 1, 2]
     assert len(clips) == 4  # one cut per side of each inner breakpoint
     for piece in (below, inside, across):
-        assert plane_image(shear, Region([piece])).pieces == \
-            full_slab_plane_image(shear, Region([piece])).pieces
+        assert list(shear.split(piece)) == list(full_slab_parts(shear, piece))
 
 
 @st.composite
@@ -459,14 +456,14 @@ def carried_check_composable(seq):
     moved set is carried beside the region and split again at every stage."""
     violations, carried, cur = [], [], seq.source
     for j, shear in enumerate(seq.shears):
-        moved_j = moved_set(shear, cur)
+        moved_j = full_slab_moved_set(shear, cur)
         for i, img in carried:
-            a = moved_set(shear, img).area()
+            a = full_slab_moved_set(shear, img).area()
             if a.sign() > 0:
                 violations.append(Violation(i, j, a))
-        carried = [(i, plane_image(shear, img)) for i, img in carried]
-        carried.append((j, plane_image(shear, moved_j)))
-        cur = plane_image(shear, cur)
+        carried = [(i, full_slab_plane_image(shear, img)) for i, img in carried]
+        carried.append((j, full_slab_plane_image(shear, moved_j)))
+        cur = full_slab_plane_image(shear, cur)
     return ComposabilityReport(not violations, violations, cur)
 
 

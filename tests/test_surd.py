@@ -196,6 +196,14 @@ def test_non_integer_radicand_rejected(radicand):
         SurdScalar.from_terms([(radicand, 0)])
 
 
+@pytest.mark.parametrize("radicand", [8.0, 2.5, True, Fraction(8), "8"])
+def test_sqrt_accepts_only_int(radicand):
+    # a float radicand would serialise as a triple that from_triples rejects
+    with pytest.raises(TypeError):
+        sqrt(radicand)
+    assert SurdScalar.from_triples(sqrt(8).to_triples()) == 2 * sqrt(2)
+
+
 @pytest.mark.parametrize("triple", [[2, True, 1], [2, 1, True], [1, 1.0, 1], [1, 1, 2.0]])
 def test_non_integer_numerator_or_denominator_rejected(triple):
     with pytest.raises(TypeError):
