@@ -9,25 +9,25 @@ human-readable report fields, with 30 digits.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
 from fractions import Fraction
 
 from .surd import SurdScalar, rat
-from .geom import Region
+from .geom import Region, pt
 from .torus import Lattice2, injects
-from .fillings import CONSTRUCTORS, FillingError
+from .fillings import CONSTRUCTORS, ORIENTATIONS
 from .latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,
-    LatticeFormError,
     build_period_lattice,
     normalize_basis,
     polarization_type,
     verify_no_curves,
 )
-from .seshadri import SeshadriError, pell_min, table
+from .seshadri import pell_min, table
 
 
 class InputError(ValueError):
@@ -55,13 +55,17 @@ def _load_json(path: str, parse):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _dump(data, path: str | None):
-    text = json.dumps(data, indent=2, sort_keys=False)
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _dump(data, path: str | None):
+    _write(json.dumps(data, indent=2) + "\n", path)
 
 
 def _lattice_from_args(args) -> Lattice2:
@@ -77,18 +81,21 @@ def _lattice_from_args(args) -> Lattice2:
 
 
 def cmd_construct(args) -> int:
-    name = args.name
-    if name not in CONSTRUCTORS:
-        raise InputError(f"unknown construction {name!r}; choose from {sorted(CONSTRUCTORS)}")
-    kwargs = {}
-    if name in ("example1", "family", "cube", "polydisc"):
-        kwargs["k"] = args.k
-    if name in ("example2", "example3", "theorem1"):
-        kwargs["eps"] = _parse_rational(args.eps)
-    if name == "example2":
+    """Build the named filling from the options given; the constructor's own
+    signature decides which options it takes and supplies the defaults."""
+    build = CONSTRUCTORS[args.name]
+    given = {opt: getattr(args, opt) for opt in ("k", "eps", "orientation")
+             if getattr(args, opt) is not None}
+    if "eps" in given:
+        given["eps"] = _parse_rational(given["eps"])
+    if given.get("orientation") == []:
         # argparse strips a literal "--" value, so --orientation=-- arrives as []
-        kwargs["orientation"] = "--" if args.orientation == [] else args.orientation
-    cert = CONSTRUCTORS[name](**kwargs)
+        given["orientation"] = "--"
+    try:
+        inspect.signature(build).bind(**given)
+    except TypeError as exc:
+        raise InputError(f"construct {args.name}: {exc}") from exc
+    cert = build(**given)
     _dump(cert.to_json(), args.cert_out)
     if args.out:
         _dump(cert.final.to_json(), args.out)
@@ -212,12 +219,7 @@ def cmd_seshadri(args) -> int:
             k0 = str(r.pell.k0) if r.pell else "-"
             l0 = str(r.pell.l0) if r.pell else "-"
             lines.append(f"{r.d:>3} {k0:>6} {l0:>8} {str(r.p_lower):>24}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -241,8 +243,6 @@ def _svg_coords(p, scale, origin):
 
 def render_svg(region: Region, lattice: Lattice2, translate_ring: bool = True) -> str:
     """Deterministic SVG: the region, the fundamental cell, one translate ring."""
-    from .geom import pt as _pt
-
     scale = rat(200) / max(
         abs(lattice.g1.x1), abs(lattice.g1.x2), abs(lattice.g2.x1), abs(lattice.g2.x2),
         rat(1),
@@ -259,7 +259,7 @@ def render_svg(region: Region, lattice: Lattice2, translate_ring: bool = True) -
     y_hi = max(b[3] for b in boxes) + margin
     width = ((x_hi - x_lo) * scale).decimal(3)
     height = ((y_hi - y_lo) * scale).decimal(3)
-    shift = _pt(x_lo, 0)
+    shift = pt(x_lo, 0)
 
     def poly_tag(vertices, fill, opacity, stroke="#222222"):
         pts = " ".join(_svg_coords(v - shift, scale, y_hi) for v in vertices)
@@ -271,16 +271,14 @@ def render_svg(region: Region, lattice: Lattice2, translate_ring: bool = True) -
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="#ffffff" />',
     ]
-    cell = [_pt(0, 0), lattice.g1, lattice.g1 + lattice.g2, lattice.g2]
+    cell = [pt(0, 0), lattice.g1, lattice.g1 + lattice.g2, lattice.g2]
     cell_pts = " ".join(_svg_coords(v - shift, scale, y_hi) for v in cell)
     parts.append(f'<polygon points="{cell_pts}" fill="none" '
                  f'stroke="#000000" stroke-width="1.5" stroke-dasharray="6,3" />')
-    if translate_ring:
-        for idx, (a, b) in enumerate(ring):
-            shifted = region.translate(lattice.vector(a, b))
-            for piece in shifted.pieces:
-                parts.append(poly_tag(piece.vertices, PALETTE[idx % len(PALETTE)],
-                                      "0.18", "#999999"))
+    for idx, shifted in enumerate(cells[1:]):
+        for piece in shifted.pieces:
+            parts.append(poly_tag(piece.vertices, PALETTE[idx % len(PALETTE)],
+                                  "0.18", "#999999"))
     for idx, piece in enumerate(region.pieces):
         parts.append(poly_tag(piece.vertices, PALETTE[idx % len(PALETTE)], "0.85"))
     parts.append("</svg>")
@@ -290,9 +288,7 @@ def render_svg(region: Region, lattice: Lattice2, translate_ring: bool = True) -
 def cmd_svg(args) -> int:
     region = _load_json(args.region, Region.from_json)
     lattice = _lattice_from_args(args)
-    svg = render_svg(region, lattice, translate_ring=not args.no_ring)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(render_svg(region, lattice, translate_ring=not args.no_ring), args.out)
     return 0
 
 
@@ -315,9 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named filling and emit its certificate")
     p.add_argument("name", choices=sorted(CONSTRUCTORS))
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--eps", default="0", help="rational like 1/100")
-    p.add_argument("--orientation", default="++", choices=["++", "+-", "-+", "--"])
+    # no defaults here: only the options given are passed on (see cmd_construct)
+    p.add_argument("--k", type=int)
+    p.add_argument("--eps", help="rational like 1/100")
+    p.add_argument("--orientation", choices=ORIENTATIONS)
     p.add_argument("--out", help="write the final Region JSON here")
     p.add_argument("--cert-out", help="certificate output file (default stdout)")
     p.set_defaults(func=cmd_construct)
@@ -364,8 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FillingError, LatticeFormError, SeshadriError,
-            KeyError, ValueError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # every layer's error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

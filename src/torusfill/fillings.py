@@ -91,12 +91,6 @@ class DistortedDiamond:
     def d(self) -> SurdScalar:
         return (self.a - 1) / 2
 
-    @classmethod
-    def symmetric(cls, a) -> "DistortedDiamond":
-        a = scalar(a)
-        d = (a - 1) / 2
-        return cls(a, h_top=d, h_bot=d, w_left=rat(HALF), w_right=rat(HALF))
-
     def region(self, center: Point2 = pt(0, 0)) -> Region:
         d, h = self.d, rat(HALF)
         pieces = [rectangle(-d, d, -h, h)]
@@ -194,7 +188,7 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
 
 # -- full filling of T(2k^2, 1) ----------------------------------------------
 
-def example_T2k2(k: int) -> FillingCertificate:
+def example_T2k2(k: int = 1) -> FillingCertificate:
     """Diamond of size 2k, one linear shear of slope 2k-1, lattice (2k^2, 1)."""
     if k < 1:
         raise FillingError("k must be a positive integer")
@@ -352,7 +346,7 @@ def theorem1_filling(eps=0) -> FillingCertificate:
 
 # -- the family of full fillings of T((2k+1)^2 / (2(k+1)^2), 1) ---------------
 
-def family_filling(k: int) -> FillingCertificate:
+def family_filling(k: int = 1) -> FillingCertificate:
     """Diamond of size (2k+1)/(k+1); the top triangle is sliced into k
     horizontal slices of heights j/(k+1)^2 (bottom up) sheared right so the
     right edge of slice j spans an x1-interval of length (2j-1)/(2(k+1)^2);
@@ -409,7 +403,7 @@ def family_filling(k: int) -> FillingCertificate:
 
 # -- cube and polydisc fillings ----------------------------------------------
 
-def cube_filling(k: int) -> FillingCertificate:
+def cube_filling(k: int = 1) -> FillingCertificate:
     """B^2(k) x B^2(k) modeled on (-k/2, k/2)^2; x1-shear of slope k tiles
     the lattice (k^2, 1)."""
     if k < 1:
@@ -421,7 +415,7 @@ def cube_filling(k: int) -> FillingCertificate:
     return certify("cube", {"k": k}, source, [shear], lattice)
 
 
-def polydisc_filling(k: int) -> FillingCertificate:
+def polydisc_filling(k: int = 1) -> FillingCertificate:
     """B^2(1/k) x B^2(k) modeled on (-1/(2k), 1/(2k)) x (-k/2, k/2); the
     x1-shear of slope 1/k fully fills T(1, 1)."""
     if k < 1:

@@ -288,13 +288,6 @@ class AffineMap2:
             vs.reverse()
         return _raw(_from_lowest(vs))
 
-    def apply_region(self, r: Region) -> Region:
-        return Region([self.apply_polygon(p) for p in r.pieces])
-
-    @classmethod
-    def identity(cls) -> "AffineMap2":
-        return cls(((1, 0), (0, 1)), pt(0, 0))
-
     def __repr__(self):
         (a, b), (c, d) = self.linear
         return f"AffineMap2([[{a},{b}],[{c},{d}]] + ({self.translation.x1},{self.translation.x2}))"

@@ -52,10 +52,6 @@ class PLFunction:
         self._consts = self._build_consts()
 
     @classmethod
-    def constant(cls, value) -> "PLFunction":
-        return cls([], [0], anchor=(0, value))
-
-    @classmethod
     def linear(cls, slope, value_at_zero=0) -> "PLFunction":
         return cls([], [slope], anchor=(0, value_at_zero))
 
@@ -90,24 +86,12 @@ class PLFunction:
     def num_slabs(self) -> int:
         return len(self.slopes)
 
-    def slab_bounds(self, i: int):
-        lo = self.breakpoints[i - 1] if i > 0 else None
-        hi = self.breakpoints[i] if i < len(self.breakpoints) else None
-        return lo, hi
-
     def slab_affine(self, i: int) -> tuple[SurdScalar, SurdScalar]:
         """(constant, slope) of f on slab i."""
         return self._consts[i], self.slopes[i]
 
     def slab_is_identity(self, i: int) -> bool:
         return self._consts[i].is_zero() and self.slopes[i].is_zero()
-
-    def value(self, x) -> SurdScalar:
-        """f(x); at a breakpoint the right-hand slab is used."""
-        x = scalar(x)
-        i = self._slab_index(x)
-        c, s = self.slab_affine(i)
-        return c + s * x
 
     def is_continuous(self) -> bool:
         return all(j.is_zero() for j in self.jumps)
@@ -255,10 +239,6 @@ class ComposabilityReport:
 class ShearSequence:
     shears: list[Shear]
     source: Region
-
-    def to_json(self):
-        return {"shears": [s.to_json() for s in self.shears],
-                "source": self.source.to_json()}
 
     @classmethod
     def from_json(cls, data) -> "ShearSequence":

@@ -1,9 +1,8 @@
 """Quotients of the plane by rank-2 lattices.
 
-Exact injectivity of a bounded region modulo a lattice, covered-fraction
-computation, and fundamental-domain certification.  Injectivity is decided
-in the coordinates of a Lagrange-reduced basis, where a lattice vector is
-an integer shift: each pair of pieces is clipped only at the shifts in the
+Exact injectivity of a bounded region modulo a lattice, decided in the
+coordinates of a Lagrange-reduced basis, where a lattice vector is an
+integer shift: each pair of pieces is clipped only at the shifts in the
 integer ranges of their boxes, and the overlap area must be exactly zero
 (shared edges allowed, per the open-set convention).
 """
@@ -129,14 +128,3 @@ def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
     collisions = [(ab, area * det) for ab, area in sorted(overlaps.items())]
     return InjectivityReport(not collisions, collisions)
 
-
-def covered_fraction(r: Region, lattice: Lattice2) -> SurdScalar:
-    """Area of the region over the covolume; rejects regions that do not inject."""
-    verdict = injects(r, lattice)
-    if not verdict.ok:
-        raise TorusError(f"region does not inject: {verdict.collisions[:3]}")
-    return r.area() / lattice.covolume()
-
-
-def is_fundamental_domain(r: Region, lattice: Lattice2) -> bool:
-    return injects(r, lattice).ok and r.area() == lattice.covolume()

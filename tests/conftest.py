@@ -7,7 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st
 
-from torusfill.geom import ConvexPolygon, Point2, Region, clip, pt, rectangle
+from torusfill.geom import AffineMap2, ConvexPolygon, Point2, Region, clip, pt, rectangle
 from torusfill.surd import SurdScalar, rat
 from torusfill.torus import Lattice2, TorusError
 
@@ -74,6 +74,11 @@ def region_overlap_area(a: Region, b: Region) -> SurdScalar:
 def symmetric_difference_area(a: Region, b: Region) -> SurdScalar:
     """area(a) + area(b) - 2*overlap; zero iff the regions agree a.e."""
     return a.area() + b.area() - rat(2) * region_overlap_area(a, b)
+
+
+def map_region(m: AffineMap2, r: Region) -> Region:
+    """The image of a region under an affine map, piece by piece."""
+    return Region([m.apply_polygon(p) for p in r.pieces])
 
 
 SKEW = Lattice2(pt(1, 0), pt(Fraction(1, 2), 1))

@@ -15,7 +15,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from conftest import candidate_vectors, region_overlap_area, symmetric_difference_area
+from conftest import (candidate_vectors, map_region, region_overlap_area,
+                      symmetric_difference_area)
 from torusfill.cli import main as cli_main
 from torusfill.fillings import (
     cube_filling,
@@ -175,7 +176,7 @@ def test_criterion_04_example2():
         assert rat(Fraction(1, 9)) == 4 * rat(Fraction(1, 6)) ** 2
         finals[orientation] = cert.final
     reflect = AffineMap2(((-1, 0), (0, -1)), pt(0, 0))
-    mirrored = reflect.apply_region(finals["++"])
+    mirrored = map_region(reflect, finals["++"])
     assert symmetric_difference_area(mirrored, finals["--"]).is_zero()
     report(4, "example 2: fraction 8/9, uncovered 4*(1/6)^2, four orientations, "
               "(++)/(--) point reflections", t0)

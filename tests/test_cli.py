@@ -193,6 +193,23 @@ def test_construct_example2_orientation_minus_minus(capsys):
     assert SurdScalar.from_triples(cert["fraction"]) == Fraction(8, 9)
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "cube", "--eps", "1/10"],
+    ["construct", "theorem1", "--k", "3"],
+    ["construct", "family", "--k", "2", "--orientation=-+"],
+    ["construct", "example3", "--orientation=--"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_construct_rejects_options_its_construction_does_not_take(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    # an option left out takes the constructor's own default
+    [golden] = [case for case in CONSTRUCT_GOLDEN["cases"]
+                if case["argv"] == ["construct", "example1", "--k", "1"]]
+    code, out, _ = run_cli(["construct", "example1"], capsys)
+    assert code == golden["exit"] and out == golden["stdout"]
+
+
 def test_seshadri_csv(capsys):
     code, out, _ = run_cli(["seshadri", "--dmax", "30", "--format", "csv"], capsys)
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import region_overlap_area, symmetric_difference_area
+from conftest import map_region, region_overlap_area, symmetric_difference_area
 from torusfill.fillings import (
     DistortedDiamond,
     FillingError,
@@ -40,7 +40,8 @@ def test_diamond_basics():
 
 
 def test_distorted_diamond_area_and_validation():
-    sym = DistortedDiamond.symmetric(2)
+    sym = DistortedDiamond(2, h_top=Fraction(1, 2), h_bot=Fraction(1, 2),
+                           w_left=Fraction(1, 2), w_right=Fraction(1, 2))
     assert sym.region().area() == rat(2)
     b = rat(3) - 2 * sqrt(2)
     spec = DistortedDiamond(
@@ -115,7 +116,7 @@ def test_example2_point_reflection_pair():
     plus = example_eight_ninths(0, "++").final
     minus = example_eight_ninths(0, "--").final
     reflect = AffineMap2(((-1, 0), (0, -1)), pt(0, 0))
-    assert symmetric_difference_area(reflect.apply_region(plus), minus).is_zero()
+    assert symmetric_difference_area(map_region(reflect, plus), minus).is_zero()
 
 
 def test_example2_eps_variants():

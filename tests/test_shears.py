@@ -30,7 +30,7 @@ from torusfill.shears import (
     is_symplectic_4d,
     jacobian_4d,
 )
-from torusfill.surd import rat, sqrt
+from torusfill.surd import rat, scalar, sqrt
 from torusfill.torus import Lattice2
 
 
@@ -52,11 +52,37 @@ def image_under(shear, region) -> Region:
     return check_composable(ShearSequence([shear], region)).final
 
 
+MOVES_EVERYTHING = Shear("x2", PLFunction.linear(1))
+
+
+def violated_pairs(shears, region):
+    return [(v.first, v.second, v.overlap)
+            for v in check_composable(ShearSequence(shears, region)).violations]
+
+
+def evaluate(f: PLFunction, x):
+    """f(x) from the anchor, slopes and jumps alone, with the right-hand slab
+    at a breakpoint: the anchor value plus the integral of the slope from the
+    anchor to x, plus the jumps at the breakpoints in (x0, x], or minus those
+    in (x, x0)."""
+    x0, y0 = f.anchor
+    x = scalar(x)
+    sign, lo, hi = (1, x0, x) if x >= x0 else (-1, x, x0)
+    ends = [lo] + [min(max(b, lo), hi) for b in f.breakpoints] + [hi]
+    total = rat(0)
+    for s, a, b in zip(f.slopes, ends, ends[1:]):
+        total = total + s * (b - a)
+    for b, j in zip(f.breakpoints, f.jumps):
+        if lo < b <= hi:
+            total = total + j
+    return y0 + sign * total
+
+
 def test_pl_function_evaluation():
     f = ramp()
-    assert f.value(Fraction(2, 3)) == rat(Fraction(1, 3))
-    assert f.value(Fraction(-2, 3)) == rat(Fraction(-1, 3))
-    assert f.value(0) == rat(0)
+    assert evaluate(f, Fraction(2, 3)) == rat(Fraction(1, 3))
+    assert evaluate(f, Fraction(-2, 3)) == rat(Fraction(-1, 3))
+    assert evaluate(f, 0) == rat(0)
     assert f.slab_is_identity(1)
     assert not f.slab_is_identity(0)
 
@@ -74,17 +100,21 @@ def test_pl_function_with_jumps():
     f = PLFunction([0, 1], [Fraction(1, 2), 0, Fraction(1, 2)],
                    anchor=(Fraction(1, 2), 0),
                    jumps=[Fraction(-2, 5), Fraction(-2, 5)])
-    assert f.value(Fraction(1, 2)) == rat(0)
-    assert f.value(Fraction(6, 5)) == rat(Fraction(-2, 5)) + rat(Fraction(1, 5)) / 2
-    assert f.value(Fraction(-1, 5)) == rat(Fraction(2, 5)) - rat(Fraction(1, 10))
+    assert evaluate(f, Fraction(1, 2)) == rat(0)
+    assert evaluate(f, Fraction(6, 5)) == rat(Fraction(-2, 5)) + rat(Fraction(1, 5)) / 2
+    assert evaluate(f, Fraction(-1, 5)) == rat(Fraction(2, 5)) - rat(Fraction(1, 10))
+    # at a breakpoint the right-hand slab holds, on either side of the anchor
+    assert evaluate(f, 1) == rat(Fraction(-2, 5))
+    assert evaluate(f, 0) == rat(0)
     assert not f.is_continuous()
 
 
 def test_identity_shear_fixes_region():
     reg = diamond_region(Fraction(4, 3))
-    shear = Shear("x1", PLFunction.constant(0))
+    shear = Shear("x1", PLFunction.linear(0))
     assert symmetric_difference_area(image_under(shear, reg), reg).is_zero()
-    assert full_slab_moved_set(shear, reg).area().is_zero()
+    # it moves nothing, so a shear moving every point may follow it
+    assert violated_pairs([shear, MOVES_EVERYTHING], reg) == []
 
 
 def test_example2_shear_moves_upper_triangle():
@@ -99,12 +129,16 @@ def test_example2_shear_moves_upper_triangle():
 
 
 def test_moved_set_examples():
+    # a shear moving every point overlaps the image of the first shear's
+    # moved set in all of its area
     reg = diamond_region(Fraction(4, 3))
-    moved = full_slab_moved_set(Shear("x1", ramp()), reg)
+    ramp_shear, linear = Shear("x1", ramp()), Shear("x1", PLFunction.linear(1))
     # the two triangles |x2| > 1/3, each of base 2/3 and height 1/3
-    assert moved.area() == rat(Fraction(2, 9))
-    full = full_slab_moved_set(Shear("x1", PLFunction.linear(1)), reg)
-    assert full.area() == reg.area()
+    assert violated_pairs([ramp_shear, MOVES_EVERYTHING], reg) == [(0, 1, rat(Fraction(2, 9)))]
+    assert violated_pairs([linear, MOVES_EVERYTHING], reg) == [(0, 1, reg.area())]
+    identity = Shear("x2", PLFunction.linear(0))
+    assert violated_pairs([ramp_shear, identity], reg) == []
+    assert violated_pairs([linear, identity], reg) == []
 
 
 def test_plane_image_preserves_area():
@@ -213,18 +247,14 @@ def test_shear_json_round_trip():
 
 
 def test_moved_and_fixed_sets_partition_region():
+    # the fixed part, the region's area minus the moved overlap, is the band
+    # |x2| < 1/3 of the diamond that the ramp's identity slab keeps
     reg = diamond_region(Fraction(4, 3))
-    shear = Shear("x1", ramp())
-    moved = full_slab_moved_set(shear, reg)
-    fixed_area = rat(0)
-    for piece in reg.pieces:
-        for i in range(shear.f.num_slabs):
-            if not shear.f.slab_is_identity(i):
-                continue
-            part = shear._clip_to_slab(piece, *shear.f.slab_bounds(i))
-            if part is not None:
-                fixed_area = fixed_area + part.area()
-    assert moved.area() + fixed_area == reg.area()
+    [(_, _, moved)] = violated_pairs([Shear("x1", ramp()), MOVES_EVERYTHING], reg)
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    band = ConvexPolygon([pt(-two_thirds, 0), pt(-third, -third), pt(third, -third),
+                          pt(two_thirds, 0), pt(third, third), pt(-third, third)])
+    assert reg.area() - moved == band.area()
 
 
 def test_composite_agrees_with_pointwise_map():
@@ -245,10 +275,10 @@ def test_composite_agrees_with_pointwise_map():
             continue  # outside the open diamond
         if any(p.x2 == bp for bp in f.breakpoints):
             continue  # slab boundaries belong to no slab
-        q = pt(p.x1 + f.value(p.x2), p.x2)
+        q = pt(p.x1 + evaluate(f, p.x2), p.x2)
         if any(q.x1 == bp for bp in neg.breakpoints):
             continue
-        image = pt(q.x1, q.x2 + neg.value(q.x1))
+        image = pt(q.x1, q.x2 + evaluate(neg, q.x1))
         assert any(contains(piece, image) or any(v == image for v in piece.vertices)
                    or _on_boundary(piece, image)
                    for piece in final.pieces)
@@ -279,12 +309,18 @@ def test_random_shears_preserve_area_and_symplecticity(b0, slope, axis):
 
 # -- the full-slab loop as an oracle for the slab-range split ----------------
 
+def slab_bounds(f: PLFunction, i: int):
+    """(lo, hi) of slab i, None at an unbounded end."""
+    bps = f.breakpoints
+    return (bps[i - 1] if i > 0 else None), (bps[i] if i < len(bps) else None)
+
+
 def full_slab_parts(shear, piece, moving_only=False):
     """Clip the piece against every slab in turn, as the shear layer once did."""
     for i in range(shear.f.num_slabs):
         if moving_only and shear.f.slab_is_identity(i):
             continue
-        part = shear._clip_to_slab(piece, *shear.f.slab_bounds(i))
+        part = shear._clip_to_slab(piece, *slab_bounds(shear.f, i))
         if part is not None:
             yield i, part
 
@@ -293,11 +329,6 @@ def full_slab_plane_image(shear, region):
     return Region([ConvexPolygon([shear.slab_plane_map(i).apply(v) for v in part.vertices])
                    for piece in region.pieces
                    for i, part in full_slab_parts(shear, piece)])
-
-
-def full_slab_moved_set(shear, region):
-    return Region([part for piece in region.pieces
-                   for _, part in full_slab_parts(shear, piece, moving_only=True)])
 
 
 @st.composite
@@ -317,6 +348,18 @@ def slab_profiles(draw):
     if draw(st.booleans()):  # make slab k an identity slab
         slopes[k], anchor = 0, (anchor[0], 0)
     return PLFunction(bps, slopes, anchor=anchor, jumps=jumps)
+
+
+@given(slab_profiles())
+@settings(max_examples=60, deadline=None)
+def test_slab_constants_match_integrated_profile(f):
+    # the constants built from the anchor agree with the profile integrated
+    # from the anchor, inside every slab
+    bps = f.breakpoints
+    inside = ([bps[0] - 1] + [(a + b) / 2 for a, b in zip(bps, bps[1:])] + [bps[-1] + 1])
+    for i, x in enumerate(inside):
+        c, s = f.slab_affine(i)
+        assert c + s * x == evaluate(f, x)
 
 
 @st.composite
@@ -454,6 +497,10 @@ def test_certify_pushes_the_source_through_each_shear_once(monkeypatch):
 def carried_check_composable(seq):
     """check_composable as it once was: the image of each earlier shear's
     moved set is carried beside the region and split again at every stage."""
+    def full_slab_moved_set(shear, region):
+        return Region([part for piece in region.pieces
+                       for _, part in full_slab_parts(shear, piece, moving_only=True)])
+
     violations, carried, cur = [], [], seq.source
     for j, shear in enumerate(seq.shears):
         moved_j = full_slab_moved_set(shear, cur)

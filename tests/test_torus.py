@@ -19,13 +19,7 @@ from conftest import (SKEW, candidate_collisions, candidate_vectors, rationals,
 from torusfill.fillings import diamond, example_T2k2, example_eight_ninths
 from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle
 from torusfill.surd import rat, sqrt
-from torusfill.torus import (
-    Lattice2,
-    TorusError,
-    covered_fraction,
-    injects,
-    is_fundamental_domain,
-)
+from torusfill.torus import Lattice2, TorusError, injects
 
 UNIT = Lattice2.rectangular(1, 1)
 
@@ -47,17 +41,18 @@ def test_example2_image_injects():
 
 
 def test_covered_fractions():
-    assert covered_fraction(example_eight_ninths(0, "++").final, UNIT) == rat(Fraction(8, 9))
-    cert1 = example_T2k2(1)
-    assert covered_fraction(cert1.final, Lattice2.rectangular(2, 1)) == rat(1)
-    with pytest.raises(TorusError):
-        covered_fraction(Region([rectangle(0, 2, 0, Fraction(1, 2))]), UNIT)
+    eight_ninths = example_eight_ninths(0, "++").final
+    assert injects(eight_ninths, UNIT).ok
+    assert eight_ninths.area() / UNIT.covolume() == rat(Fraction(8, 9))
+    final, lattice = example_T2k2(1).final, Lattice2.rectangular(2, 1)
+    assert injects(final, lattice).ok and final.area() / lattice.covolume() == rat(1)
 
 
 def test_fundamental_domains():
-    assert is_fundamental_domain(Region([rectangle(0, 1, 0, 1)]), UNIT)
-    assert is_fundamental_domain(example_T2k2(3).final, Lattice2.rectangular(18, 1))
-    assert not is_fundamental_domain(diamond(1), UNIT)
+    for reg, lattice in [(Region([rectangle(0, 1, 0, 1)]), UNIT),
+                         (example_T2k2(3).final, Lattice2.rectangular(18, 1))]:
+        assert injects(reg, lattice).ok and reg.area() == lattice.covolume()
+    assert injects(diamond(1), UNIT).ok and diamond(1).area() != UNIT.covolume()
 
 
 def test_injects_translation_invariant():
@@ -85,9 +80,10 @@ def test_fraction_at_most_one_iff_fundamental():
         (example_eight_ninths(0, "++"), UNIT),
         (example_T2k2(2), Lattice2.rectangular(8, 1)),
     ]:
-        frac = covered_fraction(cert.final, lattice)
+        assert injects(cert.final, lattice).ok
+        frac = cert.final.area() / lattice.covolume()
         assert frac <= rat(1)
-        assert (frac == rat(1)) == is_fundamental_domain(cert.final, lattice)
+        assert (frac == rat(1)) == cert.is_fundamental_domain
 
 
 def test_subset_of_fundamental_cell_injects():
@@ -121,7 +117,8 @@ def _float_cover_mask(points, region, lattice, span=2):
 def test_monte_carlo_fraction_agrees():
     # statistical sanity check of the exact fraction, not an acceptance gate
     cert = example_eight_ninths(0, "++")
-    exact = float(covered_fraction(cert.final, UNIT))
+    assert injects(cert.final, UNIT).ok
+    exact = float(cert.final.area() / UNIT.covolume())
     rng = np.random.default_rng(20260810)
     n = 100_000
     uv = rng.random((n, 2))
@@ -189,7 +186,7 @@ def test_integer_box_jigsaw_is_fundamental(lattice):
     lower, upper = _cell_triangles(lattice)
     reg = Region([lower.translate(lattice.vector(2, -1)), upper.translate(lattice.vector(-1, 3))])
     assert injects(reg, lattice).ok
-    assert is_fundamental_domain(reg, lattice)
+    assert reg.area() == lattice.covolume()
     nudged = Region([lower, upper.translate(lattice.g2.scale(Fraction(1, 100)))])
     verdict = injects(nudged, lattice)
     assert not verdict.ok and verdict.collisions == candidate_collisions(nudged, lattice)
@@ -220,7 +217,7 @@ def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
     monkeypatch.setattr(torus_module, "clip", counted, raising=False)
     verdict = injects(SCATTERED_JIGSAW, UNIT)
     clips = len(calls)
-    assert verdict.ok and is_fundamental_domain(SCATTERED_JIGSAW, UNIT)
+    assert verdict.ok and SCATTERED_JIGSAW.area() == UNIT.covolume()
     pieces = len(SCATTERED_JIGSAW.pieces)
     candidates = len(list(candidate_vectors(SCATTERED_JIGSAW, UNIT)))
     assert 0 < clips < pieces * pieces * candidates
