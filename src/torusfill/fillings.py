@@ -59,20 +59,18 @@ class DistortedDiamond:
     h_bot: SurdScalar
     w_left: SurdScalar
     w_right: SurdScalar
-    top_apex: SurdScalar | None = None  # x1 of the top apex, in (-d, d)
-    bot_apex: SurdScalar | None = None
-    left_apex: SurdScalar | None = None  # x2 of the left apex, in (-1/2, 1/2)
-    right_apex: SurdScalar | None = None
+    top_apex: SurdScalar = 0  # x1 of the top apex, in (-d, d)
+    bot_apex: SurdScalar = 0
+    left_apex: SurdScalar = 0  # x2 of the left apex, in (-1/2, 1/2)
+    right_apex: SurdScalar = 0
 
     def __post_init__(self):
         self.a = scalar(self.a)
         self.h_top, self.h_bot = scalar(self.h_top), scalar(self.h_bot)
         self.w_left, self.w_right = scalar(self.w_left), scalar(self.w_right)
         d = self.d
-        self.top_apex = scalar(self.top_apex if self.top_apex is not None else 0)
-        self.bot_apex = scalar(self.bot_apex if self.bot_apex is not None else 0)
-        self.left_apex = scalar(self.left_apex if self.left_apex is not None else 0)
-        self.right_apex = scalar(self.right_apex if self.right_apex is not None else 0)
+        self.top_apex, self.bot_apex = scalar(self.top_apex), scalar(self.bot_apex)
+        self.left_apex, self.right_apex = scalar(self.left_apex), scalar(self.right_apex)
         if d.sign() <= 0:
             raise FillingError("size must exceed 1")
         if self.h_top + self.h_bot != d * 2:

@@ -90,9 +90,11 @@ def polarization_type(b: AlternatingIntMatrix) -> tuple[tuple[int, ...], list[li
     """Divisor chain d1 | d2 | ... | dn and a unimodular base change.
 
     The returned matrix U satisfies U^T B U = blockdiag([[0, d_j], [-d_j, 0]]).
-    Classical gcd reduction: bring the minimal positive value to a fixed pair,
-    shrink it by transvections while any value it must divide resists, then
-    split off the hyperbolic pair and recurse.
+    Classical gcd reduction in one loop: take a pair (i, j) holding the
+    smallest nonzero |value| d as pivot and reduce rows i and j modulo d by
+    transvections.  A remainder is smaller than d, so the pivot is re-picked;
+    if none is left but d fails to divide a value of the rest, adding that
+    value's row to row i makes one.  Otherwise split off the hyperbolic pair.
     """
     n = b.n
     m = [row[:] for row in b.entries]
@@ -109,42 +111,24 @@ def polarization_type(b: AlternatingIntMatrix) -> tuple[tuple[int, ...], list[li
     pairs: list[tuple[int, int, int]] = []
     active = list(range(n))
     while active:
-        while True:
-            i, j = min(
-                ((i, j) for i in active for j in active if m[i][j]),
-                key=lambda ij: abs(m[ij[0]][ij[1]]),
-            )
-            if m[i][j] < 0:
-                i, j = j, i
-            d = m[i][j]
-            restart = False
-            for k in active:
-                if k in (i, j):
-                    continue
-                if m[i][k] % d:
-                    basis_add(k, j, -(m[i][k] // d))
-                    restart = True
-                    break
-                if m[j][k] % d:
-                    basis_add(k, i, m[j][k] // d)
-                    restart = True
-                    break
-            if restart:
-                continue
-            for k in active:
-                if k in (i, j):
-                    continue
-                basis_add(k, j, -(m[i][k] // d))
-                basis_add(k, i, m[j][k] // d)
-            rest = [k for k in active if k not in (i, j)]
-            off = next(
-                ((k, l) for k in rest for l in rest if m[k][l] % d),
-                None,
-            )
-            if off is None:
-                pairs.append((d, i, j))
-                active = rest
-                break
+        i, j = min(
+            ((i, j) for i in active for j in active if m[i][j]),
+            key=lambda ij: abs(m[ij[0]][ij[1]]),
+        )
+        if m[i][j] < 0:
+            i, j = j, i
+        d = m[i][j]
+        rest = [k for k in active if k not in (i, j)]
+        for k in rest:
+            basis_add(k, j, -(m[i][k] // d))
+            basis_add(k, i, m[j][k] // d)
+        if any(m[i][k] or m[j][k] for k in rest):
+            continue
+        off = next(((k, l) for k in rest for l in rest if m[k][l] % d), None)
+        if off is None:
+            pairs.append((d, i, j))
+            active = rest
+        else:
             basis_add(i, off[0], 1)
 
     order = [idx for _, i, j in pairs for idx in (i, j)]
@@ -167,66 +151,57 @@ UPPER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class AlternatingSurdMatrix:
-    """Antisymmetric 4x4 matrix with surd entries, nondegenerate."""
+    """Antisymmetric 4x4 matrix with surd entries, nondegenerate, stored as
+    the tuple `upper` of its six strict upper entries in UPPER_INDEX order."""
 
-    __slots__ = ("m",)
+    __slots__ = ("upper",)
 
     def __init__(self, upper):
-        up = [scalar(x) for x in upper]
-        if len(up) != 6:
+        self.upper = tuple(scalar(x) for x in upper)
+        if len(self.upper) != 6:
             raise LatticeFormError("need the 6 strict upper-triangle entries")
-        self._fill(up)
         if self.volume_coefficient().is_zero():
             raise LatticeFormError("form is degenerate")
 
-    def _fill(self, up: list[SurdScalar]) -> None:
-        self.m = [[rat(0) for _ in range(4)] for _ in range(4)]
-        for (i, j), x in zip(UPPER_INDEX, up):
-            self.m[i][j] = x
-            self.m[j][i] = -x
-
-    def entry(self, i: int, j: int) -> SurdScalar:
-        return self.m[i][j]
-
-    @property
-    def upper(self) -> list[SurdScalar]:
-        return [self.m[i][j] for i, j in UPPER_INDEX]
-
     def volume_coefficient(self) -> SurdScalar:
         """Coefficient of omega^wedge^2 against l1* ^ l3* ^ l2* ^ l4*."""
-        b = self.m
-        return b[0][2] * b[1][3] - b[0][3] * b[1][2] - b[0][1] * b[2][3]
+        b12, b13, b14, b23, b24, b34 = self.upper
+        return b13 * b24 - b14 * b23 - b12 * b34
 
     def is_irrational(self) -> bool:
         """True iff the six entries do not all lie on a single rational ray."""
         return _off_one_rational_ray(self.upper)
 
     def conjugated(self, u: list[list[int]]) -> "AlternatingSurdMatrix":
-        """U^T B U for a unimodular U, summing only its nonzero terms u_ki u_lj b_kl.
+        """U^T B U for a unimodular U, by the second exterior power of U.
 
-        b_kk = 0, so k = l never contributes: a permutation reindexes the
-        entries and a transvection touches one row and one column.  The
-        omega^2 coefficient only changes by det U = +-1, so the result is
+        b_lk = -b_kl, so entry (i, j) is the sum over k < l of the 2x2 minor
+        u_ki u_lj - u_li u_kj times b_kl.  A minor of +-1 adds or subtracts
+        b_kl with no product, and a zero minor costs nothing.  The omega^2
+        coefficient only changes by det U = +-1, so the result is
         nondegenerate without a check.
         """
-        cols = [[(k, u[k][i]) for k in range(4) if u[k][i]] for i in range(4)]
         upper = []
         for i, j in UPPER_INDEX:
             acc = rat(0)
-            for k, a in cols[i]:
-                for l, c in cols[j]:
-                    if k != l:
-                        acc = acc + (self.m[k][l] if a * c == 1 else self.m[k][l] * (a * c))
+            for (k, l), b in zip(UPPER_INDEX, self.upper):
+                c = u[k][i] * u[l][j] - u[l][i] * u[k][j]
+                if c == 1:
+                    acc = acc + b
+                elif c == -1:
+                    acc = acc - b
+                elif c:
+                    acc = acc + b * c
             upper.append(acc)
         result = AlternatingSurdMatrix.__new__(AlternatingSurdMatrix)
-        result._fill(upper)
+        result.upper = tuple(upper)
         return result
 
     def to_json(self):
         return {"n": 2, "upper": [x.to_triples() for x in self.upper]}
 
 
-def _off_one_rational_ray(values: list[SurdScalar]) -> bool:
+def _off_one_rational_ray(values: tuple[SurdScalar, ...]) -> bool:
     """True iff the nonzero values do not all lie on a single rational ray."""
     nonzero = [x for x in values if not x.is_zero()]
     return any(rationally_independent([nonzero[0], other]) for other in nonzero[1:])
@@ -261,7 +236,7 @@ class NormalizationResult:
 
 
 def _condition_i(b: AlternatingSurdMatrix) -> bool:
-    b12, b34 = b.entry(0, 1), b.entry(2, 3)
+    b12, *_, b34 = b.upper
     if b12.is_zero() and b34.is_zero():
         return True
     if b12.is_zero() or b34.is_zero():
@@ -271,13 +246,14 @@ def _condition_i(b: AlternatingSurdMatrix) -> bool:
 
 
 def _condition_ii(b: AlternatingSurdMatrix) -> bool:
-    return _off_one_rational_ray([b.entry(0, 2), b.entry(0, 3), b.entry(1, 2), b.entry(1, 3)])
+    return _off_one_rational_ray(b.upper[1:5])
 
 
 def _postconditions_hold(b: AlternatingSurdMatrix) -> bool:
+    b12, b13, b14, b23, b24, b34 = b.upper
     return (_condition_i(b) and _condition_ii(b)
             and b.volume_coefficient().sign() > 0
-            and (b.entry(0, 2) * b.entry(1, 3) - b.entry(0, 3) * b.entry(1, 2)).sign() > 0)
+            and (b13 * b24 - b14 * b23).sign() > 0)
 
 
 def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
@@ -453,14 +429,13 @@ def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
     it, against condition (ii), so SearchExhausted does not fire here on a
     normalized form.
     """
-    b12, b13, b14 = b.entry(0, 1), b.entry(0, 2), b.entry(0, 3)
-    b23, b24, b34 = b.entry(1, 2), b.entry(1, 3), b.entry(2, 3)
+    b12, b13, b14, b23, b24, b34 = b.upper
     if not _condition_i(b) or not _condition_ii(b):
         raise LatticeFormError("input must satisfy the normalization contract")
 
     p, q, r, s = b13, b23, b14, b24
     used = set()
-    for val in (b12, b13, b14, b23, b24, b34):
+    for val in b.upper:
         used |= val.radicands
     fresh_used: list[int] = []
 
@@ -575,9 +550,7 @@ def verify_no_curves(sol: PeriodLatticeSolution, bound: int = 20) -> NoCurvesCer
     identity -n1 r + n2 p - n3 s + n4 q = 0 that any integral class would
     have to satisfy.
     """
-    b = sol.b
-    b13, b14 = b.entry(0, 2), b.entry(0, 3)
-    b23, b24 = b.entry(1, 2), b.entry(1, 3)
+    b12, b13, b14, b23, b24, b34 = sol.b.upper
     conditions = {
         "rationally_independent": rationally_independent([sol.p, sol.q, sol.r, sol.s]),
         "ps_qr_irrational": (sol.rho_sq * sol.det).is_irrational(),

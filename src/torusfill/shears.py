@@ -52,8 +52,8 @@ class PLFunction:
         self._consts = self._build_consts()
 
     @classmethod
-    def linear(cls, slope, value_at_zero=0) -> "PLFunction":
-        return cls([], [slope], anchor=(0, value_at_zero))
+    def linear(cls, slope) -> "PLFunction":
+        return cls([], [slope], anchor=(0, 0))
 
     def _build_consts(self) -> list[SurdScalar]:
         x0, y0 = self.anchor

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from test_latforms import snf_paired_divisors
+
 import torusfill
 from torusfill.cli import main, render_svg
 from torusfill.fillings import example_T2k2
 from torusfill.geom import Region
+from torusfill.latforms import _det_int
 from torusfill.surd import SurdScalar
 
 
@@ -241,6 +245,41 @@ def test_type_command(tmp_path, capsys):
     code, out, _ = run_cli(["type", str(matrix_file)], capsys)
     assert code == 0
     assert json.loads(out)["type"] == [1, 6]
+
+
+def test_type_prints_a_unimodular_base_change_to_its_blocks(tmp_path, capsys):
+    # read back from the printed JSON alone: U is an integer matrix with
+    # |det U| = 1, U^T B U is the block-diagonal form of the printed type, and
+    # the type is the Smith normal form's divisor chain
+    rng = random.Random(15)
+    matrix_file = tmp_path / "matrix.json"
+    checked = 0
+    while checked < 90:
+        dim = (2, 4, 6)[checked % 3]
+        upper = [rng.randint(-30, 30) for _ in range(dim * (dim - 1) // 2)]
+        b = [[0] * dim for _ in range(dim)]
+        it = iter(upper)
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                b[i][j] = next(it)
+                b[j][i] = -b[i][j]
+        if not _det_int(b):
+            continue
+        matrix_file.write_text(json.dumps({"n": dim // 2, "upper": upper}))
+        code, out, _ = run_cli(["type", str(matrix_file)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        divisors, u = report["type"], report["base_change"]
+        assert len(u) == dim and all(len(row) == dim for row in u)
+        assert all(type(x) is int for row in u for x in row)
+        assert abs(_det_int(u)) == 1
+        blocks = [[0] * dim for _ in range(dim)]
+        for t, d in enumerate(divisors):
+            blocks[2 * t][2 * t + 1], blocks[2 * t + 1][2 * t] = d, -d
+        assert [[sum(u[k][i] * b[k][l] * u[l][j] for k in range(dim) for l in range(dim))
+                 for j in range(dim)] for i in range(dim)] == blocks, upper
+        assert tuple(divisors) == snf_paired_divisors(b), upper
+        checked += 1
 
 
 def test_verify_with_lattice_file(tmp_path, capsys):

@@ -76,7 +76,10 @@ def random_unimodular(rng, n) -> list[list[int]]:
 
 def dense_conjugated(b, u) -> AlternatingSurdMatrix:
     """Oracle: U^T B U as two dense 4x4 products over all 16 terms each."""
-    bu = [[sum((b.m[i][k] * u[k][j] for k in range(4)), rat(0))
+    m = [[rat(0)] * 4 for _ in range(4)]
+    for (i, j), x in zip(UPPER_INDEX, b.upper):
+        m[i][j], m[j][i] = x, -x
+    bu = [[sum((m[i][k] * u[k][j] for k in range(4)), rat(0))
            for j in range(4)] for i in range(4)]
     full = [[sum((rat(u[k][i]) * bu[k][j] for k in range(4)), rat(0))
              for j in range(4)] for i in range(4)]
@@ -194,8 +197,7 @@ def test_alternating_matrix_accepts_only_int_entries(upper, lower):
 
 def test_surd_matrix_basics():
     b = AlternatingSurdMatrix([1, sqrt(2), 0, 0, 1, 1])
-    assert b.entry(0, 1) == rat(1)
-    assert b.entry(1, 0) == rat(-1)
+    assert b.upper[0] == rat(1)
     assert b.is_irrational()
     rational = AlternatingSurdMatrix([1, 2, 0, 0, 1, 1])
     assert not rational.is_irrational()
@@ -208,7 +210,7 @@ def test_surd_matrix_basics():
 def test_normalize_zero_pair_branch():
     b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
     res = normalize_basis(b)
-    assert res.matrix.entry(0, 1).is_zero() and res.matrix.entry(2, 3).is_zero()
+    assert res.matrix.upper[0].is_zero() and res.matrix.upper[5].is_zero()
     assert res.matrix.volume_coefficient().sign() > 0
 
 
@@ -218,9 +220,9 @@ def test_normalize_transvection_mechanism():
     b = AlternatingSurdMatrix([1, sqrt(2), 0, 0, 0, 1])
     u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
     conj = b.conjugated(u)
-    assert conj.entry(0, 1) == rat(1) + sqrt(2)
-    assert conj.entry(2, 3) == rat(1)
-    assert rationally_independent([conj.entry(0, 1), conj.entry(2, 3)])
+    assert conj.upper[0] == rat(1) + sqrt(2)
+    assert conj.upper[5] == rat(1)
+    assert rationally_independent([conj.upper[0], conj.upper[5]])
 
 
 def test_normalize_without_zero_pairing():
@@ -229,10 +231,10 @@ def test_normalize_without_zero_pairing():
     b = AlternatingSurdMatrix([1, sqrt(2), 1, 5, 7, 1])
     res = normalize_basis(b)
     m = res.matrix
-    b12, b34 = m.entry(0, 1), m.entry(2, 3)
+    b12, b34 = m.upper[0], m.upper[5]
     assert b12.sign() > 0 and b34.sign() > 0
     assert rationally_independent([b12, b34])
-    vec = [m.entry(0, 2), m.entry(0, 3), m.entry(1, 2), m.entry(1, 3)]
+    vec = m.upper[1:5]
     nonzero = [x for x in vec if not x.is_zero()]
     assert any(rationally_independent([nonzero[0], o]) for o in nonzero[1:])
 
@@ -263,8 +265,8 @@ def test_normalize_postconditions_random():
         res = normalize_basis(b)
         m = res.matrix
         assert m.volume_coefficient().sign() > 0
-        assert (m.entry(0, 2) * m.entry(1, 3) - m.entry(0, 3) * m.entry(1, 2)).sign() > 0
-        b12, b34 = m.entry(0, 1), m.entry(2, 3)
+        b12, b13, b14, b23, b24, b34 = m.upper
+        assert (b13 * b24 - b14 * b23).sign() > 0
         assert (b12.is_zero() and b34.is_zero()) or (
             b12.sign() > 0 and b34.sign() > 0 and rationally_independent([b12, b34]))
         # conjugation really relates input and output (by the dense oracle)
@@ -393,8 +395,7 @@ def test_period_lattice_base_point_identities():
     res = normalize_basis(b)
     sol = build_period_lattice(res.matrix)
     m = res.matrix
-    b13, b14 = m.entry(0, 2), m.entry(0, 3)
-    b23, b24 = m.entry(1, 2), m.entry(1, 3)
+    b12, b13, b14, b23, b24, b34 = m.upper
     # compatibility holds by construction
     assert sol.r * b13 - sol.p * b14 == sol.q * b24 - sol.s * b23
     if (sol.p, sol.q, sol.r, sol.s) == (b13, b23, b14, b24):
@@ -407,13 +408,12 @@ def test_period_lattice_scaling_identity():
     b = AlternatingSurdMatrix([1, 1 + sqrt(2), sqrt(3), -sqrt(6), 1, sqrt(5)])
     res = normalize_basis(b)
     m = res.matrix
-    if m.entry(0, 1).is_zero():
-        pytest.skip("normalization chose the zero-pair branch")
+    assert not m.upper[0].is_zero()
     sol = build_period_lattice(m)
     assert not sol.zero_case
     # rho^2 D = b34 / b12, so the scaled quadruple satisfies ps - qr = b34/b12
-    assert sol.rho_sq * sol.det == m.entry(2, 3) / m.entry(0, 1)
-    assert sol.v == m.entry(0, 1)
+    assert sol.rho_sq * sol.det == m.upper[5] / m.upper[0]
+    assert sol.v == m.upper[0]
 
 
 def test_period_lattice_zero_case_rho():
