@@ -45,13 +45,15 @@ def _load_json(path: str, parse):
     """Read a JSON file and parse it; any fault in its content is malformed input.
 
     Wrong shapes (a number where a list belongs, a list where an object
-    belongs, short triples) surface as TypeError or IndexError, and zero
-    denominators as ZeroDivisionError.
+    belongs, short triples) surface as TypeError or IndexError, zero
+    denominators as ZeroDivisionError, and nesting too deep to parse as
+    RecursionError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (OSError, json.JSONDecodeError, TypeError, IndexError, ZeroDivisionError) as exc:
+    except (OSError, json.JSONDecodeError, TypeError, IndexError, ZeroDivisionError,
+            RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ from itertools import chain, combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
 
-from .surd import (SurdScalar, decimal_sqrt, eliminate, rat, rational_relations,
+from .surd import (SurdScalar, decimal_sqrt, int_echelon, rat, rational_relations,
                    rationally_independent, scalar, sqrt)
 
 
@@ -208,7 +208,7 @@ def _off_one_rational_ray(values: tuple[SurdScalar, ...]) -> bool:
 
 
 def _det_int(a) -> int:
-    return int(eliminate(a)[1])
+    return int_echelon([list(row) for row in a])[2]
 
 
 def _perm_sign(perm) -> int:
@@ -226,6 +226,14 @@ def _transvection(target: int, source: int, k: int) -> list[list[int]]:
     u = _ident(4)
     u[source][target] = k
     return u
+
+
+# the normaliser's transvections, t and s on different sides of {1, 2 | 3, 4}
+# and 1 <= |k| <= 10, built once; tuples, so no caller can change the table
+TRANSVECTIONS = tuple(tuple(map(tuple, _transvection(target, source, k)))
+                      for target, source in ((1, 2), (1, 3), (3, 0), (2, 0),
+                                             (3, 1), (2, 1), (0, 2), (0, 3))
+                      for k in range(-10, 11) if k)
 
 
 @dataclass
@@ -327,14 +335,10 @@ def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
     starts = [([u0], b.conjugated(u0))
               for u0 in (_perm_matrix(p) for p in permutations(range(4))
                          if _perm_sign(p) == orientation)]
-    transvections = [_transvection(target, source, k)
-                     for target, source in ((1, 2), (1, 3), (3, 0), (2, 0),
-                                            (3, 1), (2, 1), (0, 2), (0, 3))
-                     for k in range(-10, 11) if k]
 
     def extend(level):
         for path, m in level:
-            for t in transvections:
+            for t in TRANSVECTIONS:
                 yield path + [t], m.conjugated(t)
 
     fixed_i = ((path, m) for path, m in extend(starts) if _condition_i(m))

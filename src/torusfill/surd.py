@@ -12,8 +12,12 @@ denominator, with no factor common to the denominator and all numerators.
 and approx bound value * denominator * 2**prec between two integers built
 from isqrt(n_i * 4**prec), doubling prec until the bounds decide.
 `Fraction` appears only where a value enters or leaves: `terms`,
-`coefficient`, `as_fraction`, `from_terms`, the triples, `approx`, the hash
-of a rational and `eliminate`.
+`coefficient`, `as_fraction`, `from_terms`, the triples, `approx` and the
+hash of a rational.  Linear algebra over Q runs on integers too:
+`int_echelon` is a fraction-free Gauss-Jordan elimination, and
+`rationally_independent` reads its rank.  `eliminate` and
+`rational_relations` build `Fraction` only for the kernel and determinant
+they return.
 """
 
 from __future__ import annotations
@@ -359,9 +363,6 @@ class SurdScalar:
                           else hash((self._den, frozenset(self._num.items()))))
         return self._hash
 
-    def __float__(self) -> float:
-        return float(self.approx(20))
-
     def floor(self) -> int:
         """Exact integer floor."""
         if self.is_rational():
@@ -455,6 +456,53 @@ def sqrt(n: int) -> SurdScalar:
     return SurdScalar.from_terms([(n, 1)])
 
 
+def int_echelon(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Bareiss' update  m_ij <- (p m_ij - m_ic m_rj) / p'  clears the pivot
+    column c from every row i but the pivot row r, where p = m_rc and p' is
+    the previous pivot (1 at the start).  Every entry stays a minor of the
+    input, so the division is exact, and every pivot row ends up holding the
+    last pivot p at its pivot column: m / p is the reduced row echelon form.
+    Returns (pivot columns, p, det), with det the determinant of a square
+    matrix (0 when singular, and 0 for any other shape).
+    """
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    p, sign = 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prev, p, row = p, m[r][col], m[r]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], row)]
+        pivots.append(col)
+    return pivots, p, sign * p if len(pivots) == len(m) == ncols else 0
+
+
+def _kernel(m, pivots, p, dens) -> list[list[Fraction]]:
+    """The RREF kernel basis of A = m / diag(dens), where `int_echelon` has
+    reduced the integer matrix m in place and returned (pivots, p).  A and m
+    share their pivot columns, and the kernel vector y of m for free column
+    fc (y_fc = 1, y_pc = -m_i,fc / p) maps to x_j = y_j * dens_j / dens_fc,
+    so that x_fc = 1."""
+    kernel = []
+    for fc in (c for c in range(len(dens)) if c not in pivots):
+        vec = [Fraction(0)] * len(dens)
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = Fraction(-m[i][fc] * dens[pc], p * dens[fc])
+        kernel.append(vec)
+    return kernel
+
+
 def eliminate(matrix) -> tuple[list[list[Fraction]], Fraction]:
     """Exact Gauss-Jordan elimination of a rational matrix.
 
@@ -463,36 +511,24 @@ def eliminate(matrix) -> tuple[list[list[Fraction]], Fraction]:
     ascending column order, with 1 in that column and 0 in the other free
     columns, so the rank is the column count minus its length.  det is the
     determinant of a square matrix (0 when singular, and 0 for any other
-    shape).
+    shape).  Each row is scaled to integers by the lcm of its denominators
+    and eliminated by `int_echelon`; `Fraction` is built only for the
+    kernel and determinant returned.
     """
-    m = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    det = Fraction(1)
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det *= m[r][col]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    kernel = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        kernel.append(vec)
-    return kernel, det if len(pivots) == len(m) == ncols else Fraction(0)
+    m, scale = [], 1
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    pivots, p, det = int_echelon(m)
+    return _kernel(m, pivots, p, [1] * (len(m[0]) if m else 0)), Fraction(det, scale)
+
+
+def _numerator_matrix(values: list[SurdScalar]) -> list[list[int]]:
+    """Rows = radicands, columns = values: column j holds the integer
+    numerators of values[j], its coefficient column times its denominator."""
+    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
+    return [[v._num.get(c, 0) for v in values] for c in cols]
 
 
 def rational_relations(values: list[SurdScalar]) -> list[list[Fraction]]:
@@ -500,17 +536,20 @@ def rational_relations(values: list[SurdScalar]) -> list[list[Fraction]]:
 
     Square roots of distinct squarefree integers are linearly independent,
     so this is the kernel of the coefficient matrix (rows = radicands,
-    columns = values), in the order `eliminate` gives.
+    columns = values), in the order `eliminate` gives, computed from the
+    integer numerator matrix: that matrix times diag(den_j).
     """
-    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
-    return eliminate([[v.coefficient(c) for v in values] for c in cols])[0]
+    m = _numerator_matrix(values)
+    pivots, p, _ = int_echelon(m)
+    return _kernel(m, pivots, p, [v._den for v in values])
 
 
 def rationally_independent(values: list[SurdScalar]) -> bool:
-    """True iff no nonzero rational combination of the values vanishes."""
+    """True iff no nonzero rational combination of the values vanishes: the
+    integer numerator matrix has full column rank."""
     if not values:
         raise ValueError("rationally_independent needs a nonempty list")
-    return not rational_relations(values)
+    return len(int_echelon(_numerator_matrix(values))[0]) == len(values)
 
 
 def decimal_sqrt(x: SurdScalar, digits: int = 50) -> str:

@@ -122,6 +122,30 @@ def test_verify_rejects_radicand_beyond_bound(tmp_path):
     assert "radicand" in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{nested}", "--lattice", "1", "1"],
+    ["verify", "{square}", "--lattice-file", "{nested}"],
+    ["period-lattice", "{nested}"],
+    ["type", "{nested}"],
+    ["svg", "{nested}", "--lattice", "1", "1", "--out", "{out}"],
+], ids=["verify", "verify-lattice-file", "period-lattice", "type", "svg"])
+def test_deeply_nested_json_exits_two(tmp_path, argv):
+    # json raises RecursionError on 100,000 nested lists; exit 1 would claim
+    # a failed verification, so it must read as malformed input
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(SQUARE))
+    names = {"nested": str(nested), "square": str(square), "out": str(tmp_path / "out.svg")}
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfill.cli", *(a.format(**names) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad_file = tmp_path / "broken.json"
     bad_file.write_text("{not json")

@@ -1,9 +1,8 @@
 """Static guard for the exactness contract: no float on the verification path.
 
 Every module of the package is parsed with `ast` and must hold no float
-constant, no call to `float` outside `SurdScalar.__float__` (the one
-explicit, approximate conversion), no `import math` and no `from math
-import` of anything but the exact integer functions.
+constant, no call to `float`, no `import math` and no `from math import` of
+anything but the exact integer functions.
 """
 
 import ast
@@ -14,7 +13,6 @@ import pytest
 import torusfill
 
 EXACT_MATH = {"gcd", "lcm", "isqrt", "factorial"}
-FLOAT_ALLOWED_IN = {"SurdScalar.__float__"}
 SOURCES = sorted(Path(torusfill.__file__).parent.glob("*.py"))
 
 
@@ -28,7 +26,7 @@ def float_violations(source: str) -> list[str]:
         if isinstance(node, ast.Constant) and type(node.value) is float:
             found.append(f"line {node.lineno}: float constant {node.value!r}")
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "float" and scope not in FLOAT_ALLOWED_IN):
+              and node.func.id == "float"):
             found.append(f"line {node.lineno}: float() call in {scope or 'module'}")
         elif isinstance(node, ast.Import):
             found.extend(f"line {node.lineno}: import math"
@@ -57,6 +55,7 @@ def test_package_module_has_no_float_path(path):
     "def f(a):\n    return a * 1e-9",
     "def f(a):\n    return float(a)",
     "class SurdScalar:\n    def approx(self):\n        return float(self)",
+    "class SurdScalar:\n    def __float__(self):\n        return float(self.approx(20))",
     "import math",
     "import math as m",
     "import os, math",
@@ -70,7 +69,6 @@ def test_guard_flags_inexact_constructs(snippet):
 
 @pytest.mark.parametrize("snippet", [
     "from math import gcd, lcm, isqrt, factorial",
-    "class SurdScalar:\n    def __float__(self):\n        return float(self.approx(20))",
     "from fractions import Fraction\nx = Fraction(1, 2)",
 ])
 def test_guard_passes_exact_constructs(snippet):

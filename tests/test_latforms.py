@@ -20,6 +20,7 @@ from torusfill.latforms import (
     LatticeFormError,
     NormalizationResult,
     SearchExhausted,
+    TRANSVECTIONS,
     UPPER_INDEX,
     build_period_lattice,
     cone_contains,
@@ -273,6 +274,19 @@ def test_normalize_postconditions_random():
         assert dense_conjugated(b, res.base_change).upper == m.upper
         assert abs(_det_int(res.base_change)) == 1
         checked += 1
+
+
+def test_transvection_table_is_the_constant_normalizer_list():
+    # lambda_target += k lambda_source is the identity with k at (source,
+    # target); the normaliser tries them pair by pair, k ascending
+    rebuilt = tuple(tuple(tuple(k if (i, j) == (source, target) else int(i == j)
+                                for j in range(4)) for i in range(4))
+                    for target, source in NORMALIZER_TRANSVECTION_PAIRS
+                    for k in range(-10, 11) if k)
+    assert len(rebuilt) == 160
+    assert TRANSVECTIONS == rebuilt
+    assert type(TRANSVECTIONS) is tuple
+    assert all(type(t) is tuple and all(type(row) is tuple for row in t) for t in TRANSVECTIONS)
 
 
 def test_conjugated_matches_dense_oracle():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import torusfill.surd as surd_module
 from conftest import nonzero_surds, rationals, surds
+from torusfill.latforms import AlternatingSurdMatrix, _condition_i, _det_int, _off_one_rational_ray
 from torusfill.surd import (
     SurdError,
     SurdScalar,
@@ -90,6 +91,10 @@ def test_rationally_independent_brute_force_confirmation():
     assert found is not None
 
 
+def sympy_fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
 @given(st.lists(surds(), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_rational_relations_match_sympy_nullspace(values):
@@ -97,20 +102,29 @@ def test_rational_relations_match_sympy_nullspace(values):
     # in ascending order, so the two bases must agree vector by vector
     cols = sorted(set().union(*[v.radicands for v in values]) or {1})
     matrix = sympy.Matrix([[v.coefficient(c) for v in values] for c in cols])
-    expected = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in matrix.nullspace()]
+    expected = [[sympy_fraction(x) for x in vec] for vec in matrix.nullspace()]
     assert rational_relations(values) == expected
     assert rationally_independent(values) == (not expected)
 
 
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=n, max_size=n)))
-@settings(max_examples=60, deadline=None)
+ELIMINATE_ENTRIES = st.one_of(rationals(), st.just(0),
+                              st.integers(min_value=-10**30, max_value=10**30))
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
+    lambda shape: st.lists(st.lists(ELIMINATE_ENTRIES, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])))
+@settings(max_examples=150, deadline=None)
 def test_eliminate_determinant_and_rank_match_sympy(rows):
+    # sympy reads its nullspace off the RREF too, one vector per free column
+    # in ascending order, so the two bases must agree vector by vector
     kernel, det = eliminate(rows)
     matrix = sympy.Matrix(rows)
-    assert det == Fraction(int(matrix.det().p), int(matrix.det().q))
-    assert len(kernel) == len(rows) - matrix.rank()
-    assert all(not any(matrix * sympy.Matrix(vec)) for vec in kernel)
+    assert kernel == [[sympy_fraction(x) for x in vec] for vec in matrix.nullspace()]
+    if matrix.rows == matrix.cols:
+        assert det == sympy_fraction(matrix.det())
+    else:
+        assert det == 0
 
 
 @given(rationals())
@@ -518,11 +532,15 @@ def test_large_coefficients_equal_values_equal_and_hash_equally(a, b, c):
 
 
 def test_no_fraction_built_per_operation(monkeypatch):
-    # operators work on integer numerators over one denominator; a Fraction
-    # per operation is what the representation avoids
+    # operators work on integer numerators over one denominator, and the
+    # independence tests and integer determinants on one fraction-free
+    # elimination; a Fraction per operation is what the representation avoids
     a = rat(Fraction(3, 7)) - 2 * sqrt(2) + rat(Fraction(5, 11)) * sqrt(15)
     b = 1 + sqrt(2) / 3 - sqrt(3)
     q = Fraction(-5, 6)
+    quadruple = [rat(Fraction(1, 2)), sqrt(2) / 3, sqrt(3) / 5, sqrt(6) / 7]
+    form = AlternatingSurdMatrix([1, sqrt(2), 0, 0, 1, sqrt(3) / 2])
+    unimodular = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, -1]]
     original = Fraction.__new__
     built = []
 
@@ -537,3 +555,11 @@ def test_no_fraction_built_per_operation(monkeypatch):
                a == 1, a.sign(), b.sign(), a.floor(), b.ceil(), a.inverse(), b.inverse()]
     assert built == []
     assert results[8:11] == [True, False, False]
+    assert a._den != (a * q)._den and a._den != b._den
+    independence = [rationally_independent([a, a * q]), rationally_independent([a * q, a]),
+                    rationally_independent([a, b]), rationally_independent([b, a * q]),
+                    rationally_independent(quadruple), rationally_independent(quadruple + [b]),
+                    _condition_i(form), _off_one_rational_ray(form.upper),
+                    _off_one_rational_ray((a, rat(0), a * q)), _det_int(unimodular)]
+    assert built == []
+    assert independence == [False, False, True, True, True, False, True, True, False, -1]

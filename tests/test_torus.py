@@ -92,13 +92,17 @@ def test_subset_of_fundamental_cell_injects():
     assert injects(reg, UNIT).ok
 
 
+def _float(x) -> float:
+    return float(x.approx(20))
+
+
 def _float_cover_mask(points, region, lattice, span=2):
-    g1 = np.array([float(lattice.g1.x1), float(lattice.g1.x2)])
-    g2 = np.array([float(lattice.g2.x1), float(lattice.g2.x2)])
+    g1 = np.array([_float(lattice.g1.x1), _float(lattice.g1.x2)])
+    g2 = np.array([_float(lattice.g2.x1), _float(lattice.g2.x2)])
     covered = np.zeros(len(points), dtype=bool)
     polys = []
     for piece in region.pieces:
-        vs = np.array([[float(v.x1), float(v.x2)] for v in piece.vertices])
+        vs = np.array([[_float(v.x1), _float(v.x2)] for v in piece.vertices])
         polys.append(vs)
     for m in range(-span, span + 1):
         for n in range(-span, span + 1):
@@ -118,7 +122,7 @@ def test_monte_carlo_fraction_agrees():
     # statistical sanity check of the exact fraction, not an acceptance gate
     cert = example_eight_ninths(0, "++")
     assert injects(cert.final, UNIT).ok
-    exact = float(cert.final.area() / UNIT.covolume())
+    exact = _float(cert.final.area() / UNIT.covolume())
     rng = np.random.default_rng(20260810)
     n = 100_000
     uv = rng.random((n, 2))
@@ -138,8 +142,8 @@ def test_monte_carlo_full_fillings_cover_everything():
         g1, g2 = cert.lattice.g1, cert.lattice.g2
         uv = rng.random((n, 2))
         points = np.empty((n, 2))
-        points[:, 0] = uv[:, 0] * float(g1.x1) + uv[:, 1] * float(g2.x1)
-        points[:, 1] = uv[:, 0] * float(g1.x2) + uv[:, 1] * float(g2.x2)
+        points[:, 0] = uv[:, 0] * _float(g1.x1) + uv[:, 1] * _float(g2.x1)
+        points[:, 1] = uv[:, 0] * _float(g1.x2) + uv[:, 1] * _float(g2.x2)
         covered = _float_cover_mask(points, cert.final, cert.lattice, span=3)
         # boundaries are open so a sliver of samples may sit on edges
         assert covered.mean() > 0.999
