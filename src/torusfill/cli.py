@@ -253,7 +253,10 @@ def render_svg(region: Region, lattice: Lattice2, translate_ring: bool = True) -
     cells = [region]
     if translate_ring:
         cells += [region.translate(lattice.vector(a, b)) for a, b in ring]
-    boxes = [reg.bounding_box() for reg in cells]
+    cell = [pt(0, 0), lattice.g1, lattice.g1 + lattice.g2, lattice.g2]
+    # the canvas holds the cell's corners and every nonempty region's box
+    boxes = [(v.x1, v.x1, v.x2, v.x2) for v in cell]
+    boxes += [reg.bounding_box() for reg in cells if reg.pieces]
     margin = rat(Fraction(1, 4))
     x_lo = min(b[0] for b in boxes) - margin
     x_hi = max(b[1] for b in boxes) + margin
@@ -273,7 +276,6 @@ def render_svg(region: Region, lattice: Lattice2, translate_ring: bool = True) -
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="#ffffff" />',
     ]
-    cell = [pt(0, 0), lattice.g1, lattice.g1 + lattice.g2, lattice.g2]
     cell_pts = " ".join(_svg_coords(v - shift, scale, y_hi) for v in cell)
     parts.append(f'<polygon points="{cell_pts}" fill="none" '
                  f'stroke="#000000" stroke-width="1.5" stroke-dasharray="6,3" />')

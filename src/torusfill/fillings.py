@@ -167,7 +167,8 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
     final = composability.final
     final.validate()
     verdict = injects(final, lattice)
-    fraction = final.area() / lattice.covolume() if verdict.ok else None
+    final_area = final.area()
+    fraction = final_area / lattice.covolume() if verdict.ok else None
     return FillingCertificate(
         name=name,
         params=params,
@@ -178,7 +179,7 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
         injectivity=verdict,
         symplecticity=[induced_4d_check(s) for s in seq.shears],
         source_area=source.area(),
-        final_area=final.area(),
+        final_area=final_area,
         fraction=fraction,
         identities=identities or {},
     )

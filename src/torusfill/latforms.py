@@ -17,8 +17,8 @@ from itertools import chain, combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
 
-from .surd import (SurdScalar, decimal_sqrt, int_echelon, rat, rational_relations,
-                   rationally_independent, scalar, sqrt)
+from .surd import (SurdScalar, decimal_sqrt, int_echelon, rat, rational_rank,
+                   rational_relations, rationally_independent, scalar, sqrt)
 
 
 class LatticeFormError(ValueError):
@@ -169,8 +169,9 @@ class AlternatingSurdMatrix:
         return b13 * b24 - b14 * b23 - b12 * b34
 
     def is_irrational(self) -> bool:
-        """True iff the six entries do not all lie on a single rational ray."""
-        return _off_one_rational_ray(self.upper)
+        """True iff the six entries do not all lie on a single rational ray:
+        their rational rank is at least 2."""
+        return rational_rank(self.upper) >= 2
 
     def conjugated(self, u: list[list[int]]) -> "AlternatingSurdMatrix":
         """U^T B U for a unimodular U, by the second exterior power of U.
@@ -199,12 +200,6 @@ class AlternatingSurdMatrix:
 
     def to_json(self):
         return {"n": 2, "upper": [x.to_triples() for x in self.upper]}
-
-
-def _off_one_rational_ray(values: tuple[SurdScalar, ...]) -> bool:
-    """True iff the nonzero values do not all lie on a single rational ray."""
-    nonzero = [x for x in values if not x.is_zero()]
-    return any(rationally_independent([nonzero[0], other]) for other in nonzero[1:])
 
 
 def _det_int(a) -> int:
@@ -254,7 +249,7 @@ def _condition_i(b: AlternatingSurdMatrix) -> bool:
 
 
 def _condition_ii(b: AlternatingSurdMatrix) -> bool:
-    return _off_one_rational_ray(b.upper[1:5])
+    return rational_rank(b.upper[1:5]) >= 2
 
 
 def _postconditions_hold(b: AlternatingSurdMatrix) -> bool:
@@ -381,10 +376,17 @@ class PeriodLatticeSolution:
     x: SurdScalar
     y: SurdScalar
     u: SurdScalar
-    v: SurdScalar
     rho_sq: SurdScalar
-    zero_case: bool  # True when b12 = b34 = 0 (v = 0)
     fresh_radicals: list[int] = field(default_factory=list)
+
+    @property
+    def v(self) -> SurdScalar:
+        return self.b.upper[0]
+
+    @property
+    def zero_case(self) -> bool:
+        # b12 = 0 forces b34 = 0 by condition (i), and then v = 0
+        return self.b.upper[0].is_zero()
 
     @property
     def det(self) -> SurdScalar:
@@ -412,8 +414,18 @@ def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
 
     Starts from the feasible base point (p, q, r, s) = (b13, b23, b14, b24),
     perturbs it inside the compatibility hyperplane with fresh-radical
-    directions until the quadruple is rationally independent, then reads off
-    (x, y, u) by the closed formulas and fixes v and rho^2 by case.
+    directions until the quadruple has no rational relation, then reads off
+    (x, y, u) by the closed formulas and rho^2 by case: b34 / (b12 D) with
+    D = p s - q r, or sqrt(P) for a fresh prime P when b12 = b34 = 0.  The
+    solution reads v = b12 and zero_case (b12 = 0) from b.
+
+    `verify_no_curves` decides every condition on the result, and nothing
+    here decides one again.  Two hold by construction.  Compatibility
+    (r b13 - p b14 = q b24 - s b23, so the two formulas for u agree): the
+    base point and all six directions lie in that hyperplane.  And in the
+    zero case ps_qr_irrational: D is a nonzero element of the field K of the
+    used square roots, sqrt(P) is not in K, so rho^2 D = sqrt(P) D is
+    irrational.
 
     Why the perturbation ends after at most two rounds.  By condition (ii)
     the base point has rational rank >= 2, so its relation space R (the
@@ -459,8 +471,8 @@ def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
         (rat(0), b13, b24, rat(0)),
     ]
 
-    while not rationally_independent([p, q, r, s]):
-        w = next((w for rel in rational_relations([p, q, r, s]) for w in directions
+    while relations := rational_relations([p, q, r, s]):
+        w = next((w for rel in relations for w in directions
                   if not sum((rat(c) * wi for c, wi in zip(rel, w)), rat(0)).is_zero()),
                  None)
         if w is None:
@@ -477,26 +489,17 @@ def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
         used.add(prime)
         fresh_used.append(prime)
 
-    d = p * s - q * r
-    d_inv = d.inverse()
+    d_inv = (p * s - q * r).inverse()
     x = (s * b13 - q * b14) * d_inv
     y = (p * b24 - r * b23) * d_inv
     u = (p * b14 - r * b13) * d_inv
-    if u != (s * b23 - q * b24) * d_inv:
-        raise LatticeFormError("compatibility violated after perturbation")
-
-    if b12.is_zero() and b34.is_zero():
+    if b12.is_zero():
         prime = _fresh_prime(used)
-        rho_sq = sqrt(prime)
         fresh_used.append(prime)
-        if not (rho_sq * d).is_irrational():
-            raise LatticeFormError("fresh radical failed to make rho^2 * D irrational")
-        return PeriodLatticeSolution(b, p, q, r, s, x, y, u, rat(0), rho_sq,
-                                     True, fresh_used)
-    v = b12
-    rho_sq = b34 / b12 * d_inv
-    return PeriodLatticeSolution(b, p, q, r, s, x, y, u, v, rho_sq,
-                                 False, fresh_used)
+        rho_sq = sqrt(prime)
+    else:
+        rho_sq = b34 / b12 * d_inv
+    return PeriodLatticeSolution(b, p, q, r, s, x, y, u, rho_sq, fresh_used)
 
 
 @dataclass

@@ -14,14 +14,14 @@ from isqrt(n_i * 4**prec), doubling prec until the bounds decide.
 `Fraction` appears only where a value enters or leaves: `terms`,
 `coefficient`, `as_fraction`, `from_terms`, the triples, `approx` and the
 hash of a rational.  Linear algebra over Q runs on integers too:
-`int_echelon` is a fraction-free Gauss-Jordan elimination, and
-`rationally_independent` reads its rank.  `eliminate` and
-`rational_relations` build `Fraction` only for the kernel and determinant
-they return.
+`int_echelon` is a fraction-free Gauss-Jordan elimination, `rational_rank`
+reads its rank, and `rational_relations` builds `Fraction` only for the
+kernel it returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, ge, gt, le, lt, sub
@@ -487,12 +487,36 @@ def int_echelon(m: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, p, sign * p if len(pivots) == len(m) == ncols else 0
 
 
-def _kernel(m, pivots, p, dens) -> list[list[Fraction]]:
-    """The RREF kernel basis of A = m / diag(dens), where `int_echelon` has
-    reduced the integer matrix m in place and returned (pivots, p).  A and m
-    share their pivot columns, and the kernel vector y of m for free column
-    fc (y_fc = 1, y_pc = -m_i,fc / p) maps to x_j = y_j * dens_j / dens_fc,
-    so that x_fc = 1."""
+def _numerator_matrix(values: Sequence[SurdScalar]) -> list[list[int]]:
+    """Rows = radicands, columns = values: column j holds the integer
+    numerators of values[j], its coefficient column times its denominator."""
+    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
+    return [[v._num.get(c, 0) for v in values] for c in cols]
+
+
+def rational_rank(values: Sequence[SurdScalar]) -> int:
+    """Dimension of the span over Q of the values: square roots of distinct
+    squarefree integers are linearly independent, so it is the rank of the
+    coefficient matrix (rows = radicands, columns = values), read from one
+    `int_echelon` of the integer numerator matrix.  Zero values add zero
+    columns, and no values have rank 0."""
+    return len(int_echelon(_numerator_matrix(values))[0])
+
+
+def rational_relations(values: list[SurdScalar]) -> list[list[Fraction]]:
+    """Basis of the rational vectors n with sum n_i * values_i = 0.
+
+    The kernel of the coefficient matrix A, of dimension
+    len(values) - `rational_rank`(values), read off its reduced row echelon
+    form: one vector per free column, in ascending column order, with 1 in
+    that column and 0 in the other free columns.  `int_echelon` reduces the
+    integer numerator matrix m = A diag(den_j) in place; A and m share their
+    pivot columns, and the kernel vector y of m for free column fc
+    (y_fc = 1, y_pc = -m_i,fc / p) maps to n_j = y_j * den_j / den_fc.
+    """
+    dens = [v._den for v in values]
+    m = _numerator_matrix(values)
+    pivots, p, _ = int_echelon(m)
     kernel = []
     for fc in (c for c in range(len(dens)) if c not in pivots):
         vec = [Fraction(0)] * len(dens)
@@ -503,53 +527,12 @@ def _kernel(m, pivots, p, dens) -> list[list[Fraction]]:
     return kernel
 
 
-def eliminate(matrix) -> tuple[list[list[Fraction]], Fraction]:
-    """Exact Gauss-Jordan elimination of a rational matrix.
-
-    Returns (kernel, det).  The kernel is a basis of {x : matrix x = 0} read
-    off the reduced row echelon form: one vector per free column, in
-    ascending column order, with 1 in that column and 0 in the other free
-    columns, so the rank is the column count minus its length.  det is the
-    determinant of a square matrix (0 when singular, and 0 for any other
-    shape).  Each row is scaled to integers by the lcm of its denominators
-    and eliminated by `int_echelon`; `Fraction` is built only for the
-    kernel and determinant returned.
-    """
-    m, scale = [], 1
-    for row in matrix:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    pivots, p, det = int_echelon(m)
-    return _kernel(m, pivots, p, [1] * (len(m[0]) if m else 0)), Fraction(det, scale)
-
-
-def _numerator_matrix(values: list[SurdScalar]) -> list[list[int]]:
-    """Rows = radicands, columns = values: column j holds the integer
-    numerators of values[j], its coefficient column times its denominator."""
-    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
-    return [[v._num.get(c, 0) for v in values] for c in cols]
-
-
-def rational_relations(values: list[SurdScalar]) -> list[list[Fraction]]:
-    """Basis of the rational vectors n with sum n_i * values_i = 0.
-
-    Square roots of distinct squarefree integers are linearly independent,
-    so this is the kernel of the coefficient matrix (rows = radicands,
-    columns = values), in the order `eliminate` gives, computed from the
-    integer numerator matrix: that matrix times diag(den_j).
-    """
-    m = _numerator_matrix(values)
-    pivots, p, _ = int_echelon(m)
-    return _kernel(m, pivots, p, [v._den for v in values])
-
-
 def rationally_independent(values: list[SurdScalar]) -> bool:
-    """True iff no nonzero rational combination of the values vanishes: the
-    integer numerator matrix has full column rank."""
+    """True iff no nonzero rational combination of the values vanishes: their
+    rational rank is their number."""
     if not values:
         raise ValueError("rationally_independent needs a nonempty list")
-    return len(int_echelon(_numerator_matrix(values))[0]) == len(values)
+    return rational_rank(values) == len(values)
 
 
 def decimal_sqrt(x: SurdScalar, digits: int = 50) -> str:

@@ -26,9 +26,10 @@ class Lattice2:
     __slots__ = ("g1", "g2")
 
     def __init__(self, g1: Point2, g2: Point2):
-        if g1.cross(g2).sign() == 0:
+        orientation = g1.cross(g2).sign()
+        if orientation == 0:
             raise TorusError("degenerate lattice basis")
-        if g1.cross(g2).sign() < 0:
+        if orientation < 0:
             g1, g2 = g2, g1
         self.g1 = g1
         self.g2 = g2

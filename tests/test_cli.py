@@ -456,6 +456,43 @@ def test_render_svg_contains_cell_and_pieces():
     assert "stroke-dasharray" in svg  # the fundamental cell outline
 
 
+def cell_on_canvas(svg: str) -> bool:
+    """Every coordinate of the dashed cell polygon lies in [0, width] x [0, height]."""
+    width = Fraction(svg.split('width="', 1)[1].split('"', 1)[0])
+    height = Fraction(svg.split('height="', 1)[1].split('"', 1)[0])
+    [cell] = [line for line in svg.splitlines() if "stroke-dasharray" in line]
+    corners = [point.split(",") for point in cell.split('points="')[1].split('"')[0].split()]
+    assert len(corners) == 4
+    return all(0 <= Fraction(x) <= width and 0 <= Fraction(y) <= height for x, y in corners)
+
+
+@pytest.mark.parametrize("polygons, lattice, ring", [
+    ([[(0, 0), (1, 0), (0, 1)]], ("10", "10"), False),
+    ([[(100, 100), (101, 100), (100, 101)]], ("1", "1"), True),
+    ([], ("1", "1"), True),
+    ([], ("2", "3"), False),
+], ids=["triangle-no-ring", "far-region-ring", "empty-ring", "empty-no-ring"])
+def test_svg_draws_the_cell_on_the_canvas(tmp_path, capsys, polygons, lattice, ring):
+    from torusfill.geom import ConvexPolygon, pt
+    region = Region([ConvexPolygon([pt(*v) for v in poly]) for poly in polygons])
+    region_file, out = tmp_path / "region.json", tmp_path / "out.svg"
+    region_file.write_text(json.dumps(region.to_json()))
+    argv = ["svg", str(region_file), "--lattice", *lattice, "--out", str(out)]
+    code, _, err = run_cli(argv + ([] if ring else ["--no-ring"]), capsys)
+    assert code == 0, err
+    assert cell_on_canvas(out.read_text())
+
+
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "no-ring"])
+def test_svg_draws_the_cell_on_the_canvas_for_golden_finals(ring):
+    from torusfill.torus import Lattice2
+    for case in CONSTRUCT_GOLDEN["cases"]:
+        cert = json.loads(case["stdout"])
+        svg = render_svg(Region.from_json(cert["final"]), Lattice2.from_json(cert["lattice"]),
+                         translate_ring=ring)
+        assert cell_on_canvas(svg), case["argv"]
+
+
 def test_region_json_round_trip_through_cli(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     code, _, _ = run_cli(["construct", "example3", "--eps", "1/100",

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from test_acceptance import _random_surd_matrix
 
+import torusfill.surd as surd_module
+from torusfill.cli import _matrix_from_json
 from torusfill.latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,
@@ -29,6 +33,7 @@ from torusfill.latforms import (
     polarization_type,
     verify_no_curves,
     _condition_i,
+    _condition_ii,
     _det_int,
     _fresh_prime,
     _ident,
@@ -319,6 +324,47 @@ def test_normalize_picks_same_base_change_as_dense_oracle(monkeypatch):
     assert [outcome(normalize_basis, b) for b in forms] == found
 
 
+def off_one_rational_ray(values) -> bool:
+    """Reference: some nonzero value is independent of the first nonzero one."""
+    nonzero = [x for x in values if not x.is_zero()]
+    return any(rationally_independent([nonzero[0], other]) for other in nonzero[1:])
+
+
+def assert_rank_tests_match_pairwise_loop(b):
+    assert b.is_irrational() == off_one_rational_ray(b.upper), b.upper
+    assert _condition_ii(b) == off_one_rational_ray(b.upper[1:5]), b.upper
+
+
+def test_rank_conditions_match_pairwise_loop(monkeypatch):
+    golden = json.loads((Path(__file__).parent / "data" / "period_lattice_golden.json").read_text())
+    golden_forms = [_matrix_from_json(case["matrix"]) for case in golden["cases"]]
+    assert len(golden_forms) == 14
+    rng = random.Random(1234)
+    draws = [_random_surd_matrix(rng) for _ in range(200)]
+    for b in golden_forms + draws:
+        assert_rank_tests_match_pairwise_loop(b)
+
+    visited = []
+    conjugated = AlternatingSurdMatrix.conjugated
+
+    def recording(self, u):
+        visited.append(conjugated(self, u))
+        return visited[-1]
+
+    monkeypatch.setattr(AlternatingSurdMatrix, "conjugated", recording)
+    for b in draws[:20]:
+        normalize_basis(b)
+    # both verdicts of both tests occur among the normaliser's conjugates
+    assert len(visited) > 20 * 12
+    assert {_condition_ii(m) for m in visited} == {True, False}
+    for m in visited:
+        assert_rank_tests_match_pairwise_loop(m)
+    # and on forms with rational, zero or proportional entries
+    for upper in ([1, 2, 0, 0, 1, 1], [sqrt(2), 2 * sqrt(2), 0, 0, sqrt(2), sqrt(2)],
+                  [0, 1, 0, 0, 1, sqrt(2)], [sqrt(3), 1, 2, 0, 3, 0]):
+        assert_rank_tests_match_pairwise_loop(AlternatingSurdMatrix(upper))
+
+
 def no_candidate_up_to_one_transvection(b, k_range):
     """True iff no permutation, alone or followed by one transvection of any
     source and target with |k| <= k_range, meets the contract."""
@@ -455,15 +501,64 @@ def test_positivity_needs_rho_sq_positive_and_weighs_v_by_rho_sq():
     sol = build_period_lattice(normalize_basis(b).matrix)
 
     def positivity(x_y, v, rho_sq):
-        # x y - u^2 = x_y with u = 0
-        hand_built = dataclasses.replace(sol, x=rat(1), y=rat(x_y), u=rat(0),
-                                         v=rat(v), rho_sq=rat(rho_sq))
+        # x y - u^2 = x_y with u = 0; v is read from b12 of a nondegenerate b
+        b = AlternatingSurdMatrix([v, 1, 0, 0, 1, 0])
+        hand_built = dataclasses.replace(sol, b=b, x=rat(1), y=rat(x_y), u=rat(0),
+                                         rho_sq=rat(rho_sq))
+        assert hand_built.v == rat(v)
         return verify_no_curves(hand_built).conditions["positivity"]
 
     assert positivity(2, 1, 1)        # 2 - 1 > 0
     assert not positivity(2, 1, 3)    # 2 - 3 < 0, though 2 - 1 > 0
     assert not positivity(2, 0, 0)    # rho^2 = 0
     assert not positivity(-5, 1, -1)  # rho^2 < 0, though (-5) / (-1) - 1 > 0
+
+
+def test_certificate_rejects_a_perturbed_r():
+    # the builder no longer re-checks compatibility; the certificate does
+    b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
+    sol = build_period_lattice(normalize_basis(b).matrix)
+    assert verify_no_curves(sol).ok
+    cert = verify_no_curves(dataclasses.replace(sol, r=sol.r + sqrt(7)))
+    assert cert.conditions["compatibility"] is False
+    assert not cert.ok and "compatibility" in cert.failed()
+
+
+def test_certificate_rejects_a_rational_rho_sq_times_d_in_the_zero_case():
+    # the builder no longer re-checks that rho^2 D is irrational; the
+    # certificate does
+    b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
+    sol = build_period_lattice(normalize_basis(b).matrix)
+    assert sol.zero_case and verify_no_curves(sol).ok
+    rho_sq = rat(Fraction(3, 2)) * sol.det.inverse()
+    cert = verify_no_curves(dataclasses.replace(sol, rho_sq=rho_sq))
+    assert cert.conditions["ps_qr_irrational"] is False
+    assert not cert.ok and "ps_qr_irrational" in cert.failed()
+
+
+@pytest.mark.parametrize("upper", [
+    [sqrt(3), 3, 1, -2 * sqrt(2), 3, sqrt(5)],
+    [0, sqrt(2) + 2 * sqrt(5), 3 * sqrt(2) + 3 * sqrt(5), -sqrt(5), 0, 0],
+], ids=["b12-nonzero", "zero-case"])
+def test_perturbation_runs_one_elimination_per_round(monkeypatch, upper):
+    # the normalized forms of criterion-10 draws 231 and 312, on which the
+    # perturbation takes two rounds
+    b = AlternatingSurdMatrix(upper)
+    calls = []
+    original = surd_module.int_echelon
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(surd_module, "int_echelon", counting)
+    assert _condition_i(b) and _condition_ii(b)  # the builder's entry checks
+    entry = len(calls)
+    sol = build_period_lattice(b)
+    rounds = len(sol.fresh_radicals) - sol.zero_case
+    assert rounds == 2
+    # one elimination per round, plus the one that finds no relation left
+    assert len(calls) - 2 * entry == rounds + 1
 
 
 def grid_relation_exists(values, bound) -> bool:

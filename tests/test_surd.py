@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 import torusfill.surd as surd_module
 from conftest import nonzero_surds, rationals, surds
-from torusfill.latforms import AlternatingSurdMatrix, _condition_i, _det_int, _off_one_rational_ray
+from torusfill.latforms import AlternatingSurdMatrix, _condition_i, _det_int
 from torusfill.surd import (
     SurdError,
     SurdScalar,
     _coprime_base,
     decimal_sqrt,
-    eliminate,
+    int_echelon,
     rat,
+    rational_rank,
     rational_relations,
     rationally_independent,
     sqrt,
@@ -107,22 +108,35 @@ def test_rational_relations_match_sympy_nullspace(values):
     assert rationally_independent(values) == (not expected)
 
 
-ELIMINATE_ENTRIES = st.one_of(rationals(), st.just(0),
-                              st.integers(min_value=-10**30, max_value=10**30))
+@given(st.lists(surds(), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_rational_rank_matches_sympy_rank(values):
+    cols = sorted(set().union(*[v.radicands for v in values]) or {1})
+    matrix = sympy.Matrix([[v.coefficient(c) for v in values] for c in cols])
+    assert rational_rank(values) == matrix.rank()
+    assert rational_rank(tuple(values)) == matrix.rank()
+
+
+def test_rational_rank_of_no_values_is_zero():
+    assert rational_rank([]) == 0
+    assert rational_rank([rat(0), rat(0)]) == 0
 
 
 @given(st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
-    lambda shape: st.lists(st.lists(ELIMINATE_ENTRIES, min_size=shape[1], max_size=shape[1]),
+    lambda shape: st.lists(st.lists(st.one_of(st.just(0), st.integers(-10**30, 10**30)),
+                                    min_size=shape[1], max_size=shape[1]),
                            min_size=shape[0], max_size=shape[0])))
 @settings(max_examples=150, deadline=None)
-def test_eliminate_determinant_and_rank_match_sympy(rows):
-    # sympy reads its nullspace off the RREF too, one vector per free column
-    # in ascending order, so the two bases must agree vector by vector
-    kernel, det = eliminate(rows)
+def test_int_echelon_pivots_rref_and_determinant_match_sympy(rows):
     matrix = sympy.Matrix(rows)
-    assert kernel == [[sympy_fraction(x) for x in vec] for vec in matrix.nullspace()]
+    m = [row[:] for row in rows]
+    pivots, p, det = int_echelon(m)
+    rref, sympy_pivots = matrix.rref()
+    assert pivots == list(sympy_pivots)
+    assert [[Fraction(x, p) for x in row] for row in m] == \
+        [[sympy_fraction(x) for x in rref.row(i)] for i in range(matrix.rows)]
     if matrix.rows == matrix.cols:
-        assert det == sympy_fraction(matrix.det())
+        assert det == int(matrix.det())
     else:
         assert det == 0
 
@@ -559,7 +573,7 @@ def test_no_fraction_built_per_operation(monkeypatch):
     independence = [rationally_independent([a, a * q]), rationally_independent([a * q, a]),
                     rationally_independent([a, b]), rationally_independent([b, a * q]),
                     rationally_independent(quadruple), rationally_independent(quadruple + [b]),
-                    _condition_i(form), _off_one_rational_ray(form.upper),
-                    _off_one_rational_ray((a, rat(0), a * q)), _det_int(unimodular)]
+                    _condition_i(form), rational_rank(form.upper),
+                    rational_rank((a, rat(0), a * q)), _det_int(unimodular)]
     assert built == []
-    assert independence == [False, False, True, True, True, False, True, True, False, -1]
+    assert independence == [False, False, True, True, True, False, True, 3, 1, -1]
