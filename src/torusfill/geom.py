@@ -43,6 +43,8 @@ class Point2:
 
     @classmethod
     def from_json(cls, data) -> "Point2":
+        if len(data) != 2:
+            raise GeometryError(f"a point has two coordinates, got {len(data)}")
         return cls(SurdScalar.from_triples(data[0]), SurdScalar.from_triples(data[1]))
 
 
@@ -191,17 +193,33 @@ def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon |
     return _raw(_from_lowest(out)) if len(out) >= 3 else None
 
 
+def _outside_an_edge(a: ConvexPolygon, b: ConvexPolygon) -> bool:
+    """True iff some edge line p->q of b has every vertex of a on its closed
+    right side, that is d.cross(v - p) <= 0 for d = q - p: signs only."""
+    for p, q in b.edges():
+        d = q - p
+        c = d.cross(p)
+        if all(d.cross(v) <= c for v in a.vertices):
+            return True
+    return False
+
+
 def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     """Exact intersection of two convex polygons; None when it has zero area.
 
-    Pairs whose bounding boxes meet in zero area are rejected before any
-    half-plane is clipped.
+    Pairs whose bounding boxes meet in zero area are rejected first, and
+    then pairs that an edge line of either polygon separates, before any
+    half-plane is clipped.  Two convex polygons with disjoint interiors are
+    always separated by the line of one of their edges, so the half-plane
+    cuts run only on pairs that overlap in positive area.
     """
     ax1, ax2, ay1, ay2 = a.bounding_box()
     bx1, bx2, by1, by2 = b.bounding_box()
     if (ax2 - bx1).sign() <= 0 or (bx2 - ax1).sign() <= 0:
         return None
     if (ay2 - by1).sign() <= 0 or (by2 - ay1).sign() <= 0:
+        return None
+    if _outside_an_edge(a, b) or _outside_an_edge(b, a):
         return None
     result: ConvexPolygon | None = a
     for p, q in b.edges():

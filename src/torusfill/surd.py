@@ -8,7 +8,10 @@ coincides with equality of real values.
 
 A scalar is stored as {n_i: nonzero int numerator} over one positive int
 denominator, with no factor common to the denominator and all numerators.
-+, - and * work on integers and divide each result by one gcd.  sign, floor
++, - and * work on integers and divide each result by one gcd.  A sum or
+difference with a zero operand is the other operand (negated for 0 - y),
+and two nonzero rationals skip the per-radicand merge: one cross product
+(or product) over d1*d2, reduced by one gcd.  sign, floor
 and approx bound value * denominator * 2**prec between two integers built
 from isqrt(n_i * 4**prec), doubling prec until the bounds decide.
 `Fraction` appears only where a value enters or leaves: `terms`,
@@ -159,11 +162,25 @@ class SurdScalar:
 
     def _merge(self, other: SurdScalar, op) -> SurdScalar:
         """self op other for op in (add, sub), term by term over the lcm of
-        the two denominators."""
+        the two denominators.  A zero operand gives the other back, and two
+        nonzero rationals n1/d1 and n2/d2 take (n1 d2 op n2 d1) / (d1 d2) and
+        one gcd."""
+        x, y = self._num, other._num
+        if not y:
+            return self
+        if not x:
+            return other if op is add else -other
+        if 1 in x and 1 in y and len(x) + len(y) == 2:
+            n = op(x[1] * other._den, y[1] * self._den)
+            if not n:
+                return _make({}, 1)
+            d = self._den * other._den
+            g = gcd(n, d)
+            return _make({1: n // g}, d // g)
         g = gcd(self._den, other._den)
         a, b = other._den // g, self._den // g
-        acc = {r: n * a for r, n in self._num.items()}
-        for rad, n in other._num.items():
+        acc = {r: n * a for r, n in x.items()}
+        for rad, n in y.items():
             s = op(acc.get(rad, 0), n * b)
             if s:
                 acc[rad] = s
@@ -198,14 +215,21 @@ class SurdScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        x, y = self._num, other._num
+        if not x or not y:
+            return _make({}, 1)
+        if 1 in x and 1 in y and len(x) + len(y) == 2:
+            n, d = x[1] * y[1], self._den * other._den
+            g = gcd(n, d)
+            return _make({1: n // g}, d // g)
         # a rational factor, put second, scales the other's numerators and
         # leaves its radicands unchanged
         if self.is_rational():
             self, other = other, self
         den = self._den * other._den
         if other.is_rational():
-            q = other._num.get(1)
-            return _reduced({r: n * q for r, n in self._num.items()} if q else {}, den)
+            q = other._num[1]
+            return _reduced({r: n * q for r, n in self._num.items()}, den)
         acc: dict[int, int] = {}
         for r1, n1 in self._num.items():
             for r2, n2 in other._num.items():

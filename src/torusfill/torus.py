@@ -2,8 +2,8 @@
 
 Exact injectivity of a bounded region modulo a lattice, decided in the
 coordinates of a Lagrange-reduced basis, where a lattice vector is an
-integer shift: each pair of pieces is clipped only at the shifts in the
-integer ranges of their boxes, and the overlap area must be exactly zero
+integer shift: each pair of pieces is clipped only at the shifts where
+their exact boxes overlap, and the overlap area must be exactly zero
 (shared edges allowed, per the open-set convention).
 """
 
@@ -49,7 +49,10 @@ class Lattice2:
 
     @classmethod
     def from_json(cls, data) -> "Lattice2":
-        return cls(Point2.from_json(data["basis"][0]), Point2.from_json(data["basis"][1]))
+        basis = data["basis"]
+        if len(basis) != 2:
+            raise TorusError(f"a lattice basis has two vectors, got {len(basis)}")
+        return cls(Point2.from_json(basis[0]), Point2.from_json(basis[1]))
 
     def __repr__(self):
         return (f"Lattice2[({self.g1.x1},{self.g1.x2}), "
@@ -97,13 +100,17 @@ def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
     The work runs on a Lagrange-reduced basis h1, h2, so that a skewed
     basis costs no more than a reduced one.  In its coordinates
     a*h1 + b*h2 is the shift (a, b).  Piece q shifted by (a, b) meets
-    piece p in positive area only if a lies strictly between
-    p.umin - q.umax and p.umax - q.umin (b likewise), so floors and
-    ceilings of the boxes, taken once per piece, bound the shifts each
-    ordered pair needs.  Shifts by v and -v overlap equally, so only a > 0,
-    or a = 0 < b, is tried; each collision is reported by its coefficients
-    in the given basis, signed the same way.  The map has determinant
-    1/covolume > 0, so plane areas are lattice areas times the covolume.
+    piece p in positive area only if their boxes do: a lies strictly
+    between p.umin - q.umax and p.umax - q.umin, that is in
+    floor(p.umin - q.umax) + 1 .. ceil(p.umax - q.umin) - 1, and b
+    likewise.  These exact differences are taken once per ordered pair,
+    and only for pairs that the floors and ceilings of the piece boxes,
+    taken once per piece, leave a shift; `clip` then rejects a shift by a
+    separating edge before it cuts.  Shifts by v and -v overlap equally,
+    so only a > 0, or a = 0 < b, is tried; each collision is reported by
+    its coefficients in the given basis, signed the same way.  The map has
+    determinant 1/covolume > 0, so plane areas are lattice areas times the
+    covolume.
     """
     h1, h2, c1, c2 = _reduced(lattice.g1, lattice.g2)
     det = lattice.covolume()
@@ -111,15 +118,19 @@ def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
     to_lattice = AffineMap2(((h2.x2 * inv, -h2.x1 * inv), (-h1.x2 * inv, h1.x1 * inv)),
                             pt(0, 0))
     pieces = [to_lattice.apply_polygon(p) for p in r.pieces]
-    boxes = [(u1.floor(), u2.ceil(), w1.floor(), w2.ceil())
-             for u1, u2, w1, w2 in (p.bounding_box() for p in pieces)]
+    boxes = [p.bounding_box() for p in pieces]
+    ints = [(u1.floor(), u2.ceil(), w1.floor(), w2.ceil()) for u1, u2, w1, w2 in boxes]
     overlaps: dict[tuple[int, int], SurdScalar] = {}
-    for p, (pu1, pu2, pw1, pw2) in zip(pieces, boxes):
-        for q, (qu1, qu2, qw1, qw2) in zip(pieces, boxes):
-            for a in range(max(pu1 - qu2 + 1, 0), pu2 - qu1):
-                for b in range(pw1 - qw2 + 1, pw2 - qw1):
-                    if a == 0 and b <= 0:
-                        continue
+    for p, (pu1, pu2, pw1, pw2), (_, pa, _, pb) in zip(pieces, boxes, ints):
+        for q, (qu1, qu2, qw1, qw2), (qa, _, qb, _) in zip(pieces, boxes, ints):
+            # a < pa - qa and b < pb - qb, read off the integer boxes: skip
+            # the pair when that leaves no a > 0 nor a = 0 < b
+            if pa - qa < 1 or (pa - qa == 1 and pb - qb < 2):
+                continue
+            a_hi = (pu2 - qu1).ceil()
+            b_lo, b_hi = (pw1 - qw2).floor() + 1, (pw2 - qw1).ceil()
+            for a in range(max((pu1 - qu2).floor() + 1, 0), a_hi):
+                for b in range(b_lo if a else max(b_lo, 1), b_hi):
                     c = clip(p, q.translate(pt(a, b)))
                     if c is not None:
                         v = (a * c1[0] + b * c2[0], a * c1[1] + b * c2[1])

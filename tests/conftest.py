@@ -7,8 +7,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st
 
-from torusfill.geom import AffineMap2, ConvexPolygon, Point2, Region, clip, pt, rectangle
-from torusfill.surd import SurdScalar, rat
+from torusfill.geom import (AffineMap2, ConvexPolygon, GeometryError, Point2, Region, clip, pt,
+                           rectangle)
+from torusfill.surd import SurdScalar, rat, sqrt
 from torusfill.torus import Lattice2, TorusError
 
 SMALL_RADICANDS = [1, 2, 3, 5, 6]
@@ -49,6 +50,26 @@ def rationals(draw, bound=9):
     num = draw(st.integers(min_value=-bound, max_value=bound))
     den = draw(st.integers(min_value=1, max_value=bound))
     return Fraction(num, den)
+
+
+@st.composite
+def region_pieces(draw, surd):
+    """A rectangle or a triangle near the origin, with rational coordinates,
+    plus a rational multiple of sqrt(2) when surd is set; a degenerate
+    triangle becomes the unit square."""
+    def coord(bound):
+        c = rat(draw(rationals(bound=bound)))
+        return c + rat(draw(rationals(bound=2))) * sqrt(2) if surd else c
+
+    if draw(st.booleans()):
+        x, y = coord(3), coord(3)
+        w = rat(draw(st.integers(min_value=1, max_value=12))) / 4
+        h = rat(draw(st.integers(min_value=1, max_value=12))) / 4
+        return rectangle(x, x + w, y, y + h)
+    try:
+        return ConvexPolygon([pt(coord(3), coord(3)) for _ in range(3)])
+    except GeometryError:  # collinear or repeated points
+        return rectangle(0, 1, 0, 1)
 
 
 # -- overlap areas and interior points, as oracles ----------------------------

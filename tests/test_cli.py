@@ -170,6 +170,14 @@ BOOL_NUMERATOR_SQUARE = {"polygons": [[SQUARE["polygons"][0][0], [[[1, True, 1]]
                                        *SQUARE["polygons"][0][2:]]]}
 BOOL_DENOMINATOR_FORM = {"n": 2, "upper": [*SURD_FORM["upper"][:2], [[2, 1, True]],
                                            *SURD_FORM["upper"][3:]]}
+# the unit square with a third coordinate at (1, 1); and the unit lattice
+# with a third basis vector, stored beside the square so that one file is
+# both the region and the lattice
+THREE_COORDINATE_SQUARE = {"polygons": [[*SQUARE["polygons"][0][:2],
+                                         [[[1, 1, 1]], [[1, 1, 1]], [[1, 5, 1]]],
+                                         SQUARE["polygons"][0][3]]]}
+THREE_VECTOR_BASIS = {**SQUARE, "basis": [[[[1, 1, 1]], []], [[], [[1, 1, 1]]],
+                                          [[[1, 1, 1]], [[1, 1, 1]]]]}
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -188,9 +196,12 @@ BOOL_DENOMINATOR_FORM = {"n": 2, "upper": [*SURD_FORM["upper"][:2], [[2, 1, True
     (["period-lattice", "{input}"], {"n": 2, "upper": [[[2, 1, 1]], 0, 0, 0, 0, 0]}),
     # b12 = 1 and b34 = 2 written as triples: nondegenerate but rational
     (["period-lattice", "{input}"], {"n": 2, "upper": [[[1, 1, 1]], 0, 0, 0, 0, [[1, 2, 1]]]}),
+    (["verify", "{input}", "--lattice", "1", "1"], THREE_COORDINATE_SQUARE),
+    (["verify", "{input}", "--lattice-file", "{input}"], THREE_VECTOR_BASIS),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
         "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry",
-        "bool-numerator", "bool-denominator", "degenerate-surd-form", "rational-surd-form"])
+        "bool-numerator", "bool-denominator", "degenerate-surd-form", "rational-surd-form",
+        "three-coordinate-point", "three-vector-basis"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))
@@ -525,7 +536,8 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_console_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "torusfill.cli", "pell", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"N": 2, "k0": 2, "l0": 3}

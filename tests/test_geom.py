@@ -11,9 +11,12 @@ from conftest import (
     overlap_area,
     rationals,
     region_overlap_area,
+    region_pieces,
     skewed_doubled_regions,
     symmetric_difference_area,
 )
+import torusfill.geom as geom_module
+from torusfill.fillings import family_filling
 from torusfill.geom import (
     AffineMap2,
     ConvexPolygon,
@@ -284,6 +287,72 @@ def test_injects_collisions_match_unfiltered_oracle():
                 expected.append(((a, b), overlap))
         assert expected
         assert injects(region, SKEW).collisions == expected
+
+
+# -- clip before the separating-edge test, as an oracle for clip ---------------
+
+def clip_by_halfplanes(a: ConvexPolygon, b: ConvexPolygon):
+    """clip as it was before the separating-edge test: the box test, then one
+    half-plane cut per edge of b."""
+    ax1, ax2, ay1, ay2 = a.bounding_box()
+    bx1, bx2, by1, by2 = b.bounding_box()
+    if (ax2 - bx1).sign() <= 0 or (bx2 - ax1).sign() <= 0:
+        return None
+    if (ay2 - by1).sign() <= 0 or (by2 - ay1).sign() <= 0:
+        return None
+    result = a
+    for p, q in b.edges():
+        result = clip_halfplane(result, p, q)
+        if result is None:
+            return None
+    return result
+
+
+@st.composite
+def piece_pairs(draw, surd):
+    """Two pieces: drawn apart, or the second the point reflection of the
+    first through the midpoint of one of its edges (they share that edge),
+    through one of its vertices (they share that vertex), or through an edge
+    midpoint and then slid along that edge (they share part of it)."""
+    p = draw(region_pieces(surd))
+    mode = draw(st.sampled_from(["apart", "edge", "vertex", "slid"]))
+    if mode == "apart":
+        return mode, p, draw(region_pieces(surd))
+    a, b = p.edges()[draw(st.integers(0, len(p.vertices) - 1))]
+    centre = a + a if mode == "vertex" else a + b
+    if mode == "slid":
+        centre = centre + (b - a).scale(draw(rationals(bound=3)))
+    return mode, p, ConvexPolygon([centre - v for v in p.vertices])
+
+
+@given(st.booleans().flatmap(piece_pairs))
+@settings(max_examples=300, deadline=None)
+def test_clip_matches_halfplane_oracle(case):
+    mode, p, q = case
+    event(mode)
+    for a, b in ((p, q), (q, p)):
+        got, want = clip(a, b), clip_by_halfplanes(a, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.vertices == want.vertices
+        if mode in ("edge", "vertex"):
+            assert got is None
+
+
+def test_certifying_a_full_filling_cuts_no_halfplane_in_clip(monkeypatch):
+    # the pieces of a valid filling and their lattice translates overlap in
+    # zero area, and a separating edge line proves each such clip empty
+    cuts = []
+    original = geom_module.clip_halfplane
+
+    def counted(poly, a, b):
+        cuts.append(1)
+        return original(poly, a, b)
+
+    monkeypatch.setattr(geom_module, "clip_halfplane", counted)
+    cert = family_filling(10)
+    assert cert.valid and len(cert.final.pieces) == 43
+    assert cuts == []
 
 
 # -- the canonicalising clip as an oracle for the canonical-by-construction one

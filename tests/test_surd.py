@@ -397,6 +397,59 @@ def test_product_matches_termwise_oracle(a, b):
     assert (a * b).to_triples() == termwise_product(a, b).to_triples()
 
 
+def general_merge(x, y, op):
+    """SurdScalar._merge without its rational fast path: term by term over the
+    lcm of the two denominators, then divided through by one gcd."""
+    g = math.gcd(x._den, y._den)
+    a, b = y._den // g, x._den // g
+    acc = {r: n * a for r, n in x._num.items()}
+    for rad, n in y._num.items():
+        s = op(acc.get(rad, 0), n * b)
+        if s:
+            acc[rad] = s
+        else:
+            acc.pop(rad, None)
+    return surd_module._reduced(acc, x._den * a)
+
+
+def stored(x):
+    return x._num, x._den
+
+
+RATIONAL_SURDS = surds(radicands=[1], large=True)
+
+
+@given(RATIONAL_SURDS, RATIONAL_SURDS)
+@settings(max_examples=200, deadline=None)
+def test_rational_fast_path_matches_general_merge_and_fractions(x, y):
+    # numerators up to 10**30 over denominators that share large primes
+    fx, fy = x.as_fraction(), y.as_fraction()
+    cases = [(x + y, general_merge(x, y, operator.add), fx + fy),
+             (x - y, general_merge(x, y, operator.sub), fx - fy),
+             (x * y, termwise_product(x, y), fx * fy)]
+    for got, want, value in cases:
+        assert stored(got) == stored(want)
+        assert got.as_fraction() == value
+        assert got == want and hash(got) == hash(want) == hash(value)
+        assert got.to_triples() == want.to_triples()
+    assert (x < y) == (general_merge(x, y, operator.sub).sign() < 0) == (fx < fy)
+    assert (x == y) == (stored(x) == stored(y)) == (fx == fy)
+    assert stored(x - x) == stored(x + -x) == ({}, 1)
+
+
+@given(st.one_of(st.tuples(surds(large=True), RATIONAL_SURDS),
+                 st.tuples(RATIONAL_SURDS, surds(large=True)),
+                 st.tuples(surds(large=True), surds(large=True))))
+@settings(max_examples=150, deadline=None)
+def test_mixed_and_irrational_operands_match_general_merge(case):
+    x, y = case
+    assert stored(x + y) == stored(general_merge(x, y, operator.add))
+    assert stored(x - y) == stored(general_merge(x, y, operator.sub))
+    assert stored(x * y) == stored(termwise_product(x, y))
+    assert (x < y) == (general_merge(x, y, operator.sub).sign() < 0)
+    assert stored(x - x) == ({}, 1)
+
+
 def test_large_prime_root_product_needs_no_factoring(monkeypatch):
     # sqrt(p)*sqrt(p) once factored p*p by trial division up to p, which
     # hangs for a large prime p; the product needs only a gcd

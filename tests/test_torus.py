@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import torusfill
 import torusfill.geom as geom_module
 import torusfill.torus as torus_module
-from conftest import (SKEW, candidate_collisions, candidate_vectors, rationals,
+from conftest import (SKEW, candidate_collisions, candidate_vectors, region_pieces,
                       skewed_doubled_regions)
-from torusfill.fillings import diamond, example_T2k2, example_eight_ninths
-from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle
+from torusfill.fillings import diamond, example_T2k2, example_eight_ninths, family_filling
+from torusfill.geom import ConvexPolygon, Region, pt, rectangle
 from torusfill.surd import rat, sqrt
 from torusfill.torus import Lattice2, TorusError, injects
 
@@ -227,23 +227,6 @@ def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
     assert 0 < clips < pieces * pieces * candidates
 
 
-@st.composite
-def _pieces(draw, surd):
-    def coord(bound):
-        c = rat(draw(rationals(bound=bound)))
-        return c + rat(draw(rationals(bound=2))) * sqrt(2) if surd else c
-
-    if draw(st.booleans()):
-        x, y = coord(3), coord(3)
-        w = rat(draw(st.integers(min_value=1, max_value=12))) / 4
-        h = rat(draw(st.integers(min_value=1, max_value=12))) / 4
-        return rectangle(x, x + w, y, y + h)
-    try:
-        return ConvexPolygon([pt(coord(3), coord(3)) for _ in range(3)])
-    except GeometryError:  # collinear or repeated points
-        return rectangle(0, 1, 0, 1)
-
-
 EQUIVALENCE_LATTICES = [
     SKEW,
     Lattice2(pt(sqrt(2), Fraction(1, 3)), pt(Fraction(-1, 2), 1)),
@@ -252,7 +235,7 @@ EQUIVALENCE_LATTICES = [
 FAR = [pt(0, 0), pt(Fraction(-52, 3), Fraction(-29, 7)), pt(31, -12) + pt(sqrt(2), 0)]
 
 
-@given(st.booleans().flatmap(lambda surd: st.lists(_pieces(surd), min_size=1, max_size=4)),
+@given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=1, max_size=4)),
        st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
 @settings(max_examples=40, deadline=None)
 def test_injects_matches_candidate_vector_oracle(pieces, lattice, offset):
@@ -260,8 +243,9 @@ def test_injects_matches_candidate_vector_oracle(pieces, lattice, offset):
     assert injects(reg, lattice).collisions == candidate_collisions(reg, lattice)
 
 
-@given(st.lists(_pieces(False), min_size=1, max_size=3), st.sampled_from(EQUIVALENCE_LATTICES),
-       st.integers(min_value=-20, max_value=20), st.booleans())
+@given(st.lists(region_pieces(False), min_size=1, max_size=3),
+       st.sampled_from(EQUIVALENCE_LATTICES), st.integers(min_value=-20, max_value=20),
+       st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_injects_on_skewed_basis_matches_candidate_vector_oracle(pieces, lattice, n, first):
     # g1 + n*g2 (or g2 + n*g1) spans the same lattice; collisions are
@@ -270,6 +254,67 @@ def test_injects_on_skewed_basis_matches_candidate_vector_oracle(pieces, lattice
     skewed = Lattice2(g1 + g2.scale(n), g2) if first else Lattice2(g1, g2 + g1.scale(n))
     reg = Region(pieces)
     assert injects(reg, skewed).collisions == candidate_collisions(reg, skewed)
+
+
+def box_overlapping_shifts(r: Region, lattice: Lattice2) -> int:
+    """The number of (ordered piece pair, shift) triples that `injects` needs:
+    shifts (a, b) with a > 0 or a = 0 < b at which the boxes of the pieces in
+    the coordinates of the reduced basis h1, h2 overlap in positive area.
+    Coordinates come from cross products, and every shift in a window as wide
+    as the region is tried, per axis."""
+    h1, h2, _, _ = torus_module._reduced(lattice.g1, lattice.g2)
+    det = h1.cross(h2)
+    boxes = []
+    for piece in r.pieces:
+        us = [v.cross(h2) / det for v in piece.vertices]
+        ws = [h1.cross(v) / det for v in piece.vertices]
+        boxes.append((min(us), max(us), min(ws), max(ws)))
+    reach = max((max(b[1] for b in boxes) - min(b[0] for b in boxes)).ceil(),
+                (max(b[3] for b in boxes) - min(b[2] for b in boxes)).ceil()) + 1
+    window = range(-reach, reach + 1)
+    count = 0
+    for pu1, pu2, pw1, pw2 in boxes:
+        for qu1, qu2, qw1, qw2 in boxes:
+            a_s = [a for a in window if a >= 0 and pu2 > qu1 + a and qu2 + a > pu1]
+            b_s = [b for b in window if pw2 > qw1 + b and qw2 + b > pw1]
+            count += sum(1 for a in a_s for b in b_s if a > 0 or b > 0)
+    return count
+
+
+def count_injects_clips(r: Region, lattice: Lattice2) -> int:
+    """The number of `clip` calls that injects(r, lattice) makes."""
+    calls = []
+    original = torus_module.clip
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    torus_module.clip = counted
+    try:
+        injects(r, lattice)
+    finally:
+        torus_module.clip = original
+    return len(calls)
+
+
+def test_injects_clips_exactly_the_box_overlapping_shifts():
+    cert = family_filling(10)
+    cases = [(cert.final, cert.lattice), (SCATTERED_JIGSAW, UNIT),
+             *((region, SKEW) for _, region in skewed_doubled_regions())]
+    for region, lattice in cases:
+        expected = box_overlapping_shifts(region, lattice)
+        assert expected > 0
+        assert count_injects_clips(region, lattice) == expected
+
+
+@given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=1, max_size=4)),
+       st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
+@settings(max_examples=40, deadline=None)
+def test_injects_clips_exactly_the_box_overlapping_shifts_on_random_regions(pieces, lattice,
+                                                                            offset):
+    reg = Region(pieces).translate(offset)
+    assert count_injects_clips(reg, lattice) == box_overlapping_shifts(reg, lattice)
 
 
 def test_verify_on_far_skewed_basis_finishes(tmp_path):
