@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .surd import SurdScalar, rat
 from .geom import Region, pt
@@ -178,7 +179,7 @@ def cmd_period_lattice(args) -> int:
     if not isinstance(matrix, AlternatingSurdMatrix):
         raise InputError("period-lattice needs a surd-valued 4x4 matrix")
     result = normalize_basis(matrix)
-    solution = build_period_lattice(result.matrix)
+    solution = build_period_lattice(result)
     certificate = verify_no_curves(solution, bound=args.bound)
     report = {
         "normalized": result.matrix.to_json(),
@@ -306,7 +307,17 @@ def _add_lattice_options(p: argparse.ArgumentParser) -> None:
     group.add_argument("--lattice-file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and returned by
+    every later one.
+
+    Reuse is safe: `parse_args` returns a new Namespace on each call and
+    keeps nothing in the parser between calls, errors and --help included.
+    The parser holds the `cmd_*` handlers, which read the library functions
+    (`injects`, `normalize_basis`, ...) as module globals when they run, so
+    a rebinding of those names after the first call still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="torusfill",
         description="Exact constructions and verification of symplectic torus fillings.",
@@ -361,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (`sys.argv[1:]` when argv is None) and return its
+    exit code.  May be called any number of times in one process: the parser
+    is built on the first call and reused."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:  # every layer's error is a ValueError

@@ -409,8 +409,15 @@ class PeriodLatticeSolution:
         }
 
 
-def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
-    """Solve the six period equations for a normalized form.
+def build_period_lattice(normalized: NormalizationResult) -> PeriodLatticeSolution:
+    """Solve the six period equations for the form `normalize_basis` returned.
+
+    It takes the normaliser's result, not a bare matrix, because that result
+    carries the contract: `normalize_basis` returns a matrix only after
+    `_postconditions_hold` has decided conditions (i) and (ii) and
+    b13 b24 - b14 b23 > 0 on it.  So nothing here decides them again.
+    Neither re-check could fail: not (i) and (ii), and not the open-set
+    condition at the base point, which is that same sign (see below).
 
     Starts from the feasible base point (p, q, r, s) = (b13, b23, b14, b24),
     perturbs it inside the compatibility hyperplane with fresh-radical
@@ -445,10 +452,8 @@ def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
     it, against condition (ii), so SearchExhausted does not fire here on a
     normalized form.
     """
+    b = normalized.matrix
     b12, b13, b14, b23, b24, b34 = b.upper
-    if not _condition_i(b) or not _condition_ii(b):
-        raise LatticeFormError("input must satisfy the normalization contract")
-
     p, q, r, s = b13, b23, b14, b24
     used = set()
     for val in b.upper:
@@ -458,9 +463,6 @@ def build_period_lattice(b: AlternatingSurdMatrix) -> PeriodLatticeSolution:
     def in_open_set(pp, qq, rr, ss) -> bool:
         return ((ss * b13 - qq * b14).sign() > 0
                 and (pp * ss - qq * rr).sign() > 0)
-
-    if not in_open_set(p, q, r, s):
-        raise LatticeFormError("base point violates the open-set conditions")
 
     directions = [
         (b13, rat(0), b14, rat(0)),

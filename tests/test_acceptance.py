@@ -308,7 +308,7 @@ def test_criterion_10_period_lattices():
         except SearchExhausted:
             exhausted += 1
             continue
-        solution = build_period_lattice(normalized.matrix)
+        solution = build_period_lattice(normalized)
         cert = verify_no_curves(solution, bound=20)
         assert cert.ok, f"conditions failed: {cert.failed()} on {b.upper}"
         done += 1

@@ -541,3 +541,85 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"N": 2, "k0": 2, "l0": 3}
+
+
+def test_main_builds_its_parser_once_per_process():
+    # argparse.ArgumentParser.__init__ runs for the root parser and its seven
+    # subcommands on the first main call, and neither at import nor after
+    code = "\n".join([
+        "import argparse, contextlib, io, json",
+        "built = [0]",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    built[0] += 1",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "from torusfill.cli import main",
+        "counts = [built[0]]",
+        "for argv in (['pell', '2'], ['seshadri', '--dmax', '3'], ['pell', '3']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0",
+        "    counts.append(built[0])",
+        "print(json.dumps(counts))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(torusfill.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 8, 8, 8]
+
+
+def test_repeated_main_calls_in_one_process_give_the_golden_bytes(tmp_path, capsys):
+    # Every case of the three golden files, twice, in a shuffled order, with
+    # argvs that argparse refuses, that a handler refuses and that ask for
+    # help in between: the one parser keeps no state from call to call.
+    def expect(exit_code, stdout):
+        return lambda code, out: (code, out) == (exit_code, stdout)
+
+    jobs = []
+    for case in GOLDEN["cases"]:
+        matrix_file = tmp_path / f"form{case['index']}.json"
+        matrix_file.write_text(json.dumps(case["matrix"]))
+        jobs.append((["period-lattice", str(matrix_file), "--bound", str(GOLDEN["bound"])],
+                     expect(case["exit"], case["stdout"])))
+    for case in CONSTRUCT_GOLDEN["cases"]:
+        jobs.append((case["argv"], expect(case["exit"], case["stdout"])))
+    for i, case in enumerate(VERIFY_GOLDEN["cases"]):
+        region_file, lattice_file = tmp_path / f"region{i}.json", tmp_path / f"lattice{i}.json"
+        region_file.write_text(json.dumps(case["region"]))
+        lattice_file.write_text(json.dumps(case["lattice"]))
+
+        def verify_report(code, out, case=case, region_file=region_file):
+            report = json.loads(out)
+            return (code == case["exit"] and report.pop("input") == str(region_file)
+                    and set(report.pop("timings")) == {"seconds"}
+                    and json.dumps(report, indent=2) == case["report"])
+        jobs.append((["verify", str(region_file), "--lattice-file", str(lattice_file)],
+                     verify_report))
+    region_file = tmp_path / "region0.json"
+    refused = [["construct", "nosuch"], ["pell"],
+               ["verify", str(region_file), "--lattice", "1", "1", "--lattice-file", "x"]]
+    malformed = [["construct", "theorem1", "--eps", "one/3"],
+                 ["period-lattice", str(tmp_path / "form0.json"), "--bound", "0"]]
+    helps = [["--help"], ["verify", "--help"], ["construct", "-h"]]
+    jobs = 2 * jobs + 3 * [(argv, "refused") for argv in refused] \
+        + 3 * [(argv, "malformed") for argv in malformed] + 3 * [(argv, "help") for argv in helps]
+    random.Random(20261018).shuffle(jobs)
+
+    first_help = {}
+    for argv, check in jobs:
+        if check in ("refused", "help"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            if check == "refused":
+                assert exc.value.code == 2 and out == "" and err.startswith("usage: torusfill")
+            else:
+                assert exc.value.code == 0 and out.startswith("usage: torusfill") and err == ""
+                assert out == first_help.setdefault(tuple(argv), out), argv
+            continue
+        code, out, err = run_cli(argv, capsys)
+        if check == "malformed":
+            assert code == 2 and out == "" and err.startswith("error: "), argv
+        else:
+            assert check(code, out), argv

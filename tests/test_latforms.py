@@ -401,7 +401,7 @@ def test_normalize_needs_two_transvections_at_default_range():
     assert three_pass_normalize(b).base_change == expected
     assert _postconditions_hold(res.matrix)
     assert dense_conjugated(b, expected).upper == res.matrix.upper
-    assert verify_no_curves(build_period_lattice(res.matrix)).ok
+    assert verify_no_curves(build_period_lattice(res)).ok
 
 
 def test_normalize_matches_oracle_on_small_entry_forms():
@@ -453,7 +453,7 @@ def test_period_lattice_base_point_identities():
     # independent off-block entries: the base point itself already works
     b = AlternatingSurdMatrix([0, 1 + sqrt(2), sqrt(3), -sqrt(6), 1, 0])
     res = normalize_basis(b)
-    sol = build_period_lattice(res.matrix)
+    sol = build_period_lattice(res)
     m = res.matrix
     b12, b13, b14, b23, b24, b34 = m.upper
     # compatibility holds by construction
@@ -469,7 +469,7 @@ def test_period_lattice_scaling_identity():
     res = normalize_basis(b)
     m = res.matrix
     assert not m.upper[0].is_zero()
-    sol = build_period_lattice(m)
+    sol = build_period_lattice(res)
     assert not sol.zero_case
     # rho^2 D = b34 / b12, so the scaled quadruple satisfies ps - qr = b34/b12
     assert sol.rho_sq * sol.det == m.upper[5] / m.upper[0]
@@ -479,7 +479,7 @@ def test_period_lattice_scaling_identity():
 def test_period_lattice_zero_case_rho():
     b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
     res = normalize_basis(b)
-    sol = build_period_lattice(res.matrix)
+    sol = build_period_lattice(res)
     assert sol.zero_case and sol.v.is_zero()
     assert (sol.rho_sq * sol.det).is_irrational()
     assert len(sol.rho_decimal(50).split(".")[1]) == 50
@@ -487,7 +487,7 @@ def test_period_lattice_zero_case_rho():
 
 def test_verify_no_curves_conditions():
     b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
-    sol = build_period_lattice(normalize_basis(b).matrix)
+    sol = build_period_lattice(normalize_basis(b))
     cert = verify_no_curves(sol)
     assert cert.ok
     assert set(cert.conditions) == {
@@ -498,7 +498,7 @@ def test_verify_no_curves_conditions():
 
 def test_positivity_needs_rho_sq_positive_and_weighs_v_by_rho_sq():
     b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
-    sol = build_period_lattice(normalize_basis(b).matrix)
+    sol = build_period_lattice(normalize_basis(b))
 
     def positivity(x_y, v, rho_sq):
         # x y - u^2 = x_y with u = 0; v is read from b12 of a nondegenerate b
@@ -517,7 +517,7 @@ def test_positivity_needs_rho_sq_positive_and_weighs_v_by_rho_sq():
 def test_certificate_rejects_a_perturbed_r():
     # the builder no longer re-checks compatibility; the certificate does
     b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
-    sol = build_period_lattice(normalize_basis(b).matrix)
+    sol = build_period_lattice(normalize_basis(b))
     assert verify_no_curves(sol).ok
     cert = verify_no_curves(dataclasses.replace(sol, r=sol.r + sqrt(7)))
     assert cert.conditions["compatibility"] is False
@@ -528,7 +528,7 @@ def test_certificate_rejects_a_rational_rho_sq_times_d_in_the_zero_case():
     # the builder no longer re-checks that rho^2 D is irrational; the
     # certificate does
     b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
-    sol = build_period_lattice(normalize_basis(b).matrix)
+    sol = build_period_lattice(normalize_basis(b))
     assert sol.zero_case and verify_no_curves(sol).ok
     rho_sq = rat(Fraction(3, 2)) * sol.det.inverse()
     cert = verify_no_curves(dataclasses.replace(sol, rho_sq=rho_sq))
@@ -544,6 +544,8 @@ def test_perturbation_runs_one_elimination_per_round(monkeypatch, upper):
     # the normalized forms of criterion-10 draws 231 and 312, on which the
     # perturbation takes two rounds
     b = AlternatingSurdMatrix(upper)
+    normalized = normalize_basis(b)
+    assert normalized.matrix.upper == b.upper  # already normalized
     calls = []
     original = surd_module.int_echelon
 
@@ -552,13 +554,14 @@ def test_perturbation_runs_one_elimination_per_round(monkeypatch, upper):
         return original(m)
 
     monkeypatch.setattr(surd_module, "int_echelon", counting)
-    assert _condition_i(b) and _condition_ii(b)  # the builder's entry checks
+    assert _condition_i(b) and _condition_ii(b)  # the contract normalize_basis decided
     entry = len(calls)
-    sol = build_period_lattice(b)
+    sol = build_period_lattice(normalized)
     rounds = len(sol.fresh_radicals) - sol.zero_case
     assert rounds == 2
-    # one elimination per round, plus the one that finds no relation left
-    assert len(calls) - 2 * entry == rounds + 1
+    # one elimination per round, plus the one that finds no relation left;
+    # the builder decides no condition of the contract again
+    assert len(calls) - entry == rounds + 1
 
 
 def grid_relation_exists(values, bound) -> bool:
@@ -632,7 +635,7 @@ def test_integer_relation_search_matches_grid_on_corpus():
             normalized = normalize_basis(_random_surd_matrix(rng))
         except SearchExhausted:
             continue
-        sol = build_period_lattice(normalized.matrix)
+        sol = build_period_lattice(normalized)
         values = [-sol.r, sol.p, -sol.s, sol.q]
         assert _integer_relation_exists(values, 20) == grid_relation_exists(values, 20)
         done += 1
@@ -666,7 +669,7 @@ def test_period_lattices_of_wide_magnitude_forms():
     rng = random.Random(3)
     draws = [wide_magnitude_form(rng) for _ in range(1500)]
     for b in draws[:100] + [draws[i] for i in CAPPED_HALVING_DRAWS]:
-        sol = build_period_lattice(normalize_basis(b).matrix)
+        sol = build_period_lattice(normalize_basis(b))
         # at most two perturbation rounds, plus rho^2's prime in the zero case
         assert len(sol.fresh_radicals) <= 2 + sol.zero_case
         cert = verify_no_curves(sol)
