@@ -173,31 +173,6 @@ class AlternatingSurdMatrix:
         their rational rank is at least 2."""
         return rational_rank(self.upper) >= 2
 
-    def conjugated(self, u: list[list[int]]) -> "AlternatingSurdMatrix":
-        """U^T B U for a unimodular U, by the second exterior power of U.
-
-        b_lk = -b_kl, so entry (i, j) is the sum over k < l of the 2x2 minor
-        u_ki u_lj - u_li u_kj times b_kl.  A minor of +-1 adds or subtracts
-        b_kl with no product, and a zero minor costs nothing.  The omega^2
-        coefficient only changes by det U = +-1, so the result is
-        nondegenerate without a check.
-        """
-        upper = []
-        for i, j in UPPER_INDEX:
-            acc = rat(0)
-            for (k, l), b in zip(UPPER_INDEX, self.upper):
-                c = u[k][i] * u[l][j] - u[l][i] * u[k][j]
-                if c == 1:
-                    acc = acc + b
-                elif c == -1:
-                    acc = acc - b
-                elif c:
-                    acc = acc + b * c
-            upper.append(acc)
-        result = AlternatingSurdMatrix.__new__(AlternatingSurdMatrix)
-        result.upper = tuple(upper)
-        return result
-
     def to_json(self):
         return {"n": 2, "upper": [x.to_triples() for x in self.upper]}
 
@@ -223,12 +198,81 @@ def _transvection(target: int, source: int, k: int) -> list[list[int]]:
     return u
 
 
-# the normaliser's transvections, t and s on different sides of {1, 2 | 3, 4}
-# and 1 <= |k| <= 10, built once; tuples, so no caller can change the table
-TRANSVECTIONS = tuple(tuple(map(tuple, _transvection(target, source, k)))
-                      for target, source in ((1, 2), (1, 3), (3, 0), (2, 0),
-                                             (3, 1), (2, 1), (0, 2), (0, 3))
-                      for k in range(-10, 11) if k)
+def _signed_entry(i: int, j: int) -> tuple[int, int]:
+    """Entry (i, j), i != j, of the full matrix as (index into `upper`, sign)."""
+    return (UPPER_INDEX.index((i, j)), 1) if i < j else (UPPER_INDEX.index((j, i)), -1)
+
+
+# the normaliser's permutations by orientation (the sign of det), in the order
+# tried, each with what conjugating by it does to `upper`: new entry (i, j) is
+# b_{perm[i] perm[j]}, read as an index into `upper` followed by its negatives
+PERMUTATIONS = {
+    orientation: tuple((perm, tuple(n if sign > 0 else n + 6 for n, sign in
+                                    (_signed_entry(perm[i], perm[j]) for i, j in UPPER_INDEX)))
+                       for perm in permutations(range(4)) if _perm_sign(perm) == orientation)
+    for orientation in (1, -1)
+}
+
+# the normaliser's transvections lambda_t += k lambda_s as (t, s, k), indices
+# from 0: t and s on different sides of {1, 2 | 3, 4} and 1 <= |k| <= 10, in
+# the order tried
+TRANSVECTION_PAIRS = ((1, 2), (1, 3), (3, 0), (2, 0), (3, 1), (2, 1), (0, 2), (0, 3))
+TRANSVECTION_KS = tuple(k for k in range(-10, 11) if k)
+TRANSVECTIONS = tuple((target, source, k) for target, source in TRANSVECTION_PAIRS
+                      for k in TRANSVECTION_KS)
+
+
+def _move_group(target: int, source: int):
+    """What lambda_t += k lambda_s does to `upper`, for every k.
+
+    Entry (t, j) gains k b_sj for the two j not in {t, s}; stored the way
+    round that `upper` holds it, entry (j, t) gains k b_js.  Every other
+    entry is kept, among them the diagonal entry of the other side: b34 when
+    t is lambda_1 or lambda_2 (target 0 or 1), else b12.  Returns (kept,
+    changes): kept is that entry's index in `upper`, and changes holds two
+    (index, source index, sign) triples.
+    """
+    changes = []
+    for n, pair in enumerate(UPPER_INDEX):
+        if target in pair and source not in pair:
+            index, sign = _signed_entry(*(source if x == target else x for x in pair))
+            changes.append((n, index, sign))
+    return (5 if target < 2 else 0), tuple(changes)
+
+
+MOVE_GROUPS = tuple((target, source, *_move_group(target, source))
+                    for target, source in TRANSVECTION_PAIRS)
+
+
+def _form(upper) -> AlternatingSurdMatrix:
+    # a unimodular base change keeps the omega^2 coefficient nonzero, so the
+    # result needs no degeneracy check
+    m = AlternatingSurdMatrix.__new__(AlternatingSurdMatrix)
+    m.upper = upper
+    return m
+
+
+def _permuted(upper, orientation):
+    """Yield (perm, `upper` after perm) for the permutations of that
+    orientation in order: six negations in all, then only reindexing."""
+    signed = upper + tuple(-x for x in upper)
+    for perm, reindex in PERMUTATIONS[orientation]:
+        yield perm, tuple(signed[n] for n in reindex)
+
+
+def _transvected(upper, changes):
+    """Yield (k, `upper` after lambda_t += k lambda_s) for k in
+    TRANSVECTION_KS, `changes` being the move group's two triples.  Each
+    costs two sums, and two products unless k = +-1."""
+    (d1, s1, g1), (d2, s2, g2) = changes
+    x1, y1, x2, y2 = upper[d1], upper[s1], upper[d2], upper[s2]
+    for k in TRANSVECTION_KS:
+        new = list(upper)
+        c = k * g1
+        new[d1] = x1 + y1 if c == 1 else x1 - y1 if c == -1 else x1 + y1 * c
+        c = k * g2
+        new[d2] = x2 + y2 if c == 1 else x2 - y2 if c == -1 else x2 + y2 * c
+        yield k, tuple(new)
 
 
 @dataclass
@@ -275,6 +319,22 @@ def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
     Candidates are visited permutation first, then permutation and one
     transvection, then permutation and two transvections where the first
     already fixes condition (i); the first one meeting the contract wins.
+
+    What a candidate costs.  A permutation only reindexes the entries and
+    their negatives, which are taken once per input (PERMUTATIONS).  A
+    transvection lambda_t += k lambda_s changes two entries: each b_tj with
+    j not in {t, s} gains k b_sj (MOVE_GROUPS).  So it costs two sums, and
+    two products unless k = +-1.  The base change is multiplied out for the
+    winner only.
+
+    Which candidates are skipped.  A move keeps the diagonal entry of the
+    other side: b_34 when t is 1 or 2, b_12 when t is 3 or 4.  Condition (i)
+    needs that entry to be zero or positive.  Where it is negative in the
+    matrix being extended, none of the 20 moves of that (t, s) pair meets
+    (i), so none meets the contract or passes the filter on (i) before a
+    second transvection; one sign test per side skips them unbuilt.  Every
+    other candidate goes through `_postconditions_hold` in the same order,
+    so the winner, and every output byte, are those of checking them all.
 
     Why some candidate always meets the contract.  Every candidate has
     omega^2 coefficient V > 0, and V = b_13 b_24 - b_14 b_23 - b_12 b_34, so
@@ -327,19 +387,25 @@ def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
         raise LatticeFormError("form is rational; normalization needs an irrational form")
 
     orientation = b.volume_coefficient().sign()
-    starts = [([u0], b.conjugated(u0))
-              for u0 in (_perm_matrix(p) for p in permutations(range(4))
-                         if _perm_sign(p) == orientation)]
+    starts = [((perm,), _form(permuted)) for perm, permuted in _permuted(b.upper, orientation)]
 
     def extend(level):
         for path, m in level:
-            for t in TRANSVECTIONS:
-                yield path + [t], m.conjugated(t)
+            up = m.upper
+            negative = [n for n in (0, 5) if up[n].sign() < 0]
+            for target, source, kept, changes in MOVE_GROUPS:
+                if kept in negative:
+                    continue  # condition (i) fails for every k
+                for k, moved in _transvected(up, changes):
+                    yield path + ((target, source, k),), _form(moved)
 
     fixed_i = ((path, m) for path, m in extend(starts) if _condition_i(m))
     for path, m in chain(starts, extend(starts), extend(fixed_i)):
         if _postconditions_hold(m):
-            return NormalizationResult(m, reduce(_mat_mul_int, path), orientation)
+            perm, *moves = path
+            base_change = reduce(_mat_mul_int, [_transvection(*move) for move in moves],
+                                 _perm_matrix(perm))
+            return NormalizationResult(m, base_change, orientation)
     raise SearchExhausted(
         "no permutation followed by at most two transvections normalized the form")
 

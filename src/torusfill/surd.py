@@ -416,9 +416,15 @@ class SurdScalar:
 
     @classmethod
     def from_triples(cls, triples) -> SurdScalar:
-        """Read [radicand, numerator, denominator] triples.  Radicands must lie
-        below 2**32, so that factoring one by trial division cannot hang."""
-        if any(type(r) is int and r >= 2**32 for r, *_ in triples):
+        """Read a list of [radicand, numerator, denominator] lists.  Anything
+        else raises TypeError: iterated as it comes, "" or {} would read as
+        0.  Radicands must lie below 2**32, so that factoring one by trial
+        division cannot hang."""
+        if type(triples) is not list or any(type(t) is not list or len(t) != 3
+                                            for t in triples):
+            raise TypeError("a scalar is a list of [radicand, numerator, denominator] "
+                            f"lists, got {type(triples).__name__} {triples!r:.40}")
+        if any(type(r) is int and r >= 2**32 for r, _, _ in triples):
             raise ValueError("radicands must be below 2**32")
         return cls.from_terms((r, _fraction(num, den)) for r, num, den in triples)
 

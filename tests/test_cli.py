@@ -180,6 +180,21 @@ THREE_VECTOR_BASIS = {**SQUARE, "basis": [[[[1, 1, 1]], []], [[], [[1, 1, 1]]],
                                           [[[1, 1, 1]], [[1, 1, 1]]]]}
 
 
+def blank_zeros(data, blank):
+    """data with every zero scalar (the empty triple list) written as blank."""
+    return json.loads(json.dumps(data).replace("[]", json.dumps(blank)))
+
+
+# a scalar must be a list of triples: "" and {} iterate as no triples, and
+# were read as 0, so these passed for the unit square and its lattice
+UNIT_BASIS = {"basis": [[[[1, 1, 1]], []], [[], [[1, 1, 1]]]]}
+EMPTY_STRING_SQUARE = blank_zeros(SQUARE, "")
+EMPTY_OBJECT_SQUARE = blank_zeros(SQUARE, {})
+EMPTY_STRING_BASIS = {**SQUARE, **blank_zeros(UNIT_BASIS, "")}
+EMPTY_OBJECT_BASIS = {**SQUARE, **blank_zeros(UNIT_BASIS, {})}
+BLANK_ENTRY_FORM = {"n": 2, "upper": [{}, *SURD_FORM["upper"][1:5], ""]}
+
+
 @pytest.mark.parametrize("argv, data", [
     (["verify", "{input}", "--lattice", "1", "1"], {"polygons": 5}),
     (["verify", "{input}", "--lattice", "1", "1"], [SQUARE]),
@@ -198,14 +213,24 @@ THREE_VECTOR_BASIS = {**SQUARE, "basis": [[[[1, 1, 1]], []], [[], [[1, 1, 1]]],
     (["period-lattice", "{input}"], {"n": 2, "upper": [[[1, 1, 1]], 0, 0, 0, 0, [[1, 2, 1]]]}),
     (["verify", "{input}", "--lattice", "1", "1"], THREE_COORDINATE_SQUARE),
     (["verify", "{input}", "--lattice-file", "{input}"], THREE_VECTOR_BASIS),
+    (["verify", "{input}", "--lattice", "1", "1"], EMPTY_STRING_SQUARE),
+    (["verify", "{input}", "--lattice", "1", "1"], EMPTY_OBJECT_SQUARE),
+    (["verify", "{input}", "--lattice-file", "{input}"], EMPTY_STRING_BASIS),
+    (["verify", "{input}", "--lattice-file", "{input}"], EMPTY_OBJECT_BASIS),
+    (["period-lattice", "{input}"], BLANK_ENTRY_FORM),
+    (["svg", "{input}", "--lattice", "1", "1", "--out", "{out}"], EMPTY_STRING_SQUARE),
+    (["svg", "{input}", "--lattice-file", "{input}", "--out", "{out}"], EMPTY_OBJECT_BASIS),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
         "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry",
         "bool-numerator", "bool-denominator", "degenerate-surd-form", "rational-surd-form",
-        "three-coordinate-point", "three-vector-basis"])
+        "three-coordinate-point", "three-vector-basis", "empty-string-scalar",
+        "empty-object-scalar", "empty-string-scalar-in-basis", "empty-object-scalar-in-basis",
+        "blank-surd-form-entries", "svg-empty-string-scalar", "svg-empty-object-scalar-in-basis"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))
-    names = {"input": str(input_file), "missing": str(tmp_path / "no-such-dir" / "x.json")}
+    names = {"input": str(input_file), "missing": str(tmp_path / "no-such-dir" / "x.json"),
+             "out": str(tmp_path / "out.svg")}
     code, _, err = run_cli([a.format(**names) for a in argv], capsys)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
@@ -395,7 +420,11 @@ def test_period_lattice_matches_golden_bytes(tmp_path, capsys, case):
     # The golden file holds criterion-10 forms (the index-th draw of
     # test_acceptance._random_surd_matrix from random.Random(1234)) and the
     # full stdout of `period-lattice` on them, recorded before the scalar
-    # core was rewritten for speed.  A change to these bytes must be
+    # core was rewritten for speed.  Draws 21, 34, 56, 69, 634 and 1330 were
+    # added, recorded before the normaliser moved to two-entry moves: with
+    # the first cases, the winning base changes use all eight (target,
+    # source) transvection pairs.  Case "two-transvections" is the form of
+    # the normalize_basis docstring.  A change to these bytes must be
     # deliberate: regenerate the file and say why.
     matrix_file = tmp_path / "form.json"
     matrix_file.write_text(json.dumps(case["matrix"]))

@@ -15,6 +15,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from test_acceptance import _random_surd_matrix
 
+import torusfill.latforms as latforms_module
 import torusfill.surd as surd_module
 from torusfill.cli import _matrix_from_json
 from torusfill.latforms import (
@@ -22,7 +23,9 @@ from torusfill.latforms import (
     AlternatingSurdMatrix,
     BlowupClass,
     LatticeFormError,
+    MOVE_GROUPS,
     NormalizationResult,
+    PERMUTATIONS,
     SearchExhausted,
     TRANSVECTIONS,
     UPPER_INDEX,
@@ -41,10 +44,12 @@ from torusfill.latforms import (
     _mat_mul_int,
     _perm_matrix,
     _perm_sign,
+    _permuted,
     _postconditions_hold,
+    _transvected,
     _transvection,
 )
-from torusfill.surd import rat, rational_relations, rationally_independent, sqrt
+from torusfill.surd import SurdScalar, rat, rational_relations, rationally_independent, sqrt
 
 
 def snf_paired_divisors(entries) -> tuple[int, ...]:
@@ -81,13 +86,14 @@ def random_unimodular(rng, n) -> list[list[int]]:
 
 
 def dense_conjugated(b, u) -> AlternatingSurdMatrix:
-    """Oracle: U^T B U as two dense 4x4 products over all 16 terms each."""
+    """Oracle: U^T B U as two dense 4x4 products, each entry summed over
+    the nonzero entries of U that it involves."""
     m = [[rat(0)] * 4 for _ in range(4)]
     for (i, j), x in zip(UPPER_INDEX, b.upper):
         m[i][j], m[j][i] = x, -x
-    bu = [[sum((m[i][k] * u[k][j] for k in range(4)), rat(0))
+    bu = [[sum((m[i][k] * u[k][j] for k in range(4) if u[k][j]), rat(0))
            for j in range(4)] for i in range(4)]
-    full = [[sum((rat(u[k][i]) * bu[k][j] for k in range(4)), rat(0))
+    full = [[sum((rat(u[k][i]) * bu[k][j] for k in range(4) if u[k][i]), rat(0))
              for j in range(4)] for i in range(4)]
     return AlternatingSurdMatrix([full[i][j] for i, j in UPPER_INDEX])
 
@@ -97,8 +103,9 @@ NORMALIZER_TRANSVECTION_PAIRS = ((1, 2), (1, 3), (3, 0), (2, 0), (3, 1), (2, 1),
 
 def three_pass_normalize(b, k_range=10) -> NormalizationResult:
     """Reference: the normalizer as three passes over all 24 permutations,
-    each re-conjugating the input and skipping the negatively oriented
-    conjugates.  Fixes the order in which candidates are tried."""
+    each re-conjugating the input by dense_conjugated and skipping the
+    negatively oriented conjugates.  Fixes the order in which candidates are
+    tried, and tries every transvection."""
     if not b.is_irrational():
         raise LatticeFormError("form is rational; normalization needs an irrational form")
 
@@ -112,29 +119,29 @@ def three_pass_normalize(b, k_range=10) -> NormalizationResult:
     # pass 1: permutation only; pass 2: permutation then one transvection;
     # pass 3: permutation then two transvections (condition fixes compose)
     for u0 in candidates:
-        b0 = b.conjugated(u0)
+        b0 = dense_conjugated(b, u0)
         if b0.volume_coefficient().sign() <= 0:
             continue
         if _postconditions_hold(b0):
             return NormalizationResult(b0, u0, _det_int(u0))
     for u0 in candidates:
-        b0 = b.conjugated(u0)
+        b0 = dense_conjugated(b, u0)
         if b0.volume_coefficient().sign() <= 0:
             continue
         for t1 in transvections[1:]:
-            b1 = b0.conjugated(t1)
+            b1 = dense_conjugated(b0, t1)
             if _postconditions_hold(b1):
                 return NormalizationResult(b1, _mat_mul_int(u0, t1), _det_int(u0))
     for u0 in candidates:
-        b0 = b.conjugated(u0)
+        b0 = dense_conjugated(b, u0)
         if b0.volume_coefficient().sign() <= 0:
             continue
         for t1 in transvections:
-            b1 = b0.conjugated(t1)
+            b1 = dense_conjugated(b0, t1)
             if not _condition_i(b1):
                 continue
             for t2 in transvections[1:]:
-                b2 = b1.conjugated(t2)
+                b2 = dense_conjugated(b1, t2)
                 if _postconditions_hold(b2):
                     u = _mat_mul_int(_mat_mul_int(u0, t1), t2)
                     return NormalizationResult(b2, u, _det_int(u0))
@@ -225,7 +232,11 @@ def test_normalize_transvection_mechanism():
     # turns b12 into 1 + k sqrt 2 (k = 1 suffices) and leaves b34 alone
     b = AlternatingSurdMatrix([1, sqrt(2), 0, 0, 0, 1])
     u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
-    conj = b.conjugated(u)
+    assert u == _transvection(1, 2, 1)
+    changes = next(changes for target, source, _, changes in MOVE_GROUPS
+                   if (target, source) == (1, 2))
+    conj = dense_conjugated(b, u)
+    assert dict(_transvected(b.upper, changes))[1] == conj.upper
     assert conj.upper[0] == rat(1) + sqrt(2)
     assert conj.upper[5] == rat(1)
     assert rationally_independent([conj.upper[0], conj.upper[5]])
@@ -282,35 +293,74 @@ def test_normalize_postconditions_random():
 
 
 def test_transvection_table_is_the_constant_normalizer_list():
-    # lambda_target += k lambda_source is the identity with k at (source,
-    # target); the normaliser tries them pair by pair, k ascending
-    rebuilt = tuple(tuple(tuple(k if (i, j) == (source, target) else int(i == j)
-                                for j in range(4)) for i in range(4))
-                    for target, source in NORMALIZER_TRANSVECTION_PAIRS
+    # lambda_target += k lambda_source as (target, source, k); the normaliser
+    # tries them pair by pair, k ascending, one move group per pair
+    rebuilt = tuple((target, source, k) for target, source in NORMALIZER_TRANSVECTION_PAIRS
                     for k in range(-10, 11) if k)
     assert len(rebuilt) == 160
     assert TRANSVECTIONS == rebuilt
-    assert type(TRANSVECTIONS) is tuple
-    assert all(type(t) is tuple and all(type(row) is tuple for row in t) for t in TRANSVECTIONS)
+    b = AlternatingSurdMatrix(HAND_PICKED_FORMS[0])
+    assert tuple((target, source, k) for target, source, _, changes in MOVE_GROUPS
+                 for k, _ in _transvected(b.upper, changes)) == TRANSVECTIONS
+    # a move keeps the diagonal entry of the other side: b34 for lambda_1,
+    # lambda_2 as target, b12 for lambda_3, lambda_4
+    assert [kept for _, _, kept, _ in MOVE_GROUPS] == \
+        [5 if target < 2 else 0 for target, _ in NORMALIZER_TRANSVECTION_PAIRS]
+    for target, source, k in TRANSVECTIONS:
+        assert _transvection(target, source, k) == [
+            [k if (i, j) == (source, target) else int(i == j) for j in range(4)]
+            for i in range(4)]
+    # the 12 permutations of each orientation, in the order of permutations()
+    for orientation in (1, -1):
+        assert [perm for perm, _ in PERMUTATIONS[orientation]] == [
+            perm for perm in permutations(range(4))
+            if _det_int(_perm_matrix(perm)) == orientation]
+    tables = (TRANSVECTIONS, MOVE_GROUPS, PERMUTATIONS[1], PERMUTATIONS[-1])
+    assert all(type(table) is tuple and all(type(row) is tuple for row in table)
+               for table in tables)
+
+
+# forms with zero, rational and multi-radicand entries, and the form that
+# needs two transvections
+TWO_TRANSVECTION_FORM = [10, 1, 1, -1, 1, -sqrt(2) / 20]
+MOVE_TEST_FORMS = HAND_PICKED_FORMS + [
+    [1, 2, 0, 0, 1, 1],
+    [3, -1, 0, 2, 5, -7],
+    [0, 0, 2, -3, 0, 0],
+    [sqrt(2), 0, 0, 0, 0, -sqrt(3)],
+    [-1 - sqrt(2) + sqrt(3), sqrt(6) / 5, 0, -sqrt(30), rat(Fraction(2, 3)), 4 * sqrt(5)],
+    TWO_TRANSVECTION_FORM,
+]
 
 
 def test_conjugated_matches_dense_oracle():
+    # every permutation, as a reindexing, and every transvection, as a
+    # two-entry move, gives U^T B U computed in full
     rng = random.Random(29)
-    forms = [random_surd_matrix(rng) for _ in range(4)]
-    changes = [random_unimodular(rng, 4) for _ in range(40)]
-    changes += [_perm_matrix(perm) for perm in permutations(range(4))]
-    changes += [_transvection(target, source, k)
-                for target, source in NORMALIZER_TRANSVECTION_PAIRS
-                for k in range(-10, 11) if k]
+    forms = ([random_surd_matrix(rng) for _ in range(4)]
+             + [AlternatingSurdMatrix(upper) for upper in MOVE_TEST_FORMS])
     for b in forms:
-        for u in changes:
-            assert b.conjugated(u).to_json() == dense_conjugated(b, u).to_json(), (b.upper, u)
+        permuted = [(perm, upper) for orientation in (1, -1)
+                    for perm, upper in _permuted(b.upper, orientation)]
+        assert sorted(perm for perm, _ in permuted) == list(permutations(range(4)))
+        for perm, upper in permuted:
+            assert AlternatingSurdMatrix(upper).to_json() == \
+                dense_conjugated(b, _perm_matrix(perm)).to_json(), (b.upper, perm)
+        moves = 0
+        for target, source, kept, changes in MOVE_GROUPS:
+            for k, upper in _transvected(b.upper, changes):
+                assert AlternatingSurdMatrix(upper).to_json() == dense_conjugated(
+                    b, _transvection(target, source, k)).to_json(), (b.upper, target, source, k)
+                assert upper[kept] == b.upper[kept]
+                moves += 1
+        assert moves == 160
 
 
-def test_normalize_picks_same_base_change_as_dense_oracle(monkeypatch):
+def test_normalize_picks_same_base_change_as_dense_oracle():
     rng = random.Random(1234)
-    forms = ([_random_surd_matrix(rng) for _ in range(20)]
-             + [AlternatingSurdMatrix(upper) for upper in HAND_PICKED_FORMS])
+    forms = ([_random_surd_matrix(rng) for _ in range(200)]
+             + [AlternatingSurdMatrix(upper) for upper in HAND_PICKED_FORMS]
+             + [AlternatingSurdMatrix(TWO_TRANSVECTION_FORM)])
 
     def outcome(normalize, b):
         res = normalize(b)
@@ -320,8 +370,68 @@ def test_normalize_picks_same_base_change_as_dense_oracle(monkeypatch):
     assert [outcome(three_pass_normalize, b) for b in forms] == found
     # both orientations occur, so the determinant is exercised as -1 and +1
     assert {det for _, _, det in found} == {-1, 1}
-    monkeypatch.setattr(AlternatingSurdMatrix, "conjugated", dense_conjugated)
-    assert [outcome(normalize_basis, b) for b in forms] == found
+
+
+class CandidateChecks:
+    """Hooks the normaliser's candidate checks, `_postconditions_hold` and
+    the filter `_condition_i`: records every candidate that `normalize_basis`
+    tests, once, and `depth` is nonzero while a check runs."""
+
+    def __init__(self, monkeypatch):
+        self.candidates = []
+        self.depth = 0
+        for name in ("_postconditions_hold", "_condition_i"):
+            monkeypatch.setattr(latforms_module, name, self._hook(getattr(latforms_module, name)))
+
+    def _hook(self, check):
+        def hooked(m):
+            if not self.depth:
+                self.candidates.append(m)
+            self.depth += 1
+            try:
+                return check(m)
+            finally:
+                self.depth -= 1
+        return hooked
+
+
+def golden_period_lattice_forms():
+    golden = json.loads((Path(__file__).parent / "data" / "period_lattice_golden.json").read_text())
+    return [_matrix_from_json(case["matrix"]) for case in golden["cases"]]
+
+
+def test_normalizer_spends_two_sums_and_two_products_per_transvection(monkeypatch):
+    # outside its candidate checks the normaliser does surd arithmetic only
+    # for the input's orientation (three products, two sums) and for the
+    # transvection candidates it builds (two sums each, and two products
+    # unless k = +-1); permutations cost none
+    checks = CandidateChecks(monkeypatch)
+    ops = {"products": 0, "sums": 0}
+
+    def counting(op, kind):
+        def counted(self, other):
+            if not checks.depth:
+                ops[kind] += 1
+            return op(self, other)
+        return counted
+
+    for name, kind in (("__mul__", "products"), ("__rmul__", "products"), ("__add__", "sums"),
+                       ("__radd__", "sums"), ("__sub__", "sums"), ("__rsub__", "sums")):
+        monkeypatch.setattr(SurdScalar, name, counting(getattr(SurdScalar, name), kind))
+    forms = golden_period_lattice_forms()
+    assert len(forms) == 21
+    built_in_all = 0
+    for b in forms:
+        checks.candidates.clear()
+        ops.update(products=0, sums=0)
+        normalize_basis(b)
+        # the 12 permutations are checked first, then each transvection
+        # candidate once, as it is built
+        built = max(0, len(checks.candidates) - 12)
+        assert ops["products"] <= 3 + 2 * built, (b.upper, built, ops)
+        assert ops["sums"] <= 2 + 2 * built, (b.upper, built, ops)
+        built_in_all += built
+    assert built_in_all > 100
 
 
 def off_one_rational_ray(values) -> bool:
@@ -336,25 +446,18 @@ def assert_rank_tests_match_pairwise_loop(b):
 
 
 def test_rank_conditions_match_pairwise_loop(monkeypatch):
-    golden = json.loads((Path(__file__).parent / "data" / "period_lattice_golden.json").read_text())
-    golden_forms = [_matrix_from_json(case["matrix"]) for case in golden["cases"]]
-    assert len(golden_forms) == 14
+    golden_forms = golden_period_lattice_forms()
+    assert len(golden_forms) == 21
     rng = random.Random(1234)
     draws = [_random_surd_matrix(rng) for _ in range(200)]
     for b in golden_forms + draws:
         assert_rank_tests_match_pairwise_loop(b)
 
-    visited = []
-    conjugated = AlternatingSurdMatrix.conjugated
-
-    def recording(self, u):
-        visited.append(conjugated(self, u))
-        return visited[-1]
-
-    monkeypatch.setattr(AlternatingSurdMatrix, "conjugated", recording)
+    checks = CandidateChecks(monkeypatch)
     for b in draws[:20]:
         normalize_basis(b)
-    # both verdicts of both tests occur among the normaliser's conjugates
+    visited = checks.candidates
+    # both verdicts of both tests occur among the normaliser's candidates
     assert len(visited) > 20 * 12
     assert {_condition_ii(m) for m in visited} == {True, False}
     for m in visited:
@@ -368,9 +471,9 @@ def test_rank_conditions_match_pairwise_loop(monkeypatch):
 def no_candidate_up_to_one_transvection(b, k_range):
     """True iff no permutation, alone or followed by one transvection of any
     source and target with |k| <= k_range, meets the contract."""
-    starts = [b.conjugated(_perm_matrix(perm)) for perm in permutations(range(4))]
+    starts = [dense_conjugated(b, _perm_matrix(perm)) for perm in permutations(range(4))]
     return (not any(_postconditions_hold(m) for m in starts)
-            and not any(_postconditions_hold(m.conjugated(_transvection(target, source, k)))
+            and not any(_postconditions_hold(dense_conjugated(m, _transvection(target, source, k)))
                         for m in starts for target in range(4) for source in range(4)
                         if target != source
                         for k in range(-k_range, k_range + 1) if k))
@@ -393,7 +496,7 @@ def test_normalize_needs_two_transvections_at_default_range():
     # b34 is rational, the largest one (b12) and b34 have opposite signs,
     # 10 * max|b13, b14, b23, b24| <= |b12| and 10 |b34| <= max|...|, so no
     # single transvection with |k| <= 10 helps and two do
-    b = AlternatingSurdMatrix([10, 1, 1, -1, 1, -sqrt(2) / 20])
+    b = AlternatingSurdMatrix(TWO_TRANSVECTION_FORM)
     assert no_candidate_up_to_one_transvection(b, 10)
     res = normalize_basis(b)
     expected = [[1, 0, 0, -10], [0, 1, 0, 0], [0, -9, 1, 0], [0, 0, 0, 1]]
@@ -445,7 +548,7 @@ def test_volume_coefficient_sign_sl_invariant():
     b = random_surd_matrix(rng)
     for _ in range(10):
         u = random_unimodular(rng, 4)
-        assert b.conjugated(u).volume_coefficient().sign() == \
+        assert dense_conjugated(b, u).volume_coefficient().sign() == \
             b.volume_coefficient().sign()
 
 

@@ -238,6 +238,15 @@ def test_non_integer_numerator_or_denominator_rejected(triple):
         SurdScalar.from_triples([triple])
 
 
+@pytest.mark.parametrize("triples", ["", {}, "123", {"2": [1, 1]}, [""], [{}], [[2, 1]],
+                                     [[2, 1, 1, 1]], [(2, 1, 1)], ([2, 1, 1],)])
+def test_scalar_that_is_not_a_list_of_triples_rejected(triples):
+    # "" and {} iterate as no triples at all and used to read as 0
+    with pytest.raises(TypeError):
+        SurdScalar.from_triples(triples)
+    assert SurdScalar.from_triples([]) == 0
+
+
 @given(surds(), surds(), surds())
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c):
