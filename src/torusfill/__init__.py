@@ -24,10 +24,7 @@ from .fillings import (
 from .latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,
-    BlowupClass,
     build_period_lattice,
-    cone_contains,
-    kahler_excluded,
     normalize_basis,
     polarization_type,
     verify_no_curves,
@@ -35,10 +32,7 @@ from .latforms import (
 from .seshadri import (
     PellSolution,
     SeshadriBound,
-    buser_sarnak,
-    general_bounds,
     pell_min,
-    special_values,
     surface_bound,
     table,
     width_filling_convert,

@@ -4,8 +4,11 @@ Each constructor assembles a source region (a diamond or distorted diamond),
 a shear sequence, and a target lattice, then runs the full verification:
 composability of the shears, exact symplecticity of every affine piece of
 their 4D lifts, exact injectivity of the final region modulo the lattice,
-and exact area bookkeeping.  Schematic variants (eps = 0) realize the
-width-zero limit of the steep ramp bands as jump shears on open pieces.
+and exact area bookkeeping.  A jump shear, acting on open pieces, realizes
+the width-zero limit of a steep ramp band.  The x1-shear is one in `theorem1`
+at every eps, in `family` at every k, and in `example3` at eps = 0 only,
+where eps > 0 puts honest ramps in its place; `example1`, `example2`, `cube`
+and `polydisc` have none.
 """
 
 from __future__ import annotations
@@ -299,7 +302,8 @@ def theorem1_filling(eps=0) -> FillingCertificate:
     h_t and h_b; the x1-shear translates the top triangle by (1+b)/2 and the
     bottom one by (1-b)/2 into those holes.  For eps > 0 the same placement
     runs on the smaller diamond, whose triangles sit strictly inside the
-    holes.
+    holes.  At every eps the x1-shear is a jump shear: it translates the
+    triangles rigidly, by jumps at x2 = -1/2 and x2 = 1/2.
     """
     eps = scalar(eps)
     if eps.sign() < 0 or (eps - rat(Fraction(1, 8))).sign() > 0:
@@ -350,11 +354,12 @@ def family_filling(k: int = 1) -> FillingCertificate:
     horizontal slices of heights j/(k+1)^2 (bottom up) sheared right so the
     right edge of slice j spans an x1-interval of length (2j-1)/(2(k+1)^2);
     the bottom triangle is sheared symmetrically left, and the flaps are
-    interlocked by an x2-shear.  A full filling (fraction 1, schematic).
+    interlocked by an x2-shear.  A full filling (fraction 1) at every k, and
+    the x1-shear is a jump shear at every k: it displaces the slices by W
+    through jumps at x2 = 0 and x2 = 1.
     """
     if k < 1:
         raise FillingError("k must be a positive integer")
-    kk = Fraction((k + 1) ** 2)
     a = rat(Fraction(2 * k + 1, k + 1))
     d = a - 1                       # rectangle width = k/(k+1)
     mu = a * a / 2                  # covolume

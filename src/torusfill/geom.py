@@ -269,7 +269,12 @@ class Region:
 
     @classmethod
     def from_json(cls, data) -> "Region":
-        return cls([ConvexPolygon.from_json(p) for p in data["polygons"]])
+        """Read {"polygons": [...]}.  Anything but a list raises TypeError:
+        iterated as it comes, "" or {} would read as the empty region."""
+        polygons = data["polygons"]
+        if type(polygons) is not list:
+            raise TypeError(f"polygons must be a list, got {type(polygons).__name__}")
+        return cls([ConvexPolygon.from_json(p) for p in polygons])
 
 
 class AffineMap2:

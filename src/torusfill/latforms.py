@@ -5,13 +5,12 @@ Covers four jobs: the polarization type of an integral alternating form
 blocks), the SL(4,Z) normalization of an irrational surd-valued form, the
 construction of a period lattice whose complex torus carries the form as a
 Kaehler form with no nonconstant compact holomorphic curves, and the
-symplectic-cone / Kaehler-cone predicates for the one-point blow-up.
+certificate of the no-curves conditions for that lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, permutations, product
 from math import gcd, lcm
@@ -213,13 +212,11 @@ PERMUTATIONS = {
     for orientation in (1, -1)
 }
 
-# the normaliser's transvections lambda_t += k lambda_s as (t, s, k), indices
-# from 0: t and s on different sides of {1, 2 | 3, 4} and 1 <= |k| <= 10, in
-# the order tried
+# the normaliser's transvections lambda_t += k lambda_s: the pairs (t, s),
+# indices from 0, with t and s on different sides of {1, 2 | 3, 4}, then
+# 1 <= |k| <= 10 for each pair, both in the order tried
 TRANSVECTION_PAIRS = ((1, 2), (1, 3), (3, 0), (2, 0), (3, 1), (2, 1), (0, 2), (0, 3))
 TRANSVECTION_KS = tuple(k for k in range(-10, 11) if k)
-TRANSVECTIONS = tuple((target, source, k) for target, source in TRANSVECTION_PAIRS
-                      for k in TRANSVECTION_KS)
 
 
 def _move_group(target: int, source: int):
@@ -638,33 +635,3 @@ def verify_no_curves(sol: PeriodLatticeSolution, bound: int = 20) -> NoCurvesCer
     }
     return NoCurvesCertificate(conditions, bound)
 
-
-# -- blow-up cone predicates ---------------------------------------------------
-
-
-@dataclass
-class BlowupClass:
-    """Class pi* beta - a * PD(E) on the one-point blow-up, via beta^2 and a."""
-
-    beta_square: SurdScalar
-    a: SurdScalar
-
-    def __post_init__(self):
-        self.beta_square = scalar(self.beta_square)
-        self.a = scalar(self.a)
-
-
-def cone_contains(c: BlowupClass) -> bool:
-    """Symplectic-cone membership: alpha^2 > 0 and alpha(E) != 0."""
-    return (not c.a.is_zero()) and (c.beta_square - c.a * c.a).sign() > 0
-
-
-def kahler_excluded(c: BlowupClass) -> bool:
-    """No Kaehler representative on the blow-up of the standard torus.
-
-    Only meaningful for the principal class (beta^2 = 2): the Seshadri bound
-    caps the exceptional coefficient of a Kaehler class at 4/3.
-    """
-    if c.beta_square != rat(2):
-        raise LatticeFormError("kahler_excluded applies to the beta^2 = 2 class")
-    return (c.a - rat(Fraction(4, 3))).sign() > 0

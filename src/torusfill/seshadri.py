@@ -2,9 +2,8 @@
 
 Minimal Pell solutions by the continued-fraction expansion of sqrt(N), the
 exact Seshadri values and filling bounds for abelian surfaces of type (1, d),
-the d = 1..30 table, the general and higher-dimensional bounds, and the
-width <-> filling-number conversion.  nth roots are never materialized: every
-comparison happens on nth powers, exactly.
+the d = 1..30 table, and the width -> filling-fraction conversion, which takes
+nth powers and never an nth root.
 """
 
 from __future__ import annotations
@@ -87,51 +86,6 @@ def table(d_max: int) -> list[SeshadriBound]:
     if d_max < 1:
         raise SeshadriError("d_max must be at least 1")
     return [surface_bound(d) for d in range(1, d_max + 1)]
-
-
-def general_bounds(type_: tuple[int, ...]) -> tuple[int, int]:
-    """(lower, upper^n) for epsilon of a polarization of the given type.
-
-    lower is d1 (so lower^n = d1^n); the upper bound is reported as its nth
-    power n! * d1 * ... * dn, avoiding the nth root.
-    """
-    if not type_ or any(d < 1 for d in type_):
-        raise SeshadriError("type must be positive integers")
-    for a, b in zip(type_, type_[1:]):
-        if b % a:
-            raise SeshadriError(f"divisibility chain violated: {a} does not divide {b}")
-    n = len(type_)
-    upper_nth = factorial(n)
-    for d in type_:
-        upper_nth *= d
-    return type_[0], upper_nth
-
-
-def special_values(n: int, hyperelliptic: bool) -> tuple[Fraction, Fraction]:
-    """Known principal Seshadri constants from Jacobians in dimensions 3, 4.
-
-    Returns (epsilon, p_lower) for the unit-volume principal torus, with
-    p_lower = epsilon^n / n!.
-    """
-    known = {
-        (3, True): Fraction(3, 2),
-        (3, False): Fraction(12, 7),
-        (4, False): Fraction(2),
-    }
-    if (n, hyperelliptic) not in known:
-        raise SeshadriError(f"unsupported combination n={n}, hyperelliptic={hyperelliptic}")
-    eps = known[(n, hyperelliptic)]
-    return eps, eps ** n / factorial(n)
-
-
-def buser_sarnak(n: int, type_: tuple[int, ...] | None = None) -> Fraction:
-    """Existence bound: some polarized torus of any type has
-    epsilon^n >= (1/4)^n * 2 * n! * d1...dn, i.e. filling fraction 2/4^n."""
-    if n < 1:
-        raise SeshadriError("n must be a positive integer")
-    if type_ is not None:
-        general_bounds(type_)  # validates the chain
-    return Fraction(2, 4 ** n)
 
 
 def width_filling_convert(c, n: int, vol) -> SurdScalar:

@@ -429,10 +429,12 @@ class SurdScalar:
         return cls.from_terms((r, _fraction(num, den)) for r, num, den in triples)
 
     def decimal(self, digits: int = 30) -> str:
-        """Deterministic fixed-point decimal rendering (round half away)."""
+        """Deterministic fixed-point decimal rendering, rounding half away
+        from zero: the magnitude is rounded half up and the sign put back,
+        unless the rounded value is 0."""
         scaled = self.approx(digits + 5) * 10 ** digits
-        n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-        sign, n = ("-", -n) if n < 0 else ("", n)
+        n = (abs(scaled.numerator) * 2 + scaled.denominator) // (2 * scaled.denominator)
+        sign = "-" if scaled < 0 and n else ""
         whole, frac = divmod(n, 10 ** digits)
         return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
 

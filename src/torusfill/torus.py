@@ -50,6 +50,8 @@ class Lattice2:
     @classmethod
     def from_json(cls, data) -> "Lattice2":
         basis = data["basis"]
+        if type(basis) is not list:
+            raise TypeError(f"a lattice basis must be a list, got {type(basis).__name__}")
         if len(basis) != 2:
             raise TorusError(f"a lattice basis has two vectors, got {len(basis)}")
         return cls(Point2.from_json(basis[0]), Point2.from_json(basis[1]))

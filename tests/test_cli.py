@@ -193,6 +193,9 @@ EMPTY_OBJECT_SQUARE = blank_zeros(SQUARE, {})
 EMPTY_STRING_BASIS = {**SQUARE, **blank_zeros(UNIT_BASIS, "")}
 EMPTY_OBJECT_BASIS = {**SQUARE, **blank_zeros(UNIT_BASIS, {})}
 BLANK_ENTRY_FORM = {"n": 2, "upper": [{}, *SURD_FORM["upper"][1:5], ""]}
+# polygons and a basis must be lists too: "" and {} iterated as the empty
+# region, which verified as injective; an object basis failed on its key 0
+OBJECT_BASIS = {**SQUARE, "basis": dict(enumerate(UNIT_BASIS["basis"]))}
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -220,12 +223,18 @@ BLANK_ENTRY_FORM = {"n": 2, "upper": [{}, *SURD_FORM["upper"][1:5], ""]}
     (["period-lattice", "{input}"], BLANK_ENTRY_FORM),
     (["svg", "{input}", "--lattice", "1", "1", "--out", "{out}"], EMPTY_STRING_SQUARE),
     (["svg", "{input}", "--lattice-file", "{input}", "--out", "{out}"], EMPTY_OBJECT_BASIS),
+    (["verify", "{input}", "--lattice", "1", "1"], {"polygons": {}}),
+    (["verify", "{input}", "--lattice", "1", "1"], {"polygons": ""}),
+    (["svg", "{input}", "--lattice", "1", "1", "--out", "{out}"], {"polygons": {}}),
+    (["verify", "{input}", "--lattice-file", "{input}"], OBJECT_BASIS),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
         "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry",
         "bool-numerator", "bool-denominator", "degenerate-surd-form", "rational-surd-form",
         "three-coordinate-point", "three-vector-basis", "empty-string-scalar",
         "empty-object-scalar", "empty-string-scalar-in-basis", "empty-object-scalar-in-basis",
-        "blank-surd-form-entries", "svg-empty-string-scalar", "svg-empty-object-scalar-in-basis"])
+        "blank-surd-form-entries", "svg-empty-string-scalar", "svg-empty-object-scalar-in-basis",
+        "empty-object-polygons", "empty-string-polygons", "svg-empty-object-polygons",
+        "object-basis"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))
@@ -234,6 +243,24 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     code, _, err = run_cli([a.format(**names) for a in argv], capsys)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_object_basis_error_names_the_basis(tmp_path, capsys):
+    input_file = tmp_path / "input.json"
+    input_file.write_text(json.dumps(OBJECT_BASIS))
+    code, out, err = run_cli(["verify", str(input_file), "--lattice-file", str(input_file)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "basis must be a list" in err
+
+
+def test_empty_polygon_list_is_the_empty_region(tmp_path, capsys):
+    input_file = tmp_path / "input.json"
+    input_file.write_text(json.dumps({"polygons": []}))
+    code, out, _ = run_cli(["verify", str(input_file), "--lattice", "1", "1"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["verdicts"]["injective"] is True
+    assert report["area"] == [] and report["covered_fraction_decimal"] == "0." + "0" * 30
 
 
 def test_verify_rejects_star_polygon(tmp_path, capsys):

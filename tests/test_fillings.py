@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import map_region, region_overlap_area, symmetric_difference_area
 from torusfill.fillings import (
+    CONSTRUCTORS,
     DistortedDiamond,
     FillingError,
     cube_filling,
@@ -303,3 +304,23 @@ def test_family_generalizes_beyond_small_k():
     cert = family_filling(5)
     assert cert.valid and cert.is_fundamental_domain
     assert cert.lattice.covolume() == rat(Fraction(121, 72))
+
+
+# which shears carry jumps, as the certificate JSON records them: a "jumps"
+# key marks a shear with a jump discontinuity, by shear in sequence order
+JUMP_SHEARS = [
+    *[("example1", {"k": k}, [False]) for k in (1, 2)],
+    *[("example2", {"eps": eps}, [False, False]) for eps in (0, Fraction(1, 100))],
+    ("example3", {"eps": 0}, [False, True]),
+    ("example3", {"eps": Fraction(1, 100)}, [False, False]),
+    *[("theorem1", {"eps": eps}, [False, True]) for eps in (0, Fraction(1, 100), Fraction(1, 8))],
+    *[("family", {"k": k}, [False, True]) for k in (1, 2, 3)],
+    *[(name, {"k": k}, [False]) for name in ("cube", "polydisc") for k in (1, 2)],
+]
+
+
+@pytest.mark.parametrize("name, params, jumps", JUMP_SHEARS, ids=[
+    f"{name}-{key}={value}" for name, params, _ in JUMP_SHEARS for key, value in params.items()])
+def test_which_constructions_carry_jump_shears(name, params, jumps):
+    shears = CONSTRUCTORS[name](**params).to_json()["shears"]
+    assert ["jumps" in shear for shear in shears] == jumps

@@ -21,17 +21,13 @@ from torusfill.cli import _matrix_from_json
 from torusfill.latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,
-    BlowupClass,
     LatticeFormError,
     MOVE_GROUPS,
     NormalizationResult,
     PERMUTATIONS,
     SearchExhausted,
-    TRANSVECTIONS,
     UPPER_INDEX,
     build_period_lattice,
-    cone_contains,
-    kahler_excluded,
     normalize_basis,
     polarization_type,
     verify_no_curves,
@@ -298,15 +294,14 @@ def test_transvection_table_is_the_constant_normalizer_list():
     rebuilt = tuple((target, source, k) for target, source in NORMALIZER_TRANSVECTION_PAIRS
                     for k in range(-10, 11) if k)
     assert len(rebuilt) == 160
-    assert TRANSVECTIONS == rebuilt
     b = AlternatingSurdMatrix(HAND_PICKED_FORMS[0])
     assert tuple((target, source, k) for target, source, _, changes in MOVE_GROUPS
-                 for k, _ in _transvected(b.upper, changes)) == TRANSVECTIONS
+                 for k, _ in _transvected(b.upper, changes)) == rebuilt
     # a move keeps the diagonal entry of the other side: b34 for lambda_1,
     # lambda_2 as target, b12 for lambda_3, lambda_4
     assert [kept for _, _, kept, _ in MOVE_GROUPS] == \
         [5 if target < 2 else 0 for target, _ in NORMALIZER_TRANSVECTION_PAIRS]
-    for target, source, k in TRANSVECTIONS:
+    for target, source, k in rebuilt:
         assert _transvection(target, source, k) == [
             [k if (i, j) == (source, target) else int(i == j) for j in range(4)]
             for i in range(4)]
@@ -315,7 +310,7 @@ def test_transvection_table_is_the_constant_normalizer_list():
         assert [perm for perm, _ in PERMUTATIONS[orientation]] == [
             perm for perm in permutations(range(4))
             if _det_int(_perm_matrix(perm)) == orientation]
-    tables = (TRANSVECTIONS, MOVE_GROUPS, PERMUTATIONS[1], PERMUTATIONS[-1])
+    tables = (MOVE_GROUPS, PERMUTATIONS[1], PERMUTATIONS[-1])
     assert all(type(table) is tuple and all(type(row) is tuple for row in table)
                for table in tables)
 
@@ -778,13 +773,3 @@ def test_period_lattices_of_wide_magnitude_forms():
         cert = verify_no_curves(sol)
         assert cert.ok, (cert.failed(), b.upper)
 
-
-def test_cone_predicates():
-    c = BlowupClass(2, Fraction(7, 5))
-    assert cone_contains(c)           # 1.96 < 2
-    assert kahler_excluded(c)         # 7/5 > 4/3
-    assert not cone_contains(BlowupClass(2, 0))
-    assert not cone_contains(BlowupClass(2, sqrt(2)))  # boundary, not strict
-    assert not kahler_excluded(BlowupClass(2, Fraction(4, 3)))
-    with pytest.raises(LatticeFormError):
-        kahler_excluded(BlowupClass(3, 1))

@@ -6,10 +6,7 @@ import pytest
 from torusfill.seshadri import (
     PellSolution,
     SeshadriError,
-    buser_sarnak,
-    general_bounds,
     pell_min,
-    special_values,
     surface_bound,
     table,
     width_filling_convert,
@@ -123,40 +120,12 @@ def test_table_blank_rows_are_squares():
     assert [d for d, v in TABLE_30.items() if v is None] == [2, 8, 18]
 
 
-def test_general_bounds():
-    assert general_bounds((1, 1)) == (1, 2)
-    assert general_bounds((1, 5)) == (1, 10)
-    assert general_bounds((2, 4)) == (2, 16)
-    with pytest.raises(SeshadriError):
-        general_bounds((2, 3))
-    with pytest.raises(SeshadriError):
-        general_bounds((0, 2))
-
-
-def test_general_bounds_sandwich_over_table():
+def test_table_epsilon_between_type_bounds():
+    # a type-(1, d) Seshadri constant lies between d1 = 1 and the square
+    # root of 2! * d1 * d2 = 2d
     for row in table(30):
         eps_sq = (row.epsilon ** 2).as_fraction()
         assert 1 <= eps_sq <= 2 * row.d
-
-
-def test_special_values():
-    assert special_values(3, False) == (Fraction(12, 7), Fraction(288, 343))
-    assert special_values(4, False) == (Fraction(2), Fraction(2, 3))
-    assert special_values(3, True) == (Fraction(3, 2), Fraction(9, 16))
-    with pytest.raises(SeshadriError):
-        special_values(4, True)
-    with pytest.raises(SeshadriError):
-        special_values(5, False)
-
-
-def test_buser_sarnak():
-    assert buser_sarnak(2) == Fraction(1, 8)
-    assert buser_sarnak(3) == Fraction(1, 32)
-    assert buser_sarnak(3, (1, 2, 4)) == Fraction(1, 32)
-    values = [buser_sarnak(n) for n in range(1, 8)]
-    assert all(a > b for a, b in zip(values, values[1:]))  # tends to zero
-    with pytest.raises(SeshadriError):
-        buser_sarnak(0)
 
 
 def test_width_filling_convert():

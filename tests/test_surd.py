@@ -205,8 +205,30 @@ def test_decimal_rendering():
     assert rat(Fraction(1, 3)).decimal(6) == "0.333333"
     assert sqrt(2).decimal(10) == "1.4142135624"
     assert (-sqrt(2)).decimal(4) == "-1.4142"
+    # half away from zero on either side, and no sign on a rounded zero
+    assert rat(Fraction(1, 8)).decimal(2) == "0.13" and rat(Fraction(-1, 8)).decimal(2) == "-0.13"
+    assert rat(Fraction(5, 2)).decimal(0) == "3" and rat(Fraction(-5, 2)).decimal(0) == "-3"
+    assert rat(Fraction(-1, 1000)).decimal(2) == "0.00"
     assert decimal_sqrt(rat(2), 10) == "1.4142135624"
     assert decimal_sqrt(sqrt(2), 10) == "1.1892071150"  # 2 ** (1/4)
+
+
+@st.composite
+def decimal_cases(draw):
+    """(x >= 0, digits): a surd, or an exact half in the last digit kept."""
+    digits = draw(st.integers(min_value=0, max_value=6))
+    half = rat(Fraction(2 * draw(st.integers(0, 10**4)) + 1, 2 * 10 ** digits))
+    x = draw(st.one_of(surds(), st.just(half)))
+    return (x if x.sign() >= 0 else -x), digits
+
+
+@settings(max_examples=200, deadline=None)
+@given(decimal_cases())
+def test_decimal_rounds_half_away_from_zero(case):
+    x, digits = case
+    shown = x.decimal(digits)
+    rounds_to_zero = not shown.strip("0.")
+    assert (-x).decimal(digits) == (shown if rounds_to_zero else "-" + shown)
 
 
 def test_serialization_round_trip():
