@@ -326,6 +326,36 @@ def test_pell_command(capsys):
     assert code == 2
 
 
+SESHADRI_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "seshadri_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", SESHADRI_GOLDEN["cases"],
+                         ids=lambda case: " ".join(case["argv"]))
+def test_seshadri_and_pell_match_golden_bytes(capsys, case):
+    # The golden file holds the full stdout of `seshadri --dmax 30` in the
+    # table, csv and json formats, and of `pell 46`, recorded before the
+    # three formats were built from one list of rows.  A change to these
+    # bytes must be deliberate: regenerate the file and say why.
+    code, out, _ = run_cli(case["argv"], capsys)
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{input}"],
+    ["svg", "{input}", "--out", "{out}"],
+], ids=["verify", "svg"])
+def test_lattice_is_required(tmp_path, capsys, argv):
+    input_file = tmp_path / "input.json"
+    input_file.write_text(json.dumps(SQUARE))
+    names = {"input": str(input_file), "out": str(tmp_path / "out.svg")}
+    code, out, err = run_cli([a.format(**names) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: a lattice is required (--lattice MU1 MU2 or --lattice-file)\n"
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_type_command(tmp_path, capsys):
     matrix_file = tmp_path / "matrix.json"
     matrix_file.write_text(json.dumps({"n": 2, "upper": [2, 0, 0, 0, 0, 3]}))
