@@ -196,32 +196,19 @@ def cmd_period_lattice(args) -> int:
 
 
 def cmd_seshadri(args) -> int:
-    rows = table(args.dmax)
+    rows = [{"d": r.d, "k0": r.pell.k0 if r.pell else None, "l0": r.pell.l0 if r.pell else None,
+             "epsilon": str(r.epsilon.as_fraction()), "p_lower": str(r.p_lower)}
+            for r in table(args.dmax)]
     if args.format == "json":
-        _dump([
-            {
-                "d": r.d,
-                "k0": r.pell.k0 if r.pell else None,
-                "l0": r.pell.l0 if r.pell else None,
-                "epsilon": str(r.epsilon.as_fraction()),
-                "p_lower": str(r.p_lower),
-            }
-            for r in rows
-        ], args.out)
+        _dump(rows, args.out)
         return 0
-    lines = []
-    if args.format == "csv":
-        lines.append("d,k0,l0,p_lower")
-        for r in rows:
-            k0 = r.pell.k0 if r.pell else ""
-            l0 = r.pell.l0 if r.pell else ""
-            lines.append(f"{r.d},{k0},{l0},{r.p_lower}")
+    if args.format == "csv":  # a row without a Pell pair leaves k0 and l0 blank
+        head, line, blank = "d,k0,l0,p_lower", "{d},{k0},{l0},{p_lower}", ""
     else:
-        lines.append(f"{'d':>3} {'k0':>6} {'l0':>8} {'p(T(1,d)) >=':>24}")
-        for r in rows:
-            k0 = str(r.pell.k0) if r.pell else "-"
-            l0 = str(r.pell.l0) if r.pell else "-"
-            lines.append(f"{r.d:>3} {k0:>6} {l0:>8} {str(r.p_lower):>24}")
+        head = f"{'d':>3} {'k0':>6} {'l0':>8} {'p(T(1,d)) >=':>24}"
+        line, blank = "{d:>3} {k0:>6} {l0:>8} {p_lower:>24}", "-"
+    lines = [head] + [line.format(**{k: blank if v is None else v for k, v in row.items()})
+                      for row in rows]
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

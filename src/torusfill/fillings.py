@@ -229,9 +229,9 @@ def example_eight_ninths(eps=0, orientation: str = "++") -> FillingCertificate:
     shear2 = Shear("x2", PLFunction(f.breakpoints, [-s for s in f.slopes], anchor=(0, 0)))
     shears = [shear1, shear2]
     if orientation[0] == "-":
-        shears = [s.reflect_x1() for s in shears]
+        shears = [s.reflect("x1") for s in shears]
     if orientation[1] == "-":
-        shears = [s.reflect_x2() for s in shears]
+        shears = [s.reflect("x2") for s in shears]
     lattice = Lattice2.rectangular(1, 1)
     return certify("example2", {"eps": str(eps), "orientation": orientation},
                    source, shears, lattice)

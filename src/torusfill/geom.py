@@ -43,6 +43,8 @@ class Point2:
 
     @classmethod
     def from_json(cls, data) -> "Point2":
+        if type(data) is not list:  # an object would be read by its keys 0 and 1
+            raise TypeError(f"a point must be a list, got {type(data).__name__}")
         if len(data) != 2:
             raise GeometryError(f"a point has two coordinates, got {len(data)}")
         return cls(SurdScalar.from_triples(data[0]), SurdScalar.from_triples(data[1]))
@@ -111,6 +113,8 @@ class ConvexPolygon:
 
     @classmethod
     def from_json(cls, data) -> "ConvexPolygon":
+        if type(data) is not list:  # an object would iterate its keys as points
+            raise TypeError(f"a polygon must be a list of points, got {type(data).__name__}")
         return cls([Point2.from_json(p) for p in data])
 
 

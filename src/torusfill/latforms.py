@@ -576,9 +576,6 @@ class NoCurvesCertificate:
     def ok(self) -> bool:
         return all(self.conditions.values())
 
-    def failed(self) -> list[str]:
-        return [k for k, v in self.conditions.items() if not v]
-
     def to_json(self):
         return {"ok": self.ok, "conditions": self.conditions,
                 "search_bound": self.search_bound}

@@ -15,8 +15,8 @@ and two nonzero rationals skip the per-radicand merge: one cross product
 and approx bound value * denominator * 2**prec between two integers built
 from isqrt(n_i * 4**prec), doubling prec until the bounds decide.
 `Fraction` appears only where a value enters or leaves: `terms`,
-`coefficient`, `as_fraction`, `from_terms`, the triples, `approx` and the
-hash of a rational.  Linear algebra over Q runs on integers too:
+`as_fraction`, `from_terms`, the triples, `approx` and the hash of a
+rational.  Linear algebra over Q runs on integers too:
 `int_echelon` is a fraction-free Gauss-Jordan elimination, `rational_rank`
 reads its rank, and `rational_relations` builds `Fraction` only for the
 kernel it returns.
@@ -139,9 +139,6 @@ class SurdScalar:
     @property
     def radicands(self) -> frozenset[int]:
         return frozenset(self._num)
-
-    def coefficient(self, radicand: int) -> Fraction:
-        return Fraction(self._num.get(radicand, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -312,13 +309,16 @@ class SurdScalar:
         if len(self._num) == 1:
             ((rad, n),) = self._num.items()
             return 1 if n > 0 else -1
-        prec = 16
+        return self._refine(16, lambda lo, hi, _: 1 if lo > 0 else -1 if hi < 0 else None)
+
+    def _refine(self, prec: int, decide):
+        """decide(lo, hi, den * 2**prec) on the enclosures at prec, 2 prec,
+        4 prec, ... until it returns something other than None."""
         while True:
             lo, hi = self._enclosure(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+            out = decide(lo, hi, self._den << prec)
+            if out is not None:
+                return out
             prec *= 2
 
     def _enclosure(self, prec: int) -> tuple[int, int]:
@@ -341,13 +341,8 @@ class SurdScalar:
 
     def approx(self, digits: int = 30) -> Fraction:
         """A rational within 10**-digits of the true value."""
-        prec = 32
-        while True:
-            lo, hi = self._enclosure(prec)
-            scale = self._den << prec
-            if (hi - lo) * 10 ** digits < scale:
-                return Fraction(lo + hi, 2 * scale)
-            prec *= 2
+        return self._refine(32, lambda lo, hi, scale: Fraction(lo + hi, 2 * scale)
+                            if (hi - lo) * 10 ** digits < scale else None)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -391,14 +386,8 @@ class SurdScalar:
         """Exact integer floor."""
         if self.is_rational():
             return self._num.get(1, 0) // self._den
-        prec = 32
-        while True:
-            lo, hi = self._enclosure(prec)
-            scale = self._den << prec
-            flo = lo // scale
-            if flo == hi // scale:
-                return flo
-            prec *= 2
+        return self._refine(32, lambda lo, hi, scale: lo // scale
+                            if lo // scale == hi // scale else None)
 
     def ceil(self) -> int:
         return -((-self).floor())

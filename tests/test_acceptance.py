@@ -310,7 +310,7 @@ def test_criterion_10_period_lattices():
             continue
         solution = build_period_lattice(normalized)
         cert = verify_no_curves(solution, bound=20)
-        assert cert.ok, f"conditions failed: {cert.failed()} on {b.upper}"
+        assert cert.ok, f"conditions: {cert.conditions} on {b.upper}"
         done += 1
     # the normalizer's search has never come up empty on this corpus
     assert exhausted == 0

@@ -196,6 +196,11 @@ BLANK_ENTRY_FORM = {"n": 2, "upper": [{}, *SURD_FORM["upper"][1:5], ""]}
 # polygons and a basis must be lists too: "" and {} iterated as the empty
 # region, which verified as injective; an object basis failed on its key 0
 OBJECT_BASIS = {**SQUARE, "basis": dict(enumerate(UNIT_BASIS["basis"]))}
+# a point and a polygon must be lists: a point written {"0": x, "1": y}
+# failed on its key 0, and a polygon written as an object read its keys
+OBJECT_POINT_SQUARE = {"polygons": [[{str(i): c for i, c in enumerate(SQUARE["polygons"][0][0])},
+                                     *SQUARE["polygons"][0][1:]]]}
+OBJECT_POLYGON_SQUARE = {"polygons": [{str(i): p for i, p in enumerate(SQUARE["polygons"][0])}]}
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -227,6 +232,8 @@ OBJECT_BASIS = {**SQUARE, "basis": dict(enumerate(UNIT_BASIS["basis"]))}
     (["verify", "{input}", "--lattice", "1", "1"], {"polygons": ""}),
     (["svg", "{input}", "--lattice", "1", "1", "--out", "{out}"], {"polygons": {}}),
     (["verify", "{input}", "--lattice-file", "{input}"], OBJECT_BASIS),
+    (["verify", "{input}", "--lattice", "1", "1"], OBJECT_POINT_SQUARE),
+    (["verify", "{input}", "--lattice", "1", "1"], OBJECT_POLYGON_SQUARE),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
         "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry",
         "bool-numerator", "bool-denominator", "degenerate-surd-form", "rational-surd-form",
@@ -234,7 +241,7 @@ OBJECT_BASIS = {**SQUARE, "basis": dict(enumerate(UNIT_BASIS["basis"]))}
         "empty-object-scalar", "empty-string-scalar-in-basis", "empty-object-scalar-in-basis",
         "blank-surd-form-entries", "svg-empty-string-scalar", "svg-empty-object-scalar-in-basis",
         "empty-object-polygons", "empty-string-polygons", "svg-empty-object-polygons",
-        "object-basis"])
+        "object-basis", "object-point", "object-polygon"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))
@@ -252,6 +259,18 @@ def test_object_basis_error_names_the_basis(tmp_path, capsys):
                              capsys)
     assert code == 2 and out == ""
     assert "basis must be a list" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    (OBJECT_POINT_SQUARE, "a point must be a list, got dict"),
+    (OBJECT_POLYGON_SQUARE, "a polygon must be a list of points, got dict"),
+], ids=["point", "polygon"])
+def test_object_point_or_polygon_error_names_it(tmp_path, capsys, data, message):
+    input_file = tmp_path / "input.json"
+    input_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", str(input_file), "--lattice", "1", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {input_file}: {message}\n"
 
 
 def test_empty_polygon_list_is_the_empty_region(tmp_path, capsys):

@@ -223,14 +223,16 @@ def test_shear_reflections():
     shear = Shear("x1", f)
     reg = diamond_region(Fraction(4, 3))
     image = image_under(shear, reg)
-    mirrored = image_under(shear.reflect_x1(), reg)
+    mirrored = image_under(shear.reflect("x1"), reg)
     flip = lambda r: Region([ConvexPolygon([pt(-v.x1, v.x2) for v in p.vertices])
                              for p in r.pieces])
     assert symmetric_difference_area(flip(image), mirrored).is_zero()
-    mirrored2 = image_under(shear.reflect_x2(), reg)
+    mirrored2 = image_under(shear.reflect("x2"), reg)
     flip2 = lambda r: Region([ConvexPolygon([pt(v.x1, -v.x2) for v in p.vertices])
                               for p in r.pieces])
     assert symmetric_difference_area(flip2(image), mirrored2).is_zero()
+    with pytest.raises(ShearError):
+        shear.reflect("x3")
 
 
 def test_shear_json_round_trip():
@@ -431,7 +433,7 @@ def test_piece_touching_a_breakpoint_is_not_clipped(monkeypatch):
 def affine_maps(draw):
     """Shears, the coordinate reflections (det < 0), and general invertible
     maps, with rational or Q(sqrt 2) entries."""
-    kind = draw(st.sampled_from(["shear_x1", "shear_x2", "reflect_x1", "reflect_x2",
+    kind = draw(st.sampled_from(["shear_x1", "shear_x2", "negate_x1", "negate_x2",
                                  "general"]))
     s = rat(draw(rationals(bound=5))) + (sqrt(2) if draw(st.booleans()) else 0)
     t = pt(draw(rationals(bound=5)), draw(rationals(bound=5)))
@@ -439,9 +441,9 @@ def affine_maps(draw):
         return AffineMap2(((1, s), (0, 1)), t)
     if kind == "shear_x2":
         return AffineMap2(((1, 0), (s, 1)), t)
-    if kind == "reflect_x1":
+    if kind == "negate_x1":
         return AffineMap2(((-1, 0), (0, 1)), t)
-    if kind == "reflect_x2":
+    if kind == "negate_x2":
         return AffineMap2(((1, 0), (0, -1)), t)
     a, b, c, d = (rat(draw(rationals(bound=4))) for _ in range(4))
     assume(not (a * d - b * c).is_zero())
