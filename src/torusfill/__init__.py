@@ -8,7 +8,7 @@ forms and period lattices, and the Pell/Seshadri filling bounds.
 from .surd import SurdScalar, rat, sqrt, rationally_independent
 from .geom import AffineMap2, ConvexPolygon, Point2, Region, clip, pt
 from .shears import PLFunction, Shear, ShearSequence, check_composable, induced_4d_check
-from .torus import Lattice2, injects
+from .torus import Lattice2, LatticeRegion, injects
 from .fillings import (
     DistortedDiamond,
     FillingCertificate,

@@ -13,12 +13,13 @@ import inspect
 import json
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
 from .surd import SurdScalar, rat
-from .geom import Region, pt
-from .torus import Lattice2, injects
+from .geom import GeometryError, Region, pt, region_points
+from .torus import Lattice2, LatticeRegion, TorusError
 from .fillings import CONSTRUCTORS, ORIENTATIONS
 from .latforms import (
     AlternatingIntMatrix,
@@ -42,20 +43,29 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
-def _load_json(path: str, parse):
-    """Read a JSON file and parse it; any fault in its content is malformed input.
+# Faults in a file's content: wrong shapes (a number where a list belongs, a
+# list where an object belongs, short triples) surface as TypeError or
+# IndexError, zero denominators as ZeroDivisionError, nesting too deep to
+# parse as RecursionError, and bad points, polygons and bases as
+# GeometryError or TorusError.
+_FILE_FAULTS = (OSError, json.JSONDecodeError, TypeError, IndexError, ZeroDivisionError,
+                RecursionError, GeometryError, TorusError)
 
-    Wrong shapes (a number where a list belongs, a list where an object
-    belongs, short triples) surface as TypeError or IndexError, zero
-    denominators as ZeroDivisionError, and nesting too deep to parse as
-    RecursionError.
-    """
+
+@contextmanager
+def _reading(path: str, faults=_FILE_FAULTS):
+    """Report the faults raised inside as malformed input of the file at path."""
     try:
+        yield
+    except faults as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: str, parse):
+    """Read a JSON file and parse it; any fault in its content is malformed input."""
+    with _reading(path):
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (OSError, json.JSONDecodeError, TypeError, IndexError, ZeroDivisionError,
-            RecursionError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(text: str, path: str | None) -> None:
@@ -109,11 +119,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Read the region's point lists and the lattice, then decide everything
+    on the region's lattice coordinates; no plane polygon is built."""
     t0 = time.perf_counter()
-    region = _load_json(args.region, Region.from_json)
-    region.validate()
+    polygons = _load_json(args.region, region_points)
     lattice = _lattice_from_args(args)
-    verdict = injects(region, lattice)
+    with _reading(args.region, GeometryError):  # bad polygons, overlapping pieces
+        region = LatticeRegion(polygons, lattice)
+        region.validate()
+    verdict = region.injectivity()
     area = region.area()
     covol = lattice.covolume()
     fraction = area / covol if verdict.ok else None
@@ -301,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     Reuse is safe: `parse_args` returns a new Namespace on each call and
     keeps nothing in the parser between calls, errors and --help included.
-    The parser holds the `cmd_*` handlers, which read the library functions
-    (`injects`, `normalize_basis`, ...) as module globals when they run, so
-    a rebinding of those names after the first call still takes effect.
+    The parser holds the `cmd_*` handlers, which read the library names
+    (`LatticeRegion`, `normalize_basis`, ...) as module globals when they
+    run, so a rebinding of those names after the first call still takes
+    effect.
     """
     parser = argparse.ArgumentParser(
         prog="torusfill",

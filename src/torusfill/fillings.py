@@ -27,7 +27,7 @@ from .shears import (
     check_composable,
     induced_4d_check,
 )
-from .torus import InjectivityReport, Lattice2, injects
+from .torus import InjectivityReport, Lattice2, LatticeRegion
 
 
 class FillingError(ValueError):
@@ -168,9 +168,10 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
     seq = ShearSequence(list(shears), source)
     composability = check_composable(seq)
     final = composability.final
-    final.validate()
-    verdict = injects(final, lattice)
-    final_area = final.area()
+    region = LatticeRegion([p.vertices for p in final.pieces], lattice)
+    region.validate()
+    verdict = region.injectivity()
+    final_area = region.area()
     fraction = final_area / lattice.covolume() if verdict.ok else None
     return FillingCertificate(
         name=name,

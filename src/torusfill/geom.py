@@ -4,6 +4,10 @@ Convex polygons with surd coordinates, finite unions of interior-disjoint
 convex pieces (regions), affine images and convex clipping.  All predicates
 are decided by exact sign computations; regions follow the open-set
 convention, so degenerate (zero-area) intersections count as empty.
+Whether the pieces of a region overlap, and whether it injects modulo a
+lattice, is decided in `torus` on integer lattice coordinates:
+`_canonicalize` serves both the plane polygons here and those lattice
+coordinates, and there `clip` only measures the overlaps found.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Point2:
+    """A plane point; `torus` also holds lattice coordinates in it, each an
+    int where it is rational."""
+
     x1: SurdScalar
     x2: SurdScalar
 
@@ -55,9 +62,11 @@ def pt(x1, x2) -> Point2:
     return Point2(scalar(x1), scalar(x2))
 
 
-def _orient(a: Point2, b: Point2, c: Point2) -> int:
-    """Sign of the signed area of triangle abc (+1 = counterclockwise)."""
-    return (b - a).cross(c - a).sign()
+def _turn(d: Point2, e: Point2) -> int:
+    """Sign of d x e (+1 when e turns left from d), for coordinates that are
+    SurdScalars or ints."""
+    t = d.cross(e)
+    return 1 if t > 0 else -1 if t < 0 else 0
 
 
 class ConvexPolygon:
@@ -111,11 +120,21 @@ class ConvexPolygon:
     def to_json(self):
         return [v.to_json() for v in self.vertices]
 
-    @classmethod
-    def from_json(cls, data) -> "ConvexPolygon":
-        if type(data) is not list:  # an object would iterate its keys as points
-            raise TypeError(f"a polygon must be a list of points, got {type(data).__name__}")
-        return cls([Point2.from_json(p) for p in data])
+
+def region_points(data) -> list[list[Point2]]:
+    """The point lists of {"polygons": [...]}, as given (not canonicalised).
+    A polygon list or a polygon that is not a list raises TypeError: iterated
+    as it comes, "" or {} would read as the empty region, and an object
+    would iterate its keys as points."""
+    polygons = data["polygons"]
+    if type(polygons) is not list:
+        raise TypeError(f"polygons must be a list, got {type(polygons).__name__}")
+    out = []
+    for points in polygons:
+        if type(points) is not list:
+            raise TypeError(f"a polygon must be a list of points, got {type(points).__name__}")
+        out.append([Point2.from_json(p) for p in points])
+    return out
 
 
 def _raw(vertices: list[Point2], box=None) -> ConvexPolygon:
@@ -131,24 +150,29 @@ def _canonicalize(vertices: list[Point2]) -> list[Point2] | None:
     """Canonical vertex list of the polygon a cyclic point list bounds, or None.
 
     Repeated points and points collinear with their neighbours are merged
-    away (a vertex whose turn is 0 is dropped and its neighbours' turns are
-    recomputed). What is left must bound a strictly convex polygon that winds
-    once: every turn has the same sign, and the lexicographic up/down
-    direction of the edges switches exactly twice around the cycle (a list
-    turning one way throughout but winding k times switches 2k times).
-    Either orientation is read; the result is counterclockwise and starts
-    at the lowest vertex.
+    away (a vertex whose turn is 0 is dropped, its two edges become one and
+    its neighbours' turns are recomputed). What is left must bound a
+    strictly convex polygon that winds once: every turn has the same sign,
+    and the lexicographic up/down direction of the edges switches exactly
+    twice around the cycle (a list turning one way throughout but winding k
+    times switches 2k times). Either orientation is read; the result is
+    counterclockwise and starts at the lowest vertex.  Coordinates may be
+    SurdScalars or ints: an affine map of positive determinant keeps every
+    turn sign and the winding, so it accepts a list exactly when it accepts
+    the list's image.
     """
     vs = [p for i, p in enumerate(vertices) if p != vertices[i - 1]]
-    turns = [_orient(vs[i - 1], p, vs[(i + 1) % len(vs)]) for i, p in enumerate(vs)]
+    edges = [q - p for p, q in zip(vs, vs[1:] + vs[:1])]  # vs[i] -> vs[i + 1]
+    turns = [_turn(edges[i - 1], e) for i, e in enumerate(edges)]
     while len(vs) >= 3 and 0 in turns:
         i = turns.index(0)
-        del vs[i], turns[i]
+        edges[i - 1] = edges[i - 1] + edges[i]
+        del vs[i], turns[i], edges[i]
         for j in (i - 1, i % len(vs)):
-            turns[j] = _orient(vs[j - 1], vs[j], vs[(j + 1) % len(vs)])
+            turns[j] = _turn(edges[j - 1], edges[j])
     if len(vs) < 3 or len(set(turns)) != 1:
         return None
-    up = [(p.x1, p.x2) < (q.x1, q.x2) for p, q in zip(vs, vs[1:] + vs[:1])]
+    up = [(0, 0) < (e.x1, e.x2) for e in edges]
     if sum(u != w for u, w in zip(up, up[1:] + up[:1])) != 2:
         return None
     if turns[0] < 0:
@@ -234,18 +258,13 @@ def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
 
 
 class Region:
-    """Finite union of convex polygons whose pairwise overlaps have zero area."""
+    """Finite union of convex polygons whose pairwise overlaps have zero area
+    (`torus.LatticeRegion.validate` checks it)."""
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: list[ConvexPolygon]):
         self.pieces = list(pieces)
-
-    def validate(self) -> None:
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                if clip(self.pieces[i], self.pieces[j]) is not None:
-                    raise GeometryError(f"region pieces {i} and {j} overlap")
 
     def area(self) -> SurdScalar:
         total = rat(0)
@@ -273,12 +292,8 @@ class Region:
 
     @classmethod
     def from_json(cls, data) -> "Region":
-        """Read {"polygons": [...]}.  Anything but a list raises TypeError:
-        iterated as it comes, "" or {} would read as the empty region."""
-        polygons = data["polygons"]
-        if type(polygons) is not list:
-            raise TypeError(f"polygons must be a list, got {type(polygons).__name__}")
-        return cls([ConvexPolygon.from_json(p) for p in polygons])
+        """Read {"polygons": [...]} (see `region_points`)."""
+        return cls([ConvexPolygon(points) for points in region_points(data)])
 
 
 class AffineMap2:

@@ -15,8 +15,9 @@ and two nonzero rationals skip the per-radicand merge: one cross product
 and approx bound value * denominator * 2**prec between two integers built
 from isqrt(n_i * 4**prec), doubling prec until the bounds decide.
 `Fraction` appears only where a value enters or leaves: `terms`,
-`as_fraction`, `from_terms`, the triples, `approx` and the hash of a
-rational.  Linear algebra over Q runs on integers too:
+`as_fraction`, `from_terms`, `approx` and the hash of a rational; the
+triples are read and written on integers, and `clear_denominators` hands
+out integer multiples.  Linear algebra over Q runs on integers too:
 `int_echelon` is a fraction-free Gauss-Jordan elimination, `rational_rank`
 reads its rank, and `rational_relations` builds `Fraction` only for the
 kernel it returns.
@@ -408,14 +409,35 @@ class SurdScalar:
         """Read a list of [radicand, numerator, denominator] lists.  Anything
         else raises TypeError: iterated as it comes, "" or {} would read as
         0.  Radicands must lie below 2**32, so that factoring one by trial
-        division cannot hang."""
+        division cannot hang.  The integer numerators are summed over the lcm
+        of the denominators and divided by one gcd, with no `Fraction`; a
+        zero numerator skips its radicand's factoring, and radicand 1 needs
+        none."""
         if type(triples) is not list or any(type(t) is not list or len(t) != 3
                                             for t in triples):
             raise TypeError("a scalar is a list of [radicand, numerator, denominator] "
                             f"lists, got {type(triples).__name__} {triples!r:.40}")
         if any(type(r) is int and r >= 2**32 for r, _, _ in triples):
             raise ValueError("radicands must be below 2**32")
-        return cls.from_terms((r, _fraction(num, den)) for r, num, den in triples)
+        terms = []
+        for r, num, den in triples:
+            # bool subclasses int, so JSON true would otherwise read as 1
+            if type(num) is not int or type(den) is not int:
+                raise TypeError("numerator and denominator must be integers, "
+                                f"got {num!r}, {den!r}")
+            if not den:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+            if type(r) is not int:  # a float is not truncated
+                raise TypeError(f"radicand must be an integer, got {r!r}")
+            if num:  # a zero term is dropped before its radicand is factored
+                s, t = (1, 1) if r == 1 else squarefree_decompose(r)
+                terms.append((t, num * s, den) if den > 0 else (t, -num * s, -den))
+        den = lcm(*(d for _, _, d in terms))
+        acc: dict[int, int] = {}
+        for t, n, d in terms:
+            acc[t] = acc.get(t, 0) + n * (den // d)
+        num = {t: n for t, n in acc.items() if n}
+        return _reduced(num, den) if num else _make({}, 1)
 
     def decimal(self, digits: int = 30) -> str:
         """Deterministic fixed-point decimal rendering, rounding half away
@@ -440,11 +462,21 @@ class SurdScalar:
         return "".join(parts).replace("v", "√")
 
 
-def _fraction(num, den) -> Fraction:
-    # bool subclasses int, so JSON true would otherwise read as 1
-    if type(num) is not int or type(den) is not int:
-        raise TypeError(f"numerator and denominator must be integers, got {num!r}, {den!r}")
-    return Fraction(num, den)
+def clear_denominators(values: Sequence[SurdScalar]) -> tuple[list, int]:
+    """([L * v for v in values], L) with L the lcm of the denominators: a
+    rational value comes back as an int, any other as a SurdScalar with
+    integer coefficients."""
+    den = lcm(*(v._den for v in values))
+    out: list[int | SurdScalar] = []
+    for v in values:
+        num, k = v._num, den // v._den
+        if not num:
+            out.append(0)
+        elif len(num) == 1 and 1 in num:
+            out.append(num[1] * k)
+        else:
+            out.append(_make({r: n * k for r, n in num.items()}, 1))
+    return out, den
 
 
 def _coerce(value) -> SurdScalar:

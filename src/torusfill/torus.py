@@ -1,10 +1,18 @@
 """Quotients of the plane by rank-2 lattices.
 
-Exact injectivity of a bounded region modulo a lattice, decided in the
-coordinates of a Lagrange-reduced basis, where a lattice vector is an
-integer shift: each pair of pieces is clipped only at the shifts where
-their exact boxes overlap, and the overlap area must be exactly zero
-(shared edges allowed, per the open-set convention).
+A region is decided on integer lattice coordinates (`LatticeRegion`).  Its
+vertices are mapped once into the coordinates of a Lagrange-reduced basis
+and multiplied by L, the lcm of their denominators, so that each rational
+coordinate is an int (the others stay SurdScalars) and a lattice vector is
+a shift (aL, bL).  The map has determinant 1/covolume > 0, so it keeps
+convexity, winding, collinearity, repeated points and positive-area
+overlap; there the pieces are canonicalised, checked pairwise for overlap,
+and checked against their lattice translates for injectivity.  Two convex
+pieces overlap in positive area unless an edge line of one separates them,
+and each piece's vertices are projected onto the other's edge normals once
+per pair, so a shift costs integer additions and comparisons.  `clip` runs
+only on the colliding (pair, shift) triples, to measure their overlap.
+Shared edges are allowed, per the open-set convention.
 """
 
 from __future__ import annotations
@@ -12,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .surd import SurdScalar, rat, scalar
-from .geom import AffineMap2, Point2, Region, clip, pt
+from .surd import SurdScalar, clear_denominators, rat, scalar
+from .geom import ConvexPolygon, GeometryError, Point2, Region, _canonicalize, _raw, clip, pt
 
 
 class TorusError(ValueError):
@@ -96,49 +104,164 @@ def _reduced(g1: Point2, g2: Point2):
         h2, c2 = h2 - h1.scale(k), (c2[0] - k * c1[0], c2[1] - k * c1[1])
 
 
-def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
-    """Exact verdict: does r map injectively to the torus plane quotient?
+def _floordiv(x, n: int) -> int:
+    """floor(x / n) for an int or a SurdScalar x and a positive int n, which
+    is floor(x) // n."""
+    return (x if type(x) is int else x.floor()) // n
 
-    The work runs on a Lagrange-reduced basis h1, h2, so that a skewed
-    basis costs no more than a reduced one.  In its coordinates
-    a*h1 + b*h2 is the shift (a, b).  Piece q shifted by (a, b) meets
-    piece p in positive area only if their boxes do: a lies strictly
-    between p.umin - q.umax and p.umax - q.umin, that is in
-    floor(p.umin - q.umax) + 1 .. ceil(p.umax - q.umin) - 1, and b
-    likewise.  These exact differences are taken once per ordered pair,
-    and only for pairs that the floors and ceilings of the piece boxes,
-    taken once per piece, leave a shift; `clip` then rejects a shift by a
-    separating edge before it cuts.  Shifts by v and -v overlap equally,
-    so only a > 0, or a = 0 < b, is tried; each collision is reported by
-    its coefficients in the given basis, signed the same way.  The map has
-    determinant 1/covolume > 0, so plane areas are lattice areas times the
-    covolume.
+
+def _separates(seen: list, lines, a: int, b: int) -> bool:
+    """True iff a line (alpha, beta, t) has alpha*a + beta*b <= t: first
+    those in seen, then more drawn from the iterator lines, each kept in
+    seen for the next shift."""
+    for al, be, t in seen:
+        if al * a + be * b <= t:
+            return True
+    for line in lines:
+        seen.append(line)
+        al, be, t = line
+        if al * a + be * b <= t:
+            return True
+    return False
+
+
+class LatticeRegion:
+    """A region in the coordinates of a lattice's reduced basis h1, h2.
+
+    Built from the plane vertex lists of its pieces, as given; a list that
+    does not bound a strictly convex polygon winding once raises
+    GeometryError with its plane points.  A point x maps to (u, w) with
+    x = (u h1 + w h2) / L, so a*h1 + b*h2 is the shift (aL, bL); u and w are
+    ints where rational and SurdScalars otherwise, and only the operators
+    the two types share are used on them, with `_floordiv`.
     """
-    h1, h2, c1, c2 = _reduced(lattice.g1, lattice.g2)
-    det = lattice.covolume()
-    inv = rat(1) / det
-    to_lattice = AffineMap2(((h2.x2 * inv, -h2.x1 * inv), (-h1.x2 * inv, h1.x1 * inv)),
-                            pt(0, 0))
-    pieces = [to_lattice.apply_polygon(p) for p in r.pieces]
-    boxes = [p.bounding_box() for p in pieces]
-    ints = [(u1.floor(), u2.ceil(), w1.floor(), w2.ceil()) for u1, u2, w1, w2 in boxes]
-    overlaps: dict[tuple[int, int], SurdScalar] = {}
-    for p, (pu1, pu2, pw1, pw2), (_, pa, _, pb) in zip(pieces, boxes, ints):
-        for q, (qu1, qu2, qw1, qw2), (qa, _, qb, _) in zip(pieces, boxes, ints):
-            # a < pa - qa and b < pb - qb, read off the integer boxes: skip
-            # the pair when that leaves no a > 0 nor a = 0 < b
-            if pa - qa < 1 or (pa - qa == 1 and pb - qb < 2):
-                continue
-            a_hi = (pu2 - qu1).ceil()
-            b_lo, b_hi = (pw1 - qw2).floor() + 1, (pw2 - qw1).ceil()
-            for a in range(max((pu1 - qu2).floor() + 1, 0), a_hi):
-                for b in range(b_lo if a else max(b_lo, 1), b_hi):
-                    c = clip(p, q.translate(pt(a, b)))
-                    if c is not None:
+
+    __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges", "_polygons")
+
+    def __init__(self, polygons: list[list[Point2]], lattice: Lattice2):
+        h1, h2, self._c1, self._c2 = _reduced(lattice.g1, lattice.g2)
+        self._det = det = lattice.covolume()
+        inv = rat(1) / det
+        m11, m12, m21, m22 = h2.x2 * inv, -h2.x1 * inv, -h1.x2 * inv, h1.x1 * inv
+        flat = []
+        for points in polygons:
+            for p in points:
+                flat += (m11 * p.x1 + m12 * p.x2, m21 * p.x1 + m22 * p.x2)
+        coords, self.scale = clear_denominators(flat)
+        self.pieces = []
+        at = 0
+        for points in polygons:
+            vs = _canonicalize([Point2(coords[k], coords[k + 1])
+                                for k in range(at, at + 2 * len(points), 2)])
+            if vs is None:
+                raise GeometryError("not a strictly convex polygon winding once: "
+                                    f"{[str(v.x1)+','+str(v.x2) for v in points]}")
+            self.pieces.append(vs)
+            at += 2 * len(points)
+        self._boxes = []
+        self._edges = []
+        for vs in self.pieces:
+            us, ws = [v.x1 for v in vs], [v.x2 for v in vs]
+            self._boxes.append((min(us), max(us), min(ws), max(ws)))
+            edges = []  # edge p -> q as (du, dw, d x p), with d x v = du*v.w - dw*v.u
+            for p, q in zip(vs, vs[1:] + vs[:1]):
+                du, dw = q.x1 - p.x1, q.x2 - p.x2
+                edges.append((du, dw, du * p.x2 - dw * p.x1))
+            self._edges.append(edges)
+        self._polygons: dict[int, ConvexPolygon] = {}
+
+    def area(self) -> SurdScalar:
+        """Plane area: the integer shoelace times covolume / (2 L^2)."""
+        twice = 0
+        for vs in self.pieces:
+            for p, q in zip(vs, vs[1:] + vs[:1]):
+                twice = twice + (p.x1 * q.x2 - p.x2 * q.x1)
+        return self._det * twice / (2 * self.scale * self.scale)
+
+    def _lines(self, i: int, j: int):
+        """(alpha, beta, t) per edge line of piece j and then of piece i,
+        each made when it is drawn: the line separates piece i from piece j
+        shifted by (aL, bL), the two on its closed sides, iff
+        alpha*a + beta*b <= t.  Its normal projects the vertices of the
+        other piece once."""
+        L, p, q = self.scale, self.pieces[i], self.pieces[j]
+        for du, dw, c in self._edges[j]:  # all of p right of the shifted line
+            top = max(du * v.x2 - dw * v.x1 for v in p)
+            yield dw * L, -du * L, c - top
+        for du, dw, c in self._edges[i]:  # all of q + shift right of the line
+            top = max(du * v.x2 - dw * v.x1 for v in q)
+            yield -dw * L, du * L, c - top
+
+    def validate(self) -> None:
+        """Raise GeometryError naming the first pair i < j of pieces (by i,
+        then j) that overlap in positive area.  The pieces are swept in the
+        order of their boxes' u-min, so only pairs whose boxes overlap are
+        tested, by the separating edge lines."""
+        boxes = self._boxes
+        active: list[int] = []
+        bad = []
+        for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+            u1, _, w1, w2 = boxes[i]
+            active = [j for j in active if boxes[j][1] > u1]
+            for j in active:
+                if (boxes[j][3] > w1 and w2 > boxes[j][2]
+                        and not _separates([], self._lines(i, j), 0, 0)):
+                    bad.append((min(i, j), max(i, j)))
+            active.append(i)
+        if bad:
+            raise GeometryError("region pieces {} and {} overlap".format(*min(bad)))
+
+    def _polygon(self, i: int) -> ConvexPolygon:
+        """Piece i as a SurdScalar polygon, for `clip`."""
+        if i not in self._polygons:
+            self._polygons[i] = _raw([Point2(scalar(v.x1), scalar(v.x2))
+                                      for v in self.pieces[i]])
+        return self._polygons[i]
+
+    def injectivity(self) -> InjectivityReport:
+        """Exact verdict: does the region map injectively to the torus?
+
+        Piece q shifted by (aL, bL) meets piece p in positive area only if
+        their boxes do: aL lies strictly between p.umin - q.umax and
+        p.umax - q.umin, and bL likewise.  Those ranges are taken once per
+        ordered pair, and only for pairs that the floors and ceilings of the
+        piece boxes over L, taken once per piece, leave a shift.  Shifts by
+        v and -v overlap equally, so only a > 0, or a = 0 < b, is tried; a
+        shift that no edge line separates is a collision, clipped to
+        measure its area and reported by its coefficients in the given
+        basis, signed the same way.  Overlapping pieces are collisions too:
+        this never raises on an invalid region.
+        """
+        L, boxes, c1, c2 = self.scale, self._boxes, self._c1, self._c2
+        ints = [(_floordiv(u1, L), -_floordiv(-u2, L), _floordiv(w1, L), -_floordiv(-w2, L))
+                for u1, u2, w1, w2 in boxes]
+        overlaps: dict[tuple[int, int], SurdScalar] = {}
+        for i, ((pu1, pu2, pw1, pw2), (_, pa, _, pb)) in enumerate(zip(boxes, ints)):
+            for j, ((qu1, qu2, qw1, qw2), (qa, _, qb, _)) in enumerate(zip(boxes, ints)):
+                # a < pa - qa and b < pb - qb, read off the integer boxes: skip
+                # the pair when that leaves no a > 0 nor a = 0 < b
+                if pa - qa < 1 or (pa - qa == 1 and pb - qb < 2):
+                    continue
+                a_hi = -_floordiv(qu1 - pu2, L)
+                b_lo, b_hi = _floordiv(pw1 - qw2, L) + 1, -_floordiv(qw1 - pw2, L)
+                seen: list = []
+                lines = self._lines(i, j)
+                for a in range(max(_floordiv(pu1 - qu2, L) + 1, 0), a_hi):
+                    for b in range(b_lo if a else max(b_lo, 1), b_hi):
+                        if _separates(seen, lines, a, b):
+                            continue
+                        c = clip(self._polygon(i), self._polygon(j).translate(pt(a * L, b * L)))
                         v = (a * c1[0] + b * c2[0], a * c1[1] + b * c2[1])
                         if v < (0, 0):  # a < 0, or a = 0 > b
                             v = (-v[0], -v[1])
                         overlaps[v] = overlaps.get(v, rat(0)) + c.area()
-    collisions = [(ab, area * det) for ab, area in sorted(overlaps.items())]
-    return InjectivityReport(not collisions, collisions)
+        scale = self._det / (L * L)
+        collisions = [(ab, area * scale) for ab, area in sorted(overlaps.items())]
+        return InjectivityReport(not collisions, collisions)
 
+
+def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
+    """Exact verdict: does r map injectively to the torus plane quotient?
+    See `LatticeRegion.injectivity`; a skewed basis costs no more than a
+    reduced one."""
+    return LatticeRegion([p.vertices for p in r.pieces], lattice).injectivity()

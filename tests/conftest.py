@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from torusfill.geom import (AffineMap2, ConvexPolygon, GeometryError, Point2, Region, clip, pt,
                            rectangle)
 from torusfill.surd import SurdScalar, rat, sqrt
-from torusfill.torus import Lattice2, TorusError
+from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
 SMALL_RADICANDS = [1, 2, 3, 5, 6]
 LARGE_PRIMES = [2**31 - 1, 998244353, 1000000007, 2**61 - 1]
@@ -102,6 +102,7 @@ def map_region(m: AffineMap2, r: Region) -> Region:
     return Region([m.apply_polygon(p) for p in r.pieces])
 
 
+UNIT = Lattice2.rectangular(1, 1)
 SKEW = Lattice2(pt(1, 0), pt(Fraction(1, 2), 1))
 
 
@@ -173,3 +174,98 @@ def candidate_collisions(r: Region, lattice: Lattice2):
         if overlap.sign() > 0:
             out.append(((a, b), overlap))
     return out
+
+
+# -- the plane decisions that `LatticeRegion` replaced, as oracles ------------
+
+EQUIVALENCE_LATTICES = [
+    SKEW,
+    Lattice2(pt(sqrt(2), Fraction(1, 3)), pt(Fraction(-1, 2), 1)),
+    Lattice2(pt(0, 1), pt(Fraction(3, 2), Fraction(-1, 3))),  # input basis negatively oriented
+]
+FAR = [pt(0, 0), pt(Fraction(-52, 3), Fraction(-29, 7)), pt(31, -12) + pt(sqrt(2), 0)]
+
+
+def lattice_region(r: Region, lattice: Lattice2) -> LatticeRegion:
+    return LatticeRegion([p.vertices for p in r.pieces], lattice)
+
+
+def first_overlapping_pair(pieces: list[ConvexPolygon]):
+    """The validity check as it was, on plane pieces: the first pair i < j,
+    by i and then j, that `clip` finds overlapping in positive area, or
+    None."""
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            if clip(pieces[i], pieces[j]) is not None:
+                return i, j
+    return None
+
+
+def plane_canonical(points: list[Point2]):
+    """Plane canonicalisation, as `verify` once read each polygon: the
+    canonical ConvexPolygon, or the GeometryError message that rejects the
+    point list."""
+    try:
+        return ConvexPolygon(points)
+    except GeometryError as exc:
+        return str(exc)
+
+
+R2 = sqrt(2) / 2
+REGULAR = [
+    [pt(1, 0), pt(0, 1), pt(-1, -1)],                       # affine-regular triangle
+    [pt(1, 0), pt(0, 1), pt(-1, 0), pt(0, -1)],
+    [pt(1, 0), pt(1, 1), pt(0, 1), pt(-1, 0), pt(-1, -1), pt(0, -1)],  # affine-regular
+    [pt(1, 0), Point2(R2, R2), pt(0, 1), Point2(-R2, R2),
+     pt(-1, 0), Point2(-R2, -R2), pt(0, -1), Point2(R2, -R2)],
+]
+PENTAGRAM = [pt(0, 10), pt(6, -8), pt(-10, 3), pt(10, 3), pt(-6, -8)]
+
+
+@st.composite
+def vertex_lists(draw):
+    """3 to 8 small grid points, or a regular polygon visited with step 1 to 3
+    (a star or a repeated cycle when the step or the count says so); then
+    midpoints, spikes past the next vertex and repeated points inserted,
+    either orientation, and an optional sqrt 2 shear."""
+    count = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        grid = st.integers(-2, 2)
+        vs = [pt(draw(grid), draw(grid)) for _ in range(count)]
+    else:
+        base = draw(st.sampled_from(REGULAR))
+        start, step = draw(st.integers(0, len(base) - 1)), draw(st.integers(1, 3))
+        vs = [base[(start + i * step) % len(base)] for i in range(count)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(vs) - 1))
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        kind = draw(st.sampled_from(["midpoint", "spike", "repeat"]))
+        if kind == "midpoint":
+            vs.insert(i + 1, p + (q - p).scale(Fraction(1, 2)))
+        elif kind == "spike":  # out past q along pq and back to q
+            vs.insert(i + 1, q + (q - p).scale(Fraction(draw(st.integers(1, 4)), 2)))
+        else:
+            vs.insert(i, p)
+    if draw(st.booleans()):
+        vs.reverse()
+    if draw(st.booleans()):
+        shear = AffineMap2(((1, sqrt(2)), (0, 1)), pt(0, 0))
+        vs = [shear.apply(p) for p in vs]
+    return vs
+
+
+def fraction_from_triples(triples) -> SurdScalar:
+    """`SurdScalar.from_triples` as it was, through one Fraction per triple:
+    the same checks in the same order, then `from_terms`."""
+    if type(triples) is not list or any(type(t) is not list or len(t) != 3
+                                        for t in triples):
+        raise TypeError("a scalar is a list of [radicand, numerator, denominator] lists")
+    if any(type(r) is int and r >= 2**32 for r, _, _ in triples):
+        raise ValueError("radicands must be below 2**32")
+
+    def fraction(num, den):
+        if type(num) is not int or type(den) is not int:
+            raise TypeError("numerator and denominator must be integers")
+        return Fraction(num, den)
+
+    return SurdScalar.from_terms((r, fraction(num, den)) for r, num, den in triples)

@@ -273,6 +273,31 @@ def test_object_point_or_polygon_error_names_it(tmp_path, capsys, data, message)
     assert err == f"error: cannot read {input_file}: {message}\n"
 
 
+COLLINEAR_SQUARE = {"polygons": [[[[[1, x, 1]], [[1, 0, 1]]] for x in (0, 1, 2)]]}
+OVERLAPPING_SQUARES = {"polygons": SQUARE["polygons"] * 2}
+
+
+@pytest.mark.parametrize("region, lattice, faulty, message", [
+    (THREE_COORDINATE_SQUARE, UNIT_BASIS, "region", "a point has two coordinates, got 3"),
+    (COLLINEAR_SQUARE, UNIT_BASIS, "region",
+     "not a strictly convex polygon winding once: ['0,0', '1,0', '2,0']"),
+    (OVERLAPPING_SQUARES, UNIT_BASIS, "region", "region pieces 0 and 1 overlap"),
+    (SQUARE, THREE_VECTOR_BASIS, "lattice", "a lattice basis has two vectors, got 3"),
+], ids=["three-coordinate-point", "collinear-polygon", "overlapping-pieces",
+        "three-vector-basis"])
+def test_verify_error_names_the_faulty_file(tmp_path, capsys, region, lattice, faulty, message):
+    # the region and the lattice come from two files; the message says which
+    # one is at fault, also for the polygon and overlap checks that run on
+    # lattice coordinates once both are read
+    files = {"region": tmp_path / "region.json", "lattice": tmp_path / "lattice.json"}
+    files["region"].write_text(json.dumps(region))
+    files["lattice"].write_text(json.dumps(lattice))
+    code, out, err = run_cli(["verify", str(files["region"]),
+                              "--lattice-file", str(files["lattice"])], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {files[faulty]}: {message}\n"
+
+
 def test_empty_polygon_list_is_the_empty_region(tmp_path, capsys):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps({"polygons": []}))

@@ -42,7 +42,8 @@ def float_violations(source: str) -> list[str]:
 
 
 def test_every_package_module_is_scanned():
-    assert {p.name for p in SOURCES} >= {"surd.py", "latforms.py", "geom.py", "cli.py"}
+    assert {p.name for p in SOURCES} >= {"surd.py", "latforms.py", "geom.py", "torus.py",
+                                         "cli.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

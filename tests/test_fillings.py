@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import map_region, region_overlap_area, symmetric_difference_area
+from conftest import (UNIT, lattice_region, map_region, region_overlap_area,
+                      symmetric_difference_area)
 from torusfill.fillings import (
     CONSTRUCTORS,
     DistortedDiamond,
@@ -69,7 +70,7 @@ def test_distorted_diamond_area_formula(a_num, t_part, w_part):
     spec = DistortedDiamond(a, h_top=h_top, h_bot=h_total - h_top,
                             w_left=w_left, w_right=1 - w_left)
     region = spec.region()
-    region.validate()
+    lattice_region(region, UNIT).validate()
     assert region.area() == rat(a) * rat(a) / 2
 
 

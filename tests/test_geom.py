@@ -5,8 +5,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PENTAGRAM,
     SKEW,
+    UNIT,
     candidate_vectors,
+    lattice_region,
     map_region,
     overlap_area,
     rationals,
@@ -14,8 +17,10 @@ from conftest import (
     region_pieces,
     skewed_doubled_regions,
     symmetric_difference_area,
+    vertex_lists,
 )
 import torusfill.geom as geom_module
+import torusfill.torus as torus_module
 from torusfill.fillings import family_filling
 from torusfill.geom import (
     AffineMap2,
@@ -25,7 +30,6 @@ from torusfill.geom import (
     Region,
     _canonicalize,
     _from_lowest,
-    _orient,
     clip,
     clip_halfplane,
     pt,
@@ -71,9 +75,6 @@ def test_polygon_canonicalization():
         ConvexPolygon([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)] * 2)
 
 
-PENTAGRAM = [pt(0, 10), pt(6, -8), pt(-10, 3), pt(10, 3), pt(-6, -8)]
-
-
 def test_clip_idempotent_and_disjoint():
     sq = rectangle(0, 1, 0, 1)
     assert clip(sq, sq) == sq
@@ -95,9 +96,10 @@ def test_clip_shared_edge_is_empty():
 
 
 def test_region_invariant_checks():
-    Region([rectangle(0, 1, 0, 1), rectangle(1, 2, 0, 1)]).validate()
-    with pytest.raises(GeometryError):
-        Region([rectangle(0, 1, 0, 1), rectangle(Fraction(1, 2), 2, 0, 1)]).validate()
+    lattice_region(Region([rectangle(0, 1, 0, 1), rectangle(1, 2, 0, 1)]), UNIT).validate()
+    with pytest.raises(GeometryError, match="region pieces 0 and 1 overlap"):
+        lattice_region(Region([rectangle(0, 1, 0, 1), rectangle(Fraction(1, 2), 2, 0, 1)]),
+                       UNIT).validate()
 
 
 def test_affine_images():
@@ -341,18 +343,24 @@ def test_clip_matches_halfplane_oracle(case):
 
 def test_certifying_a_full_filling_cuts_no_halfplane_in_clip(monkeypatch):
     # the pieces of a valid filling and their lattice translates overlap in
-    # zero area, and a separating edge line proves each such clip empty
-    cuts = []
-    original = geom_module.clip_halfplane
+    # zero area, and a separating edge line settles each pair and shift on
+    # lattice coordinates: `clip` is never called, so it cuts nothing
+    clips, cuts = [], []
+    original_clip, original_cut = geom_module.clip, geom_module.clip_halfplane
 
-    def counted(poly, a, b):
+    def counted_clip(a, b):
+        clips.append(1)
+        return original_clip(a, b)
+
+    def counted_cut(poly, a, b):
         cuts.append(1)
-        return original(poly, a, b)
+        return original_cut(poly, a, b)
 
-    monkeypatch.setattr(geom_module, "clip_halfplane", counted)
+    monkeypatch.setattr(torus_module, "clip", counted_clip)
+    monkeypatch.setattr(geom_module, "clip_halfplane", counted_cut)
     cert = family_filling(10)
     assert cert.valid and len(cert.final.pieces) == 43
-    assert cuts == []
+    assert clips == [] and cuts == []
 
 
 # -- the canonicalising clip as an oracle for the canonical-by-construction one
@@ -445,6 +453,11 @@ def test_clip_halfplane_edge_cases():
 
 # -- the shoelace canonicaliser as an oracle for the one-pass turn-sign one
 
+def _orient(a, b, c):
+    """Sign of the signed area of triangle abc (+1 = counterclockwise)."""
+    return (b - a).cross(c - a).sign()
+
+
 def shoelace_canonicalize(vertices):
     """_canonicalize as it once was: orientation from the shoelace sum, a
     collinear pass restarted after every removal, then a convexity pass.
@@ -481,48 +494,6 @@ def winds_once(vs):
     """A counterclockwise list with left turns throughout winds once iff every
     fan triangle from its first vertex is counterclockwise."""
     return all(_orient(vs[0], vs[i], vs[i + 1]) > 0 for i in range(1, len(vs) - 1))
-
-
-R2 = sqrt(2) / 2
-REGULAR = [
-    [pt(1, 0), pt(0, 1), pt(-1, -1)],                       # affine-regular triangle
-    [pt(1, 0), pt(0, 1), pt(-1, 0), pt(0, -1)],
-    [pt(1, 0), pt(1, 1), pt(0, 1), pt(-1, 0), pt(-1, -1), pt(0, -1)],  # affine-regular
-    [pt(1, 0), Point2(R2, R2), pt(0, 1), Point2(-R2, R2),
-     pt(-1, 0), Point2(-R2, -R2), pt(0, -1), Point2(R2, -R2)],
-]
-
-
-@st.composite
-def vertex_lists(draw):
-    """3 to 8 small grid points, or a regular polygon visited with step 1 to 3
-    (a star or a repeated cycle when the step or the count says so); then
-    midpoints, spikes past the next vertex and repeated points inserted,
-    either orientation, and an optional sqrt 2 shear."""
-    count = draw(st.integers(3, 8))
-    if draw(st.booleans()):
-        grid = st.integers(-2, 2)
-        vs = [pt(draw(grid), draw(grid)) for _ in range(count)]
-    else:
-        base = draw(st.sampled_from(REGULAR))
-        start, step = draw(st.integers(0, len(base) - 1)), draw(st.integers(1, 3))
-        vs = [base[(start + i * step) % len(base)] for i in range(count)]
-    for _ in range(draw(st.integers(0, 3))):
-        i = draw(st.integers(0, len(vs) - 1))
-        p, q = vs[i], vs[(i + 1) % len(vs)]
-        kind = draw(st.sampled_from(["midpoint", "spike", "repeat"]))
-        if kind == "midpoint":
-            vs.insert(i + 1, p + (q - p).scale(Fraction(1, 2)))
-        elif kind == "spike":  # out past q along pq and back to q
-            vs.insert(i + 1, q + (q - p).scale(Fraction(draw(st.integers(1, 4)), 2)))
-        else:
-            vs.insert(i, p)
-    if draw(st.booleans()):
-        vs.reverse()
-    if draw(st.booleans()):
-        shear = AffineMap2(((1, sqrt(2)), (0, 1)), pt(0, 0))
-        vs = [shear.apply(p) for p in vs]
-    return vs
 
 
 @given(vertex_lists())

@@ -7,11 +7,11 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import torusfill.surd as surd_module
-from conftest import nonzero_surds, rationals, surds
+from conftest import fraction_from_triples, nonzero_surds, rationals, surds
 from torusfill.latforms import AlternatingSurdMatrix, _condition_i, _det_int
 from torusfill.surd import (
     SurdError,
@@ -267,6 +267,45 @@ def test_scalar_that_is_not_a_list_of_triples_rejected(triples):
     with pytest.raises(TypeError):
         SurdScalar.from_triples(triples)
     assert SurdScalar.from_triples([]) == 0
+
+
+@st.composite
+def triples_or_not(draw):
+    """Up to four [radicand, numerator, denominator] entries: squares and
+    squarefree radicands, zero and negative numerators and denominators,
+    and in about one entry in ten a boolean, a float, a zero or negative
+    radicand, or a radicand beyond 2**32."""
+    def entry(good, bad):
+        return draw(st.sampled_from(bad) if draw(st.integers(0, 9)) == 0 else good)
+
+    return [[entry(st.sampled_from([1, 2, 3, 4, 8, 12, 18, 50, 75]),
+                   [0, -3, 2**32, 2**32 + 5, True, 1.5, 2.0]),
+             entry(st.integers(-30, 30), [True, False, 1.0]),
+             entry(st.integers(-9, 9), [True, 2.0])]
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+@given(triples_or_not())
+@example([[0, 0, 1], [-3, 0, 5], [8, 3, -6]])  # zero terms beside bad radicands are read
+@example([[2**32, 0, 1]])
+@example([[1.5, 0, 1]])
+@example([[True, 1, 1]])
+@example([[2, 1, 0], [0, 1, 1]])
+@example([[2, 1, 2], [8, -1, 4], [1, 4, -2], [1, 2, 1]])  # every term cancels
+@settings(max_examples=400, deadline=None)
+def test_from_triples_matches_fraction_route(triples):
+    # the integer reader accepts and rejects what the Fraction route does,
+    # with the same exception type, and builds the same canonical scalar
+    try:
+        want = fraction_from_triples(triples)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        event(type(exc).__name__)
+        with pytest.raises(type(exc)):
+            SurdScalar.from_triples(triples)
+        return
+    event("read")
+    got = SurdScalar.from_triples(triples)
+    assert (got._num, got._den) == (want._num, want._den)
 
 
 @given(surds(), surds(), surds())

@@ -8,20 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import torusfill
 import torusfill.geom as geom_module
 import torusfill.torus as torus_module
-from conftest import (SKEW, candidate_collisions, candidate_vectors, region_pieces,
-                      skewed_doubled_regions)
-from torusfill.fillings import diamond, example_T2k2, example_eight_ninths, family_filling
-from torusfill.geom import ConvexPolygon, Region, pt, rectangle
-from torusfill.surd import rat, sqrt
-from torusfill.torus import Lattice2, TorusError, injects
-
-UNIT = Lattice2.rectangular(1, 1)
+from conftest import (EQUIVALENCE_LATTICES, FAR, PENTAGRAM, SKEW, UNIT, candidate_collisions,
+                      candidate_vectors, first_overlapping_pair, lattice_region,
+                      plane_canonical, region_pieces, skewed_doubled_regions, vertex_lists)
+from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, family_filling,
+                                theorem1_filling)
+from torusfill.geom import ConvexPolygon, GeometryError, Region, clip, pt, rectangle
+from torusfill.surd import SurdScalar, rat
+from torusfill.torus import Lattice2, LatticeRegion, TorusError, injects
 
 
 def test_small_diamond_injects():
@@ -209,7 +209,8 @@ SCATTERED_JIGSAW = Region([
 
 def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
     # six strips of the unit cell scattered over radius 2: every piece pair
-    # tried at every bounding-box candidate would be 36 clips per candidate
+    # tried at every bounding-box candidate would be 36 clips per candidate;
+    # the region tiles, so no pair and shift collides and `clip` never runs
     calls = []
     original = geom_module.clip
 
@@ -224,15 +225,7 @@ def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
     assert verdict.ok and SCATTERED_JIGSAW.area() == UNIT.covolume()
     pieces = len(SCATTERED_JIGSAW.pieces)
     candidates = len(list(candidate_vectors(SCATTERED_JIGSAW, UNIT)))
-    assert 0 < clips < pieces * pieces * candidates
-
-
-EQUIVALENCE_LATTICES = [
-    SKEW,
-    Lattice2(pt(sqrt(2), Fraction(1, 3)), pt(Fraction(-1, 2), 1)),
-    Lattice2(pt(0, 1), pt(Fraction(3, 2), Fraction(-1, 3))),  # input basis negatively oriented
-]
-FAR = [pt(0, 0), pt(Fraction(-52, 3), Fraction(-29, 7)), pt(31, -12) + pt(sqrt(2), 0)]
+    assert clips == 0 < pieces * pieces * candidates
 
 
 @given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=1, max_size=4)),
@@ -256,12 +249,13 @@ def test_injects_on_skewed_basis_matches_candidate_vector_oracle(pieces, lattice
     assert injects(reg, skewed).collisions == candidate_collisions(reg, skewed)
 
 
-def box_overlapping_shifts(r: Region, lattice: Lattice2) -> int:
-    """The number of (ordered piece pair, shift) triples that `injects` needs:
-    shifts (a, b) with a > 0 or a = 0 < b at which the boxes of the pieces in
-    the coordinates of the reduced basis h1, h2 overlap in positive area.
-    Coordinates come from cross products, and every shift in a window as wide
-    as the region is tried, per axis."""
+def colliding_shifts(r: Region, lattice: Lattice2) -> int:
+    """The number of (ordered piece pair, shift) triples that collide: shifts
+    (a, b) with a > 0 or a = 0 < b, in the reduced basis h1, h2, at which
+    piece p and piece q shifted by a*h1 + b*h2 overlap in positive area, by
+    plane `clip`.  Only shifts at which their boxes in the coordinates of
+    h1, h2 overlap can collide; those coordinates come from cross products,
+    and every shift in a window as wide as the region is tried, per axis."""
     h1, h2, _, _ = torus_module._reduced(lattice.g1, lattice.g2)
     det = h1.cross(h2)
     boxes = []
@@ -273,11 +267,12 @@ def box_overlapping_shifts(r: Region, lattice: Lattice2) -> int:
                 (max(b[3] for b in boxes) - min(b[2] for b in boxes)).ceil()) + 1
     window = range(-reach, reach + 1)
     count = 0
-    for pu1, pu2, pw1, pw2 in boxes:
-        for qu1, qu2, qw1, qw2 in boxes:
+    for p, (pu1, pu2, pw1, pw2) in zip(r.pieces, boxes):
+        for q, (qu1, qu2, qw1, qw2) in zip(r.pieces, boxes):
             a_s = [a for a in window if a >= 0 and pu2 > qu1 + a and qu2 + a > pu1]
             b_s = [b for b in window if pw2 > qw1 + b and qw2 + b > pw1]
-            count += sum(1 for a in a_s for b in b_s if a > 0 or b > 0)
+            count += sum(1 for a in a_s for b in b_s if (a > 0 or b > 0)
+                         and clip(p, q.translate(h1.scale(a) + h2.scale(b))) is not None)
     return count
 
 
@@ -298,23 +293,91 @@ def count_injects_clips(r: Region, lattice: Lattice2) -> int:
     return len(calls)
 
 
-def test_injects_clips_exactly_the_box_overlapping_shifts():
+def test_injects_clips_exactly_the_colliding_shifts():
+    # the full fillings collide nowhere and are never clipped; each doubled
+    # region is clipped once per colliding pair and shift, to measure it
     cert = family_filling(10)
-    cases = [(cert.final, cert.lattice), (SCATTERED_JIGSAW, UNIT),
-             *((region, SKEW) for _, region in skewed_doubled_regions())]
-    for region, lattice in cases:
-        expected = box_overlapping_shifts(region, lattice)
+    for region, lattice in [(cert.final, cert.lattice), (SCATTERED_JIGSAW, UNIT)]:
+        assert colliding_shifts(region, lattice) == count_injects_clips(region, lattice) == 0
+    for _, region in skewed_doubled_regions():
+        expected = colliding_shifts(region, SKEW)
         assert expected > 0
-        assert count_injects_clips(region, lattice) == expected
+        assert count_injects_clips(region, SKEW) == expected
 
 
 @given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=1, max_size=4)),
        st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
 @settings(max_examples=40, deadline=None)
-def test_injects_clips_exactly_the_box_overlapping_shifts_on_random_regions(pieces, lattice,
-                                                                            offset):
+def test_injects_clips_exactly_the_colliding_shifts_on_random_regions(pieces, lattice, offset):
     reg = Region(pieces).translate(offset)
-    assert count_injects_clips(reg, lattice) == box_overlapping_shifts(reg, lattice)
+    expected = colliding_shifts(reg, lattice)
+    event("collides" if expected else "injects")
+    assert count_injects_clips(reg, lattice) == expected
+
+
+# -- the lattice-coordinate core against the plane decisions it replaced -------
+
+@st.composite
+def given_orders(draw, piece):
+    """The vertices of a canonical piece as a file may give them: rotated,
+    and in either orientation."""
+    vs = piece.vertices
+    k = draw(st.integers(0, len(vs) - 1))
+    vs = vs[k:] + vs[:k]
+    return vs[::-1] if draw(st.booleans()) else vs
+
+
+@given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=2, max_size=5))
+       .flatmap(lambda pieces: st.tuples(st.just(pieces),
+                                         st.tuples(*(given_orders(p) for p in pieces)))),
+       st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
+@settings(max_examples=80, deadline=None)
+def test_validate_names_the_pair_the_plane_clip_loop_names(case, lattice, offset):
+    pieces, orders = case
+    pieces = [p.translate(offset) for p in pieces]
+    region = LatticeRegion([[v + offset for v in vs] for vs in orders], lattice)
+    want = first_overlapping_pair(pieces)
+    event("overlapping" if want else "valid")
+    if want is None:
+        region.validate()
+    else:
+        with pytest.raises(GeometryError, match=f"^region pieces {want[0]} and {want[1]} overlap$"):
+            region.validate()
+
+
+@given(vertex_lists(), st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
+@example(PENTAGRAM, SKEW, FAR[0])
+@example([pt(0, 0), pt(1, 0), pt(1, 0), pt(1, 1), pt(0, 1)], SKEW, FAR[1])  # repeated point
+@example([pt(0, 0), pt(1, 0), pt(2, 0), pt(1, 1)], EQUIVALENCE_LATTICES[1], FAR[2])  # collinear
+@example([pt(0, 0), pt(1, 0), pt(2, 0)], SKEW, FAR[0])  # all collinear
+@example([pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)] * 2, UNIT, FAR[0])  # winds twice
+@settings(max_examples=300, deadline=None)
+def test_lattice_canonicalisation_accepts_what_the_plane_accepts(vs, lattice, offset):
+    points = [p + offset for p in vs]
+    want = plane_canonical(points)
+    try:
+        got = LatticeRegion([points], lattice)
+    except GeometryError as exc:
+        event("rejected")
+        assert str(exc) == want
+    else:
+        event("accepted")
+        assert isinstance(want, ConvexPolygon)
+        assert got.area() == want.area()
+        assert len(got.pieces[0]) == len(want.vertices)
+
+
+def test_surd_lattice_coordinates_take_the_same_path():
+    # theorem1's finals, where ints and SurdScalars mix, and a rational
+    # region on the sqrt 2 lattice have lattice coordinates in Q(sqrt 2)
+    cert = theorem1_filling(0)
+    for region, lattice, kinds in [(cert.final, cert.lattice, {int, SurdScalar}),
+                                   (SCATTERED_JIGSAW, EQUIVALENCE_LATTICES[1], {SurdScalar})]:
+        core = lattice_region(region, lattice)
+        assert {type(c) for vs in core.pieces for v in vs for c in (v.x1, v.x2)} == kinds
+        assert core.area() == region.area()
+        assert core.injectivity().collisions == candidate_collisions(region, lattice)
+    assert lattice_region(cert.final, cert.lattice).injectivity().ok
 
 
 def test_verify_on_far_skewed_basis_finishes(tmp_path):
