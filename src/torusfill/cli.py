@@ -125,28 +125,24 @@ def cmd_verify(args) -> int:
     polygons = _load_json(args.region, region_points)
     lattice = _lattice_from_args(args)
     with _reading(args.region, GeometryError):  # bad polygons, overlapping pieces
-        region = LatticeRegion(polygons, lattice)
-        region.validate()
-    verdict = region.injectivity()
-    area = region.area()
-    covol = lattice.covolume()
-    fraction = area / covol if verdict.ok else None
+        verdict = LatticeRegion(polygons, lattice).verdict()
+    fraction, decimal = verdict.fraction_json()
     report = {
         "input": args.region,
         "lattice": lattice.to_json(),
         "verdicts": {
-            "injective": verdict.ok,
-            "fundamental_domain": verdict.ok and area == covol,
+            "injective": verdict.injective,
+            "fundamental_domain": verdict.fundamental_domain,
         },
-        "area": area.to_triples(),
-        "covolume": covol.to_triples(),
-        "covered_fraction": fraction.to_triples() if fraction is not None else None,
-        "covered_fraction_decimal": fraction.decimal(30) if fraction is not None else None,
-        "collisions": verdict.to_json()["collisions"],
+        "area": verdict.area.to_triples(),
+        "covolume": verdict.covolume.to_triples(),
+        "covered_fraction": fraction,
+        "covered_fraction_decimal": decimal,
+        "collisions": verdict.collisions_json(),
         "timings": {"seconds": round(time.perf_counter() - t0, 6)},
     }
     _dump(report, args.out)
-    return 0 if verdict.ok else 1
+    return 0 if verdict.injective else 1
 
 
 # -- lattice forms ---------------------------------------------------------------

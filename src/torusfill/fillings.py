@@ -27,7 +27,7 @@ from .shears import (
     check_composable,
     induced_4d_check,
 )
-from .torus import InjectivityReport, Lattice2, LatticeRegion
+from .torus import Lattice2, LatticeRegion, RegionVerdict
 
 
 class FillingError(ValueError):
@@ -120,30 +120,25 @@ class FillingCertificate:
     final: Region
     lattice: Lattice2
     composability: ComposabilityReport
-    injectivity: InjectivityReport
+    verdict: RegionVerdict  # of the final region modulo the lattice
     symplecticity: list[SymplecticityRecord]
     source_area: SurdScalar
-    final_area: SurdScalar
-    fraction: SurdScalar | None
     identities: dict[str, bool] = field(default_factory=dict)
 
     @property
     def area_preserved(self) -> bool:
-        return self.source_area == self.final_area
+        return self.source_area == self.verdict.area
 
     @property
     def valid(self) -> bool:
-        return (self.composability.ok and self.injectivity.ok
+        return (self.composability.ok and self.verdict.injective
                 and all(r.ok for r in self.symplecticity)
                 and self.area_preserved
                 and all(self.identities.values()))
 
-    @property
-    def is_fundamental_domain(self) -> bool:
-        return (self.injectivity.ok
-                and self.final_area == self.lattice.covolume())
-
     def to_json(self):
+        verdict = self.verdict
+        fraction, decimal = verdict.fraction_json()
         return {
             "name": self.name,
             "params": self.params,
@@ -152,15 +147,15 @@ class FillingCertificate:
             "final": self.final.to_json(),
             "lattice": self.lattice.to_json(),
             "composability": self.composability.to_json(),
-            "injectivity": self.injectivity.to_json(),
+            "injectivity": {"ok": verdict.injective, "collisions": verdict.collisions_json()},
             "symplecticity": [r.to_json() for r in self.symplecticity],
             "source_area": self.source_area.to_triples(),
-            "final_area": self.final_area.to_triples(),
-            "fraction": self.fraction.to_triples() if self.fraction is not None else None,
-            "fraction_decimal": self.fraction.decimal(30) if self.fraction is not None else None,
+            "final_area": verdict.area.to_triples(),
+            "fraction": fraction,
+            "fraction_decimal": decimal,
             "identities": self.identities,
             "valid": self.valid,
-            "is_fundamental_domain": self.is_fundamental_domain,
+            "is_fundamental_domain": verdict.fundamental_domain,
         }
 
 
@@ -168,11 +163,6 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
     seq = ShearSequence(list(shears), source)
     composability = check_composable(seq)
     final = composability.final
-    region = LatticeRegion([p.vertices for p in final.pieces], lattice)
-    region.validate()
-    verdict = region.injectivity()
-    final_area = region.area()
-    fraction = final_area / lattice.covolume() if verdict.ok else None
     return FillingCertificate(
         name=name,
         params=params,
@@ -180,11 +170,9 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
         final=final,
         lattice=lattice,
         composability=composability,
-        injectivity=verdict,
+        verdict=LatticeRegion([p.vertices for p in final.pieces], lattice).verdict(),
         symplecticity=[induced_4d_check(s) for s in seq.shears],
         source_area=source.area(),
-        final_area=final_area,
-        fraction=fraction,
         identities=identities or {},
     )
 

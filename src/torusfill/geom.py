@@ -4,10 +4,10 @@ Convex polygons with surd coordinates, finite unions of interior-disjoint
 convex pieces (regions), affine images and convex clipping.  All predicates
 are decided by exact sign computations; regions follow the open-set
 convention, so degenerate (zero-area) intersections count as empty.
-Whether the pieces of a region overlap, and whether it injects modulo a
-lattice, is decided in `torus` on integer lattice coordinates:
-`_canonicalize` serves both the plane polygons here and those lattice
-coordinates, and there `clip` only measures the overlaps found.
+Whether the pieces of a region overlap, and whether it maps injectively
+modulo a lattice, is decided in `torus` on integer lattice coordinates:
+`_canonical` serves both the plane polygons here and those lattice
+coordinates, and `clip` only measures the overlaps found there.
 """
 
 from __future__ import annotations
@@ -80,11 +80,7 @@ class ConvexPolygon:
     __slots__ = ("vertices", "_box")
 
     def __init__(self, vertices: list[Point2]):
-        vs = _canonicalize(vertices)
-        if vs is None:
-            raise GeometryError("not a strictly convex polygon winding once: "
-                                f"{[str(v.x1)+','+str(v.x2) for v in vertices]}")
-        self.vertices = vs
+        self.vertices = _canonical(vertices)
         self._box = None
 
     def area(self) -> SurdScalar:
@@ -95,9 +91,7 @@ class ConvexPolygon:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def translate(self, v: Point2) -> "ConvexPolygon":
-        x1, x2, y1, y2 = self.bounding_box()
-        return _raw([p + v for p in self.vertices],
-                    (x1 + v.x1, x2 + v.x1, y1 + v.x2, y2 + v.x2))
+        return _raw([p + v for p in self.vertices])
 
     def bounding_box(self):
         """(x_min, x_max, y_min, y_max), computed once and kept."""
@@ -137,13 +131,23 @@ def region_points(data) -> list[list[Point2]]:
     return out
 
 
-def _raw(vertices: list[Point2], box=None) -> ConvexPolygon:
-    """Construct trusting the input (already canonical counterclockwise) and,
-    when given, its bounding box."""
+def _raw(vertices: list[Point2]) -> ConvexPolygon:
+    """Construct trusting the input (already canonical counterclockwise)."""
     poly = object.__new__(ConvexPolygon)
     poly.vertices = vertices
-    poly._box = box
+    poly._box = None
     return poly
+
+
+def _canonical(vertices: list[Point2], shown: list[Point2] | None = None) -> list[Point2]:
+    """`_canonicalize(vertices)`, or GeometryError naming the points `shown`
+    (by default `vertices`) when they bound no strictly convex polygon
+    winding once."""
+    vs = _canonicalize(vertices)
+    if vs is None:
+        raise GeometryError("not a strictly convex polygon winding once: "
+                            f"{[str(v.x1)+','+str(v.x2) for v in (shown or vertices)]}")
+    return vs
 
 
 def _canonicalize(vertices: list[Point2]) -> list[Point2] | None:
@@ -221,34 +225,13 @@ def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon |
     return _raw(_from_lowest(out)) if len(out) >= 3 else None
 
 
-def _outside_an_edge(a: ConvexPolygon, b: ConvexPolygon) -> bool:
-    """True iff some edge line p->q of b has every vertex of a on its closed
-    right side, that is d.cross(v - p) <= 0 for d = q - p: signs only."""
-    for p, q in b.edges():
-        d = q - p
-        c = d.cross(p)
-        if all(d.cross(v) <= c for v in a.vertices):
-            return True
-    return False
-
-
 def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     """Exact intersection of two convex polygons; None when it has zero area.
 
-    Pairs whose bounding boxes meet in zero area are rejected first, and
-    then pairs that an edge line of either polygon separates, before any
-    half-plane is clipped.  Two convex polygons with disjoint interiors are
-    always separated by the line of one of their edges, so the half-plane
-    cuts run only on pairs that overlap in positive area.
+    One half-plane cut of a per edge of b.  It measures overlaps that are
+    already known (`torus` clips only colliding pieces); a pair that meets
+    in zero area comes out None after its cuts all the same.
     """
-    ax1, ax2, ay1, ay2 = a.bounding_box()
-    bx1, bx2, by1, by2 = b.bounding_box()
-    if (ax2 - bx1).sign() <= 0 or (bx2 - ax1).sign() <= 0:
-        return None
-    if (ay2 - by1).sign() <= 0 or (by2 - ay1).sign() <= 0:
-        return None
-    if _outside_an_edge(a, b) or _outside_an_edge(b, a):
-        return None
     result: ConvexPolygon | None = a
     for p, q in b.edges():
         result = clip_halfplane(result, p, q)

@@ -200,9 +200,12 @@ class Violation:
 
 @dataclass
 class ComposabilityReport:
-    ok: bool
     violations: list[Violation]
     final: Region = field(repr=False)  # the source pushed through every shear
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def to_json(self):
         return {
@@ -249,8 +252,7 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
                 nxt.append((shear.slab_plane_map(k).apply_polygon(part), movers + (j,)))
         violations += [Violation(i, j, a) for i, a in sorted(hits.items())]
         cur = nxt
-    return ComposabilityReport(not violations, violations,
-                               Region([piece for piece, _ in cur]))
+    return ComposabilityReport(violations, Region([piece for piece, _ in cur]))
 
 
 # -- induced 4D symplectomorphism ------------------------------------------

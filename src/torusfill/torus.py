@@ -13,15 +13,20 @@ and each piece's vertices are projected onto the other's edge normals once
 per pair, so a shift costs integer additions and comparisons.  `clip` runs
 only on the colliding (pair, shift) triples, to measure their overlap.
 Shared edges are allowed, per the open-set convention.
+
+`LatticeRegion.verdict` is the one verdict on a region: it validates the
+pieces, then returns a `RegionVerdict` of the collisions, the area and the
+covolume, from which injectivity, the covered fraction and the
+fundamental-domain verdict are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .surd import SurdScalar, clear_denominators, rat, scalar
-from .geom import ConvexPolygon, GeometryError, Point2, Region, _canonicalize, _raw, clip, pt
+from .geom import ConvexPolygon, GeometryError, Point2, _canonical, _raw, clip, pt
 
 
 class TorusError(ValueError):
@@ -69,19 +74,37 @@ class Lattice2:
                 f"({self.g2.x1},{self.g2.x2})]")
 
 
-@dataclass
-class InjectivityReport:
-    ok: bool
-    collisions: list[tuple[tuple[int, int], SurdScalar]] = field(default_factory=list)
+@dataclass(frozen=True)
+class RegionVerdict:
+    """What a region is modulo a lattice: its collisions, each a lattice
+    vector's coefficients and the plane area of the overlap there, its area
+    and the lattice's covolume.  Everything else is read off these three."""
 
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "collisions": [
-                {"coeffs": list(ab), "overlap": area.to_triples()}
-                for ab, area in self.collisions
-            ],
-        }
+    collisions: list[tuple[tuple[int, int], SurdScalar]]
+    area: SurdScalar
+    covolume: SurdScalar
+
+    @property
+    def injective(self) -> bool:
+        return not self.collisions
+
+    @property
+    def fraction(self) -> SurdScalar | None:
+        """The share of the torus covered, when the region maps injectively."""
+        return self.area / self.covolume if self.injective else None
+
+    @property
+    def fundamental_domain(self) -> bool:
+        return self.injective and self.area == self.covolume
+
+    def fraction_json(self) -> tuple:
+        """(triples, 30-digit decimal) of the fraction, or (None, None)."""
+        f = self.fraction
+        return (None, None) if f is None else (f.to_triples(), f.decimal(30))
+
+    def collisions_json(self) -> list:
+        return [{"coeffs": list(ab), "overlap": area.to_triples()}
+                for ab, area in self.collisions]
 
 
 def _reduced(g1: Point2, g2: Point2):
@@ -151,12 +174,9 @@ class LatticeRegion:
         self.pieces = []
         at = 0
         for points in polygons:
-            vs = _canonicalize([Point2(coords[k], coords[k + 1])
-                                for k in range(at, at + 2 * len(points), 2)])
-            if vs is None:
-                raise GeometryError("not a strictly convex polygon winding once: "
-                                    f"{[str(v.x1)+','+str(v.x2) for v in points]}")
-            self.pieces.append(vs)
+            self.pieces.append(_canonical([Point2(coords[k], coords[k + 1])
+                                           for k in range(at, at + 2 * len(points), 2)],
+                                          points))
             at += 2 * len(points)
         self._boxes = []
         self._edges = []
@@ -218,8 +238,9 @@ class LatticeRegion:
                                       for v in self.pieces[i]])
         return self._polygons[i]
 
-    def injectivity(self) -> InjectivityReport:
-        """Exact verdict: does the region map injectively to the torus?
+    def injectivity(self) -> list[tuple[tuple[int, int], SurdScalar]]:
+        """The collisions of the region with its lattice translates: empty
+        exactly when the region maps injectively to the torus.
 
         Piece q shifted by (aL, bL) meets piece p in positive area only if
         their boxes do: aL lies strictly between p.umin - q.umax and
@@ -229,8 +250,9 @@ class LatticeRegion:
         v and -v overlap equally, so only a > 0, or a = 0 < b, is tried; a
         shift that no edge line separates is a collision, clipped to
         measure its area and reported by its coefficients in the given
-        basis, signed the same way.  Overlapping pieces are collisions too:
-        this never raises on an invalid region.
+        basis, signed the same way.  Only nonzero shifts are tried, so two
+        pieces that overlap each other unshifted are no collision here:
+        `validate` finds them, and `verdict` runs it first.
         """
         L, boxes, c1, c2 = self.scale, self._boxes, self._c1, self._c2
         ints = [(_floordiv(u1, L), -_floordiv(-u2, L), _floordiv(w1, L), -_floordiv(-w2, L))
@@ -256,12 +278,10 @@ class LatticeRegion:
                             v = (-v[0], -v[1])
                         overlaps[v] = overlaps.get(v, rat(0)) + c.area()
         scale = self._det / (L * L)
-        collisions = [(ab, area * scale) for ab, area in sorted(overlaps.items())]
-        return InjectivityReport(not collisions, collisions)
+        return [(ab, area * scale) for ab, area in sorted(overlaps.items())]
 
-
-def injects(r: Region, lattice: Lattice2) -> InjectivityReport:
-    """Exact verdict: does r map injectively to the torus plane quotient?
-    See `LatticeRegion.injectivity`; a skewed basis costs no more than a
-    reduced one."""
-    return LatticeRegion([p.vertices for p in r.pieces], lattice).injectivity()
+    def verdict(self) -> RegionVerdict:
+        """Validate the pieces, raising GeometryError that names the first
+        overlapping pair, then decide the region modulo the lattice."""
+        self.validate()
+        return RegionVerdict(self.injectivity(), self.area(), self._det)

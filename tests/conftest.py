@@ -116,7 +116,7 @@ def skewed_doubled_regions():
             for a, b in [(2, -1), (1, 1), (-1, 2), (0, 1), (3, -2)]]
 
 
-# -- the plane-coordinate candidate enumeration, as an oracle for `injects`
+# -- the plane-coordinate candidate enumeration, as an oracle for `injectivity`
 
 def _interval_for_b(a: int, u, v, lo, hi):
     """Solve lo <= a*u + b*v <= hi for b; returns (blo, bhi) or None or 'all'."""
@@ -166,8 +166,9 @@ def candidate_vectors(r: Region, lattice: Lattice2):
 
 
 def candidate_collisions(r: Region, lattice: Lattice2):
-    """The collisions `injects` reports, found the plane-coordinate way: the
-    overlap of r with each candidate translate, kept where it is positive."""
+    """The collisions `LatticeRegion.injectivity` reports, found the
+    plane-coordinate way: the overlap of r with each candidate translate,
+    kept where it is positive."""
     out = []
     for a, b in candidate_vectors(r, lattice):
         overlap = region_overlap_area(r, r.translate(lattice.vector(a, b)))

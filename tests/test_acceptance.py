@@ -156,8 +156,8 @@ def test_criterion_03_example1():
     t0 = time.perf_counter()
     for k in range(1, 6):
         cert = example_T2k2(k)
-        assert cert.is_fundamental_domain
-        assert cert.fraction == rat(1)
+        assert cert.verdict.fundamental_domain
+        assert cert.verdict.fraction == rat(1)
         assert cert.composability.ok
         assert all(r.ok for r in cert.symplecticity)
     elapsed = time.perf_counter() - t0
@@ -171,8 +171,8 @@ def test_criterion_04_example2():
     for orientation in ("++", "+-", "-+", "--"):
         cert = example_eight_ninths(0, orientation)
         assert cert.valid
-        assert cert.fraction == rat(Fraction(8, 9))
-        assert rat(1) - cert.fraction == rat(Fraction(1, 9))
+        assert cert.verdict.fraction == rat(Fraction(8, 9))
+        assert rat(1) - cert.verdict.fraction == rat(Fraction(1, 9))
         assert rat(Fraction(1, 9)) == 4 * rat(Fraction(1, 6)) ** 2
         finals[orientation] = cert.final
     reflect = AffineMap2(((-1, 0), (0, -1)), pt(0, 0))
@@ -186,8 +186,8 @@ def test_criterion_05_example3():
     t0 = time.perf_counter()
     cert = example_fortynine_fiftieths(0)
     assert cert.valid
-    assert cert.fraction == rat(Fraction(49, 50))
-    assert rat(1) - cert.fraction == rat(Fraction(1, 50))
+    assert cert.verdict.fraction == rat(Fraction(49, 50))
+    assert rat(1) - cert.verdict.fraction == rat(Fraction(1, 50))
     a = rat(Fraction(7, 5))
     assert a * a / 2 == rat(Fraction(49, 50))
     report(5, "example 3: fraction 49/50, uncovered 1/50, a^2/2 consistent", t0)
@@ -216,12 +216,12 @@ def test_criterion_07_theorem1_construction():
         shifted = final.translate(cert.lattice.vector(a, b))
         assert region_overlap_area(final, shifted).is_zero()
     assert final.area() == rat(1)
-    assert cert.fraction == rat(1)
+    assert cert.verdict.fraction == rat(1)
     fractions = []
     for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
         c_eps = theorem1_filling(eps)
-        assert c_eps.injectivity.ok and c_eps.valid
-        fractions.append(c_eps.fraction)
+        assert c_eps.verdict.injective and c_eps.valid
+        fractions.append(c_eps.verdict.fraction)
     assert fractions[0] <= fractions[1] <= fractions[2]
     assert fractions[2] >= rat(Fraction(99, 100))
     elapsed = time.perf_counter() - t0
@@ -234,14 +234,14 @@ def test_criterion_08_family_and_cubes():
     t0 = time.perf_counter()
     for k in (1, 2, 3):
         fam = family_filling(k)
-        assert fam.valid and fam.fraction == rat(1)
+        assert fam.valid and fam.verdict.fraction == rat(1)
         if k == 1:
             assert fam.lattice.covolume() == rat(Fraction(9, 8))
         cube = cube_filling(k)
-        assert cube.valid and cube.is_fundamental_domain
+        assert cube.valid and cube.verdict.fundamental_domain
         assert cube.lattice.covolume() == rat(k * k)
     poly = polydisc_filling(2)
-    assert poly.valid and poly.fraction == rat(1)
+    assert poly.valid and poly.verdict.fraction == rat(1)
     report(8, "family k = 1..3 (incl. T(9/8,1)), cubes k = 1..3, polydisc k = 2", t0)
 
 

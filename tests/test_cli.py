@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -753,3 +754,28 @@ def test_repeated_main_calls_in_one_process_give_the_golden_bytes(tmp_path, caps
             assert code == 2 and out == "" and err.startswith("error: "), argv
         else:
             assert check(code, out), argv
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    # the library example prints what its comments say, and the command
+    # line's construct/verify pair exits 0, both as the README gives them
+    monkeypatch.chdir(tmp_path)
+    text = README.read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+    exec(compile(block, str(README), "exec"), {})
+    printed = [line.split("#")[1].strip() for line in block.splitlines()
+               if line.startswith("print(")]
+    assert printed and capsys.readouterr().out.split() == printed
+    pair = [line.split("#")[0].split()[1:] for line in text.splitlines()
+            if line.startswith(("torusfill construct example1 --k 3 --out ",
+                                 "torusfill verify "))]
+    assert [argv[0] for argv in pair] == ["construct", "verify"]
+    outputs = []
+    for argv in pair:
+        assert main(argv) == 0, argv
+        outputs.append(capsys.readouterr().out)
+    verdicts = json.loads(outputs[1])["verdicts"]
+    assert verdicts == {"injective": True, "fundamental_domain": True}

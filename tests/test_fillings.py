@@ -28,7 +28,7 @@ from torusfill.geom import (
 )
 from torusfill.shears import ShearSequence, check_composable
 from torusfill.surd import rat, sqrt
-from torusfill.torus import Lattice2, injects
+from torusfill.torus import Lattice2
 
 
 def test_diamond_basics():
@@ -78,7 +78,7 @@ def test_example1_k1_parallelogram():
     cert = example_T2k2(1)
     expected = ConvexPolygon([pt(-1, 0), pt(1, 1), pt(1, 0), pt(-1, -1)])
     assert symmetric_difference_area(cert.final, Region([expected])).is_zero()
-    assert cert.valid and cert.fraction == rat(1) and cert.is_fundamental_domain
+    assert cert.valid and cert.verdict.fraction == rat(1) and cert.verdict.fundamental_domain
 
 
 def test_example1_k3_vertices_and_fraction():
@@ -86,7 +86,7 @@ def test_example1_k3_vertices_and_fraction():
     verts = cert.final.pieces[0].vertices
     for v in (pt(-3, 0), pt(3, 0), pt(15, 3), pt(-15, -3)):
         assert v in verts
-    assert cert.fraction == rat(1)
+    assert cert.verdict.fraction == rat(1)
     assert cert.lattice.covolume() == rat(18)
 
 
@@ -109,8 +109,8 @@ def test_example1_long_edges_vertical_distance_one(k):
 def test_example2_schematic(orientation):
     cert = example_eight_ninths(0, orientation)
     assert cert.valid
-    assert cert.fraction == rat(Fraction(8, 9))
-    uncovered = rat(1) - cert.fraction
+    assert cert.verdict.fraction == rat(Fraction(8, 9))
+    uncovered = rat(1) - cert.verdict.fraction
     assert uncovered == 4 * rat(Fraction(1, 6)) ** 2
 
 
@@ -124,10 +124,10 @@ def test_example2_point_reflection_pair():
 def test_example2_eps_variants():
     cert = example_eight_ninths(Fraction(1, 100), "++")
     assert cert.valid
-    assert cert.fraction >= rat(Fraction(83, 100))
+    assert cert.verdict.fraction >= rat(Fraction(83, 100))
     eps = Fraction(1, 100)
-    assert cert.fraction == rat((Fraction(4, 3) - eps) ** 2 / 2)
-    assert cert.fraction >= rat(Fraction(8, 9) - 5 * eps)
+    assert cert.verdict.fraction == rat((Fraction(4, 3) - eps) ** 2 / 2)
+    assert cert.verdict.fraction >= rat(Fraction(8, 9) - 5 * eps)
     with pytest.raises(FillingError):
         example_eight_ninths(Fraction(1, 10), "++")
     with pytest.raises(FillingError):
@@ -137,8 +137,8 @@ def test_example2_eps_variants():
 def test_example3_schematic():
     cert = example_fortynine_fiftieths(0)
     assert cert.valid
-    assert cert.fraction == rat(Fraction(49, 50))
-    assert rat(1) - cert.fraction == rat(Fraction(1, 50))
+    assert cert.verdict.fraction == rat(Fraction(49, 50))
+    assert rat(1) - cert.verdict.fraction == rat(Fraction(1, 50))
     # ball-volume consistency: a^2/2 equals the covered fraction
     assert cert.source_area == rat(Fraction(49, 50))
 
@@ -167,7 +167,7 @@ def test_example3_fitting_and_freed_triangles():
 def test_example3_eps_variant_and_bounds():
     cert = example_fortynine_fiftieths(Fraction(1, 100))
     assert cert.valid
-    assert cert.fraction == rat((Fraction(7, 5) - Fraction(1, 100)) ** 2 / 2)
+    assert cert.verdict.fraction == rat((Fraction(7, 5) - Fraction(1, 100)) ** 2 / 2)
     with pytest.raises(FillingError):
         example_fortynine_fiftieths(Fraction(1, 20))
 
@@ -191,11 +191,11 @@ def test_theorem1_schematic_full_filling():
     cert = theorem1_filling(0)
     assert cert.valid
     assert all(cert.identities.values())
-    assert cert.fraction == rat(1)
-    assert cert.is_fundamental_domain
+    assert cert.verdict.fraction == rat(1)
+    assert cert.verdict.fundamental_domain
     assert cert.source_area == rat(1)  # a^2/2 for a = sqrt 2
     # re-checkable: the recorded final region still injects and tiles
-    assert injects(cert.final, cert.lattice).ok
+    assert lattice_region(cert.final, cert.lattice).verdict().injective
     assert check_composable(cert.sequence).ok
 
 
@@ -204,7 +204,7 @@ def test_theorem1_eps_sequence():
     for eps in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)):
         cert = theorem1_filling(eps)
         assert cert.valid
-        fractions.append(cert.fraction)
+        fractions.append(cert.verdict.fraction)
     assert fractions[0] < fractions[1] < fractions[2]
     assert fractions[2] >= rat(Fraction(99, 100))
     with pytest.raises(FillingError):
@@ -214,15 +214,15 @@ def test_theorem1_eps_sequence():
 def test_theorem1_ball_volume_consistency():
     for eps in (0, Fraction(1, 100)):
         cert = theorem1_filling(eps)
-        assert cert.fraction * cert.lattice.covolume() == cert.source_area
+        assert cert.verdict.fraction * cert.lattice.covolume() == cert.source_area
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_family_full_fillings(k):
     cert = family_filling(k)
     assert cert.valid
-    assert cert.fraction == rat(1)
-    assert cert.is_fundamental_domain
+    assert cert.verdict.fraction == rat(1)
+    assert cert.verdict.fundamental_domain
     mu = Fraction((2 * k + 1) ** 2, 2 * (k + 1) ** 2)
     assert cert.lattice.covolume() == rat(mu)
     assert cert.source_area == rat(mu)
@@ -247,7 +247,7 @@ def test_family_k2_slice_heights():
 def test_cube_fillings(k):
     cert = cube_filling(k)
     assert cert.valid
-    assert cert.is_fundamental_domain
+    assert cert.verdict.fundamental_domain
     assert cert.lattice.covolume() == rat(k * k)
 
 
@@ -261,7 +261,7 @@ def test_cube_k2_span():
 def test_polydisc_fillings(k):
     cert = polydisc_filling(k)
     assert cert.valid
-    assert cert.fraction == rat(1)
+    assert cert.verdict.fraction == rat(1)
     assert cert.lattice.covolume() == rat(1)
 
 
@@ -270,7 +270,7 @@ def test_eps_monotonicity_within_ranges():
         (example_eight_ninths, (Fraction(1, 20), Fraction(1, 100), Fraction(1, 1000))),
         (example_fortynine_fiftieths, (Fraction(1, 30), Fraction(1, 100), Fraction(1, 1000))),
     ]:
-        fracs = [ctor(eps).fraction for eps in eps_values]
+        fracs = [ctor(eps).verdict.fraction for eps in eps_values]
         assert fracs[0] < fracs[1] < fracs[2]
 
 
@@ -303,7 +303,7 @@ def test_constructions_valid_at_domain_edges(ctor, eps):
 
 def test_family_generalizes_beyond_small_k():
     cert = family_filling(5)
-    assert cert.valid and cert.is_fundamental_domain
+    assert cert.valid and cert.verdict.fundamental_domain
     assert cert.lattice.covolume() == rat(Fraction(121, 72))
 
 

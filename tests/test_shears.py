@@ -514,7 +514,7 @@ def carried_check_composable(seq):
         carried = [(i, full_slab_plane_image(shear, img)) for i, img in carried]
         carried.append((j, full_slab_plane_image(shear, moved_j)))
         cur = full_slab_plane_image(shear, cur)
-    return ComposabilityReport(not violations, violations, cur)
+    return ComposabilityReport(violations, cur)
 
 
 def assert_matches_carried_oracle(seq):

@@ -21,48 +21,59 @@ from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, fam
                                 theorem1_filling)
 from torusfill.geom import ConvexPolygon, GeometryError, Region, clip, pt, rectangle
 from torusfill.surd import SurdScalar, rat
-from torusfill.torus import Lattice2, LatticeRegion, TorusError, injects
+from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
 
 def test_small_diamond_injects():
-    assert injects(diamond(1), UNIT).ok
+    assert lattice_region(diamond(1), UNIT).verdict().injective
 
 
 def test_wide_rectangle_collides():
     reg = Region([rectangle(0, 2, 0, Fraction(1, 2))])
-    verdict = injects(reg, UNIT)
-    assert not verdict.ok
+    verdict = lattice_region(reg, UNIT).verdict()
+    assert not verdict.injective and verdict.fraction is None
+    assert not verdict.fundamental_domain and verdict.area == verdict.covolume
     assert ((1, 0), rat(Fraction(1, 2))) in verdict.collisions
 
 
 def test_example2_image_injects():
     cert = example_eight_ninths(0, "++")
-    assert injects(cert.final, UNIT).ok
+    assert lattice_region(cert.final, UNIT).verdict().injective
 
 
 def test_covered_fractions():
     eight_ninths = example_eight_ninths(0, "++").final
-    assert injects(eight_ninths, UNIT).ok
-    assert eight_ninths.area() / UNIT.covolume() == rat(Fraction(8, 9))
+    assert lattice_region(eight_ninths, UNIT).verdict().fraction == rat(Fraction(8, 9))
     final, lattice = example_T2k2(1).final, Lattice2.rectangular(2, 1)
-    assert injects(final, lattice).ok and final.area() / lattice.covolume() == rat(1)
+    assert lattice_region(final, lattice).verdict().fraction == rat(1)
 
 
 def test_fundamental_domains():
     for reg, lattice in [(Region([rectangle(0, 1, 0, 1)]), UNIT),
                          (example_T2k2(3).final, Lattice2.rectangular(18, 1))]:
-        assert injects(reg, lattice).ok and reg.area() == lattice.covolume()
-    assert injects(diamond(1), UNIT).ok and diamond(1).area() != UNIT.covolume()
+        assert lattice_region(reg, lattice).verdict().fundamental_domain
+    small = lattice_region(diamond(1), UNIT).verdict()
+    assert small.injective and not small.fundamental_domain
+
+
+def test_overlapping_pieces_fail_the_verdict_not_injectivity():
+    # two copies of the half cell: no lattice translate collides and the
+    # areas sum to the covolume, but the pieces overlap each other
+    half = rectangle(0, Fraction(1, 2), 0, 1)
+    region = lattice_region(Region([half, half]), UNIT)
+    assert region.injectivity() == [] and region.area() == UNIT.covolume()
+    with pytest.raises(GeometryError, match="^region pieces 0 and 1 overlap$"):
+        region.verdict()
 
 
 def test_injects_translation_invariant():
     reg = example_eight_ninths(0, "+-").final
     shifted = reg.translate(pt(Fraction(1, 3), Fraction(-2, 7)))
-    assert injects(shifted, UNIT).ok
+    assert lattice_region(shifted, UNIT).verdict().injective
     by_lattice = reg.translate(pt(3, -2))
-    assert injects(by_lattice, UNIT).ok
+    assert lattice_region(by_lattice, UNIT).verdict().injective
     bad = Region([rectangle(0, 2, 0, Fraction(1, 2))]).translate(pt(Fraction(1, 3), 0))
-    assert not injects(bad, UNIT).ok
+    assert not lattice_region(bad, UNIT).verdict().injective
 
 
 def test_injects_basis_recombination_invariant():
@@ -71,8 +82,8 @@ def test_injects_basis_recombination_invariant():
     # unimodular recombination of the same lattice
     skew = Lattice2(pt(8, 1), pt(0, 1))
     assert plain.covolume() == skew.covolume()
-    assert injects(reg, plain).ok
-    assert injects(reg, skew).ok
+    assert lattice_region(reg, plain).verdict().injective
+    assert lattice_region(reg, skew).verdict().injective
 
 
 def test_fraction_at_most_one_iff_fundamental():
@@ -80,16 +91,15 @@ def test_fraction_at_most_one_iff_fundamental():
         (example_eight_ninths(0, "++"), UNIT),
         (example_T2k2(2), Lattice2.rectangular(8, 1)),
     ]:
-        assert injects(cert.final, lattice).ok
-        frac = cert.final.area() / lattice.covolume()
-        assert frac <= rat(1)
-        assert (frac == rat(1)) == cert.is_fundamental_domain
+        verdict = lattice_region(cert.final, lattice).verdict()
+        assert verdict.injective and verdict.fraction <= rat(1)
+        assert (verdict.fraction == rat(1)) == cert.verdict.fundamental_domain
 
 
 def test_subset_of_fundamental_cell_injects():
     reg = Region([rectangle(Fraction(1, 10), Fraction(9, 10),
                             Fraction(1, 10), Fraction(2, 5))])
-    assert injects(reg, UNIT).ok
+    assert lattice_region(reg, UNIT).verdict().injective
 
 
 def _float(x) -> float:
@@ -121,7 +131,7 @@ def _float_cover_mask(points, region, lattice, span=2):
 def test_monte_carlo_fraction_agrees():
     # statistical sanity check of the exact fraction, not an acceptance gate
     cert = example_eight_ninths(0, "++")
-    assert injects(cert.final, UNIT).ok
+    assert lattice_region(cert.final, UNIT).verdict().injective
     exact = _float(cert.final.area() / UNIT.covolume())
     rng = np.random.default_rng(20260810)
     n = 100_000
@@ -152,8 +162,8 @@ def test_monte_carlo_full_fillings_cover_everything():
 def test_injects_catches_skewed_collisions():
     # collisions that only occur at mixed-coefficient lattice vectors
     for (a, b), doubled in skewed_doubled_regions():
-        verdict = injects(doubled, SKEW)
-        assert not verdict.ok
+        verdict = lattice_region(doubled, SKEW).verdict()
+        assert not verdict.injective
         assert any(ab in ((a, b), (-a, -b)) for ab, _ in verdict.collisions)
 
 
@@ -172,7 +182,7 @@ def test_one_vector_two_piece_pairs_overlap_summed():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     reg = Region([rectangle(0, half, 0, half), rectangle(half, Fraction(3, 2), 0, half),
                   rectangle(0, quarter, half, 1), rectangle(quarter, Fraction(5, 4), half, 1)])
-    collisions = injects(reg, UNIT).collisions
+    collisions = lattice_region(reg, UNIT).injectivity()
     assert collisions == [((1, 0), rat(Fraction(3, 8)))]
     assert collisions == candidate_collisions(reg, UNIT)
 
@@ -189,11 +199,11 @@ def test_integer_box_jigsaw_is_fundamental(lattice):
     # ranges must exclude the touching translates
     lower, upper = _cell_triangles(lattice)
     reg = Region([lower.translate(lattice.vector(2, -1)), upper.translate(lattice.vector(-1, 3))])
-    assert injects(reg, lattice).ok
+    assert lattice_region(reg, lattice).verdict().injective
     assert reg.area() == lattice.covolume()
     nudged = Region([lower, upper.translate(lattice.g2.scale(Fraction(1, 100)))])
-    verdict = injects(nudged, lattice)
-    assert not verdict.ok and verdict.collisions == candidate_collisions(nudged, lattice)
+    collisions = lattice_region(nudged, lattice).injectivity()
+    assert collisions and collisions == candidate_collisions(nudged, lattice)
 
 
 SCATTERED_JIGSAW = Region([
@@ -220,9 +230,9 @@ def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
 
     monkeypatch.setattr(geom_module, "clip", counted)
     monkeypatch.setattr(torus_module, "clip", counted, raising=False)
-    verdict = injects(SCATTERED_JIGSAW, UNIT)
+    verdict = lattice_region(SCATTERED_JIGSAW, UNIT).verdict()
     clips = len(calls)
-    assert verdict.ok and SCATTERED_JIGSAW.area() == UNIT.covolume()
+    assert verdict.fundamental_domain
     pieces = len(SCATTERED_JIGSAW.pieces)
     candidates = len(list(candidate_vectors(SCATTERED_JIGSAW, UNIT)))
     assert clips == 0 < pieces * pieces * candidates
@@ -233,7 +243,7 @@ def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_injects_matches_candidate_vector_oracle(pieces, lattice, offset):
     reg = Region(pieces).translate(offset)
-    assert injects(reg, lattice).collisions == candidate_collisions(reg, lattice)
+    assert lattice_region(reg, lattice).injectivity() == candidate_collisions(reg, lattice)
 
 
 @given(st.lists(region_pieces(False), min_size=1, max_size=3),
@@ -246,7 +256,7 @@ def test_injects_on_skewed_basis_matches_candidate_vector_oracle(pieces, lattice
     g1, g2 = lattice.g1, lattice.g2
     skewed = Lattice2(g1 + g2.scale(n), g2) if first else Lattice2(g1, g2 + g1.scale(n))
     reg = Region(pieces)
-    assert injects(reg, skewed).collisions == candidate_collisions(reg, skewed)
+    assert lattice_region(reg, skewed).injectivity() == candidate_collisions(reg, skewed)
 
 
 def colliding_shifts(r: Region, lattice: Lattice2) -> int:
@@ -277,7 +287,7 @@ def colliding_shifts(r: Region, lattice: Lattice2) -> int:
 
 
 def count_injects_clips(r: Region, lattice: Lattice2) -> int:
-    """The number of `clip` calls that injects(r, lattice) makes."""
+    """The number of `clip` calls that `LatticeRegion.injectivity` makes on r."""
     calls = []
     original = torus_module.clip
 
@@ -287,7 +297,7 @@ def count_injects_clips(r: Region, lattice: Lattice2) -> int:
 
     torus_module.clip = counted
     try:
-        injects(r, lattice)
+        lattice_region(r, lattice).injectivity()
     finally:
         torus_module.clip = original
     return len(calls)
@@ -376,8 +386,8 @@ def test_surd_lattice_coordinates_take_the_same_path():
         core = lattice_region(region, lattice)
         assert {type(c) for vs in core.pieces for v in vs for c in (v.x1, v.x2)} == kinds
         assert core.area() == region.area()
-        assert core.injectivity().collisions == candidate_collisions(region, lattice)
-    assert lattice_region(cert.final, cert.lattice).injectivity().ok
+        assert core.injectivity() == candidate_collisions(region, lattice)
+    assert lattice_region(cert.final, cert.lattice).verdict().fundamental_domain
 
 
 def test_verify_on_far_skewed_basis_finishes(tmp_path):
