@@ -1,7 +1,7 @@
 """Exact planar geometry over the surd ring.
 
 Convex polygons with surd coordinates, finite unions of interior-disjoint
-convex pieces (regions), affine images and convex clipping.  All predicates
+convex pieces (regions) and convex clipping.  All predicates
 are decided by exact sign computations; regions follow the open-set
 convention, so degenerate (zero-area) intersections count as empty.
 Whether the pieces of a region overlap, and whether it maps injectively
@@ -18,7 +18,7 @@ from .surd import SurdScalar, rat, scalar
 
 
 class GeometryError(ValueError):
-    """Raised on invalid polygons, degenerate maps, or bad region data."""
+    """Raised on invalid polygons or bad region data."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,10 @@ class ConvexPolygon:
     rotated to start at the lexicographically smallest vertex.
     """
 
-    __slots__ = ("vertices", "_box")
+    __slots__ = ("vertices",)
 
     def __init__(self, vertices: list[Point2]):
         self.vertices = _canonical(vertices)
-        self._box = None
 
     def area(self) -> SurdScalar:
         return shoelace(self.vertices)
@@ -92,14 +91,6 @@ class ConvexPolygon:
 
     def translate(self, v: Point2) -> "ConvexPolygon":
         return _raw([p + v for p in self.vertices])
-
-    def bounding_box(self):
-        """(x_min, x_max, y_min, y_max), computed once and kept."""
-        if self._box is None:
-            xs = [p.x1 for p in self.vertices]
-            ys = [p.x2 for p in self.vertices]
-            self._box = min(xs), max(xs), min(ys), max(ys)
-        return self._box
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConvexPolygon) and self.vertices == other.vertices
@@ -135,7 +126,6 @@ def _raw(vertices: list[Point2]) -> ConvexPolygon:
     """Construct trusting the input (already canonical counterclockwise)."""
     poly = object.__new__(ConvexPolygon)
     poly.vertices = vertices
-    poly._box = None
     return poly
 
 
@@ -259,13 +249,10 @@ class Region:
         return Region([p.translate(v) for p in self.pieces])
 
     def bounding_box(self):
-        boxes = [p.bounding_box() for p in self.pieces]
-        return (
-            min(b[0] for b in boxes),
-            max(b[1] for b in boxes),
-            min(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+        """(x_min, x_max, y_min, y_max) over the vertices of every piece."""
+        xs = [v.x1 for p in self.pieces for v in p.vertices]
+        ys = [v.x2 for p in self.pieces for v in p.vertices]
+        return min(xs), max(xs), min(ys), max(ys)
 
     def __repr__(self):
         return f"Region({len(self.pieces)} pieces, area {self.area()})"
@@ -277,45 +264,6 @@ class Region:
     def from_json(cls, data) -> "Region":
         """Read {"polygons": [...]} (see `region_points`)."""
         return cls([ConvexPolygon(points) for points in region_points(data)])
-
-
-class AffineMap2:
-    """Affine map x -> linear*x + translation with exact entries."""
-
-    __slots__ = ("linear", "translation")
-
-    def __init__(self, linear, translation: Point2):
-        self.linear = tuple(tuple(scalar(e) for e in row) for row in linear)
-        self.translation = translation
-        if self.det().is_zero():
-            raise GeometryError("degenerate affine map")
-
-    def det(self) -> SurdScalar:
-        (a, b), (c, d) = self.linear
-        return a * d - b * c
-
-    def apply(self, p: Point2) -> Point2:
-        (a, b), (c, d) = self.linear
-        return Point2(
-            a * p.x1 + b * p.x2 + self.translation.x1,
-            c * p.x1 + d * p.x2 + self.translation.x2,
-        )
-
-    def apply_polygon(self, poly: ConvexPolygon) -> ConvexPolygon:
-        """Image of a polygon, in canonical form without re-canonicalising.
-
-        An invertible affine map keeps a polygon strictly convex with no
-        collinear vertices; only the orientation (reversed when det < 0) and
-        the starting vertex can change.
-        """
-        vs = [self.apply(v) for v in poly.vertices]
-        if self.det().sign() < 0:
-            vs.reverse()
-        return _raw(_from_lowest(vs))
-
-    def __repr__(self):
-        (a, b), (c, d) = self.linear
-        return f"AffineMap2([[{a},{b}],[{c},{d}]] + ({self.translation.x1},{self.translation.x2}))"
 
 
 def rectangle(x_lo, x_hi, y_lo, y_hi) -> ConvexPolygon:

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .surd import SurdScalar, rat, scalar
-from .geom import AffineMap2, ConvexPolygon, Region, clip_halfplane, pt
+from .geom import ConvexPolygon, Point2, Region, _from_lowest, _raw, clip_halfplane, pt
 
 
 class ShearError(ValueError):
@@ -124,11 +124,16 @@ class Shear:
         if self.axis not in ("x1", "x2"):
             raise ShearError(f"axis must be 'x1' or 'x2', got {self.axis!r}")
 
-    def slab_plane_map(self, i: int) -> AffineMap2:
+    def map_part(self, i: int, part: ConvexPolygon) -> ConvexPolygon:
+        """Image of a part inside slab i under the slab's map x1 -> x1 + c + s x2
+        (x2 -> x2 + c + s x1 for an x2-shear).  Its determinant is 1, so the
+        image stays counterclockwise and only its starting vertex can move."""
         c, s = self.f.slab_affine(i)
         if self.axis == "x1":
-            return AffineMap2(((1, s), (0, 1)), pt(c, 0))
-        return AffineMap2(((1, 0), (s, 1)), pt(0, c))
+            vs = [Point2(v.x1 + c + s * v.x2, v.x2) for v in part.vertices]
+        else:
+            vs = [Point2(v.x1, v.x2 + c + s * v.x1) for v in part.vertices]
+        return _raw(_from_lowest(vs))
 
     def _clip_to_slab(self, poly: ConvexPolygon, lo, hi) -> ConvexPolygon | None:
         """Clip to lo <= coordinate <= hi; a bound of None is not clipped."""
@@ -148,13 +153,14 @@ class Shear:
     def split(self, poly: ConvexPolygon):
         """(slab, part) for every slab the open polygon meets, in slab order.
 
-        The polygon's bounding-box interval in the slab coordinate is bisected
-        to the slabs it meets, so no clip comes out empty for lack of overlap.
-        Each part is clipped only along the breakpoints inside that interval;
-        a polygon inside one slab is its own part.
+        The least and greatest slab coordinate of the polygon's vertices are
+        bisected into the breakpoints, which gives the slabs it meets, so no
+        clip comes out empty for lack of overlap.  Each part is clipped only
+        along the breakpoints between those two values; a polygon inside one
+        slab is its own part.
         """
-        x_lo, x_hi, y_lo, y_hi = poly.bounding_box()
-        lo, hi = (y_lo, y_hi) if self.axis == "x1" else (x_lo, x_hi)
+        coords = [v.x2 if self.axis == "x1" else v.x1 for v in poly.vertices]
+        lo, hi = min(coords), max(coords)
         bps = self.f.breakpoints
         first, last = bisect_right(bps, lo), bisect_right(bps, hi)
         if last and hi == bps[last - 1]:
@@ -249,7 +255,7 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
                     continue
                 for i in movers:
                     hits[i] = hits.get(i, rat(0)) + part.area()
-                nxt.append((shear.slab_plane_map(k).apply_polygon(part), movers + (j,)))
+                nxt.append((shear.map_part(k, part), movers + (j,)))
         violations += [Violation(i, j, a) for i, a in sorted(hits.items())]
         cur = nxt
     return ComposabilityReport(violations, Region([piece for piece, _ in cur]))

@@ -7,8 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st
 
-from torusfill.geom import (AffineMap2, ConvexPolygon, GeometryError, Point2, Region, clip, pt,
-                           rectangle)
+from torusfill.geom import ConvexPolygon, GeometryError, Point2, Region, clip, pt, rectangle
 from torusfill.surd import SurdScalar, rat, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
@@ -97,9 +96,10 @@ def symmetric_difference_area(a: Region, b: Region) -> SurdScalar:
     return a.area() + b.area() - rat(2) * region_overlap_area(a, b)
 
 
-def map_region(m: AffineMap2, r: Region) -> Region:
-    """The image of a region under an affine map, piece by piece."""
-    return Region([m.apply_polygon(p) for p in r.pieces])
+def map_region(f, r: Region) -> Region:
+    """The image of a region under the point map f, piece by piece, each
+    piece re-canonicalised."""
+    return Region([ConvexPolygon([f(v) for v in p.vertices]) for p in r.pieces])
 
 
 UNIT = Lattice2.rectangular(1, 1)
@@ -250,8 +250,7 @@ def vertex_lists(draw):
     if draw(st.booleans()):
         vs.reverse()
     if draw(st.booleans()):
-        shear = AffineMap2(((1, sqrt(2)), (0, 1)), pt(0, 0))
-        vs = [shear.apply(p) for p in vs]
+        vs = [Point2(p.x1 + sqrt(2) * p.x2, p.x2) for p in vs]
     return vs
 
 

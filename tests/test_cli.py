@@ -635,6 +635,30 @@ def test_svg_draws_the_cell_on_the_canvas_for_golden_finals(ring):
         assert cell_on_canvas(svg), case["argv"]
 
 
+SVG_GOLDEN = json.loads((Path(__file__).parent / "data" / "svg_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", SVG_GOLDEN["cases"],
+                         ids=lambda case: " ".join(case["construct"][1:])
+                         + ("" if case["ring"] else " no-ring"))
+def test_svg_matches_golden_bytes(tmp_path, capsys, case):
+    # The golden file holds the `svg` output, with and without the translate
+    # ring, for the final region and lattice of eight constructions over Q
+    # and Q(sqrt 2).  A change to these bytes must be deliberate: regenerate
+    # the file and say why.
+    cert_file, region_file, lattice_file, out = (
+        tmp_path / name for name in ("cert.json", "region.json", "lattice.json", "out.svg"))
+    code, _, _ = run_cli(case["construct"] + ["--cert-out", str(cert_file)], capsys)
+    assert code == 0
+    cert = json.loads(cert_file.read_text())
+    region_file.write_text(json.dumps(cert["final"]))
+    lattice_file.write_text(json.dumps(cert["lattice"]))
+    argv = ["svg", str(region_file), "--lattice-file", str(lattice_file), "--out", str(out)]
+    code, _, err = run_cli(argv + ([] if case["ring"] else ["--no-ring"]), capsys)
+    assert code == 0, err
+    assert out.read_text() == case["svg"]
+
+
 def test_region_json_round_trip_through_cli(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     code, _, _ = run_cli(["construct", "example3", "--eps", "1/100",

@@ -10,20 +10,17 @@ from conftest import (
     UNIT,
     candidate_vectors,
     lattice_region,
-    map_region,
     overlap_area,
     rationals,
     region_overlap_area,
     region_pieces,
     skewed_doubled_regions,
-    symmetric_difference_area,
     vertex_lists,
 )
 import torusfill.geom as geom_module
 import torusfill.torus as torus_module
 from torusfill.fillings import family_filling
 from torusfill.geom import (
-    AffineMap2,
     ConvexPolygon,
     GeometryError,
     Point2,
@@ -99,30 +96,6 @@ def test_region_invariant_checks():
     with pytest.raises(GeometryError, match="region pieces 0 and 1 overlap"):
         lattice_region(Region([rectangle(0, 1, 0, 1), rectangle(Fraction(1, 2), 2, 0, 1)]),
                        UNIT).validate()
-
-
-def test_affine_images():
-    reg = Region([diamond_poly(2)])
-    ident = AffineMap2(((1, 0), (0, 1)), pt(0, 0))
-    assert symmetric_difference_area(map_region(ident, reg), reg).is_zero()
-    # the size-2 diamond under the slope-1 shear becomes (+-1, 0), +-(1, 1)
-    shear = AffineMap2(((1, 1), (0, 1)), pt(0, 0))
-    image = map_region(shear, reg)
-    expected = Region([ConvexPolygon([pt(-1, 0), pt(1, 1), pt(1, 0), pt(-1, -1)])])
-    assert symmetric_difference_area(image, expected).is_zero()
-
-
-def test_affine_determinant_scaling_exact():
-    reg = Region([diamond_poly(Fraction(7, 5)), rectangle(3, 4, 0, 2)])
-    m = AffineMap2(((2, 1), (1, 3)), pt(Fraction(1, 7), -2))
-    assert map_region(m, reg).area() == abs(m.det()) * reg.area()
-    flip = AffineMap2(((0, 1), (1, 0)), pt(0, 0))  # determinant -1, reorients
-    assert map_region(flip, reg).area() == reg.area()
-
-
-def test_degenerate_affine_rejected():
-    with pytest.raises(GeometryError):
-        AffineMap2(((1, 2), (2, 4)), pt(0, 0))
 
 
 def test_surd_coordinates():
@@ -280,8 +253,8 @@ def test_injects_collisions_match_unfiltered_oracle():
 def clip_by_halfplanes(a: ConvexPolygon, b: ConvexPolygon):
     """clip as it was before the separating-edge test: the box test, then one
     half-plane cut per edge of b."""
-    ax1, ax2, ay1, ay2 = a.bounding_box()
-    bx1, bx2, by1, by2 = b.bounding_box()
+    ax1, ax2, ay1, ay2 = box_of_vertices(a)
+    bx1, bx2, by1, by2 = box_of_vertices(b)
     if (ax2 - bx1).sign() <= 0 or (bx2 - ax1).sign() <= 0:
         return None
     if (ay2 - by1).sign() <= 0 or (by2 - ay1).sign() <= 0:
@@ -414,7 +387,6 @@ def test_clip_halfplane_matches_canonicalising_oracle(case):
     assert (got is None) == (want is None)
     if got is not None:
         assert got.vertices == want.vertices
-        assert got.bounding_box() == box_of_vertices(got)
 
 
 def test_clip_halfplane_edge_cases():

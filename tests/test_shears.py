@@ -2,14 +2,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusfill.shears as shears_module
 from conftest import contains, rationals, symmetric_difference_area
 from torusfill.fillings import certify
 from torusfill.geom import (
-    AffineMap2,
     ConvexPolygon,
     Point2,
     Region,
@@ -328,8 +327,16 @@ def full_slab_parts(shear, piece, moving_only=False):
             yield i, part
 
 
+def slab_point_map(shear, i):
+    """The plane map of slab i, point by point."""
+    c, s = shear.f.slab_affine(i)
+    if shear.axis == "x1":
+        return lambda p: Point2(p.x1 + c + s * p.x2, p.x2)
+    return lambda p: Point2(p.x1, p.x2 + c + s * p.x1)
+
+
 def full_slab_plane_image(shear, region):
-    return Region([ConvexPolygon([shear.slab_plane_map(i).apply(v) for v in part.vertices])
+    return Region([ConvexPolygon([slab_point_map(shear, i)(v) for v in part.vertices])
                    for piece in region.pieces
                    for i, part in full_slab_parts(shear, piece)])
 
@@ -429,41 +436,30 @@ def test_piece_touching_a_breakpoint_is_not_clipped(monkeypatch):
         assert list(shear.split(piece)) == list(full_slab_parts(shear, piece))
 
 
-@st.composite
-def affine_maps(draw):
-    """Shears, the coordinate reflections (det < 0), and general invertible
-    maps, with rational or Q(sqrt 2) entries."""
-    kind = draw(st.sampled_from(["shear_x1", "shear_x2", "negate_x1", "negate_x2",
-                                 "general"]))
-    s = rat(draw(rationals(bound=5))) + (sqrt(2) if draw(st.booleans()) else 0)
-    t = pt(draw(rationals(bound=5)), draw(rationals(bound=5)))
-    if kind == "shear_x1":
-        return AffineMap2(((1, s), (0, 1)), t)
-    if kind == "shear_x2":
-        return AffineMap2(((1, 0), (s, 1)), t)
-    if kind == "negate_x1":
-        return AffineMap2(((-1, 0), (0, 1)), t)
-    if kind == "negate_x2":
-        return AffineMap2(((1, 0), (0, -1)), t)
-    a, b, c, d = (rat(draw(rationals(bound=4))) for _ in range(4))
-    assume(not (a * d - b * c).is_zero())
-    return AffineMap2(((a, b), (c, d)), t)
-
-
-@given(affine_maps(), slab_profiles().flatmap(
-    lambda f: slab_pieces(f, "x2")))
+@given(st.sampled_from(["x1", "x2"]), st.booleans(), slab_profiles(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_apply_polygon_matches_canonicalising_constructor(m, poly):
-    image = m.apply_polygon(poly)
-    assert image.vertices == ConvexPolygon([m.apply(v) for v in poly.vertices]).vertices
-    assert image.area() == abs(m.det()) * poly.area()
-
-
-def test_apply_polygon_reflection_keeps_canonical_form():
-    tri = ConvexPolygon([pt(0, 0), pt(2, 0), pt(1, 3)])
-    flip = AffineMap2(((-1, 0), (0, 1)), pt(0, 0))
-    assert flip.det().sign() < 0
-    assert flip.apply_polygon(tri).vertices == [pt(-2, 0), pt(0, 0), pt(-1, 3)]
+def test_map_part_matches_canonicalising_constructor(axis, surd_slopes, f, data):
+    # every slab's part of some pieces, among them one spanning all slabs,
+    # with rational or Q(sqrt 2) slopes and the profile's constants and jumps
+    if surd_slopes:
+        f = PLFunction(f.breakpoints, [s + sqrt(2) for s in f.slopes], anchor=f.anchor,
+                       jumps=f.jumps)
+    shear = Shear(axis, f)
+    ends = [f.breakpoints[0] - 1, f.breakpoints[-1] + 1]
+    spanning = [(ends[0], 0), (ends[1], 0), (ends[0], 1)]
+    if axis == "x1":  # the slab coordinate is x2
+        spanning = [(y, x) for x, y in spanning]
+    pieces = [ConvexPolygon([pt(*v) for v in spanning])]
+    pieces += data.draw(st.lists(slab_pieces(f, axis), min_size=0, max_size=2))
+    slabs = set()
+    for piece in pieces:
+        for i, part in shear.split(piece):
+            image = shear.map_part(i, part)
+            plane_map = slab_point_map(shear, i)
+            assert image.vertices == ConvexPolygon([plane_map(v) for v in part.vertices]).vertices
+            assert image.area() == part.area()
+            slabs.add(i)
+    assert slabs == set(range(f.num_slabs))
 
 
 def test_certify_pushes_the_source_through_each_shear_once(monkeypatch):
