@@ -24,6 +24,7 @@ from .fillings import CONSTRUCTORS, ORIENTATIONS
 from .latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,
+    LatticeFormError,
     build_period_lattice,
     normalize_basis,
     polarization_type,
@@ -46,10 +47,11 @@ def _parse_rational(text: str) -> Fraction:
 # Faults in a file's content: wrong shapes (a number where a list belongs, a
 # list where an object belongs, short triples) surface as TypeError or
 # IndexError, zero denominators as ZeroDivisionError, nesting too deep to
-# parse as RecursionError, and bad points, polygons and bases as
-# GeometryError or TorusError.
+# parse as RecursionError, bad points, polygons and bases as GeometryError
+# or TorusError, and bad or degenerate matrices as InputError or
+# LatticeFormError.
 _FILE_FAULTS = (OSError, json.JSONDecodeError, TypeError, IndexError, ZeroDivisionError,
-                RecursionError, GeometryError, TorusError)
+                RecursionError, GeometryError, TorusError, InputError, LatticeFormError)
 
 
 @contextmanager
@@ -149,12 +151,14 @@ def cmd_verify(args) -> int:
 
 
 def _matrix_from_json(data):
-    if "upper" not in data or "n" not in data:
-        raise InputError("matrix JSON needs fields 'n' and 'upper'")
+    if type(data) is not dict or "upper" not in data or "n" not in data:
+        raise InputError("matrix JSON needs an object with fields 'n' and 'upper'")
     n = data["n"]
     if type(n) is not int or n < 1:  # bool is a subclass of int
         raise InputError(f"'n' must be a positive integer, got {n!r}")
     upper = data["upper"]
+    if type(upper) is not list:  # an object would be read by its keys
+        raise InputError(f"'upper' must be a list, got {type(upper).__name__}")
     if len(upper) != n * (2 * n - 1):
         raise InputError(f"n={n} needs {n * (2 * n - 1)} upper entries, got {len(upper)}")
     if all(type(x) is int for x in upper):

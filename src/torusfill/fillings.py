@@ -2,13 +2,14 @@
 
 Each constructor assembles a source region (a diamond or distorted diamond),
 a shear sequence, and a target lattice, then runs the full verification:
-composability of the shears, exact symplecticity of every affine piece of
-their 4D lifts, exact injectivity of the final region modulo the lattice,
-and exact area bookkeeping.  A jump shear, acting on open pieces, realizes
-the width-zero limit of a steep ramp band.  The x1-shear is one in `theorem1`
-at every eps, in `family` at every k, and in `example3` at eps = 0 only,
-where eps > 0 puts honest ramps in its place; `example1`, `example2`, `cube`
-and `polydisc` have none.
+composability of the shears, exact injectivity of the final region modulo
+the lattice, and exact area bookkeeping.  The 4D lift of every shear is
+symplectic on each slab whatever its slope (see `shears`), so a
+certificate carries no per-slab check of it.  A jump shear, acting on open
+pieces, realizes the width-zero limit of a steep ramp band.  The x1-shear
+is one in `theorem1` at every eps, in `family` at every k, and in
+`example3` at eps = 0 only, where eps > 0 puts honest ramps in its place;
+`example1`, `example2`, `cube` and `polydisc` have none.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from .shears import (
     PLFunction,
     Shear,
     ShearSequence,
-    SymplecticityRecord,
     check_composable,
-    induced_4d_check,
 )
 from .torus import Lattice2, LatticeRegion, RegionVerdict
 
@@ -121,7 +120,6 @@ class FillingCertificate:
     lattice: Lattice2
     composability: ComposabilityReport
     verdict: RegionVerdict  # of the final region modulo the lattice
-    symplecticity: list[SymplecticityRecord]
     source_area: SurdScalar
     identities: dict[str, bool] = field(default_factory=dict)
 
@@ -132,7 +130,6 @@ class FillingCertificate:
     @property
     def valid(self) -> bool:
         return (self.composability.ok and self.verdict.injective
-                and all(r.ok for r in self.symplecticity)
                 and self.area_preserved
                 and all(self.identities.values()))
 
@@ -148,7 +145,6 @@ class FillingCertificate:
             "lattice": self.lattice.to_json(),
             "composability": self.composability.to_json(),
             "injectivity": {"ok": verdict.injective, "collisions": verdict.collisions_json()},
-            "symplecticity": [r.to_json() for r in self.symplecticity],
             "source_area": self.source_area.to_triples(),
             "final_area": verdict.area.to_triples(),
             "fraction": fraction,
@@ -171,7 +167,6 @@ def certify(name, params, source, shears, lattice, identities=None) -> FillingCe
         lattice=lattice,
         composability=composability,
         verdict=LatticeRegion([p.vertices for p in final.pieces], lattice).verdict(),
-        symplecticity=[induced_4d_check(s) for s in seq.shears],
         source_area=source.area(),
         identities=identities or {},
     )

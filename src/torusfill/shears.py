@@ -13,6 +13,12 @@ pieces are split along breakpoint lines, so every piece is mapped by a
 single affine map and the lift is symplectic on each open slab; across the
 cut the map is not continuous.  The x1-shear of `theorem1` jumps at every
 eps, that of `family` at every k, and that of `example3` at eps = 0 only.
+
+On a slab of slope s the Jacobian J of the lift satisfies J^T Omega0 J =
+Omega0 for every s, so no certificate checks it slab by slab; the tests
+prove the identity once over a symbolic constant and slope.  A piece is
+split into its slab parts by cuts on its slab coordinate alone, one at each
+breakpoint strictly inside its span.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .surd import SurdScalar, rat, scalar
-from .geom import ConvexPolygon, Point2, Region, _from_lowest, _raw, clip_halfplane, pt
+from .geom import ConvexPolygon, Point2, Region, _from_lowest, _raw
 
 
 class ShearError(ValueError):
@@ -115,7 +121,8 @@ class PLFunction:
 
 @dataclass
 class Shear:
-    """A planar PL shear along one axis, with its induced 4D symplectomorphism."""
+    """A planar PL shear along one axis.  Its lift to 4D (see the module
+    docstring) is symplectic on every slab whatever the profile."""
 
     axis: str  # "x1": x1 += f(x2);  "x2": x2 += f(x1)
     f: PLFunction
@@ -135,29 +142,46 @@ class Shear:
             vs = [Point2(v.x1, v.x2 + c + s * v.x1) for v in part.vertices]
         return _raw(_from_lowest(vs))
 
-    def _clip_to_slab(self, poly: ConvexPolygon, lo, hi) -> ConvexPolygon | None:
-        """Clip to lo <= coordinate <= hi; a bound of None is not clipped."""
-        out = poly
-        if self.axis == "x1":  # slab in the x2 coordinate
-            if lo is not None:
-                out = clip_halfplane(out, pt(0, lo), pt(1, lo))
-            if out is not None and hi is not None:
-                out = clip_halfplane(out, pt(1, hi), pt(0, hi))
-        else:
-            if lo is not None:
-                out = clip_halfplane(out, pt(lo, 1), pt(lo, 0))
-            if out is not None and hi is not None:
-                out = clip_halfplane(out, pt(hi, 0), pt(hi, 1))
-        return out
+    def _cut(self, poly: ConvexPolygon, bound) -> tuple[ConvexPolygon, ConvexPolygon]:
+        """(below, above): the two sides of poly along the line where its slab
+        coordinate (x2 for an x1-shear, x1 for an x2-shear) is bound, which
+        lies strictly between the least and greatest slab coordinate of poly.
+
+        One pass over the vertices.  A vertex on the line goes to both sides;
+        an edge crossing it gives the point with the bound as its slab
+        coordinate at t = (bound - c_p) / (c_q - c_p) along the edge, the
+        point `clip_halfplane` would give.  Each side keeps the cyclic order
+        of poly, so it is canonical once rotated to its lowest vertex.
+        """
+        vs = poly.vertices
+        x1_shear = self.axis == "x1"
+        coords = [v.x2 if x1_shear else v.x1 for v in vs]
+        sides = [(c - bound).sign() for c in coords]
+        below: list[Point2] = []
+        above: list[Point2] = []
+        for i in range(-1, len(vs) - 1):  # the edge vs[i] -> vs[i + 1]
+            p, sp = vs[i], sides[i]
+            if sp <= 0:
+                below.append(p)
+            if sp >= 0:
+                above.append(p)
+            if sp * sides[i + 1] < 0:
+                q = vs[i + 1]
+                t = (bound - coords[i]) / (coords[i + 1] - coords[i])
+                x = (Point2(p.x1 + (q.x1 - p.x1) * t, bound) if x1_shear
+                     else Point2(bound, p.x2 + (q.x2 - p.x2) * t))
+                below.append(x)
+                above.append(x)
+        return _raw(_from_lowest(below)), _raw(_from_lowest(above))
 
     def split(self, poly: ConvexPolygon):
         """(slab, part) for every slab the open polygon meets, in slab order.
 
         The least and greatest slab coordinate of the polygon's vertices are
-        bisected into the breakpoints, which gives the slabs it meets, so no
-        clip comes out empty for lack of overlap.  Each part is clipped only
-        along the breakpoints between those two values; a polygon inside one
-        slab is its own part.
+        bisected into the breakpoints, which gives the slabs it meets.  The
+        polygon is cut bottom up, once at each breakpoint strictly between
+        those two values, each cut splitting off one part from what is left;
+        a polygon inside one slab is its own part.
         """
         coords = [v.x2 if self.axis == "x1" else v.x1 for v in poly.vertices]
         lo, hi = min(coords), max(coords)
@@ -165,11 +189,11 @@ class Shear:
         first, last = bisect_right(bps, lo), bisect_right(bps, hi)
         if last and hi == bps[last - 1]:
             last -= 1  # the polygon only touches the slab above its top end
-        for i in range(first, last + 1):
-            part = self._clip_to_slab(poly, bps[i - 1] if i > first else None,
-                                      bps[i] if i < last else None)
-            if part is not None:
-                yield i, part
+        rest = poly
+        for i in range(first, last):
+            part, rest = self._cut(rest, bps[i])
+            yield i, part
+        yield last, rest
 
     def reflect(self, flipped: str) -> "Shear":
         """Conjugate by negating the `flipped` coordinate ("x1" or "x2"): f is
@@ -259,68 +283,3 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
         violations += [Violation(i, j, a) for i, a in sorted(hits.items())]
         cur = nxt
     return ComposabilityReport(violations, Region([piece for piece, _ in cur]))
-
-
-# -- induced 4D symplectomorphism ------------------------------------------
-
-# Standard symplectic Gram matrix on coordinates (x1, x2, y1, y2).
-OMEGA0 = (
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (-1, 0, 0, 0),
-    (0, -1, 0, 0),
-)
-
-
-def _mat4(rows):
-    return tuple(tuple(scalar(e) for e in row) for row in rows)
-
-
-def jacobian_4d(axis: str, slope) -> tuple:
-    s = scalar(slope)
-    if axis == "x1":
-        return _mat4(((1, s, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -s, 1)))
-    return _mat4(((1, 0, 0, 0), (s, 1, 0, 0), (0, 0, 1, -s), (0, 0, 0, 1)))
-
-
-def is_symplectic_4d(j) -> bool:
-    """J^T Omega0 J = Omega0.  Both sides are antisymmetric, so only the six
-    entries above the diagonal are compared; entry (a, b) of the left side is
-    the symplectic pairing of columns a and b of J."""
-    return all(j[0][a] * j[2][b] - j[2][a] * j[0][b] + j[1][a] * j[3][b] - j[3][a] * j[1][b]
-               == OMEGA0[a][b] for a in range(4) for b in range(a + 1, 4))
-
-
-@dataclass
-class SlabSymplecticity:
-    slab: int
-    slope: SurdScalar
-    ok: bool
-
-
-@dataclass
-class SymplecticityRecord:
-    axis: str
-    slabs: list[SlabSymplecticity]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.slabs)
-
-    def to_json(self):
-        return {
-            "axis": self.axis,
-            "ok": self.ok,
-            "slabs": [{"slab": s.slab, "slope": s.slope.to_triples(), "ok": s.ok}
-                      for s in self.slabs],
-        }
-
-
-def induced_4d_check(shear: Shear) -> SymplecticityRecord:
-    """Exact check J^T Omega0 J = Omega0 for every affine piece of the lift."""
-    slabs = []
-    for i in range(shear.f.num_slabs):
-        slope = shear.f.slopes[i]
-        j = jacobian_4d(shear.axis, slope)
-        slabs.append(SlabSymplecticity(i, slope, is_symplectic_4d(j)))
-    return SymplecticityRecord(shear.axis, slabs)

@@ -202,6 +202,10 @@ OBJECT_BASIS = {**SQUARE, "basis": dict(enumerate(UNIT_BASIS["basis"]))}
 OBJECT_POINT_SQUARE = {"polygons": [[{str(i): c for i, c in enumerate(SQUARE["polygons"][0][0])},
                                      *SQUARE["polygons"][0][1:]]]}
 OBJECT_POLYGON_SQUARE = {"polygons": [{str(i): p for i, p in enumerate(SQUARE["polygons"][0])}]}
+# a matrix file must be an object and its upper entries a list: an object
+# was read by its keys, so one key gave "needs 6 upper entries, got 1"
+OBJECT_UPPER_FORM = {"n": 2, "upper": {"a": 1}}
+SIX_KEY_UPPER_FORM = {"n": 2, "upper": dict(enumerate(SURD_FORM["upper"]))}
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -235,6 +239,10 @@ OBJECT_POLYGON_SQUARE = {"polygons": [{str(i): p for i, p in enumerate(SQUARE["p
     (["verify", "{input}", "--lattice-file", "{input}"], OBJECT_BASIS),
     (["verify", "{input}", "--lattice", "1", "1"], OBJECT_POINT_SQUARE),
     (["verify", "{input}", "--lattice", "1", "1"], OBJECT_POLYGON_SQUARE),
+    (["type", "{input}"], [1, 2]),
+    (["period-lattice", "{input}"], [1, 2]),
+    (["type", "{input}"], OBJECT_UPPER_FORM),
+    (["period-lattice", "{input}"], SIX_KEY_UPPER_FORM),
 ], ids=["polygons-not-a-list", "top-level-list", "zero-denominator", "unwritable-out",
         "negative-bound", "zero-bound", "float-radicand", "type-n-zero", "type-bool-entry",
         "bool-numerator", "bool-denominator", "degenerate-surd-form", "rational-surd-form",
@@ -242,7 +250,8 @@ OBJECT_POLYGON_SQUARE = {"polygons": [{str(i): p for i, p in enumerate(SQUARE["p
         "empty-object-scalar", "empty-string-scalar-in-basis", "empty-object-scalar-in-basis",
         "blank-surd-form-entries", "svg-empty-string-scalar", "svg-empty-object-scalar-in-basis",
         "empty-object-polygons", "empty-string-polygons", "svg-empty-object-polygons",
-        "object-basis", "object-point", "object-polygon"])
+        "object-basis", "object-point", "object-polygon", "type-matrix-list",
+        "period-lattice-matrix-list", "type-object-upper", "period-lattice-six-key-upper"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, data):
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(data))
@@ -272,6 +281,22 @@ def test_object_point_or_polygon_error_names_it(tmp_path, capsys, data, message)
     code, out, err = run_cli(["verify", str(input_file), "--lattice", "1", "1"], capsys)
     assert code == 2 and out == ""
     assert err == f"error: cannot read {input_file}: {message}\n"
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("type", [1, 2], "matrix JSON needs an object with fields 'n' and 'upper'"),
+    ("type", OBJECT_UPPER_FORM, "'upper' must be a list, got dict"),
+    ("period-lattice", SIX_KEY_UPPER_FORM, "'upper' must be a list, got dict"),
+    ("type", {"n": 0, "upper": []}, "'n' must be a positive integer, got 0"),
+    ("type", {"n": 2, "upper": [1, 2, 3]}, "n=2 needs 6 upper entries, got 3"),
+    ("type", {"n": 2, "upper": [1, 0, 0, 0, 0, 0]}, "matrix is degenerate"),
+], ids=["list", "object-upper", "six-key-upper", "n-zero", "short-upper", "degenerate"])
+def test_matrix_error_names_the_file(tmp_path, capsys, command, data, message):
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps(data))
+    code, out, err = run_cli([command, str(matrix_file)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {matrix_file}: {message}\n"
 
 
 COLLINEAR_SQUARE = {"polygons": [[[[[1, x, 1]], [[1, 0, 1]]] for x in (0, 1, 2)]]}

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import torusfill.shears as shears_module
 from conftest import contains, rationals, symmetric_difference_area
 from torusfill.fillings import certify
 from torusfill.geom import (
@@ -17,7 +16,6 @@ from torusfill.geom import (
     rectangle,
 )
 from torusfill.shears import (
-    OMEGA0,
     ComposabilityReport,
     PLFunction,
     Shear,
@@ -25,9 +23,6 @@ from torusfill.shears import (
     ShearSequence,
     Violation,
     check_composable,
-    induced_4d_check,
-    is_symplectic_4d,
-    jacobian_4d,
 )
 from torusfill.surd import rat, scalar, sqrt
 from torusfill.torus import Lattice2
@@ -168,55 +163,6 @@ def test_check_composable_violation():
     assert report.violations[0].overlap == rat(1)
 
 
-def dense_is_symplectic(j) -> bool:
-    """J^T Omega0 J == Omega0, by the two full 4x4 products."""
-    def matmul(a, b):
-        return [[sum(a[i][k] * b[k][c] for k in range(4)) for c in range(4)]
-                for i in range(4)]
-
-    omega = [list(row) for row in OMEGA0]
-    return matmul([list(col) for col in zip(*j)], matmul(omega, j)) == omega
-
-
-def test_jacobians_symplectic_by_direct_product():
-    # independent 4x4 product over Fractions
-    for axis, slope in (("x1", Fraction(0)), ("x1", Fraction(7, 3)),
-                        ("x2", Fraction(-5, 2)), ("x2", Fraction(1))):
-        if axis == "x1":
-            j = [[1, slope, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -slope, 1]]
-        else:
-            j = [[1, 0, 0, 0], [slope, 1, 0, 0], [0, 0, 1, -slope], [0, 0, 0, 1]]
-        assert dense_is_symplectic(j)
-        lib = jacobian_4d(axis, slope)
-        assert ([[float(e.approx(20)) for e in row] for row in lib]
-                == [[float(e) for e in row] for row in j])
-
-
-def test_induced_4d_check_all_slabs():
-    f = PLFunction([-1, 0, 2], [Fraction(1, 2), 0, -3, sqrt(2)], anchor=(1, 0))
-    for axis in ("x1", "x2"):
-        record = induced_4d_check(Shear(axis, f))
-        assert record.ok
-        assert len(record.slabs) == 4
-
-
-def test_slab_check_rejects_non_symplectic_jacobians():
-    j = [list(row) for row in jacobian_4d("x1", 2)]
-    assert is_symplectic_4d(j)
-    j[3][2] = rat(2)  # the lift's entry is -2
-    assert not is_symplectic_4d(j)
-    # every one-entry change of a lift gets the verdict of the full product
-    verdicts = Counter()
-    for axis in ("x1", "x2"):
-        for a in range(4):
-            for b in range(4):
-                j = [list(row) for row in jacobian_4d(axis, sqrt(2))]
-                j[a][b] = j[a][b] + 1
-                verdicts[is_symplectic_4d(j)] += 1
-                assert is_symplectic_4d(j) == dense_is_symplectic(j)
-    assert verdicts[True] and verdicts[False]
-
-
 def test_shear_reflections():
     f = ramp()
     shear = Shear("x1", f)
@@ -306,7 +252,6 @@ def test_random_shears_preserve_area_and_symplecticity(b0, slope, axis):
     reg = Region([rectangle(-2, 2, -2, 2)])
     shear = Shear(axis, f)
     assert image_under(shear, reg).area() == reg.area()
-    assert induced_4d_check(shear).ok
 
 
 # -- the full-slab loop as an oracle for the slab-range split ----------------
@@ -317,12 +262,29 @@ def slab_bounds(f: PLFunction, i: int):
     return (bps[i - 1] if i > 0 else None), (bps[i] if i < len(bps) else None)
 
 
+def clip_to_slab(shear, poly, lo, hi):
+    """Clip to lo <= slab coordinate <= hi by general half-plane clips; a
+    bound of None is not clipped."""
+    out = poly
+    if shear.axis == "x1":  # slab in the x2 coordinate
+        if lo is not None:
+            out = clip_halfplane(out, pt(0, lo), pt(1, lo))
+        if out is not None and hi is not None:
+            out = clip_halfplane(out, pt(1, hi), pt(0, hi))
+    else:
+        if lo is not None:
+            out = clip_halfplane(out, pt(lo, 1), pt(lo, 0))
+        if out is not None and hi is not None:
+            out = clip_halfplane(out, pt(hi, 0), pt(hi, 1))
+    return out
+
+
 def full_slab_parts(shear, piece, moving_only=False):
     """Clip the piece against every slab in turn, as the shear layer once did."""
     for i in range(shear.f.num_slabs):
         if moving_only and shear.f.slab_is_identity(i):
             continue
-        part = shear._clip_to_slab(piece, *slab_bounds(shear.f, i))
+        part = clip_to_slab(shear, piece, *slab_bounds(shear.f, i))
         if part is not None:
             yield i, part
 
@@ -418,20 +380,21 @@ def test_slab_range_split_matches_full_slab_loop(case):
 
 def test_piece_touching_a_breakpoint_is_not_clipped(monkeypatch):
     # the box of each piece ends exactly on a breakpoint: only the slab on
-    # the inside of that end is met, and the piece is taken without a clip
+    # the inside of that end is met, and the piece is taken without a cut
     shear = Shear("x1", ramp())
     third = Fraction(1, 3)
     below, inside = rectangle(0, 1, -1, -third), rectangle(0, 1, -third, third)
-    clips = []
-    counting = lambda *args: clips.append(args) or clip_halfplane(*args)
-    monkeypatch.setattr(shears_module, "clip_halfplane", counting)
+    cuts = []
+    original = Shear._cut
+    counting = lambda self, poly, bound: cuts.append(bound) or original(self, poly, bound)
+    monkeypatch.setattr(Shear, "_cut", counting)
     assert [(i, part) for i, part in shear.split(below)] == [(0, below)]
     assert [(i, part) for i, part in shear.split(inside)] == [(1, inside)]
     assert shear.f.slab_is_identity(1)  # so the piece inside is not moved
-    assert clips == []
+    assert cuts == []
     across = rectangle(0, 1, -1, 1)
     assert [i for i, _ in shear.split(across)] == [0, 1, 2]
-    assert len(clips) == 4  # one cut per side of each inner breakpoint
+    assert cuts == shear.f.breakpoints  # one cut per inner breakpoint, bottom up
     for piece in (below, inside, across):
         assert list(shear.split(piece)) == list(full_slab_parts(shear, piece))
 
