@@ -3,7 +3,9 @@
 Exit codes: 0 = success / verified, 1 = verification failed (a report is
 still printed), 2 = malformed input.  Exact scalars are serialized as
 [radicand, numerator, denominator] triples; decimals appear only in
-human-readable report fields, with 30 digits.
+human-readable report fields, with 30 digits.  Every JSON report is
+written by `_json_text`: two-space indent, one value per line, ASCII only,
+the same bytes as `json.dumps(report, indent=2)`, plus a final newline.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .surd import SurdScalar, rat
 from .geom import GeometryError, Region, pt, region_points
@@ -79,8 +82,75 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+_INT_REPR = int.__repr__
+_INT_ONLY = frozenset({int})
+
+
+def _json_text(data) -> str:
+    """The bytes of `json.dumps(data, indent=2)`, in one pass.
+
+    With an indent, json encodes in pure Python; this writer appends the
+    pieces to one list and joins it once.  It takes dicts with str keys,
+    lists, tuples, str, int, finite float, bool and None, and raises
+    TypeError on any other type or key, as json does; a NaN or infinite
+    float raises ValueError, as json does with allow_nan=False.
+    """
+    parts: list[str] = []
+    _encode(data, "\n", parts)
+    return "".join(parts)
+
+
+def _encode(value, newline: str, parts: list[str]) -> None:
+    """Append value's JSON to parts; newline starts each line at value's depth."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        if set(map(type, value)) <= _INT_ONLY:  # the [radicand, num, den] triples
+            parts += "[", inner, comma.join(map(_INT_REPR, value)), newline, "]"
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            sep = comma
+            _encode(item, inner, parts)
+        parts += newline, "]"
+    elif kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(_INT_REPR(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += sep, encode_basestring_ascii(key), ": "
+            sep = comma
+            _encode(item, inner, parts)
+        parts += newline, "}"
+    elif value is None:
+        parts.append("null")
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif kind is float:
+        text = repr(value)
+        if text in ("nan", "inf", "-inf"):  # json would write NaN or Infinity: not JSON
+            raise ValueError(f"out of range float values are not JSON compliant: {text}")
+        parts.append(text)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _dump(data, path: str | None):
-    _write(json.dumps(data, indent=2) + "\n", path)
+    _write(_json_text(data) + "\n", path)
 
 
 def _lattice_from_args(args) -> Lattice2:
@@ -177,10 +247,19 @@ def _matrix_from_json(data):
                                   else SurdScalar.from_triples(x) for x in upper])
 
 
+def _load_matrix(path: str, kind: type, fault: str):
+    """Read the matrix file at path; a matrix not of the given kind is malformed input."""
+    def parse(data):
+        matrix = _matrix_from_json(data)
+        if not isinstance(matrix, kind):
+            raise InputError(fault)
+        return matrix
+    return _load_json(path, parse)
+
+
 def cmd_type(args) -> int:
-    matrix = _load_json(args.matrix, _matrix_from_json)
-    if not isinstance(matrix, AlternatingIntMatrix):
-        raise InputError("polarization type needs an integer matrix")
+    matrix = _load_matrix(args.matrix, AlternatingIntMatrix,
+                          "polarization type needs an integer matrix")
     divisors, base_change = polarization_type(matrix)
     _dump({"type": list(divisors), "base_change": base_change}, args.out)
     return 0
@@ -189,9 +268,8 @@ def cmd_type(args) -> int:
 def cmd_period_lattice(args) -> int:
     if args.bound < 1:  # the box [-bound, bound]^4 would hold no nonzero vector
         raise InputError(f"--bound must be at least 1, got {args.bound}")
-    matrix = _load_json(args.matrix, _matrix_from_json)
-    if not isinstance(matrix, AlternatingSurdMatrix):
-        raise InputError("period-lattice needs a surd-valued 4x4 matrix")
+    matrix = _load_matrix(args.matrix, AlternatingSurdMatrix,
+                          "period-lattice needs a surd-valued 4x4 matrix")
     result = normalize_basis(matrix)
     solution = build_period_lattice(result)
     certificate = verify_no_curves(solution, bound=args.bound)

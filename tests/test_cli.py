@@ -8,11 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_latforms import snf_paired_divisors
 
 import torusfill
-from torusfill.cli import main, render_svg
+from torusfill.cli import _json_text, main, render_svg
 from torusfill.fillings import example_T2k2
 from torusfill.geom import Region
 from torusfill.latforms import _det_int
@@ -290,7 +292,12 @@ def test_object_point_or_polygon_error_names_it(tmp_path, capsys, data, message)
     ("type", {"n": 0, "upper": []}, "'n' must be a positive integer, got 0"),
     ("type", {"n": 2, "upper": [1, 2, 3]}, "n=2 needs 6 upper entries, got 3"),
     ("type", {"n": 2, "upper": [1, 0, 0, 0, 0, 0]}, "matrix is degenerate"),
-], ids=["list", "object-upper", "six-key-upper", "n-zero", "short-upper", "degenerate"])
+    ("type", {"n": 2, "upper": [[[1, 1, 1]], 0, 0, 0, 0, [[2, 1, 1]]]},
+     "polarization type needs an integer matrix"),
+    ("period-lattice", {"n": 2, "upper": [1, 0, 0, 0, 0, 1]},
+     "period-lattice needs a surd-valued 4x4 matrix"),
+], ids=["list", "object-upper", "six-key-upper", "n-zero", "short-upper", "degenerate",
+        "surd-for-type", "integer-for-period-lattice"])
 def test_matrix_error_names_the_file(tmp_path, capsys, command, data, message):
     matrix_file = tmp_path / "matrix.json"
     matrix_file.write_text(json.dumps(data))
@@ -600,6 +607,81 @@ def test_verify_matches_golden_bytes(tmp_path, capsys, case):
     assert set(report.pop("timings")) == {"seconds"}
     assert code == case["exit"]
     assert json.dumps(report, indent=2) == case["report"]
+
+
+# JSON values as the writer meets them, and the corners it must get right:
+# quotes, backslashes, control characters, non-ASCII and lone surrogates in
+# strings; huge ints; -0.0 and 1e16; bools inside int lists; tuples; empty
+# and nested-empty containers.
+JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+                                 st.characters()))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40), JSON_STRINGS,
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 1e16, 1e-7]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(JSON_STRINGS, children, max_size=4),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=4),
+), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example([[], {}, [[]], {"": {}}, ((),)])
+@example({"k": [1, True, 2], "b": [False], "t": (1, 2), "f": [-0.0, 1e16]})
+@example([[1, -(2**200), 10**30]])
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), SurdScalar.from_terms([(2, Fraction(1))]), {1, 2}, [[1, 2], {3}],
+], ids=["fraction", "surd", "set", "nested-set"])
+def test_json_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _json_text({"value": value})
+
+
+def test_json_writer_refuses_a_non_str_key():
+    # json.dumps would write the key 1 as "1"; no report has such a key
+    with pytest.raises(TypeError, match="keys must be str"):
+        _json_text({"a": {1: 2}})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _json_text([value])
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "example1", "--k", "3"],
+    ["construct", "example1", "--k", "3", "--cert-out", "{cert}", "--out", "{region}"],
+    ["verify", "{square}", "--lattice", "1", "1"],
+    ["type", "{int_matrix}"],
+    ["period-lattice", "{surd_matrix}", "--bound", "5"],
+    ["seshadri", "--dmax", "12", "--format", "json"],
+    ["pell", "46"],
+], ids=["construct", "construct-out", "verify", "type", "period-lattice", "seshadri", "pell"])
+def test_cli_writes_the_bytes_of_indented_json_dumps(tmp_path, capsys, argv):
+    # the CLI's own bytes, timings float included, with json.dumps as the oracle
+    files = {"cert": tmp_path / "cert.json", "region": tmp_path / "region.json",
+             "square": tmp_path / "square.json", "int_matrix": tmp_path / "int.json",
+             "surd_matrix": tmp_path / "surd.json"}
+    files["square"].write_text(json.dumps(SQUARE))
+    files["int_matrix"].write_text(json.dumps({"n": 2, "upper": [2, 0, 0, 0, 0, 3]}))
+    files["surd_matrix"].write_text(json.dumps({"n": 2, "upper": [
+        [[1, 0, 1]], [[1, 1, 1]], [[2, 1, 1]], [[1, -1, 1]], [[1, -1, 1]], [[1, 0, 1]]]}))
+    code, out, _ = run_cli([a.format(**files) for a in argv], capsys)
+    assert code == 0
+    texts = [out] if out else [files["cert"].read_text(), files["region"].read_text()]
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_svg_deterministic(tmp_path, capsys):
