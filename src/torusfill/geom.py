@@ -66,7 +66,7 @@ def _turn(d: Point2, e: Point2) -> int:
     """Sign of d x e (+1 when e turns left from d), for coordinates that are
     SurdScalars or ints."""
     t = d.cross(e)
-    return 1 if t > 0 else -1 if t < 0 else 0
+    return t.sign() if type(t) is SurdScalar else (t > 0) - (t < 0)
 
 
 class ConvexPolygon:

@@ -156,7 +156,7 @@ class Shear:
         vs = poly.vertices
         x1_shear = self.axis == "x1"
         coords = [v.x2 if x1_shear else v.x1 for v in vs]
-        sides = [(c - bound).sign() for c in coords]
+        sides = [c.compare(bound) for c in coords]
         below: list[Point2] = []
         above: list[Point2] = []
         for i in range(-1, len(vs) - 1):  # the edge vs[i] -> vs[i + 1]
@@ -177,14 +177,20 @@ class Shear:
     def split(self, poly: ConvexPolygon):
         """(slab, part) for every slab the open polygon meets, in slab order.
 
-        The least and greatest slab coordinate of the polygon's vertices are
-        bisected into the breakpoints, which gives the slabs it meets.  The
-        polygon is cut bottom up, once at each breakpoint strictly between
-        those two values, each cut splitting off one part from what is left;
-        a polygon inside one slab is its own part.
+        The least and greatest slab coordinate of the polygon's vertices,
+        taken in one pass, are bisected into the breakpoints, which gives the
+        slabs it meets.  The polygon is cut bottom up, once at each
+        breakpoint strictly between those two values, each cut splitting off
+        one part from what is left; a polygon inside one slab is its own
+        part.
         """
         coords = [v.x2 if self.axis == "x1" else v.x1 for v in poly.vertices]
-        lo, hi = min(coords), max(coords)
+        lo = hi = coords[0]
+        for c in coords[1:]:
+            if c < lo:
+                lo = c
+            elif c > hi:
+                hi = c
         bps = self.f.breakpoints
         first, last = bisect_right(bps, lo), bisect_right(bps, hi)
         if last and hi == bps[last - 1]:

@@ -11,9 +11,21 @@ denominator, with no factor common to the denominator and all numerators.
 +, - and * work on integers and divide each result by one gcd.  A sum or
 difference with a zero operand is the other operand (negated for 0 - y),
 and two nonzero rationals skip the per-radicand merge: one cross product
-(or product) over d1*d2, reduced by one gcd.  sign, floor
-and approx bound value * denominator * 2**prec between two integers built
-from isqrt(n_i * 4**prec), doubling prec until the bounds decide.
+(or product) over d1*d2, reduced by one gcd.  An int operand needs no gcd
+for + and -, and one for *; two values a + b sqrt(r) and c + e sqrt(r)
+multiply in closed form.
+
+Order, sign and floor are decided on integer numerators.  A comparison
+reads the sign of the numerators of self - other over the product of the
+two denominators, with no scalar built for the difference.  One and two
+terms are decided in closed form: a sqrt(r1) + b sqrt(r2) with a, b of
+opposite signs has the sign of a times that of a^2 r1 - b^2 r2, which is
+never 0, and floor((a + b sqrt(r)) / d) follows from isqrt(b^2 r), since
+b sqrt(r) lies strictly between consecutive integers (two irrational terms
+add one closed-form sign of a three-term value).  Three or more terms
+refine: value * denominator * 2**prec is bounded between two integers built
+from isqrt(n_i * 4**prec), doubling prec until the bounds decide; `approx`
+refines at any length.
 `Fraction` appears only where a value enters or leaves: `terms`,
 `as_fraction`, `from_terms`, `approx` and the hash of a rational; the
 triples are read and written on integers, and `clear_denominators` hands
@@ -111,6 +123,116 @@ def _reduced(num: dict[int, int], den: int) -> SurdScalar:
     return _make(num, den)
 
 
+def _sign2(a: int, r1: int, b: int, r2: int) -> int:
+    """Sign of a sqrt(r1) + b sqrt(r2) for distinct squarefree r1, r2 >= 1.
+    With a and b of opposite signs it is the sign of a times that of
+    a^2 r1 - b^2 r2, which is never 0: sqrt(r1 / r2) is irrational."""
+    if a > 0 > b or b > 0 > a:
+        return 1 if (a * a * r1 > b * b * r2) == (a > 0) else -1
+    return (a + b > 0) - (a + b < 0)
+
+
+def _sign(num: dict[int, int]) -> int:
+    """Sign of the sum of n sqrt(r) over the items of num (nonzero
+    numerators, distinct squarefree radicands): closed form up to two
+    terms, refinement beyond."""
+    if len(num) == 2:
+        (r1, a), (r2, b) = num.items()
+        return _sign2(a, r1, b, r2)
+    if len(num) == 1:
+        (n,) = num.values()
+        return 1 if n > 0 else -1
+    if not num:
+        return 0
+    return _refine(num, 1, 16, lambda lo, hi, _: 1 if lo > 0 else -1 if hi < 0 else None)
+
+
+def _difference_sign(x: dict[int, int], d1: int, y: dict[int, int], d2: int) -> int:
+    """Sign of x/d1 - y/d2 for numerators x, y over positive denominators:
+    that of the numerators x d2 - y d1, two ints when both are rational."""
+    a, b = x.get(1, 0), y.get(1, 0)
+    if len(x) == (a != 0) and len(y) == (b != 0):
+        n = a * d2 - b * d1
+        return (n > 0) - (n < 0)
+    acc = {r: n * d2 for r, n in x.items()} if d2 != 1 else dict(x)
+    for r, n in y.items():
+        v = acc.get(r, 0) - n * d1
+        if v:
+            acc[r] = v
+        else:
+            del acc[r]
+    return _sign(acc)
+
+
+def _root_floor(b: int, r: int) -> int:
+    """floor(b sqrt(r)) for b != 0 and squarefree r > 1: b^2 r is not a
+    square, so b sqrt(r) lies strictly between two consecutive integers."""
+    m = isqrt(b * b * r)
+    return m if b > 0 else -m - 1
+
+
+def _floor(num: dict[int, int], den: int) -> int:
+    """floor of the sum of n sqrt(r) over the items of num, divided by den.
+
+    Up to two terms the numerator sum s is the integer n or lies strictly
+    between n and n + 1, with n the rational part plus the floor of each
+    root term; either way the floor is n // den.  Two irrational terms
+    a sqrt(r1) + b sqrt(r2) lie strictly between m and m + 2 for m the sum
+    of their floors, and the sign of s - (m + 1) decides which half: it is
+    the sign of s, times that of s^2 - (m+1)^2 (a rational plus
+    2ab sqrt(r1 r2)) when s and m + 1 share a sign.  Three or more terms
+    refine."""
+    if len(num) > 2:
+        return _refine(num, den, 32, lambda lo, hi, scale: lo // scale
+                       if lo // scale == hi // scale else None)
+    n, roots = 0, []
+    for r, k in num.items():
+        if r == 1:
+            n += k
+        else:
+            n += _root_floor(k, r)
+            roots.append((r, k))
+    if len(roots) == 2:
+        (r1, a), (r2, b) = roots
+        s, c = _sign2(a, r1, b, r2), n + 1
+        if s == (c > 0) - (c < 0):
+            g = gcd(r1, r2)
+            s *= _sign2(a * a * r1 + b * b * r2 - c * c, 1, 2 * a * b * g, (r1 // g) * (r2 // g))
+        n += s > 0
+    return n // den
+
+
+def _refine(num: dict[int, int], den: int, prec: int, decide):
+    """decide(lo, hi, den * 2**prec) on the enclosures of num at prec,
+    2 prec, 4 prec, ... until it returns something other than None."""
+    while True:
+        lo, hi = _enclosure(num, prec)
+        out = decide(lo, hi, den << prec)
+        if out is not None:
+            return out
+        prec *= 2
+
+
+def _enclosure(num: dict[int, int], prec: int) -> tuple[int, int]:
+    """Integers lo <= (sum of n sqrt(r) over num) * 2**prec <= hi, from the
+    integer square roots isqrt(r * 4**prec) <= sqrt(r) * 2**prec <
+    isqrt(...) + 1."""
+    lo = hi = 0
+    for rad, n in num.items():
+        if rad == 1:
+            lo += n << prec
+            hi += n << prec
+            continue
+        s = isqrt(rad << (2 * prec))
+        if n > 0:
+            lo += n * s
+            hi += n * (s + 1)
+        else:
+            lo += n * (s + 1)
+            hi += n * s
+    return lo, hi
+
+
 class SurdScalar:
     """Immutable exact scalar: a rational combination of square roots."""
 
@@ -175,21 +297,51 @@ class SurdScalar:
             d = self._den * other._den
             g = gcd(n, d)
             return _make({1: n // g}, d // g)
-        g = gcd(self._den, other._den)
-        a, b = other._den // g, self._den // g
-        acc = {r: n * a for r, n in x.items()}
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            a = b = 1
+            acc = dict(x)
+        else:
+            g = gcd(d1, d2)
+            a, b = d2 // g, d1 // g
+            acc = {r: n * a for r, n in x.items()}
         for rad, n in y.items():
             s = op(acc.get(rad, 0), n * b)
             if s:
                 acc[rad] = s
             else:
                 acc.pop(rad, None)
-        return _reduced(acc, self._den * a)
+        return _reduced(acc, d1 * a)
+
+    def _plus_int(self, k: int) -> SurdScalar:
+        """self + k: the rational numerator moves by k * den, which leaves
+        den coprime to the numerators, so no gcd is taken."""
+        if not k:
+            return self
+        num = dict(self._num)
+        n = num.get(1, 0) + k * self._den
+        if n:
+            num[1] = n
+        else:
+            del num[1]
+        return _make(num, self._den)
+
+    def _times_int(self, k: int) -> SurdScalar:
+        """self * k, reduced by gcd(den, k) alone: den is coprime to the
+        numerators."""
+        if not k or not self._num:
+            return _make({}, 1)
+        g = gcd(self._den, k)
+        k //= g
+        return _make({r: n * k for r, n in self._num.items()}, self._den // g)
 
     def __add__(self, other) -> SurdScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not SurdScalar:
+            if type(other) is int:
+                return self._plus_int(other)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._merge(other, add)
 
     __radd__ = __add__
@@ -198,28 +350,44 @@ class SurdScalar:
         return _make({r: -n for r, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> SurdScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not SurdScalar:
+            if type(other) is int:
+                return self._plus_int(-other)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._merge(other, sub)
 
     def __rsub__(self, other) -> SurdScalar:
+        if type(other) is int:
+            return (-self)._plus_int(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other._merge(self, sub)
 
     def __mul__(self, other) -> SurdScalar:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not SurdScalar:
+            if type(other) is int:
+                return self._times_int(other)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         x, y = self._num, other._num
         if not x or not y:
             return _make({}, 1)
-        if 1 in x and 1 in y and len(x) + len(y) == 2:
-            n, d = x[1] * y[1], self._den * other._den
-            g = gcd(n, d)
-            return _make({1: n // g}, d // g)
+        if 1 in x and 1 in y:
+            if len(x) + len(y) == 2:
+                n, d = x[1] * y[1], self._den * other._den
+                g = gcd(n, d)
+                return _make({1: n // g}, d // g)
+            if len(x) == 2 == len(y) and x.keys() == y.keys():
+                # (a + b sqrt(r)) (c + e sqrt(r)) = (ac + be r) + (ae + bc) sqrt(r)
+                r = max(x)
+                a, b, c, e = x[1], x[r], y[1], y[r]
+                p, q = a * c + b * e * r, a * e + b * c  # not both 0
+                acc = {1: p, r: q} if p and q else {1: p} if p else {r: q}
+                return _reduced(acc, self._den * other._den)
         # a rational factor, put second, scales the other's numerators and
         # leaves its radicands unchanged
         if self.is_rational():
@@ -299,64 +467,40 @@ class SurdScalar:
     # -- ordering and sign ---------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        Zero is decided by the canonical form; otherwise refine an interval
-        enclosure, doubling the precision until it excludes zero (guaranteed
-        to terminate since a nonzero canonical scalar is a nonzero real).
-        """
-        if not self._num:
-            return 0
-        if len(self._num) == 1:
-            ((rad, n),) = self._num.items()
-            return 1 if n > 0 else -1
-        return self._refine(16, lambda lo, hi, _: 1 if lo > 0 else -1 if hi < 0 else None)
-
-    def _refine(self, prec: int, decide):
-        """decide(lo, hi, den * 2**prec) on the enclosures at prec, 2 prec,
-        4 prec, ... until it returns something other than None."""
-        while True:
-            lo, hi = self._enclosure(prec)
-            out = decide(lo, hi, self._den << prec)
-            if out is not None:
-                return out
-            prec *= 2
-
-    def _enclosure(self, prec: int) -> tuple[int, int]:
-        """Integers lo <= self * den * 2**prec <= hi, from the integer square
-        roots isqrt(r * 4**prec) <= sqrt(r) * 2**prec < isqrt(...) + 1."""
-        lo = hi = 0
-        for rad, n in self._num.items():
-            if rad == 1:
-                lo += n << prec
-                hi += n << prec
-                continue
-            s = isqrt(rad << (2 * prec))
-            if n > 0:
-                lo += n * s
-                hi += n * (s + 1)
-            else:
-                lo += n * (s + 1)
-                hi += n * s
-        return lo, hi
+        """Exact sign in {-1, 0, +1}: zero is decided by the canonical form,
+        up to two terms in closed form, and beyond by refining an interval
+        enclosure until it excludes zero (see `_sign`)."""
+        return _sign(self._num)
 
     def approx(self, digits: int = 30) -> Fraction:
         """A rational within 10**-digits of the true value."""
-        return self._refine(32, lambda lo, hi, scale: Fraction(lo + hi, 2 * scale)
-                            if (hi - lo) * 10 ** digits < scale else None)
+        return _refine(self._num, self._den, 32, lambda lo, hi, scale:
+                       Fraction(lo + hi, 2 * scale) if (hi - lo) * 10 ** digits < scale else None)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not SurdScalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._den == other._den and self._num == other._num
 
+    def compare(self, other) -> int:
+        """Sign of self - other in {-1, 0, +1} for a SurdScalar, an int or a
+        Fraction other, read from the integer numerators of the difference
+        (see `_difference_sign`); no scalar is built for it."""
+        if type(other) is SurdScalar:
+            return _difference_sign(self._num, self._den, other._num, other._den)
+        if type(other) is int:
+            return _difference_sign(self._num, self._den, {1: other} if other else {}, 1)
+        return self.compare(scalar(other))
+
     def _compare(self, other, test):
-        """test(sign of self - other, 0) for test in (lt, le, gt, ge)."""
-        other = _coerce(other)
-        if other is NotImplemented:
+        """test(self.compare(other), 0) for test in (lt, le, gt, ge)."""
+        if type(other) is SurdScalar:
+            return test(_difference_sign(self._num, self._den, other._num, other._den), 0)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return test(self._merge(other, sub).sign(), 0)
+        return test(self.compare(other), 0)
 
     def __lt__(self, other):
         return self._compare(other, lt)
@@ -384,11 +528,8 @@ class SurdScalar:
         return self._hash
 
     def floor(self) -> int:
-        """Exact integer floor."""
-        if self.is_rational():
-            return self._num.get(1, 0) // self._den
-        return self._refine(32, lambda lo, hi, scale: lo // scale
-                            if lo // scale == hi // scale else None)
+        """Exact integer floor, in closed form up to two terms (see `_floor`)."""
+        return _floor(self._num, self._den)
 
     def ceil(self) -> int:
         return -((-self).floor())

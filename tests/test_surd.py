@@ -23,6 +23,7 @@ from torusfill.surd import (
     rational_rank,
     rational_relations,
     rationally_independent,
+    scalar,
     sqrt,
     squarefree_decompose,
 )
@@ -199,6 +200,98 @@ def test_floor_ceil_of_pell_near_integers(a, b):
     assert (near.floor(), near.ceil()) == (0, 1)
     assert ((-near).floor(), (-near).ceil()) == (-1, 0)
     assert oracle_floor(near) == 0 and oracle_floor(-near) == -1
+
+
+# -- closed-form decisions on one and two terms ---------------------------------
+
+# near-cancelling values of at most two terms: 2*11^2 - 3*9^2 = 2*109^2 - 3*89^2
+# = -1, Pell pairs a^2 - 2 b^2 = 1, and sums of two roots within 3e-4 of a
+# nonzero integer (35 sqrt2 - 28 sqrt3 = 1 + 5.2e-5, 56 sqrt2 - 3 sqrt3 =
+# 74 - 1.9e-4, 21 sqrt2 + 25 sqrt3 = 73 - 2.5e-4, 37 sqrt2 + 46 sqrt3 = 132 +
+# 2.4e-4)
+NEAR_CANCELLING = [
+    11 * sqrt(2) - 9 * sqrt(3),
+    (-109 * sqrt(2) + 89 * sqrt(3)) / 5,
+    35 * sqrt(2) - 28 * sqrt(3),
+    (28 * sqrt(3) - 35 * sqrt(2)) / 2,
+    56 * sqrt(2) - 3 * sqrt(3),
+    (56 * sqrt(2) - 3 * sqrt(3)) / 37,
+    (-21 * sqrt(2) - 25 * sqrt(3)) / 73,
+    37 * sqrt(2) + 46 * sqrt(3),
+    (577 - 408 * sqrt(2)) / 3,
+    (470832 * sqrt(2) - 665857) / 7,
+    -sqrt(5) / 9,
+    rat(Fraction(-7, 3)),
+]
+
+# (x, y) whose difference has two terms, near cancelling; y may be an
+# int or a Fraction
+TWO_TERM_PAIRS = [
+    (11 * sqrt(2), 9 * sqrt(3)),
+    ((1 + 11 * sqrt(2)) / 7, (1 + 9 * sqrt(3)) / 7),
+    (-109 * sqrt(2) / 5, -89 * sqrt(3) / 5),
+    (70 * sqrt(2), 99),
+    (-470832 * sqrt(2), -665857),
+    (rat(Fraction(577, 3)), 408 * sqrt(2) / 3),
+    (470832 * sqrt(2) / 7, Fraction(665857, 7)),
+    (-408 * sqrt(2), -577),
+]
+
+# three terms on each side, two in the difference (the first and the last
+# over unequal denominators)
+THREE_TERM_PAIRS = [
+    (Fraction(1, 2) + 11 * sqrt(2) / 6 + sqrt(5), Fraction(1, 2) + 3 * sqrt(3) / 2 + sqrt(5)),
+    ((3 - 109 * sqrt(2)) / 5 + sqrt(6) / 2, Fraction(3, 5) - 89 * sqrt(3) / 5 + sqrt(6) / 2),
+    (577 + sqrt(3) + sqrt(5), 408 * sqrt(2) + sqrt(3) + sqrt(5)),
+    (1 - 35 * sqrt(2) / 4 + 4 * sqrt(7) / 3, 1 - 7 * sqrt(3) + 4 * sqrt(7) / 3),
+]
+
+
+def oracle_order(x, y):
+    """Sign of x - y from the 80-digit decimal evaluations."""
+    diff = decimal_value(scalar(x), digits=80) - decimal_value(scalar(y), digits=80)
+    assert abs(diff) > Decimal("1e-60")
+    return 1 if diff > 0 else -1
+
+
+@pytest.mark.parametrize("v", NEAR_CANCELLING, ids=str)
+def test_two_term_sign_floor_ceil_match_decimal_oracle(v):
+    assert len(v.radicands) <= 2
+    oracle = decimal_value(v, digits=80)
+    assert v.sign() == (1 if oracle > 0 else -1) == -(-v).sign()
+    assert (v.floor(), v.ceil()) == (oracle_floor(v), -oracle_floor(-v))
+    assert ((-v).floor(), (-v).ceil()) == (-v.ceil(), -v.floor())
+
+
+@pytest.mark.parametrize("x, y", TWO_TERM_PAIRS + THREE_TERM_PAIRS, ids=str)
+def test_near_cancelling_comparisons_match_decimal_oracle(x, y):
+    s = oracle_order(x, y)
+    assert len((x - y).radicands) == 2
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (y > x, y >= x, y < x, y <= x) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert x.compare(y) == s == -scalar(y).compare(x) == (x - y).sign()
+
+
+def test_decisions_of_two_terms_never_refine(monkeypatch):
+    # sign, order, floor and ceil of at most two terms are closed-form; the
+    # enclosure of a value is only taken from three terms on
+    seen = []
+    enclosure = surd_module._enclosure
+
+    def counted(num, prec):
+        seen.append(dict(num))
+        return enclosure(num, prec)
+
+    monkeypatch.setattr(surd_module, "_enclosure", counted)
+    assert all(len(x.radicands) == len(y.radicands) == 3 for x, y in THREE_TERM_PAIRS)
+    for v in NEAR_CANCELLING:
+        v.sign(), v.floor(), v.ceil(), abs(v)
+    for x, y in TWO_TERM_PAIRS + THREE_TERM_PAIRS:
+        x < y, x <= y, x > y, x >= y, x.compare(y), y < x, y >= x
+    assert seen == []
+    three = sqrt(2) + sqrt(3) - sqrt(5)
+    assert three.sign() == 1 and three.floor() == 0 and three > 0
+    assert len(seen) == 3
 
 
 def test_decimal_rendering():
@@ -593,6 +686,27 @@ def test_operators_match_termwise_oracle(a, b, swap):
             a.inverse()
     else:
         assert oracle_mul(a.inverse().terms, a.terms) == {1: 1}
+
+
+COEFFS = st.integers(min_value=-10**12, max_value=10**12)
+
+
+@given(st.sampled_from(SQUAREFREE[1:]), COEFFS, COEFFS, COEFFS, COEFFS,
+       st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6),
+       COEFFS)
+@settings(max_examples=150, deadline=None)
+def test_quadratic_field_ops_match_general_paths(r, a, b, c, e, d1, d2, k):
+    # (a + b sqrt r)(c + e sqrt r) in closed form, and +, - and * with an int,
+    # store what the term-wise product and the general merge store
+    x = SurdScalar.from_terms([(1, Fraction(a, d1)), (r, Fraction(b, d1))])
+    y = SurdScalar.from_terms([(1, Fraction(c, d2)), (r, Fraction(e, d2))])
+    assert stored(x * y) == stored(termwise_product(x, y))
+    assert stored(x * k) == stored(k * x) == stored(termwise_product(x, rat(k)))
+    assert stored(x + k) == stored(k + x) == stored(general_merge(x, rat(k), operator.add))
+    assert stored(x - k) == stored(general_merge(x, rat(k), operator.sub))
+    assert stored(k - x) == stored(general_merge(rat(k), x, operator.sub))
+    assert x.floor() == oracle_floor(x) and x.compare(k) == oracle_sign(
+        oracle_merge(x.terms, {1: Fraction(k)} if k else {}, -1))
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
