@@ -4,10 +4,11 @@ Convex polygons with surd coordinates, finite unions of interior-disjoint
 convex pieces (regions) and convex clipping.  All predicates
 are decided by exact sign computations; regions follow the open-set
 convention, so degenerate (zero-area) intersections count as empty.
-Whether the pieces of a region overlap, and whether it maps injectively
-modulo a lattice, is decided in `torus` on integer lattice coordinates:
-`_canonical` serves both the plane polygons here and those lattice
-coordinates, and `clip` only measures the overlaps found there.
+Whether the pieces of a region overlap, whether it maps injectively
+modulo a lattice, and how much area each collision has, is decided in
+`torus` on integer lattice coordinates: `_canonical` and `_sign` serve both
+the plane polygons here and those lattice coordinates.  `clip` is the plane
+intersection of two polygons; `torus` does not call it.
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ def pt(x1, x2) -> Point2:
     return Point2(scalar(x1), scalar(x2))
 
 
+def _sign(t) -> int:
+    """Sign of an int or a SurdScalar: int comparisons, or one `sign()`."""
+    return t.sign() if type(t) is SurdScalar else (t > 0) - (t < 0)
+
+
 def _turn(d: Point2, e: Point2) -> int:
     """Sign of d x e (+1 when e turns left from d), for coordinates that are
     SurdScalars or ints."""
-    t = d.cross(e)
-    return t.sign() if type(t) is SurdScalar else (t > 0) - (t < 0)
+    return _sign(d.cross(e))
 
 
 class ConvexPolygon:
@@ -218,9 +223,8 @@ def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon |
 def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
     """Exact intersection of two convex polygons; None when it has zero area.
 
-    One half-plane cut of a per edge of b.  It measures overlaps that are
-    already known (`torus` clips only colliding pieces); a pair that meets
-    in zero area comes out None after its cuts all the same.
+    One half-plane cut of a per edge of b; a pair that meets in zero area
+    comes out None after its cuts all the same.
     """
     result: ConvexPolygon | None = a
     for p, q in b.edges():

@@ -12,7 +12,7 @@ denominator, with no factor common to the denominator and all numerators.
 difference with a zero operand is the other operand (negated for 0 - y),
 and two nonzero rationals skip the per-radicand merge: one cross product
 (or product) over d1*d2, reduced by one gcd.  An int operand needs no gcd
-for + and -, and one for *; two values a + b sqrt(r) and c + e sqrt(r)
+for + and -, and one for * and /; two values a + b sqrt(r) and c + e sqrt(r)
 multiply in closed form.
 
 Order, sign and floor are decided on integer numerators.  A comparison
@@ -335,6 +335,18 @@ class SurdScalar:
         k //= g
         return _make({r: n * k for r, n in self._num.items()}, self._den // g)
 
+    def _over_int(self, k: int) -> SurdScalar:
+        """self / k: the numerators over den * |k|, reduced by gcd(k, numerators)
+        alone, since den is coprime to the numerators."""
+        if not k:
+            raise SurdError("division by zero scalar")
+        if not self._num:
+            return self
+        g = gcd(k, *self._num.values())
+        if k < 0:
+            g = -g
+        return _make({r: n // g for r, n in self._num.items()}, self._den * (k // g))
+
     def __add__(self, other) -> SurdScalar:
         if type(other) is not SurdScalar:
             if type(other) is int:
@@ -453,6 +465,8 @@ class SurdScalar:
         return num * den._reciprocal()
 
     def __truediv__(self, other) -> SurdScalar:
+        if type(other) is int:
+            return self._over_int(other)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -10,9 +10,11 @@ overlap; there the pieces are canonicalised, checked pairwise for overlap,
 and checked against their lattice translates for injectivity.  Two convex
 pieces overlap in positive area unless an edge line of one separates them,
 and each piece's vertices are projected onto the other's edge normals once
-per pair, so a shift costs integer additions and comparisons.  `clip` runs
-only on the colliding (pair, shift) triples, to measure their overlap.
-Shared edges are allowed, per the open-set convention.
+per pair, so a shift costs integer additions and comparisons.  A colliding
+(pair, shift) is measured there too (`_overlap`): one piece is cut by the
+other's shifted edge lines in homogeneous points, with no division, and
+one shoelace gives the area.  Shared edges are allowed, per the open-set
+convention.
 
 `LatticeRegion.verdict` is the one verdict on a region: it validates the
 pieces, then returns a `RegionVerdict` of the collisions, the area and the
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .surd import SurdScalar, clear_denominators, rat, scalar
-from .geom import ConvexPolygon, GeometryError, Point2, _canonical, _raw, clip, pt
+from .geom import GeometryError, Point2, _canonical, _sign, pt
 
 
 class TorusError(ValueError):
@@ -148,6 +150,50 @@ def _separates(seen: list, lines, a: int, b: int) -> bool:
     return False
 
 
+def _overlap(piece: list[Point2], edges: list, su, sw):
+    """Twice the area of a strictly convex piece cut by the closed left sides
+    of the edge lines (du, dw, c) of `edges`, each shifted by (su, sw), as
+    (n, d) with n, d > 0; None when the cut has no interior.
+
+    Points are homogeneous (X, Y, W) with W > 0, for (X/W, Y/W).  A shift
+    moves c to c + du*sw - dw*su, and a point's side is the sign of
+    du*Y - dw*X - c*W.  The points with side >= 0 are kept, and between
+    sides fp > 0 > fq the crossing is fp*Q - fq*P: its side is 0 and its W
+    is positive, so no cut divides.  A cut of a strictly convex polygon
+    with a point on each side keeps one off the line and adds two
+    crossings, and is strictly convex again, so every cut but one with no
+    point on the side > 0 leaves positive area.  The shoelace sums the
+    cross products over W W' into one fraction.
+    """
+    poly = [(v.x1, v.x2, 1) for v in piece]
+    for du, dw, c in edges:
+        c = c + du * sw - dw * su
+        fs = [du * y - dw * x - c * w for x, y, w in poly]
+        sides = [_sign(f) for f in fs]
+        if min(sides) >= 0:
+            continue
+        if max(sides) <= 0:
+            return None
+        out = []
+        p, fp, sp = poly[-1], fs[-1], sides[-1]
+        for q, fq, sq in zip(poly, fs, sides):
+            if sp >= 0:
+                out.append(p)
+            if sp > 0 > sq:
+                out.append((fp * q[0] - fq * p[0], fp * q[1] - fq * p[1], fp * q[2] - fq * p[2]))
+            elif sq > 0 > sp:
+                out.append((fq * p[0] - fp * q[0], fq * p[1] - fp * q[1], fq * p[2] - fp * q[2]))
+            p, fp, sp = q, fq, sq
+        poly = out
+    n, d = 0, 1
+    x0, y0, w0 = poly[-1]
+    for x1, y1, w1 in poly:
+        w = w0 * w1
+        n, d = n * w + (x0 * y1 - y0 * x1) * d, d * w
+        x0, y0, w0 = x1, y1, w1
+    return n, d
+
+
 class LatticeRegion:
     """A region in the coordinates of a lattice's reduced basis h1, h2.
 
@@ -156,10 +202,12 @@ class LatticeRegion:
     GeometryError with its plane points.  A point x maps to (u, w) with
     x = (u h1 + w h2) / L, so a*h1 + b*h2 is the shift (aL, bL); u and w are
     ints where rational and SurdScalars otherwise, and only the operators
-    the two types share are used on them, with `_floordiv`.
+    the two types share are used on them, with `_floordiv` and `_sign`.
+    Everything, the areas of collisions included, is decided on these
+    coordinates: no plane polygon is built.
     """
 
-    __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges", "_polygons")
+    __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges")
 
     def __init__(self, polygons: list[list[Point2]], lattice: Lattice2):
         h1, h2, self._c1, self._c2 = _reduced(lattice.g1, lattice.g2)
@@ -188,7 +236,6 @@ class LatticeRegion:
                 du, dw = q.x1 - p.x1, q.x2 - p.x2
                 edges.append((du, dw, du * p.x2 - dw * p.x1))
             self._edges.append(edges)
-        self._polygons: dict[int, ConvexPolygon] = {}
 
     def area(self) -> SurdScalar:
         """Plane area: the integer shoelace times covolume / (2 L^2)."""
@@ -231,13 +278,6 @@ class LatticeRegion:
         if bad:
             raise GeometryError("region pieces {} and {} overlap".format(*min(bad)))
 
-    def _polygon(self, i: int) -> ConvexPolygon:
-        """Piece i as a SurdScalar polygon, for `clip`."""
-        if i not in self._polygons:
-            self._polygons[i] = _raw([Point2(scalar(v.x1), scalar(v.x2))
-                                      for v in self.pieces[i]])
-        return self._polygons[i]
-
     def injectivity(self) -> list[tuple[tuple[int, int], SurdScalar]]:
         """The collisions of the region with its lattice translates: empty
         exactly when the region maps injectively to the torus.
@@ -248,11 +288,14 @@ class LatticeRegion:
         ordered pair, and only for pairs that the floors and ceilings of the
         piece boxes over L, taken once per piece, leave a shift.  Shifts by
         v and -v overlap equally, so only a > 0, or a = 0 < b, is tried; a
-        shift that no edge line separates is a collision, clipped to
-        measure its area and reported by its coefficients in the given
-        basis, signed the same way.  Only nonzero shifts are tried, so two
-        pieces that overlap each other unshifted are no collision here:
-        `validate` finds them, and `verdict` runs it first.
+        shift that no edge line separates is a collision.  Piece p is cut
+        by the edge lines of q shifted there (`_overlap`), to measure its
+        area; as no line separates the two, an empty or zero-area cut is an
+        internal error and raises TorusError.  A collision is reported by
+        its coefficients in the given basis, signed the same way.  Only
+        nonzero shifts are tried, so two pieces that overlap each other
+        unshifted are no collision here: `validate` finds them, and
+        `verdict` runs it first.
         """
         L, boxes, c1, c2 = self.scale, self._boxes, self._c1, self._c2
         ints = [(_floordiv(u1, L), -_floordiv(-u2, L), _floordiv(w1, L), -_floordiv(-w2, L))
@@ -272,13 +315,16 @@ class LatticeRegion:
                     for b in range(b_lo if a else max(b_lo, 1), b_hi):
                         if _separates(seen, lines, a, b):
                             continue
-                        c = clip(self._polygon(i), self._polygon(j).translate(pt(a * L, b * L)))
+                        twice = _overlap(self.pieces[i], self._edges[j], a * L, b * L)
+                        if twice is None:
+                            raise TorusError(f"internal error: pieces {i} and {j} at shift "
+                                             f"({a}, {b}) meet in zero area, yet no edge "
+                                             "line separates them")
                         v = (a * c1[0] + b * c2[0], a * c1[1] + b * c2[1])
                         if v < (0, 0):  # a < 0, or a = 0 > b
                             v = (-v[0], -v[1])
-                        overlaps[v] = overlaps.get(v, rat(0)) + c.area()
-        scale = self._det / (L * L)
-        return [(ab, area * scale) for ab, area in sorted(overlaps.items())]
+                        overlaps[v] = overlaps.get(v, 0) + self._det * twice[0] / twice[1]
+        return [(ab, area / (2 * L * L)) for ab, area in sorted(overlaps.items())]
 
     def verdict(self) -> RegionVerdict:
         """Validate the pieces, raising GeometryError that names the first

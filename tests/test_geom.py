@@ -301,19 +301,20 @@ def test_clip_matches_halfplane_oracle(case):
 def test_certifying_a_full_filling_cuts_no_halfplane_in_clip(monkeypatch):
     # the pieces of a valid filling and their lattice translates overlap in
     # zero area, and a separating edge line settles each pair and shift on
-    # lattice coordinates: `clip` is never called, so it cuts nothing
+    # lattice coordinates: no overlap is measured (`torus._overlap` is never
+    # called), and `clip_halfplane` cuts nothing
     clips, cuts = [], []
-    original_clip, original_cut = geom_module.clip, geom_module.clip_halfplane
+    original_clip, original_cut = torus_module._overlap, geom_module.clip_halfplane
 
-    def counted_clip(a, b):
+    def counted_clip(*args):
         clips.append(1)
-        return original_clip(a, b)
+        return original_clip(*args)
 
     def counted_cut(poly, a, b):
         cuts.append(1)
         return original_cut(poly, a, b)
 
-    monkeypatch.setattr(torus_module, "clip", counted_clip)
+    monkeypatch.setattr(torus_module, "_overlap", counted_clip)
     monkeypatch.setattr(geom_module, "clip_halfplane", counted_cut)
     cert = family_filling(10)
     assert cert.valid and len(cert.final.pieces) == 43

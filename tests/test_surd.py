@@ -709,6 +709,37 @@ def test_quadratic_field_ops_match_general_paths(r, a, b, c, e, d1, d2, k):
         oracle_merge(x.terms, {1: Fraction(k)} if k else {}, -1))
 
 
+@given(surds(large=True), st.integers(min_value=-12, max_value=12),
+       st.sampled_from([1, 2**31 - 1, 998244353]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_division_by_an_int_matches_the_product_with_its_reciprocal(x, a, p, share):
+    # the numerators over den * |k| and one gcd store what x * (1/k) stores;
+    # with share set, k and the numerators have the factor p in common
+    k = a * p
+    y = x * p if share else x
+    if k:
+        assert stored(y / k) == stored(y * rat(Fraction(1, k)))
+    else:
+        with pytest.raises(SurdError, match="division by zero scalar"):
+            y / k
+
+
+def test_division_by_an_int_builds_no_rational_and_no_inverse(monkeypatch):
+    x = SurdScalar.from_terms([(1, Fraction(6, 35)), (2, Fraction(-10, 7)), (3, Fraction(4, 5))])
+    want = {k: stored(x * rat(Fraction(1, k))) for k in (1, -1, 2, -6, 15, 2**61 - 1)}
+
+    def refuse(*args):
+        raise AssertionError("an int divisor took the general path")
+
+    monkeypatch.setattr(surd_module, "_coerce", refuse)
+    monkeypatch.setattr(surd_module, "rat", refuse)
+    monkeypatch.setattr(SurdScalar, "inverse", refuse)
+    assert {k: stored(x / k) for k in want} == want
+    assert stored(x * 0 / 7) == ({}, 1)
+    with pytest.raises(SurdError, match="division by zero scalar"):
+        x / 0
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
                                 operator.lt, operator.le, operator.gt, operator.ge])
 @pytest.mark.parametrize("value", [rat(1), 1 + sqrt(2)], ids=["rational", "irrational"])

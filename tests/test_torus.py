@@ -19,7 +19,7 @@ from conftest import (EQUIVALENCE_LATTICES, FAR, PENTAGRAM, SKEW, UNIT, candidat
 from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, family_filling,
                                 theorem1_filling)
 from torusfill.geom import ConvexPolygon, GeometryError, Region, clip, pt, rectangle
-from torusfill.surd import SurdScalar, rat
+from torusfill.surd import SurdScalar, rat, scalar, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
 
@@ -218,17 +218,17 @@ SCATTERED_JIGSAW = Region([
 
 def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
     # six strips of the unit cell scattered over radius 2: every piece pair
-    # tried at every bounding-box candidate would be 36 clips per candidate;
-    # the region tiles, so no pair and shift collides and `clip` never runs
+    # tried at every bounding-box candidate would be 36 overlaps measured per
+    # candidate; the region tiles, so no pair and shift collides and
+    # `_overlap` never runs
     calls = []
-    original = geom_module.clip
+    original = torus_module._overlap
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(1)
-        return original(a, b)
+        return original(*args)
 
-    monkeypatch.setattr(geom_module, "clip", counted)
-    monkeypatch.setattr(torus_module, "clip", counted, raising=False)
+    monkeypatch.setattr(torus_module, "_overlap", counted)
     verdict = lattice_region(SCATTERED_JIGSAW, UNIT).verdict()
     clips = len(calls)
     assert verdict.fundamental_domain
@@ -286,25 +286,26 @@ def colliding_shifts(r: Region, lattice: Lattice2) -> int:
 
 
 def count_injects_clips(r: Region, lattice: Lattice2) -> int:
-    """The number of `clip` calls that `LatticeRegion.injectivity` makes on r."""
+    """The number of overlaps (`torus._overlap` calls) that
+    `LatticeRegion.injectivity` measures on r."""
     calls = []
-    original = torus_module.clip
+    original = torus_module._overlap
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(1)
-        return original(a, b)
+        return original(*args)
 
-    torus_module.clip = counted
+    torus_module._overlap = counted
     try:
         lattice_region(r, lattice).injectivity()
     finally:
-        torus_module.clip = original
+        torus_module._overlap = original
     return len(calls)
 
 
 def test_injects_clips_exactly_the_colliding_shifts():
-    # the full fillings collide nowhere and are never clipped; each doubled
-    # region is clipped once per colliding pair and shift, to measure it
+    # the full fillings collide nowhere and are never measured; each doubled
+    # region is measured once per colliding pair and shift
     cert = family_filling(10)
     for region, lattice in [(cert.final, cert.lattice), (SCATTERED_JIGSAW, UNIT)]:
         assert colliding_shifts(region, lattice) == count_injects_clips(region, lattice) == 0
@@ -322,6 +323,116 @@ def test_injects_clips_exactly_the_colliding_shifts_on_random_regions(pieces, la
     expected = colliding_shifts(reg, lattice)
     event("collides" if expected else "injects")
     assert count_injects_clips(reg, lattice) == expected
+
+
+@st.composite
+def overlap_pairs(draw):
+    """(p, q, shift): convex pieces with int or Q(sqrt 2) coordinates, q
+    equal to p, inside it, across one of its edges, on a line through two
+    of its vertices or anywhere, and a small integer shift of q."""
+    root = sqrt(2) if draw(st.booleans()) else 0
+
+    def point():
+        x, y, s = (draw(st.integers(-3, 3)) for _ in range(3))
+        return pt(x + s * root, y)
+
+    def piece(first=()):
+        vs = list(first)
+        while True:
+            try:
+                return ConvexPolygon(vs + [point() for _ in range(draw(st.integers(3, 5)) - len(vs))])
+            except GeometryError:
+                vs = list(first)
+                if not vs:
+                    return ConvexPolygon([pt(0, 0), pt(2, 0), pt(2 + root, 2), pt(root, 2)])
+
+    p = piece()
+    kind = draw(st.sampled_from(["equal", "inside", "across", "through", "any"]))
+    event(kind)
+    vs = p.vertices
+    if kind == "equal":
+        q = p
+    elif kind == "inside":  # halved towards a vertex
+        c = draw(st.sampled_from(vs))
+        q = ConvexPolygon([c + (v - c).scale(Fraction(1, 2)) for v in vs])
+    elif kind == "across":  # turned half a turn about an edge's midpoint
+        k = draw(st.integers(0, len(vs) - 1))
+        m = vs[k] + vs[k - 1]
+        q = ConvexPolygon([m - v for v in vs])
+    elif kind == "through":
+        k = draw(st.integers(0, len(vs) - 1))
+        q = piece([vs[k], vs[k - 2]])
+    else:
+        q = piece()
+    shift = draw(st.sampled_from([(0, 0), (0, 0), (1, 0), (0, 1), (-1, 1), (2, -1)]))
+    return p, q, shift
+
+
+@given(overlap_pairs())
+@settings(max_examples=300, deadline=None)
+def test_overlap_on_lattice_coordinates_matches_plane_clip(case):
+    # `_overlap` cuts piece p by the edge lines of q shifted by (aL, bL) on
+    # lattice coordinates; `clip` intersects the plane polygons
+    p, q, (a, b) = case
+    core = lattice_region(Region([p, q]), UNIT)
+    L = core.scale
+    got = torus_module._overlap(core.pieces[0], core._edges[1], a * L, b * L)
+    want = clip(p, q.translate(pt(a, b)))
+    event("meets" if want else "apart")
+    if want is None:
+        assert got is None
+    else:
+        n, d = got
+        assert n > 0 and d > 0 and scalar(n) / d / (2 * L * L) == want.area()
+
+
+def half_and_whole_moved_theorem1():
+    """theorem1 at eps = 0 with its first final piece moved by 7/2 g1, half a
+    lattice vector (and far enough that it meets no other piece unshifted),
+    and by 3 g1 + g2, a whole one."""
+    cert = theorem1_filling(0)
+    first, rest = cert.final.pieces[0], cert.final.pieces[1:]
+    g1, g2 = cert.lattice.g1, cert.lattice.g2
+    return (cert.lattice, Region([first.translate(g1.scale(Fraction(7, 2)))] + rest),
+            Region([first.translate(g1.scale(3) + g2)] + rest))
+
+
+def test_theorem1_moved_by_half_a_lattice_vector_collides():
+    lattice, half, whole = half_and_whole_moved_theorem1()
+    collisions = lattice_region(half, lattice).verdict().collisions
+    assert collisions and collisions == candidate_collisions(half, lattice)
+    verdict = lattice_region(whole, lattice).verdict()
+    assert verdict.collisions == [] == candidate_collisions(whole, lattice)
+    assert verdict.fundamental_domain
+
+
+def test_a_separated_pair_that_passes_the_line_test_is_an_internal_error(monkeypatch):
+    # the pieces of the jigsaw tile, so every pair and shift whose boxes
+    # overlap is separated by an edge line; let none be, and the first cut
+    # that comes out empty or of zero area must raise, not count as 0
+    core = lattice_region(SCATTERED_JIGSAW, UNIT)
+    monkeypatch.setattr(torus_module, "_separates", lambda *args: False)
+    with pytest.raises(TorusError, match="internal error: pieces .* meet in zero area"):
+        core.injectivity()
+
+
+def test_lattice_region_builds_no_plane_polygon(monkeypatch):
+    # collisions are measured on lattice coordinates: no ConvexPolygon is
+    # made and neither `clip` nor `clip_halfplane` runs
+    lattice, half, _ = half_and_whole_moved_theorem1()
+    cases = [(half, lattice)] + [(region, SKEW) for _, region in skewed_doubled_regions()]
+    points = [([p.vertices for p in region.pieces], lattice) for region, lattice in cases]
+
+    def refuse(*args):
+        raise AssertionError("LatticeRegion built a plane polygon")
+
+    for name in ("_raw", "clip", "clip_halfplane"):
+        monkeypatch.setattr(geom_module, name, refuse)
+    monkeypatch.setattr(ConvexPolygon, "__init__", refuse)
+    for name in ("ConvexPolygon", "_raw", "clip"):
+        assert not hasattr(torus_module, name)
+    for vertex_lists, lattice in points:
+        assert LatticeRegion(vertex_lists, lattice).verdict().collisions
 
 
 # -- the lattice-coordinate core against the plane decisions it replaced -------
