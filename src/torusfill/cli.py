@@ -22,12 +22,11 @@ from json.encoder import encode_basestring_ascii
 
 from .surd import SurdScalar, rat
 from .geom import GeometryError, Region, pt, region_points
-from .torus import Lattice2, LatticeRegion, TorusError
+from .torus import Lattice2, LatticeRegion
 from .fillings import CONSTRUCTORS, ORIENTATIONS
 from .latforms import (
     AlternatingIntMatrix,
     AlternatingSurdMatrix,
-    LatticeFormError,
     build_period_lattice,
     normalize_basis,
     polarization_type,
@@ -47,14 +46,13 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
-# Faults in a file's content: wrong shapes (a number where a list belongs, a
-# list where an object belongs, short triples) surface as TypeError or
-# IndexError, zero denominators as ZeroDivisionError, nesting too deep to
-# parse as RecursionError, bad points, polygons and bases as GeometryError
-# or TorusError, and bad or degenerate matrices as InputError or
-# LatticeFormError.
-_FILE_FAULTS = (OSError, json.JSONDecodeError, TypeError, IndexError, ZeroDivisionError,
-                RecursionError, GeometryError, TorusError, InputError, LatticeFormError)
+# Faults in a file's content, by base class: bytes that are not UTF-8 or
+# JSON, bad radicands, points, polygons, bases and matrices (every layer's
+# error) surface as ValueError, wrong shapes (a number where a list
+# belongs, a list where an object belongs) as TypeError, short triples and
+# missing keys as LookupError, zero denominators as ArithmeticError, and
+# nesting too deep to parse as RecursionError.
+_FILE_FAULTS = (OSError, ValueError, TypeError, LookupError, ArithmeticError, RecursionError)
 
 
 @contextmanager

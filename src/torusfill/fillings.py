@@ -116,12 +116,16 @@ class FillingCertificate:
     name: str
     params: dict
     sequence: ShearSequence
-    final: Region
     lattice: Lattice2
     composability: ComposabilityReport
     verdict: RegionVerdict  # of the final region modulo the lattice
     source_area: SurdScalar
     identities: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def final(self) -> Region:
+        """The image of the source under the shears."""
+        return self.composability.final
 
     @property
     def area_preserved(self) -> bool:
@@ -158,15 +162,14 @@ class FillingCertificate:
 def certify(name, params, source, shears, lattice, identities=None) -> FillingCertificate:
     seq = ShearSequence(list(shears), source)
     composability = check_composable(seq)
-    final = composability.final
     return FillingCertificate(
         name=name,
         params=params,
         sequence=seq,
-        final=final,
         lattice=lattice,
         composability=composability,
-        verdict=LatticeRegion([p.vertices for p in final.pieces], lattice).verdict(),
+        verdict=LatticeRegion([p.vertices for p in composability.final.pieces],
+                              lattice).verdict(),
         source_area=source.area(),
         identities=identities or {},
     )

@@ -236,7 +236,7 @@ def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
 
 class Region:
     """Finite union of convex polygons whose pairwise overlaps have zero area
-    (`torus.LatticeRegion.validate` checks it)."""
+    (`torus.LatticeRegion.verdict` checks it)."""
 
     __slots__ = ("pieces",)
 

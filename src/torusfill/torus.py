@@ -6,20 +6,21 @@ and multiplied by L, the lcm of their denominators, so that each rational
 coordinate is an int (the others stay SurdScalars) and a lattice vector is
 a shift (aL, bL).  The map has determinant 1/covolume > 0, so it keeps
 convexity, winding, collinearity, repeated points and positive-area
-overlap; there the pieces are canonicalised, checked pairwise for overlap,
-and checked against their lattice translates for injectivity.  Two convex
-pieces overlap in positive area unless an edge line of one separates them,
-and each piece's vertices are projected onto the other's edge normals once
-per pair, so a shift costs integer additions and comparisons.  A colliding
-(pair, shift) is measured there too (`_overlap`): one piece is cut by the
-other's shifted edge lines in homogeneous points, with no division, and
-one shoelace gives the area.  Shared edges are allowed, per the open-set
-convention.
+overlap; there the pieces are canonicalised, and each pair of pieces is
+checked at every lattice shift that their boxes allow, the zero shift
+included: two pieces that meet unshifted overlap, and shifted they collide.
+Two convex pieces overlap in positive area unless an edge line of one
+separates them, and each piece's vertices are projected onto the other's
+edge normals once per pair, so a shift costs integer additions and
+comparisons.  A colliding (pair, shift) is measured there too
+(`_overlap`): one piece is cut by the other's shifted edge lines in
+homogeneous points, with no division, and one shoelace gives the area.
+Shared edges are allowed, per the open-set convention.
 
-`LatticeRegion.verdict` is the one verdict on a region: it validates the
-pieces, then returns a `RegionVerdict` of the collisions, the area and the
-covolume, from which injectivity, the covered fraction and the
-fundamental-domain verdict are read.
+`LatticeRegion.verdict` is the one decision on a region: it raises
+GeometryError on two pieces that overlap, or returns a `RegionVerdict` of
+the collisions, the area and the covolume, from which injectivity, the
+covered fraction and the fundamental-domain verdict are read.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ class LatticeRegion:
     x = (u h1 + w h2) / L, so a*h1 + b*h2 is the shift (aL, bL); u and w are
     ints where rational and SurdScalars otherwise, and only the operators
     the two types share are used on them, with `_floordiv` and `_sign`.
-    Everything, the areas of collisions included, is decided on these
-    coordinates: no plane polygon is built.
+    `verdict` decides everything, overlapping pieces and the areas of
+    collisions included, on these coordinates: no plane polygon is built.
     """
 
     __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges")
@@ -259,43 +260,25 @@ class LatticeRegion:
             top = max(du * v.x2 - dw * v.x1 for v in q)
             yield -dw * L, du * L, c - top
 
-    def validate(self) -> None:
-        """Raise GeometryError naming the first pair i < j of pieces (by i,
-        then j) that overlap in positive area.  The pieces are swept in the
-        order of their boxes' u-min, so only pairs whose boxes overlap are
-        tested, by the separating edge lines."""
-        boxes = self._boxes
-        active: list[int] = []
-        bad = []
-        for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
-            u1, _, w1, w2 = boxes[i]
-            active = [j for j in active if boxes[j][1] > u1]
-            for j in active:
-                if (boxes[j][3] > w1 and w2 > boxes[j][2]
-                        and not _separates([], self._lines(i, j), 0, 0)):
-                    bad.append((min(i, j), max(i, j)))
-            active.append(i)
-        if bad:
-            raise GeometryError("region pieces {} and {} overlap".format(*min(bad)))
+    def verdict(self) -> RegionVerdict:
+        """The region modulo the lattice, decided in one pass over the ordered
+        pairs (i, j) of pieces, by i and then j.
 
-    def injectivity(self) -> list[tuple[tuple[int, int], SurdScalar]]:
-        """The collisions of the region with its lattice translates: empty
-        exactly when the region maps injectively to the torus.
-
-        Piece q shifted by (aL, bL) meets piece p in positive area only if
-        their boxes do: aL lies strictly between p.umin - q.umax and
+        Piece q = j shifted by (aL, bL) meets piece p = i in positive area
+        only if their boxes do: aL lies strictly between p.umin - q.umax and
         p.umax - q.umin, and bL likewise.  Those ranges are taken once per
-        ordered pair, and only for pairs that the floors and ceilings of the
-        piece boxes over L, taken once per piece, leave a shift.  Shifts by
-        v and -v overlap equally, so only a > 0, or a = 0 < b, is tried; a
-        shift that no edge line separates is a collision.  Piece p is cut
-        by the edge lines of q shifted there (`_overlap`), to measure its
-        area; as no line separates the two, an empty or zero-area cut is an
-        internal error and raises TorusError.  A collision is reported by
-        its coefficients in the given basis, signed the same way.  Only
-        nonzero shifts are tried, so two pieces that overlap each other
-        unshifted are no collision here: `validate` finds them, and
-        `verdict` runs it first.
+        pair, and only for pairs that the floors and ceilings of the piece
+        boxes over L, taken once per piece, leave a shift.  Shifts by v and
+        -v overlap equally, so only a > 0, or a = 0 < b, is tried, and for
+        i < j the zero shift too, first.  It is in range exactly when the
+        boxes overlap; if no edge line separates the pieces there, they
+        overlap, and GeometryError names the pair, the first one by i and
+        then j.  At any other shift that no edge line separates, the pair
+        collides: p is cut by the edge lines of q shifted there
+        (`_overlap`), to measure its area; as no line separates the two, an
+        empty or zero-area cut is an internal error and raises TorusError.
+        A collision is reported by its coefficients in the given basis,
+        signed the same way.
         """
         L, boxes, c1, c2 = self.scale, self._boxes, self._c1, self._c2
         ints = [(_floordiv(u1, L), -_floordiv(-u2, L), _floordiv(w1, L), -_floordiv(-w2, L))
@@ -303,18 +286,21 @@ class LatticeRegion:
         overlaps: dict[tuple[int, int], SurdScalar] = {}
         for i, ((pu1, pu2, pw1, pw2), (_, pa, _, pb)) in enumerate(zip(boxes, ints)):
             for j, ((qu1, qu2, qw1, qw2), (qa, _, qb, _)) in enumerate(zip(boxes, ints)):
+                b0 = 0 if i < j else 1  # the least b tried at a = 0
                 # a < pa - qa and b < pb - qb, read off the integer boxes: skip
-                # the pair when that leaves no a > 0 nor a = 0 < b
-                if pa - qa < 1 or (pa - qa == 1 and pb - qb < 2):
+                # the pair when that leaves no a > 0 nor a = 0 with b >= b0
+                if pa - qa < 1 or (pa - qa == 1 and pb - qb <= b0):
                     continue
                 a_hi = -_floordiv(qu1 - pu2, L)
                 b_lo, b_hi = _floordiv(pw1 - qw2, L) + 1, -_floordiv(qw1 - pw2, L)
                 seen: list = []
                 lines = self._lines(i, j)
                 for a in range(max(_floordiv(pu1 - qu2, L) + 1, 0), a_hi):
-                    for b in range(b_lo if a else max(b_lo, 1), b_hi):
+                    for b in range(b_lo if a else max(b_lo, b0), b_hi):
                         if _separates(seen, lines, a, b):
                             continue
+                        if not (a or b):
+                            raise GeometryError(f"region pieces {i} and {j} overlap")
                         twice = _overlap(self.pieces[i], self._edges[j], a * L, b * L)
                         if twice is None:
                             raise TorusError(f"internal error: pieces {i} and {j} at shift "
@@ -324,10 +310,5 @@ class LatticeRegion:
                         if v < (0, 0):  # a < 0, or a = 0 > b
                             v = (-v[0], -v[1])
                         overlaps[v] = overlaps.get(v, 0) + self._det * twice[0] / twice[1]
-        return [(ab, area / (2 * L * L)) for ab, area in sorted(overlaps.items())]
-
-    def verdict(self) -> RegionVerdict:
-        """Validate the pieces, raising GeometryError that names the first
-        overlapping pair, then decide the region modulo the lattice."""
-        self.validate()
-        return RegionVerdict(self.injectivity(), self.area(), self._det)
+        collisions = [(ab, area / (2 * L * L)) for ab, area in sorted(overlaps.items())]
+        return RegionVerdict(collisions, self.area(), self._det)

@@ -166,7 +166,7 @@ def candidate_vectors(r: Region, lattice: Lattice2):
 
 
 def candidate_collisions(r: Region, lattice: Lattice2):
-    """The collisions `LatticeRegion.injectivity` reports, found the
+    """The collisions `LatticeRegion.verdict` reports, found the
     plane-coordinate way: the overlap of r with each candidate translate,
     kept where it is positive."""
     out = []

@@ -296,8 +296,12 @@ def test_object_point_or_polygon_error_names_it(tmp_path, capsys, data, message)
      "polarization type needs an integer matrix"),
     ("period-lattice", {"n": 2, "upper": [1, 0, 0, 0, 0, 1]},
      "period-lattice needs a surd-valued 4x4 matrix"),
+    ("period-lattice", {"n": 2, "upper": [[[0, 1, 1]], 0, 0, 0, 0, [[2, 1, 1]]]},
+     "radicand must be positive, got 0"),
+    ("type", {"n": 2, "upper": [[[2**32 + 1, 1, 1]], 0, 0, 0, 0, [[2, 1, 1]]]},
+     "radicands must be below 2**32"),
 ], ids=["list", "object-upper", "six-key-upper", "n-zero", "short-upper", "degenerate",
-        "surd-for-type", "integer-for-period-lattice"])
+        "surd-for-type", "integer-for-period-lattice", "zero-radicand", "huge-radicand"])
 def test_matrix_error_names_the_file(tmp_path, capsys, command, data, message):
     matrix_file = tmp_path / "matrix.json"
     matrix_file.write_text(json.dumps(data))
@@ -308,6 +312,9 @@ def test_matrix_error_names_the_file(tmp_path, capsys, command, data, message):
 
 COLLINEAR_SQUARE = {"polygons": [[[[[1, x, 1]], [[1, 0, 1]]] for x in (0, 1, 2)]]}
 OVERLAPPING_SQUARES = {"polygons": SQUARE["polygons"] * 2}
+ZERO_RADICAND_SQUARE = {"polygons": [[[[[0, 1, 1]], [[1, 0, 1]]]] + SQUARE["polygons"][0][1:]]}
+HUGE_RADICAND_SQUARE = {"polygons": [[[[[2**32 + 1, 1, 1]], [[1, 0, 1]]]]
+                                     + SQUARE["polygons"][0][1:]]}
 
 
 @pytest.mark.parametrize("region, lattice, faulty, message", [
@@ -316,15 +323,22 @@ OVERLAPPING_SQUARES = {"polygons": SQUARE["polygons"] * 2}
      "not a strictly convex polygon winding once: ['0,0', '1,0', '2,0']"),
     (OVERLAPPING_SQUARES, UNIT_BASIS, "region", "region pieces 0 and 1 overlap"),
     (SQUARE, THREE_VECTOR_BASIS, "lattice", "a lattice basis has two vectors, got 3"),
+    ({}, UNIT_BASIS, "region", "'polygons'"),
+    (SQUARE, {}, "lattice", "'basis'"),
+    (b'{"polygons": "\xff"}', UNIT_BASIS, "region",
+     "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+    (ZERO_RADICAND_SQUARE, UNIT_BASIS, "region", "radicand must be positive, got 0"),
+    (HUGE_RADICAND_SQUARE, UNIT_BASIS, "region", "radicands must be below 2**32"),
 ], ids=["three-coordinate-point", "collinear-polygon", "overlapping-pieces",
-        "three-vector-basis"])
+        "three-vector-basis", "no-polygons-key", "no-basis-key", "not-utf-8", "zero-radicand",
+        "huge-radicand"])
 def test_verify_error_names_the_faulty_file(tmp_path, capsys, region, lattice, faulty, message):
     # the region and the lattice come from two files; the message says which
     # one is at fault, also for the polygon and overlap checks that run on
     # lattice coordinates once both are read
     files = {"region": tmp_path / "region.json", "lattice": tmp_path / "lattice.json"}
-    files["region"].write_text(json.dumps(region))
-    files["lattice"].write_text(json.dumps(lattice))
+    for name, data in (("region", region), ("lattice", lattice)):
+        files[name].write_bytes(data if type(data) is bytes else json.dumps(data).encode())
     code, out, err = run_cli(["verify", str(files["region"]),
                               "--lattice-file", str(files["lattice"])], capsys)
     assert code == 2 and out == ""

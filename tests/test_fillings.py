@@ -65,7 +65,7 @@ def test_distorted_diamond_area_formula(a_num, t_part, w_part):
     spec = DistortedDiamond(a, h_top=h_top, h_bot=h_total - h_top,
                             w_left=w_left, w_right=1 - w_left)
     region = spec.region()
-    lattice_region(region, UNIT).validate()
+    lattice_region(region, UNIT).verdict()
     assert region.area() == rat(a) * rat(a) / 2
 
 

@@ -92,10 +92,10 @@ def test_clip_shared_edge_is_empty():
 
 
 def test_region_invariant_checks():
-    lattice_region(Region([rectangle(0, 1, 0, 1), rectangle(1, 2, 0, 1)]), UNIT).validate()
+    lattice_region(Region([rectangle(0, 1, 0, 1), rectangle(1, 2, 0, 1)]), UNIT).verdict()
     with pytest.raises(GeometryError, match="region pieces 0 and 1 overlap"):
         lattice_region(Region([rectangle(0, 1, 0, 1), rectangle(Fraction(1, 2), 2, 0, 1)]),
-                       UNIT).validate()
+                       UNIT).verdict()
 
 
 def test_surd_coordinates():
@@ -245,7 +245,7 @@ def test_injects_collisions_match_unfiltered_oracle():
             if overlap.sign() > 0:
                 expected.append(((a, b), overlap))
         assert expected
-        assert lattice_region(region, SKEW).injectivity() == expected
+        assert lattice_region(region, SKEW).verdict().collisions == expected
 
 
 # -- clip before the separating-edge test, as an oracle for clip ---------------

@@ -55,14 +55,35 @@ def test_fundamental_domains():
     assert small.injective and not small.fundamental_domain
 
 
-def test_overlapping_pieces_fail_the_verdict_not_injectivity():
+def test_overlapping_pieces_fail_the_verdict():
     # two copies of the half cell: no lattice translate collides and the
     # areas sum to the covolume, but the pieces overlap each other
     half = rectangle(0, Fraction(1, 2), 0, 1)
     region = lattice_region(Region([half, half]), UNIT)
-    assert region.injectivity() == [] and region.area() == UNIT.covolume()
     with pytest.raises(GeometryError, match="^region pieces 0 and 1 overlap$"):
         region.verdict()
+
+
+def test_a_later_unshifted_overlap_is_named_after_an_earlier_collision(monkeypatch):
+    # pieces 0 and 1 share an edge unshifted and collide at (1, 0); pieces 1
+    # and 2 overlap unshifted.  The pair loop measures piece 0 shifted onto
+    # piece 1 (pair (1, 0)) before it reaches the pair (1, 2), and names it
+    half = Fraction(1, 2)
+    reg = Region([rectangle(0, half, 0, half), rectangle(half, Fraction(3, 2), 0, half),
+                  rectangle(1, Fraction(5, 4), 0, half)])
+    assert first_overlapping_pair(reg.pieces) == (1, 2)
+    assert candidate_collisions(Region(reg.pieces[:2]), UNIT) == [((1, 0), rat(Fraction(1, 4)))]
+    calls = []
+    original = torus_module._overlap
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(torus_module, "_overlap", counted)
+    with pytest.raises(GeometryError, match="^region pieces 1 and 2 overlap$"):
+        lattice_region(reg, UNIT).verdict()
+    assert calls
 
 
 def test_injects_translation_invariant():
@@ -181,7 +202,7 @@ def test_one_vector_two_piece_pairs_overlap_summed():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     reg = Region([rectangle(0, half, 0, half), rectangle(half, Fraction(3, 2), 0, half),
                   rectangle(0, quarter, half, 1), rectangle(quarter, Fraction(5, 4), half, 1)])
-    collisions = lattice_region(reg, UNIT).injectivity()
+    collisions = lattice_region(reg, UNIT).verdict().collisions
     assert collisions == [((1, 0), rat(Fraction(3, 8)))]
     assert collisions == candidate_collisions(reg, UNIT)
 
@@ -201,7 +222,7 @@ def test_integer_box_jigsaw_is_fundamental(lattice):
     assert lattice_region(reg, lattice).verdict().injective
     assert reg.area() == lattice.covolume()
     nudged = Region([lower, upper.translate(lattice.g2.scale(Fraction(1, 100)))])
-    collisions = lattice_region(nudged, lattice).injectivity()
+    collisions = lattice_region(nudged, lattice).verdict().collisions
     assert collisions and collisions == candidate_collisions(nudged, lattice)
 
 
@@ -237,12 +258,25 @@ def test_injects_clips_fewer_pairs_than_every_pair_per_candidate(monkeypatch):
     assert clips == 0 < pieces * pieces * candidates
 
 
+def assert_verdict_matches_oracle(reg: Region, lattice: Lattice2) -> None:
+    """The verdict raises GeometryError naming the first pair of pieces that
+    `clip` finds overlapping, or reports the collisions of the candidate
+    vector oracle."""
+    pair = first_overlapping_pair(reg.pieces)
+    event("overlapping" if pair else "valid")
+    if pair is None:
+        assert lattice_region(reg, lattice).verdict().collisions == candidate_collisions(reg, lattice)
+    else:
+        with pytest.raises(GeometryError, match=f"^region pieces {pair[0]} and {pair[1]} overlap$"):
+            lattice_region(reg, lattice).verdict()
+
+
 @given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=1, max_size=4)),
        st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
 @settings(max_examples=40, deadline=None)
 def test_injects_matches_candidate_vector_oracle(pieces, lattice, offset):
     reg = Region(pieces).translate(offset)
-    assert lattice_region(reg, lattice).injectivity() == candidate_collisions(reg, lattice)
+    assert_verdict_matches_oracle(reg, lattice)
 
 
 @given(st.lists(region_pieces(False), min_size=1, max_size=3),
@@ -254,8 +288,7 @@ def test_injects_on_skewed_basis_matches_candidate_vector_oracle(pieces, lattice
     # reported in the coefficients of the basis as given
     g1, g2 = lattice.g1, lattice.g2
     skewed = Lattice2(g1 + g2.scale(n), g2) if first else Lattice2(g1, g2 + g1.scale(n))
-    reg = Region(pieces)
-    assert lattice_region(reg, skewed).injectivity() == candidate_collisions(reg, skewed)
+    assert_verdict_matches_oracle(Region(pieces), skewed)
 
 
 def colliding_shifts(r: Region, lattice: Lattice2) -> int:
@@ -287,7 +320,7 @@ def colliding_shifts(r: Region, lattice: Lattice2) -> int:
 
 def count_injects_clips(r: Region, lattice: Lattice2) -> int:
     """The number of overlaps (`torus._overlap` calls) that
-    `LatticeRegion.injectivity` measures on r."""
+    `LatticeRegion.verdict` measures on r."""
     calls = []
     original = torus_module._overlap
 
@@ -297,7 +330,7 @@ def count_injects_clips(r: Region, lattice: Lattice2) -> int:
 
     torus_module._overlap = counted
     try:
-        lattice_region(r, lattice).injectivity()
+        lattice_region(r, lattice).verdict()
     finally:
         torus_module._overlap = original
     return len(calls)
@@ -320,6 +353,12 @@ def test_injects_clips_exactly_the_colliding_shifts():
 @settings(max_examples=40, deadline=None)
 def test_injects_clips_exactly_the_colliding_shifts_on_random_regions(pieces, lattice, offset):
     reg = Region(pieces).translate(offset)
+    pair = first_overlapping_pair(reg.pieces)
+    if pair is not None:
+        event("overlapping")
+        with pytest.raises(GeometryError, match=f"^region pieces {pair[0]} and {pair[1]} overlap$"):
+            count_injects_clips(reg, lattice)
+        return
     expected = colliding_shifts(reg, lattice)
     event("collides" if expected else "injects")
     assert count_injects_clips(reg, lattice) == expected
@@ -413,7 +452,7 @@ def test_a_separated_pair_that_passes_the_line_test_is_an_internal_error(monkeyp
     core = lattice_region(SCATTERED_JIGSAW, UNIT)
     monkeypatch.setattr(torus_module, "_separates", lambda *args: False)
     with pytest.raises(TorusError, match="internal error: pieces .* meet in zero area"):
-        core.injectivity()
+        core.verdict()
 
 
 def test_lattice_region_builds_no_plane_polygon(monkeypatch):
@@ -452,17 +491,17 @@ def given_orders(draw, piece):
                                          st.tuples(*(given_orders(p) for p in pieces)))),
        st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
 @settings(max_examples=80, deadline=None)
-def test_validate_names_the_pair_the_plane_clip_loop_names(case, lattice, offset):
+def test_verdict_names_the_pair_the_plane_clip_loop_names(case, lattice, offset):
     pieces, orders = case
     pieces = [p.translate(offset) for p in pieces]
     region = LatticeRegion([[v + offset for v in vs] for vs in orders], lattice)
     want = first_overlapping_pair(pieces)
     event("overlapping" if want else "valid")
     if want is None:
-        region.validate()
+        region.verdict()
     else:
         with pytest.raises(GeometryError, match=f"^region pieces {want[0]} and {want[1]} overlap$"):
-            region.validate()
+            region.verdict()
 
 
 @given(vertex_lists(), st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
@@ -496,7 +535,7 @@ def test_surd_lattice_coordinates_take_the_same_path():
         core = lattice_region(region, lattice)
         assert {type(c) for vs in core.pieces for v in vs for c in (v.x1, v.x2)} == kinds
         assert core.area() == region.area()
-        assert core.injectivity() == candidate_collisions(region, lattice)
+        assert core.verdict().collisions == candidate_collisions(region, lattice)
     assert lattice_region(cert.final, cert.lattice).verdict().fundamental_domain
 
 
