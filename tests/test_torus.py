@@ -60,6 +60,7 @@ def test_overlapping_pieces_fail_the_verdict():
     # areas sum to the covolume, but the pieces overlap each other
     half = rectangle(0, Fraction(1, 2), 0, 1)
     region = lattice_region(Region([half, half]), UNIT)
+    assert region.area() == UNIT.covolume()
     with pytest.raises(GeometryError, match="^region pieces 0 and 1 overlap$"):
         region.verdict()
 
@@ -67,7 +68,8 @@ def test_overlapping_pieces_fail_the_verdict():
 def test_a_later_unshifted_overlap_is_named_after_an_earlier_collision(monkeypatch):
     # pieces 0 and 1 share an edge unshifted and collide at (1, 0); pieces 1
     # and 2 overlap unshifted.  The pair loop measures piece 0 shifted onto
-    # piece 1 (pair (1, 0)) before it reaches the pair (1, 2), and names it
+    # piece 1 (pair (1, 0)) before it reaches the pair (1, 2), and still
+    # names (1, 2)
     half = Fraction(1, 2)
     reg = Region([rectangle(0, half, 0, half), rectangle(half, Fraction(3, 2), 0, half),
                   rectangle(1, Fraction(5, 4), 0, half)])
