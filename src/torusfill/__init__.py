@@ -6,11 +6,10 @@ forms and period lattices, and the Pell/Seshadri filling bounds.
 """
 
 from .surd import SurdScalar, rat, sqrt, rationally_independent
-from .geom import ConvexPolygon, Point2, Region, clip, pt
+from .geom import ConvexPolygon, Point2, Region, pt
 from .shears import PLFunction, Shear, ShearSequence, check_composable
 from .torus import Lattice2, LatticeRegion, RegionVerdict
 from .fillings import (
-    DistortedDiamond,
     FillingCertificate,
     cube_filling,
     diamond,

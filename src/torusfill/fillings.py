@@ -1,7 +1,8 @@
 """Constructors for the explicit torus fillings, with verification bundles.
 
-Each constructor assembles a source region (a diamond or distorted diamond),
-a shear sequence, and a target lattice, then runs the full verification:
+Each constructor assembles a source region (a diamond, or in `theorem1` the
+diamond distorted into a rectangle, two triangles and two flaps), a shear
+sequence, and a target lattice, then runs the full verification:
 composability of the shears, exact injectivity of the final region modulo
 the lattice, and exact area bookkeeping.  The 4D lift of every shear is
 symplectic on each slab whatever its slope (see `shears`), so a
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .surd import SurdScalar, rat, scalar, sqrt
-from .geom import ConvexPolygon, Point2, Region, pt, rectangle
+from .geom import ConvexPolygon, Region, pt, rectangle
 from .shears import (
     ComposabilityReport,
     PLFunction,
@@ -43,70 +44,6 @@ def diamond(a) -> Region:
         raise FillingError("diamond size must be positive")
     h = a / 2
     return Region([ConvexPolygon([pt(h, 0), pt(0, h), pt(-h, 0), pt(0, -h)])])
-
-
-@dataclass
-class DistortedDiamond:
-    """Rectangle + two triangles + two flaps, total area a*a/2.
-
-    Centered at the origin: the rectangle is (-d, d) x (-1/2, 1/2) with
-    2d = a - 1; the top/bottom triangles sit on the horizontal edges with
-    heights summing to 2d; the flaps are triangles on the vertical edges
-    (height 1) with widths summing to 1.  The apex positions are the
-    remaining profile freedom and default to the symmetric choice.
-    """
-
-    a: SurdScalar
-    h_top: SurdScalar
-    h_bot: SurdScalar
-    w_left: SurdScalar
-    w_right: SurdScalar
-    top_apex: SurdScalar = 0  # x1 of the top apex, in (-d, d)
-    bot_apex: SurdScalar = 0
-    left_apex: SurdScalar = 0  # x2 of the left apex, in (-1/2, 1/2)
-    right_apex: SurdScalar = 0
-
-    def __post_init__(self):
-        self.a = scalar(self.a)
-        self.h_top, self.h_bot = scalar(self.h_top), scalar(self.h_bot)
-        self.w_left, self.w_right = scalar(self.w_left), scalar(self.w_right)
-        d = self.d
-        self.top_apex, self.bot_apex = scalar(self.top_apex), scalar(self.bot_apex)
-        self.left_apex, self.right_apex = scalar(self.left_apex), scalar(self.right_apex)
-        if d.sign() <= 0:
-            raise FillingError("size must exceed 1")
-        if self.h_top + self.h_bot != d * 2:
-            raise FillingError("triangle heights must sum to a - 1")
-        if self.w_left + self.w_right != rat(1):
-            raise FillingError("flap widths must sum to 1")
-        for v in (self.h_top, self.h_bot, self.w_left, self.w_right):
-            if v.sign() < 0:
-                raise FillingError("part sizes must be nonnegative")
-        if abs(self.top_apex) > d or abs(self.bot_apex) > d:
-            raise FillingError("triangle apex outside the rectangle span")
-        if abs(self.left_apex) > rat(HALF) or abs(self.right_apex) > rat(HALF):
-            raise FillingError("flap apex outside the rectangle span")
-
-    @property
-    def d(self) -> SurdScalar:
-        return (self.a - 1) / 2
-
-    def region(self, center: Point2 = pt(0, 0)) -> Region:
-        d, h = self.d, rat(HALF)
-        pieces = [rectangle(-d, d, -h, h)]
-        if self.h_top.sign() > 0:
-            pieces.append(ConvexPolygon(
-                [pt(-d, h), pt(d, h), Point2(self.top_apex, h + self.h_top)]))
-        if self.h_bot.sign() > 0:
-            pieces.append(ConvexPolygon(
-                [pt(-d, -h), pt(d, -h), Point2(self.bot_apex, -h - self.h_bot)]))
-        if self.w_left.sign() > 0:
-            pieces.append(ConvexPolygon(
-                [pt(-d, -h), pt(-d, h), Point2(-d - self.w_left, self.left_apex)]))
-        if self.w_right.sign() > 0:
-            pieces.append(ConvexPolygon(
-                [pt(d, -h), pt(d, h), Point2(d + self.w_right, self.right_apex)]))
-        return Region([p.translate(center) for p in pieces])
 
 
 @dataclass
@@ -284,6 +221,10 @@ def theorem1_constants() -> dict[str, SurdScalar]:
 def theorem1_filling(eps=0) -> FillingCertificate:
     """Distorted diamond of size sqrt(2) - eps/2 fully filling T(1, 1) at eps 0.
 
+    The source is the rectangle (0, w) x (-1/2, 1/2), w = a - 1, with a
+    triangle on each horizontal edge (heights summing to w) and a flap on
+    each vertical edge (widths W and w, summing to 1), of area a^2/2.
+
     The left flap (width (1+b)/2) just fits the right rectangle; the x2-shear
     interlocks the two flaps leaving two triangular holes whose heights are
     h_t and h_b; the x1-shear translates the top triangle by (1+b)/2 and the
@@ -299,19 +240,20 @@ def theorem1_filling(eps=0) -> FillingCertificate:
     b = rat(3) - 2 * a          # 3 - 2*sqrt(2) at eps = 0
     w = a - 1                   # rectangle width, also the right flap width
     W = rat(2) - a              # right rectangle width, also the left flap width
-    d = w / 2
     h_t_hole = b / W            # bottom hole height (takes the top triangle)
     h_b_hole = b * b / (w * W)  # top hole height (takes the bottom triangle)
     scale = w * w / b           # filler heights relative to hole heights (= 1 at eps 0)
     h_top = scale * h_t_hole
     h_bot = scale * h_b_hole
 
-    dd = DistortedDiamond(
-        a, h_top=h_top, h_bot=h_bot, w_left=W, w_right=w,
-        top_apex=(2 * w - W) - d, bot_apex=b - d,
-        left_apex=rat(-HALF), right_apex=rat(HALF),
-    )
-    source = dd.region(center=pt(d, 0))
+    h = rat(HALF)
+    source = Region([
+        rectangle(0, w, -h, h),
+        ConvexPolygon([pt(0, h), pt(w, h), pt(2 * w - W, h + h_top)]),
+        ConvexPolygon([pt(0, -h), pt(w, -h), pt(b, -h - h_bot)]),
+        ConvexPolygon([pt(0, -h), pt(0, h), pt(-W, -h)]),  # left flap
+        ConvexPolygon([pt(w, -h), pt(w, h), pt(2 * w, h)]),  # right flap
+    ])
 
     rise = h_t_hole / (w - b)
     g = PLFunction(

@@ -1,14 +1,13 @@
 """Exact planar geometry over the surd ring.
 
-Convex polygons with surd coordinates, finite unions of interior-disjoint
-convex pieces (regions) and convex clipping.  All predicates
+Convex polygons with surd coordinates and finite unions of interior-disjoint
+convex pieces (regions).  All predicates
 are decided by exact sign computations; regions follow the open-set
 convention, so degenerate (zero-area) intersections count as empty.
 Whether the pieces of a region overlap, whether it maps injectively
 modulo a lattice, and how much area each collision has, is decided in
 `torus` on integer lattice coordinates: `_canonical` and `_sign` serve both
-the plane polygons here and those lattice coordinates.  `clip` is the plane
-intersection of two polygons; `torus` does not call it.
+the plane polygons here and those lattice coordinates.
 """
 
 from __future__ import annotations
@@ -89,10 +88,6 @@ class ConvexPolygon:
 
     def area(self) -> SurdScalar:
         return shoelace(self.vertices)
-
-    def edges(self):
-        vs = self.vertices
-        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def translate(self, v: Point2) -> "ConvexPolygon":
         return _raw([p + v for p in self.vertices])
@@ -191,47 +186,6 @@ def shoelace(vertices: list[Point2]) -> SurdScalar:
     for i in range(len(vertices)):
         total = total + vertices[i].cross(vertices[(i + 1) % len(vertices)])
     return total / 2
-
-
-def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon | None:
-    """Clip to the closed half-plane on the left of the directed line a->b.
-
-    The cut of a canonical polygon is canonical but for its starting vertex:
-    the kept vertices stay counterclockwise, at most two output vertices lie
-    on the cut line and each crossing lies strictly inside its edge, so no
-    vertex repeats, no three in a row are collinear, and three or more
-    output vertices enclose positive area.
-    """
-    d = b - a
-    out: list[Point2] = []
-    vs = poly.vertices
-    sides = [d.cross(p - a).sign() for p in vs]
-    if all(s >= 0 for s in sides):
-        return poly
-    for i in range(len(vs)):
-        p, q = vs[i], vs[(i + 1) % len(vs)]
-        sp, sq = sides[i], sides[(i + 1) % len(vs)]
-        if sp >= 0:
-            out.append(p)
-        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            # intersection of segment pq with the line through a, b
-            t = d.cross(a - p) / d.cross(q - p)
-            out.append(p + (q - p).scale(t))
-    return _raw(_from_lowest(out)) if len(out) >= 3 else None
-
-
-def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    """Exact intersection of two convex polygons; None when it has zero area.
-
-    One half-plane cut of a per edge of b; a pair that meets in zero area
-    comes out None after its cuts all the same.
-    """
-    result: ConvexPolygon | None = a
-    for p, q in b.edges():
-        result = clip_halfplane(result, p, q)
-        if result is None:
-            return None
-    return result
 
 
 class Region:

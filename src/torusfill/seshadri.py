@@ -66,7 +66,7 @@ class SeshadriBound:
     pell: PellSolution | None
 
     def __post_init__(self):
-        if self.p_lower != (self.epsilon * self.epsilon / (2 * self.d)).as_fraction():
+        if self.p_lower != width_filling_convert(self.epsilon, 2, self.d).as_fraction():
             raise SeshadriError("internal identity p = eps^2 / 2d violated")
 
 

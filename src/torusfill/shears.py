@@ -82,10 +82,6 @@ class PLFunction:
             consts[i] = right - self.jumps[i] - self.slopes[i] * b
         return consts
 
-    @property
-    def num_slabs(self) -> int:
-        return len(self.slopes)
-
     def slab_affine(self, i: int) -> tuple[SurdScalar, SurdScalar]:
         """(constant, slope) of f on slab i."""
         return self._consts[i], self.slopes[i]
@@ -149,9 +145,9 @@ class Shear:
 
         One pass over the vertices.  A vertex on the line goes to both sides;
         an edge crossing it gives the point with the bound as its slab
-        coordinate at t = (bound - c_p) / (c_q - c_p) along the edge, the
-        point `clip_halfplane` would give.  Each side keeps the cyclic order
-        of poly, so it is canonical once rotated to its lowest vertex.
+        coordinate at t = (bound - c_p) / (c_q - c_p) along the edge.  Each
+        side keeps the cyclic order of poly, so it is canonical once rotated
+        to its lowest vertex.
         """
         vs = poly.vertices
         x1_shear = self.axis == "x1"

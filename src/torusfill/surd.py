@@ -545,9 +545,6 @@ class SurdScalar:
         """Exact integer floor, in closed form up to two terms (see `_floor`)."""
         return _floor(self._num, self._den)
 
-    def ceil(self) -> int:
-        return -((-self).floor())
-
     # -- serialization and display -------------------------------------------
 
     def to_triples(self) -> list[list[int]]:

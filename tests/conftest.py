@@ -7,7 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st
 
-from torusfill.geom import ConvexPolygon, GeometryError, Point2, Region, clip, pt, rectangle
+from torusfill.geom import ConvexPolygon, GeometryError, Point2, Region, pt, rectangle
 from torusfill.surd import SurdScalar, rat, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
@@ -71,11 +71,72 @@ def region_pieces(draw, surd):
         return rectangle(0, 1, 0, 1)
 
 
+# -- the plane clip, as the oracle for the package's cuts ---------------------
+# It reads SurdScalar, Point2 and ConvexPolygon as data types only and calls no
+# turn, cut or canonicalising helper of the package, so it shares no cutting
+# code with `torus.LatticeRegion` or `shears.Shear`.
+
+def edges(poly: ConvexPolygon):
+    """The directed edges (p, q) of the polygon, counterclockwise."""
+    vs = poly.vertices
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def _polygon_from_lowest(vs: list[Point2]) -> ConvexPolygon:
+    """The polygon on a canonical counterclockwise vertex list, taken as it
+    is once rotated to start at its lexicographically smallest vertex."""
+    start = min(range(len(vs)), key=lambda i: (vs[i].x1, vs[i].x2))
+    poly = object.__new__(ConvexPolygon)
+    poly.vertices = vs[start:] + vs[:start]
+    return poly
+
+
+def clip_halfplane(poly: ConvexPolygon, a: Point2, b: Point2) -> ConvexPolygon | None:
+    """Clip to the closed half-plane on the left of the directed line a->b.
+
+    The cut of a canonical polygon is canonical but for its starting vertex:
+    the kept vertices stay counterclockwise, at most two output vertices lie
+    on the cut line and each crossing lies strictly inside its edge, so no
+    vertex repeats, no three in a row are collinear, and three or more
+    output vertices enclose positive area.
+    """
+    d = b - a
+    out: list[Point2] = []
+    vs = poly.vertices
+    sides = [d.cross(p - a).sign() for p in vs]
+    if all(s >= 0 for s in sides):
+        return poly
+    for i in range(len(vs)):
+        p, q = vs[i], vs[(i + 1) % len(vs)]
+        sp, sq = sides[i], sides[(i + 1) % len(vs)]
+        if sp >= 0:
+            out.append(p)
+        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
+            # intersection of segment pq with the line through a, b
+            t = d.cross(a - p) / d.cross(q - p)
+            out.append(p + (q - p).scale(t))
+    return _polygon_from_lowest(out) if len(out) >= 3 else None
+
+
+def clip(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
+    """Exact intersection of two convex polygons; None when it has zero area.
+
+    One half-plane cut of a per edge of b; a pair that meets in zero area
+    comes out None after its cuts all the same.
+    """
+    result: ConvexPolygon | None = a
+    for p, q in edges(b):
+        result = clip_halfplane(result, p, q)
+        if result is None:
+            return None
+    return result
+
+
 # -- overlap areas and interior points, as oracles ----------------------------
 
 def contains(poly: ConvexPolygon, p: Point2) -> bool:
     """True iff p is interior to the (open) polygon."""
-    return all((b - a).cross(p - a).sign() > 0 for a, b in poly.edges())
+    return all((b - a).cross(p - a).sign() > 0 for a, b in edges(poly))
 
 
 def overlap_area(a: ConvexPolygon, b: ConvexPolygon) -> SurdScalar:
@@ -143,7 +204,7 @@ def candidate_vectors(r: Region, lattice: Lattice2):
     # a-range from the box corners mapped through the inverse basis matrix
     corners = [pt(bx_lo, by_lo), pt(bx_lo, by_hi), pt(bx_hi, by_lo), pt(bx_hi, by_hi)]
     a_vals = [c.cross(g2) / det for c in corners]
-    a_min, a_max = min(a_vals).floor(), max(a_vals).ceil()
+    a_min, a_max = min(a_vals).floor(), -(-max(a_vals)).floor()
     for a in range(max(a_min, 0), a_max + 1):
         ix = _interval_for_b(a, g1.x1, g2.x1, bx_lo, bx_hi)
         iy = _interval_for_b(a, g1.x2, g2.x2, by_lo, by_hi)
@@ -159,7 +220,7 @@ def candidate_vectors(r: Region, lattice: Lattice2):
             blo, bhi = max(ix[0], iy[0]), min(ix[1], iy[1])
         if (bhi - blo).sign() < 0:
             continue
-        for b in range(blo.ceil(), bhi.floor() + 1):
+        for b in range(-(-blo).floor(), bhi.floor() + 1):
             if a == 0 and b <= 0:
                 continue
             yield a, b

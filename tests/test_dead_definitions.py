@@ -1,11 +1,16 @@
 """Every module-level function, class and constant of the package is read,
-and so is every method and property of its classes but the dunders.
+and so is every method and property of its classes but the dunders; and the
+package holds no code that only its tests read.
 
 A definition in `src/torusfill/` (other than `__init__.py`) is read when some
 module of `src/`, `tests/` or `bench/` loads its name, accesses an attribute
-of that name or imports it with `from`; a method or property is read by its
-own name, whatever object it is read on.  The imports of
-`src/torusfill/__init__.py` are the package's exports and read nothing.
+of that name or imports it with `from`; a name in a docstring or a comment is
+not a read.  A definition that `src/` and `bench/` never read but `tests/`
+does belongs in the tests, unless `KEPT_FOR_TESTS` names it with its reason.
+A method or property is read by its own bare name, whatever object it is
+read on: `ShearSequence.from_json` is read by nothing, yet it passes because
+`Region.from_json` is read.  The imports of `src/torusfill/__init__.py` are
+the package's exports and read nothing.
 """
 
 import ast
@@ -16,6 +21,11 @@ INIT = ROOT / "src" / "torusfill" / "__init__.py"
 DEFINING = sorted(p for p in INIT.parent.glob("*.py") if p != INIT)
 READING = [p for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))
            if p != INIT]
+TESTS = ROOT / "tests"
+
+# public names that `src/` keeps although only `tests/` reads them, each with
+# the reason it stays
+KEPT_FOR_TESTS: dict[str, str] = {}
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -60,17 +70,34 @@ def dead_definitions(defining: dict[str, str], reading: list[str]) -> list[str]:
             for name, line in definitions(source) if name.rpartition(".")[2] not in read]
 
 
+def read_only_by_tests(defining: dict[str, str], package: list[str],
+                       tests: list[str]) -> list[str]:
+    """The definitions of the `defining` sources that no `package` source
+    reads but some `tests` source does."""
+    dead = set(dead_definitions(defining, package + tests))
+    return [d for d in dead_definitions(defining, package) if d not in dead]
+
+
 def test_every_module_level_definition_is_read():
     defining = {p.name: p.read_text() for p in DEFINING}
     assert dead_definitions(defining, [p.read_text() for p in READING]) == []
+
+
+def test_no_definition_is_read_only_by_the_tests():
+    defining = {p.name: p.read_text() for p in DEFINING}
+    package = [p.read_text() for p in READING if not p.is_relative_to(TESTS)]
+    tests = [p.read_text() for p in READING if p.is_relative_to(TESTS)]
+    found = read_only_by_tests(defining, package, tests)
+    assert [d for d in found if d.rpartition(": ")[2] not in KEPT_FOR_TESTS] == []
 
 
 def test_dead_definition_is_found():
     module = ("X = 1\nY: int = 2\n\ndef f():\n    return X\n\nclass C:\n    pass\n\n"
               "def g():\n    pass\n\nclass D:\n    def __init__(self):\n        self.used()\n\n"
               "    def used(self):\n        pass\n\n    @property\n    def unused(self):\n"
-              "        pass\n")
+              "        pass\n\ndef h():\n    pass\n")
     user = "from m import f, D\nimport m\n\nprint(m.C)\n"
-    assert dead_definitions({"m.py": module}, [module, user]) == ["m.py line 2: Y",
-                                                                 "m.py line 10: g",
-                                                                 "m.py line 21: D.unused"]
+    test = "from m import h\n\n\ndef test_h():\n    h()\n"
+    assert dead_definitions({"m.py": module}, [module, user, test]) == [
+        "m.py line 2: Y", "m.py line 10: g", "m.py line 21: D.unused"]
+    assert read_only_by_tests({"m.py": module}, [module, user], [test]) == ["m.py line 24: h"]

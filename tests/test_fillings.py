@@ -1,14 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (UNIT, lattice_region, map_region, region_overlap_area,
                       symmetric_difference_area)
 from torusfill.fillings import (
     CONSTRUCTORS,
-    DistortedDiamond,
     FillingError,
     cube_filling,
     diamond,
@@ -20,7 +17,7 @@ from torusfill.fillings import (
     theorem1_constants,
     theorem1_filling,
 )
-from torusfill.geom import ConvexPolygon, Region, pt
+from torusfill.geom import ConvexPolygon, Region, pt, rectangle
 from torusfill.shears import ShearSequence, check_composable
 from torusfill.surd import rat, sqrt
 from torusfill.torus import Lattice2
@@ -36,37 +33,33 @@ def test_diamond_basics():
         diamond(0)
 
 
-def test_distorted_diamond_area_and_validation():
-    sym = DistortedDiamond(2, h_top=Fraction(1, 2), h_bot=Fraction(1, 2),
-                           w_left=Fraction(1, 2), w_right=Fraction(1, 2))
-    assert sym.region().area() == rat(2)
-    b = rat(3) - 2 * sqrt(2)
-    spec = DistortedDiamond(
-        sqrt(2),
-        h_top=rat(1) - sqrt(2) / 2, h_bot=3 * sqrt(2) / 2 - 2,
-        w_left=(1 + b) / 2, w_right=(1 - b) / 2,
-    )
-    assert spec.w_right == (1 - b) / 2
-    assert spec.region().area() == rat(1)  # a^2/2 for a = sqrt 2
-    with pytest.raises(FillingError):
-        DistortedDiamond(2, h_top=1, h_bot=1, w_left=1, w_right=1)
-    with pytest.raises(FillingError):
-        DistortedDiamond(2, h_top=2, h_bot=-1, w_left=Fraction(1, 2),
-                         w_right=Fraction(1, 2))
-
-
-@given(st.integers(2, 8), st.integers(0, 10), st.integers(0, 10))
-@settings(max_examples=30, deadline=None)
-def test_distorted_diamond_area_formula(a_num, t_part, w_part):
-    a = Fraction(a_num, 2) + Fraction(1, 2)  # sizes in (1, 9/2]
-    h_total = a - 1
-    h_top = h_total * Fraction(t_part, 10)
-    w_left = Fraction(w_part, 10)
-    spec = DistortedDiamond(a, h_top=h_top, h_bot=h_total - h_top,
-                            w_left=w_left, w_right=1 - w_left)
-    region = spec.region()
-    lattice_region(region, UNIT).verdict()
-    assert region.area() == rat(a) * rat(a) / 2
+@pytest.mark.parametrize("eps", [0, Fraction(1, 100), Fraction(1, 17), Fraction(1, 8)], ids=str)
+def test_theorem1_source_is_a_distorted_diamond(eps):
+    # the rectangle (0, w) x (-1/2, 1/2), w = a - 1, a triangle on each
+    # horizontal edge and a flap on each vertical one, area a^2/2
+    a, h = sqrt(2) - rat(eps) / 2, rat(Fraction(1, 2))
+    w = a - 1
+    source = theorem1_filling(eps).sequence.source
+    assert len(source.pieces) == 5
+    rect, top, bottom, left, right = source.pieces
+    assert rect == rectangle(0, w, -h, h)
+    assert source.area() == a * a / 2
+    lattice_region(source, UNIT).verdict()  # raises when two pieces overlap
+    apexes = []
+    for piece, base in ((top, [pt(0, h), pt(w, h)]), (bottom, [pt(0, -h), pt(w, -h)]),
+                        (left, [pt(0, -h), pt(0, h)]), (right, [pt(w, -h), pt(w, h)])):
+        assert len(piece.vertices) == 3 and all(v in piece.vertices for v in base)
+        apexes += [v for v in piece.vertices if v not in base]
+    top_apex, bottom_apex, left_apex, right_apex = apexes
+    h_top, h_bot = top_apex.x2 - h, -h - bottom_apex.x2
+    assert h_top > 0 and h_bot > 0 and h_top + h_bot == a - 1
+    w_left, w_right = -left_apex.x1, right_apex.x1 - w
+    assert w_left > 0 and w_right > 0 and w_left + w_right == 1
+    assert all(0 <= p.x1 <= w for p in (top_apex, bottom_apex))
+    assert all(-h <= p.x2 <= h for p in (left_apex, right_apex))
+    if eps == 0:
+        c = theorem1_constants()
+        assert (h_top, h_bot) == (c["h_t"], c["h_b"])
 
 
 def test_example1_k1_parallelogram():

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contains, rationals, symmetric_difference_area
+from conftest import clip_halfplane, contains, edges, rationals, symmetric_difference_area
 from torusfill.fillings import certify
 from torusfill.geom import (
     ConvexPolygon,
     Point2,
     Region,
-    clip_halfplane,
     pt,
     rectangle,
 )
@@ -235,7 +234,7 @@ def test_composite_agrees_with_pointwise_map():
 
 
 def _on_boundary(piece, p):
-    for a, b in piece.edges():
+    for a, b in edges(piece):
         if ((b - a).cross(p - a)).is_zero():
             lo = min(a.x1, b.x1), min(a.x2, b.x2)
             hi = max(a.x1, b.x1), max(a.x2, b.x2)
@@ -281,7 +280,7 @@ def clip_to_slab(shear, poly, lo, hi):
 
 def full_slab_parts(shear, piece, moving_only=False):
     """Clip the piece against every slab in turn, as the shear layer once did."""
-    for i in range(shear.f.num_slabs):
+    for i in range(len(shear.f.slopes)):
         if moving_only and shear.f.slab_is_identity(i):
             continue
         part = clip_to_slab(shear, piece, *slab_bounds(shear.f, i))
@@ -422,7 +421,7 @@ def test_map_part_matches_canonicalising_constructor(axis, surd_slopes, f, data)
             assert image.vertices == ConvexPolygon([plane_map(v) for v in part.vertices]).vertices
             assert image.area() == part.area()
             slabs.add(i)
-    assert slabs == set(range(f.num_slabs))
+    assert slabs == set(range(len(f.slopes)))
 
 
 def test_certify_pushes_the_source_through_each_shear_once(monkeypatch):

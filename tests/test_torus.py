@@ -14,11 +14,11 @@ import torusfill
 import torusfill.geom as geom_module
 import torusfill.torus as torus_module
 from conftest import (EQUIVALENCE_LATTICES, FAR, PENTAGRAM, SKEW, UNIT, candidate_collisions,
-                      candidate_vectors, first_overlapping_pair, lattice_region,
+                      candidate_vectors, clip, first_overlapping_pair, lattice_region,
                       plane_canonical, region_pieces, skewed_doubled_regions, vertex_lists)
 from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, family_filling,
                                 theorem1_filling)
-from torusfill.geom import ConvexPolygon, GeometryError, Region, clip, pt, rectangle
+from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle
 from torusfill.surd import SurdScalar, rat, scalar, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
@@ -307,8 +307,8 @@ def colliding_shifts(r: Region, lattice: Lattice2) -> int:
         us = [v.cross(h2) / det for v in piece.vertices]
         ws = [h1.cross(v) / det for v in piece.vertices]
         boxes.append((min(us), max(us), min(ws), max(ws)))
-    reach = max((max(b[1] for b in boxes) - min(b[0] for b in boxes)).ceil(),
-                (max(b[3] for b in boxes) - min(b[2] for b in boxes)).ceil()) + 1
+    reach = max(-(min(b[0] for b in boxes) - max(b[1] for b in boxes)).floor(),
+                -(min(b[2] for b in boxes) - max(b[3] for b in boxes)).floor()) + 1
     window = range(-reach, reach + 1)
     count = 0
     for p, (pu1, pu2, pw1, pw2) in zip(r.pieces, boxes):
@@ -459,7 +459,7 @@ def test_a_separated_pair_that_passes_the_line_test_is_an_internal_error(monkeyp
 
 def test_lattice_region_builds_no_plane_polygon(monkeypatch):
     # collisions are measured on lattice coordinates: no ConvexPolygon is
-    # made and neither `clip` nor `clip_halfplane` runs
+    # made, and the package has no `clip` or `clip_halfplane` to run
     lattice, half, _ = half_and_whole_moved_theorem1()
     cases = [(half, lattice)] + [(region, SKEW) for _, region in skewed_doubled_regions()]
     points = [([p.vertices for p in region.pieces], lattice) for region, lattice in cases]
@@ -467,8 +467,9 @@ def test_lattice_region_builds_no_plane_polygon(monkeypatch):
     def refuse(*args):
         raise AssertionError("LatticeRegion built a plane polygon")
 
-    for name in ("_raw", "clip", "clip_halfplane"):
-        monkeypatch.setattr(geom_module, name, refuse)
+    monkeypatch.setattr(geom_module, "_raw", refuse)
+    for name in ("clip", "clip_halfplane"):
+        assert not hasattr(geom_module, name)
     monkeypatch.setattr(ConvexPolygon, "__init__", refuse)
     for name in ("ConvexPolygon", "_raw", "clip"):
         assert not hasattr(torus_module, name)
