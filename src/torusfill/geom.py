@@ -24,7 +24,7 @@ class GeometryError(ValueError):
 @dataclass(frozen=True)
 class Point2:
     """A plane point; `torus` also holds lattice coordinates in it, each an
-    int where it is rational."""
+    int where it is rational (see `torus.LatticeRegion`)."""
 
     x1: SurdScalar
     x2: SurdScalar
@@ -63,13 +63,14 @@ def pt(x1, x2) -> Point2:
 
 
 def _sign(t) -> int:
-    """Sign of an int or a SurdScalar: int comparisons, or one `sign()`."""
-    return t.sign() if type(t) is SurdScalar else (t > 0) - (t < 0)
+    """Sign of an int, or of a scalar with `sign()` (a SurdScalar or a
+    `surd.QuadInt`)."""
+    return (t > 0) - (t < 0) if type(t) is int else t.sign()
 
 
 def _turn(d: Point2, e: Point2) -> int:
     """Sign of d x e (+1 when e turns left from d), for coordinates that are
-    SurdScalars or ints."""
+    SurdScalars, QuadInts or ints."""
     return _sign(d.cross(e))
 
 
@@ -151,9 +152,9 @@ def _canonicalize(vertices: list[Point2]) -> list[Point2] | None:
     twice around the cycle (a list turning one way throughout but winding k
     times switches 2k times). Either orientation is read; the result is
     counterclockwise and starts at the lowest vertex.  Coordinates may be
-    SurdScalars or ints: an affine map of positive determinant keeps every
-    turn sign and the winding, so it accepts a list exactly when it accepts
-    the list's image.
+    SurdScalars, QuadInts or ints: an affine map of positive determinant
+    keeps every turn sign and the winding, so it accepts a list exactly when
+    it accepts the list's image.
     """
     vs = [p for i, p in enumerate(vertices) if p != vertices[i - 1]]
     edges = [q - p for p, q in zip(vs, vs[1:] + vs[:1])]  # vs[i] -> vs[i + 1]

@@ -130,13 +130,14 @@ class Shear:
     def map_part(self, i: int, part: ConvexPolygon) -> ConvexPolygon:
         """Image of a part inside slab i under the slab's map x1 -> x1 + c + s x2
         (x2 -> x2 + c + s x1 for an x2-shear).  Its determinant is 1, so the
-        image stays counterclockwise and only its starting vertex can move."""
+        image stays counterclockwise; it keeps the part's starting vertex,
+        which need not be its lowest any more."""
         c, s = self.f.slab_affine(i)
         if self.axis == "x1":
             vs = [Point2(v.x1 + c + s * v.x2, v.x2) for v in part.vertices]
         else:
             vs = [Point2(v.x1, v.x2 + c + s * v.x1) for v in part.vertices]
-        return _raw(_from_lowest(vs))
+        return _raw(vs)
 
     def _cut(self, poly: ConvexPolygon, bound) -> tuple[ConvexPolygon, ConvexPolygon]:
         """(below, above): the two sides of poly along the line where its slab
@@ -147,7 +148,8 @@ class Shear:
         an edge crossing it gives the point with the bound as its slab
         coordinate at t = (bound - c_p) / (c_q - c_p) along the edge.  Each
         side keeps the cyclic order of poly, so it is canonical once rotated
-        to its lowest vertex.
+        to its lowest vertex; it is returned unrotated, as `split` and
+        `area` read no starting vertex.
         """
         vs = poly.vertices
         x1_shear = self.axis == "x1"
@@ -168,10 +170,11 @@ class Shear:
                      else Point2(bound, p.x2 + (q.x2 - p.x2) * t))
                 below.append(x)
                 above.append(x)
-        return _raw(_from_lowest(below)), _raw(_from_lowest(above))
+        return _raw(below), _raw(above)
 
     def split(self, poly: ConvexPolygon):
-        """(slab, part) for every slab the open polygon meets, in slab order.
+        """(slab, part) for every slab the open polygon meets, in slab order,
+        each part counterclockwise from any vertex (see `_cut`).
 
         The least and greatest slab coordinate of the polygon's vertices,
         taken in one pass, are bisected into the breakpoints, which gives the
@@ -267,7 +270,8 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
     shears i..j-1) of the set moved by shear i; violations are reported as
     the overlapping area, found exactly.  Each piece is labelled with the
     shears that have moved it, so the walk splits every piece once per
-    shear, and the report carries the final region along.
+    shear, and the report carries the final region along, each piece
+    rotated once to its lowest vertex at the end.
     """
     violations: list[Violation] = []
     cur = [(piece, ()) for piece in seq.source.pieces]  # (piece, shears that moved it)
@@ -284,4 +288,5 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
                 nxt.append((shear.map_part(k, part), movers + (j,)))
         violations += [Violation(i, j, a) for i, a in sorted(hits.items())]
         cur = nxt
-    return ComposabilityReport(violations, Region([piece for piece, _ in cur]))
+    return ComposabilityReport(violations,
+                               Region([_raw(_from_lowest(piece.vertices)) for piece, _ in cur]))

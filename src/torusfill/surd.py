@@ -29,7 +29,11 @@ refines at any length.
 `Fraction` appears only where a value enters or leaves: `terms`,
 `as_fraction`, `from_terms`, `approx` and the hash of a rational; the
 triples are read and written on integers, and `clear_denominators` hands
-out integer multiples.  Linear algebra over Q runs on integers too:
+out integer multiples.  `QuadInt` is a + b sqrt(r) on two ints (b != 0)
+in one field Q(sqrt r), the lattice coordinates of `torus` once their
+denominators are cleared: its +, - and * with itself or an int return a
+plain int when the sqrt(r) part cancels, and its sign and floor are the
+closed forms above.  Linear algebra over Q runs on integers too:
 `int_echelon` is a fraction-free Gauss-Jordan elimination, `rational_rank`
 reads its rank, and `rational_relations` builds `Fraction` only for the
 kernel it returns.
@@ -614,6 +618,96 @@ class SurdScalar:
         return "".join(parts).replace("v", "√")
 
 
+class QuadInt:
+    """Immutable a + b sqrt(r) with ints a, b != 0 and squarefree r > 1.
+
+    The integers of one field Q(sqrt r), for the lattice coordinates of
+    `torus`: +, -, * and the comparisons take a QuadInt of the same r or an
+    int, and a result whose sqrt(r) part is 0 is that plain int.  So a
+    QuadInt is never rational, and equality stays structural.  Sign, order
+    and floor are those of `_sign2` and `_root_floor` on the two ints.
+    """
+
+    __slots__ = ("a", "b", "r")
+
+    def __init__(self, a: int, b: int, r: int):
+        self.a, self.b, self.r = a, b, r
+
+    def __add__(self, other):
+        if type(other) is int:
+            return QuadInt(self.a + other, self.b, self.r)
+        if type(other) is QuadInt:
+            b = self.b + other.b
+            return QuadInt(self.a + other.a, b, self.r) if b else self.a + other.a
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self) -> QuadInt:
+        return QuadInt(-self.a, -self.b, self.r)
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return QuadInt(self.a - other, self.b, self.r)
+        if type(other) is QuadInt:
+            b = self.b - other.b
+            return QuadInt(self.a - other.a, b, self.r) if b else self.a - other.a
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return QuadInt(other - self.a, -self.b, self.r)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return QuadInt(self.a * other, self.b * other, self.r) if other else 0
+        if type(other) is QuadInt:
+            a, b, c, e, r = self.a, self.b, other.a, other.b, self.r
+            q = a * e + b * c
+            return QuadInt(a * c + b * e * r, q, r) if q else a * c + b * e * r
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def sign(self) -> int:
+        return _sign2(self.a, 1, self.b, self.r)
+
+    def floor(self) -> int:
+        return self.a + _root_floor(self.b, self.r)
+
+    def _compare(self, other, test):
+        """test(sign of self - other, 0) for test in (lt, le, gt, ge)."""
+        if type(other) is int:
+            return test(_sign2(self.a - other, 1, self.b, self.r), 0)
+        if type(other) is QuadInt:
+            return test(_sign2(self.a - other.a, 1, self.b - other.b, self.r), 0)
+        return NotImplemented
+
+    def __lt__(self, other):
+        return self._compare(other, lt)
+
+    def __le__(self, other):
+        return self._compare(other, le)
+
+    def __gt__(self, other):
+        return self._compare(other, gt)
+
+    def __ge__(self, other):
+        return self._compare(other, ge)
+
+    def __eq__(self, other):
+        return (type(other) is QuadInt and self.a == other.a and self.b == other.b
+                and self.r == other.r)
+
+    def surd(self) -> SurdScalar:
+        """The same value as a SurdScalar."""
+        return _make({1: self.a, self.r: self.b} if self.a else {self.r: self.b}, 1)
+
+    def __repr__(self) -> str:
+        return f"QuadInt({self.a}, {self.b}, {self.r})"
+
+
 def clear_denominators(values: Sequence[SurdScalar]) -> tuple[list, int]:
     """([L * v for v in values], L) with L the lcm of the denominators: a
     rational value comes back as an int, any other as a SurdScalar with
@@ -629,6 +723,51 @@ def clear_denominators(values: Sequence[SurdScalar]) -> tuple[list, int]:
         else:
             out.append(_make({r: n * k for r, n in num.items()}, 1))
     return out, den
+
+
+def quadratic_integers(values: Sequence[int | SurdScalar]) -> list | None:
+    """The ints and integral SurdScalars of `clear_denominators` as ints and
+    QuadInts, when all of them lie in one Q(sqrt r); None when they span two
+    radicands or more."""
+    out: list[int | QuadInt] = []
+    root = 0
+    for v in values:
+        if type(v) is int:
+            out.append(v)
+            continue
+        num = v._num
+        r = max(num)
+        if len(num) > 1 + (1 in num) or root not in (0, r):
+            return None
+        root = r
+        out.append(QuadInt(num.get(1, 0), num[r], r))
+    return out
+
+
+def lowest_terms(values: list, den: int) -> tuple[list, int]:
+    """(values / g, den / g) for g the gcd of den and every integer part of
+    the values (ints, QuadInts, or SurdScalars of denominator 1, which come
+    back as ints when rational).  v / den has the denominator
+    den / gcd(den, parts of v), so den / g is the lcm of those."""
+    parts = [den]
+    for v in values:
+        if type(v) is int:
+            parts.append(v)
+        elif type(v) is QuadInt:
+            parts += (v.a, v.b)
+        else:
+            parts += v._num.values()
+    g = gcd(*parts)
+    out: list = []
+    for v in values:
+        if type(v) is int:
+            out.append(v // g)
+        elif type(v) is QuadInt:
+            out.append(QuadInt(v.a // g, v.b // g, v.r))
+        else:
+            s = _make({r: n // g for r, n in v._num.items()}, 1)
+            out.append(s._num.get(1, 0) if s.is_rational() else s)
+    return out, den // g
 
 
 def _coerce(value) -> SurdScalar:

@@ -2,9 +2,13 @@
 
 A region is decided on integer lattice coordinates (`LatticeRegion`).  Its
 vertices are mapped once into the coordinates of a Lagrange-reduced basis
-and multiplied by L, the lcm of their denominators, so that each rational
-coordinate is an int (the others stay SurdScalars) and a lattice vector is
-a shift (aL, bL).  The map has determinant 1/covolume > 0, so it keeps
+and multiplied by L, the lcm of their denominators, so that a lattice
+vector is a shift (aL, bL).  Each rational coordinate is an int.  When the
+inverse basis and the vertices all lie in one Q(sqrt r), an irrational
+coordinate is a `QuadInt` a + b sqrt(r) on two ints, and a result whose
+sqrt(r) part is 0 is a plain int, never a pair; when they span two
+radicands or more, it is a SurdScalar of denominator 1, through the same
+code.  The map has determinant 1/covolume > 0, so it keeps
 convexity, winding, collinearity, repeated points and positive-area
 overlap; there the pieces are canonicalised, and each pair of pieces is
 checked at every lattice shift that their boxes allow, the zero shift
@@ -28,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surd import SurdScalar, clear_denominators, rat, scalar
+from .surd import (QuadInt, SurdScalar, clear_denominators, lowest_terms, quadratic_integers,
+                   rat, scalar)
 from .geom import GeometryError, Point2, _canonical, _sign, pt
 
 
@@ -136,6 +141,12 @@ def _floordiv(x, n: int) -> int:
     return (x if type(x) is int else x.floor()) // n
 
 
+def _surd(x) -> SurdScalar:
+    """A lattice-coordinate value (an int, a QuadInt or a SurdScalar) as a
+    SurdScalar, where it leaves the core."""
+    return x.surd() if type(x) is QuadInt else scalar(x)
+
+
 def _separates(seen: list, lines, a: int, b: int) -> bool:
     """True iff a line (alpha, beta, t) has alpha*a + beta*b <= t: first
     those in seen, then more drawn from the iterator lines, each kept in
@@ -202,10 +213,18 @@ class LatticeRegion:
     does not bound a strictly convex polygon winding once raises
     GeometryError with its plane points.  A point x maps to (u, w) with
     x = (u h1 + w h2) / L, so a*h1 + b*h2 is the shift (aL, bL); u and w are
-    ints where rational and SurdScalars otherwise, and only the operators
-    the two types share are used on them, with `_floordiv` and `_sign`.
-    `verdict` decides everything, overlapping pieces and the areas of
-    collisions included, on these coordinates: no plane polygon is built.
+    ints where rational, and otherwise QuadInts of one Q(sqrt r), or
+    SurdScalars when several radicands meet.  Only the operators the three
+    types share are used on them, with `_floordiv` and `_sign`.  `verdict`
+    decides everything, overlapping pieces and the areas of collisions
+    included, on these coordinates: no plane polygon is built, and an area
+    becomes a SurdScalar only where it leaves the core (`_surd`).
+
+    The map is taken on integers: `clear_denominators` makes E times the
+    four entries of the inverse basis integral, and D times the vertex
+    coordinates, so each product is D*E times the true coordinate.
+    `lowest_terms` then divides by the gcd g of D*E and every integer part,
+    which leaves L = D*E / g, the lcm of the denominators.
     """
 
     __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges")
@@ -214,12 +233,16 @@ class LatticeRegion:
         h1, h2, self._c1, self._c2 = _reduced(lattice.g1, lattice.g2)
         self._det = det = lattice.covolume()
         inv = rat(1) / det
-        m11, m12, m21, m22 = h2.x2 * inv, -h2.x1 * inv, -h1.x2 * inv, h1.x1 * inv
+        m, e = clear_denominators([h2.x2 * inv, -h2.x1 * inv, -h1.x2 * inv, h1.x1 * inv])
+        xs, d = clear_denominators([c for points in polygons for p in points for c in (p.x1, p.x2)])
+        quad = quadratic_integers(m + xs)
+        if quad is not None:
+            m, xs = quad[:4], quad[4:]
+        m11, m12, m21, m22 = m
         flat = []
-        for points in polygons:
-            for p in points:
-                flat += (m11 * p.x1 + m12 * p.x2, m21 * p.x1 + m22 * p.x2)
-        coords, self.scale = clear_denominators(flat)
+        for x1, x2 in zip(xs[::2], xs[1::2]):
+            flat += (m11 * x1 + m12 * x2, m21 * x1 + m22 * x2)
+        coords, self.scale = lowest_terms(flat, d * e)
         self.pieces = []
         at = 0
         for points in polygons:
@@ -244,7 +267,7 @@ class LatticeRegion:
         for vs in self.pieces:
             for p, q in zip(vs, vs[1:] + vs[:1]):
                 twice = twice + (p.x1 * q.x2 - p.x2 * q.x1)
-        return self._det * twice / (2 * self.scale * self.scale)
+        return self._det * _surd(twice) / (2 * self.scale * self.scale)
 
     def _lines(self, i: int, j: int):
         """(alpha, beta, t) per edge line of piece j and then of piece i,
@@ -309,6 +332,6 @@ class LatticeRegion:
                         v = (a * c1[0] + b * c2[0], a * c1[1] + b * c2[1])
                         if v < (0, 0):  # a < 0, or a = 0 > b
                             v = (-v[0], -v[1])
-                        overlaps[v] = overlaps.get(v, 0) + self._det * twice[0] / twice[1]
+                        overlaps[v] = overlaps.get(v, 0) + self._det * _surd(twice[0]) / _surd(twice[1])
         collisions = [(ab, area / (2 * L * L)) for ab, area in sorted(overlaps.items())]
         return RegionVerdict(collisions, self.area(), self._det)

@@ -9,11 +9,15 @@ not a read.  A definition that `src/` and `bench/` never read but `tests/`
 does belongs in the tests, unless `KEPT_FOR_TESTS` names it with its reason.
 A method or property is read by its own bare name, whatever object it is
 read on: `ShearSequence.from_json` is read by nothing, yet it passes because
-`Region.from_json` is read.  The imports of `src/torusfill/__init__.py` are
-the package's exports and read nothing.
+`Region.from_json` is read.  A name that a function, a lambda or a
+comprehension loads is not a read when symtable finds it local or free there:
+the function's own argument, a name it assigns, or one that an enclosing
+function binds.  The imports of `src/torusfill/__init__.py` are the
+package's exports and read nothing.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +33,11 @@ KEPT_FOR_TESTS: dict[str, str] = {}
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# the syntax nodes that open a symtable block, with the block's name (None:
+# the node's own name)
+BLOCKS = {ast.FunctionDef: None, ast.AsyncFunctionDef: None, ast.ClassDef: None,
+          ast.Lambda: "lambda", ast.ListComp: "listcomp", ast.SetComp: "setcomp",
+          ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr"}
 
 
 def definitions(source: str) -> list[tuple[str, int]]:
@@ -49,16 +58,51 @@ def definitions(source: str) -> list[tuple[str, int]]:
     return out
 
 
+def loads_global(name: str, tables: list) -> bool:
+    """Whether a load of name, in the innermost of the nested symtable blocks
+    `tables`, can read a module-level definition: the innermost block that
+    knows the name decides (a default, a decorator, an annotation or the
+    first iterable of a comprehension sits in the syntax of a block it is not
+    evaluated in, and its block is an outer one), and in a function it must
+    be neither local nor free."""
+    for table in reversed(tables):
+        try:
+            symbol = table.lookup(name)
+        except KeyError:
+            continue
+        return not (table.get_type() == "function" and (symbol.is_local() or symbol.is_free()))
+    return True
+
+
 def reads(source: str) -> set[str]:
-    """Names that `source` loads, accesses as attributes or imports with `from`."""
+    """Names that `source` loads (see `loads_global`), accesses as
+    attributes or imports with `from`."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+    taken = set()  # ids of the symtable blocks already matched to a node
+
+    def visit(node, tables):
+        for child in ast.iter_child_nodes(node):
+            inner = tables
+            if type(child) in BLOCKS:
+                # a block in a default or in the first iterable of a
+                # comprehension is a child of an outer block
+                key = (BLOCKS[type(child)] or child.name, child.lineno)
+                depth, table = [(depth, t) for depth in range(len(tables), 0, -1)
+                                for t in tables[depth - 1].get_children()
+                                if t.get_id() not in taken
+                                and (t.get_name(), t.get_lineno()) == key][0]
+                taken.add(table.get_id())
+                inner = tables[:depth] + [table]
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if loads_global(child.id, tables):
+                    names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                names.add(child.attr)
+            elif isinstance(child, ast.ImportFrom):
+                names.update(alias.name for alias in child.names)
+            visit(child, inner)
+
+    visit(ast.parse(source), [symtable.symtable(source, "<source>", "exec")])
     return names
 
 
@@ -95,9 +139,12 @@ def test_dead_definition_is_found():
     module = ("X = 1\nY: int = 2\n\ndef f():\n    return X\n\nclass C:\n    pass\n\n"
               "def g():\n    pass\n\nclass D:\n    def __init__(self):\n        self.used()\n\n"
               "    def used(self):\n        pass\n\n    @property\n    def unused(self):\n"
-              "        pass\n\ndef h():\n    pass\n")
-    user = "from m import f, D\nimport m\n\nprint(m.C)\n"
+              "        pass\n\ndef h():\n    pass\n\ndef edges():\n    pass\n\ndef clip():\n"
+              "    pass\n\ndef e(clip):\n    edges = [clip]\n"
+              "    return [x for x in edges], lambda: edges\n")
+    user = "from m import f, D, e\nimport m\n\nprint(m.C)\n"
     test = "from m import h\n\n\ndef test_h():\n    h()\n"
     assert dead_definitions({"m.py": module}, [module, user, test]) == [
-        "m.py line 2: Y", "m.py line 10: g", "m.py line 21: D.unused"]
+        "m.py line 2: Y", "m.py line 10: g", "m.py line 21: D.unused", "m.py line 27: edges",
+        "m.py line 30: clip"]
     assert read_only_by_tests({"m.py": module}, [module, user], [test]) == ["m.py line 24: h"]

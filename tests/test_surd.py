@@ -14,6 +14,7 @@ import torusfill.surd as surd_module
 from conftest import fraction_from_triples, nonzero_surds, rationals, surds
 from torusfill.latforms import AlternatingSurdMatrix, _condition_i, _det_int
 from torusfill.surd import (
+    QuadInt,
     SurdError,
     SurdScalar,
     _coprime_base,
@@ -845,3 +846,55 @@ def test_no_fraction_built_per_operation(monkeypatch):
                     rational_rank((a, rat(0), a * q)), _det_int(unimodular)]
     assert built == []
     assert independence == [False, False, True, True, True, False, True, 3, 1, -1]
+
+
+HUGE = st.integers(min_value=-10**30, max_value=10**30)
+NONZERO = st.one_of(st.integers(min_value=1, max_value=10**30),
+                    st.integers(min_value=-10**30, max_value=-1))
+
+
+@st.composite
+def quad_int_pairs(draw):
+    """(x, y, r): a QuadInt x over sqrt r, numerators up to 10**30, and y an
+    int or a QuadInt over the same r, drawn so that the sqrt r part of
+    x + y, x - y or x * y often cancels to 0."""
+    r = draw(st.sampled_from([2, 3, 5, 6, 7]))
+    a, b = draw(HUGE), draw(NONZERO)
+    kind = draw(st.sampled_from(["int", "free", "opposite", "same", "conjugate"]))
+    if kind == "int":
+        return QuadInt(a, b, r), draw(st.one_of(st.just(0), HUGE)), r
+    c, k = draw(HUGE), draw(st.sampled_from([-9, -2, -1, 1, 3, 8]))
+    # -b cancels in x + y, b in x - y, and k (a - b sqrt r) in x * y
+    e = {"free": draw(NONZERO), "opposite": -b, "same": b, "conjugate": -k * b}[kind]
+    if kind == "conjugate":
+        c = k * a
+    return QuadInt(a, b, r), QuadInt(c, e, r), r
+
+
+def as_surd(v) -> SurdScalar:
+    """An int or a QuadInt as a SurdScalar, the way the oracle builds it."""
+    return SurdScalar.from_terms([(1, v.a), (v.r, v.b)]) if type(v) is QuadInt else rat(v)
+
+
+@given(quad_int_pairs())
+@settings(max_examples=300, deadline=None)
+def test_quad_int_matches_surd_scalar(case):
+    # every operation of the pair type, in both operand orders, equals the
+    # SurdScalar operation on the same values; a result with no sqrt r part
+    # is a plain int, and any other a QuadInt with b != 0
+    x, y, r = case
+    sx, sy = as_surd(x), as_surd(y)
+    assert x.surd() == sx and (type(y) is int or y.surd() == sy)
+    results = {"x + y": (x + y, sx + sy), "y + x": (y + x, sy + sx),
+               "x - y": (x - y, sx - sy), "y - x": (y - x, sy - sx),
+               "x * y": (x * y, sx * sy), "y * x": (y * x, sy * sx), "-x": (-x, -sx)}
+    for name, (got, want) in results.items():
+        event(f"{name} rational" if want.is_rational() else f"{name} irrational")
+        assert type(got) is (int if want.is_rational() else QuadInt), name
+        assert as_surd(got) == want, name
+        if type(got) is QuadInt:
+            assert got.b and got.r == r
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+        assert op(x, y) == op(sx, sy) and op(y, x) == op(sy, sx), op
+    assert x == QuadInt(x.a, x.b, r) != QuadInt(x.a + 1, x.b, r)
+    assert x.sign() == sx.sign() and x.floor() == sx.floor()

@@ -16,10 +16,11 @@ import torusfill.torus as torus_module
 from conftest import (EQUIVALENCE_LATTICES, FAR, PENTAGRAM, SKEW, UNIT, candidate_collisions,
                       candidate_vectors, clip, first_overlapping_pair, lattice_region,
                       plane_canonical, region_pieces, skewed_doubled_regions, vertex_lists)
+from torusfill.cli import main
 from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, family_filling,
                                 theorem1_filling)
 from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle
-from torusfill.surd import SurdScalar, rat, scalar, sqrt
+from torusfill.surd import QuadInt, SurdScalar, rat, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
 
@@ -423,8 +424,8 @@ def test_overlap_on_lattice_coordinates_matches_plane_clip(case):
     if want is None:
         assert got is None
     else:
-        n, d = got
-        assert n > 0 and d > 0 and scalar(n) / d / (2 * L * L) == want.area()
+        n, d = (torus_module._surd(x) for x in got)
+        assert n > 0 and d > 0 and n / d / (2 * L * L) == want.area()
 
 
 def half_and_whole_moved_theorem1():
@@ -530,16 +531,46 @@ def test_lattice_canonicalisation_accepts_what_the_plane_accepts(vs, lattice, of
 
 
 def test_surd_lattice_coordinates_take_the_same_path():
-    # theorem1's finals, where ints and SurdScalars mix, and a rational
-    # region on the sqrt 2 lattice have lattice coordinates in Q(sqrt 2)
+    # theorem1's finals, where ints and QuadInts mix, and a rational region
+    # on the sqrt 2 lattice have lattice coordinates in Q(sqrt 2)
     cert = theorem1_filling(0)
-    for region, lattice, kinds in [(cert.final, cert.lattice, {int, SurdScalar}),
-                                   (SCATTERED_JIGSAW, EQUIVALENCE_LATTICES[1], {SurdScalar})]:
+    for region, lattice, kinds in [(cert.final, cert.lattice, {int, QuadInt}),
+                                   (SCATTERED_JIGSAW, EQUIVALENCE_LATTICES[1], {QuadInt})]:
         core = lattice_region(region, lattice)
         assert {type(c) for vs in core.pieces for v in vs for c in (v.x1, v.x2)} == kinds
         assert core.area() == region.area()
         assert core.verdict().collisions == candidate_collisions(region, lattice)
     assert lattice_region(cert.final, cert.lattice).verdict().fundamental_domain
+
+
+def test_coordinates_over_two_radicands_take_the_same_path(tmp_path, capsys):
+    # the cell of the lattice (1 + sqrt 2) Z x (1 + sqrt 3) Z cut at x1 = 1
+    # and x2 = 1: its lattice coordinates need both sqrt 2 and sqrt 3, so no
+    # one Q(sqrt r) holds them and the core runs on SurdScalars; moving the
+    # top right piece by (1/2, 0) makes it collide with the top left one.
+    # On the unit lattice, a rectangle of height (sqrt 2 + sqrt 3) / 4 has
+    # one coordinate that spans both radicands.
+    s2, s3 = 1 + sqrt(2), 1 + sqrt(3)
+    lattice = Lattice2.rectangular(s2, s3)
+    cell = Region([rectangle(x0, x1, y0, y1) for x0, x1 in ((0, 1), (1, s2))
+                   for y0, y1 in ((0, 1), (1, s3))])
+    moved = Region(cell.pieces[:3] + [cell.pieces[3].translate(pt(Fraction(1, 2), 0))])
+    strip = Region([rectangle(0, 1, 0, (sqrt(2) + sqrt(3)) / 4)])
+    for k, (region, lat, fundamental, code) in enumerate([
+            (cell, lattice, True, 0), (moved, lattice, False, 1), (strip, UNIT, False, 0)]):
+        core = lattice_region(region, lat)
+        coords = [c for vs in core.pieces for v in vs for c in (v.x1, v.x2)]
+        assert {type(c) for c in coords} == {int, SurdScalar}
+        assert set().union(*(c.radicands for c in coords if type(c) is SurdScalar)) >= {2, 3}
+        verdict = core.verdict()
+        assert verdict.collisions == candidate_collisions(region, lat)
+        assert verdict.fundamental_domain == fundamental and verdict.area == region.area()
+        region_file, lattice_file = tmp_path / f"region{k}.json", tmp_path / f"lattice{k}.json"
+        region_file.write_text(json.dumps(region.to_json()))
+        lattice_file.write_text(json.dumps(lat.to_json()))
+        assert main(["verify", str(region_file), "--lattice-file", str(lattice_file)]) == code
+        capsys.readouterr()
+    assert lattice_region(moved, lattice).verdict().collisions
 
 
 def test_verify_on_far_skewed_basis_finishes(tmp_path):
