@@ -16,8 +16,9 @@ from itertools import chain, combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
 
-from .surd import (SurdScalar, decimal_sqrt, int_echelon, rat, rational_rank,
-                   rational_relations, rationally_independent, scalar, sqrt)
+from .surd import (SurdScalar, decimal_sqrt, int_echelon, product_is_irrational,
+                   product_sum_sign, rat, rational_rank, rational_relations,
+                   rationally_independent, scalar, sqrt)
 
 
 class LatticeFormError(ValueError):
@@ -151,15 +152,18 @@ UPPER_INDEX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 class AlternatingSurdMatrix:
     """Antisymmetric 4x4 matrix with surd entries, nondegenerate, stored as
-    the tuple `upper` of its six strict upper entries in UPPER_INDEX order."""
+    the tuple `upper` of its six strict upper entries in UPPER_INDEX order.
+    `volume` keeps the omega^2 coefficient that the constructor checks; the
+    normaliser's candidates (`_form`) are built without it."""
 
-    __slots__ = ("upper",)
+    __slots__ = ("upper", "volume")
 
     def __init__(self, upper):
         self.upper = tuple(scalar(x) for x in upper)
         if len(self.upper) != 6:
             raise LatticeFormError("need the 6 strict upper-triangle entries")
-        if self.volume_coefficient().is_zero():
+        self.volume = self.volume_coefficient()
+        if self.volume.is_zero():
             raise LatticeFormError("form is degenerate")
 
     def volume_coefficient(self) -> SurdScalar:
@@ -383,7 +387,7 @@ def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
     if not b.is_irrational():
         raise LatticeFormError("form is rational; normalization needs an irrational form")
 
-    orientation = b.volume_coefficient().sign()
+    orientation = b.volume.sign()
     starts = [((perm,), _form(permuted)) for perm, permuted in _permuted(b.upper, orientation)]
 
     def extend(level):
@@ -428,7 +432,8 @@ class PeriodLatticeSolution:
 
     The actual lattice coefficients are rho * (p, q, r, s) with
     rho = sqrt(rho_sq); rho itself may leave the surd ring, so all stored
-    quantities are rho-squared expressible.
+    quantities are rho-squared expressible.  det is D = p s - q r, as
+    `build_period_lattice` computed it.
     """
 
     b: AlternatingSurdMatrix
@@ -436,6 +441,7 @@ class PeriodLatticeSolution:
     q: SurdScalar
     r: SurdScalar
     s: SurdScalar
+    det: SurdScalar
     x: SurdScalar
     y: SurdScalar
     u: SurdScalar
@@ -450,10 +456,6 @@ class PeriodLatticeSolution:
     def zero_case(self) -> bool:
         # b12 = 0 forces b34 = 0 by condition (i), and then v = 0
         return self.b.upper[0].is_zero()
-
-    @property
-    def det(self) -> SurdScalar:
-        return self.p * self.s - self.q * self.r
 
     def rho_decimal(self, digits: int = 50) -> str:
         return decimal_sqrt(self.rho_sq, digits)
@@ -554,7 +556,8 @@ def build_period_lattice(normalized: NormalizationResult) -> PeriodLatticeSoluti
         used.add(prime)
         fresh_used.append(prime)
 
-    d_inv = (p * s - q * r).inverse()
+    det = p * s - q * r
+    d_inv = det.inverse()
     x = (s * b13 - q * b14) * d_inv
     y = (p * b24 - r * b23) * d_inv
     u = (p * b14 - r * b13) * d_inv
@@ -564,7 +567,7 @@ def build_period_lattice(normalized: NormalizationResult) -> PeriodLatticeSoluti
         rho_sq = sqrt(prime)
     else:
         rho_sq = b34 / b12 * d_inv
-    return PeriodLatticeSolution(b, p, q, r, s, x, y, u, rho_sq, fresh_used)
+    return PeriodLatticeSolution(b, p, q, r, s, det, x, y, u, rho_sq, fresh_used)
 
 
 @dataclass
@@ -581,21 +584,20 @@ class NoCurvesCertificate:
                 "search_bound": self.search_bound}
 
 
-def _integer_relation_exists(values: list[SurdScalar], bound: int) -> bool:
-    """Any nonzero integer vector n with |n_i| <= bound and sum n_i v_i = 0?
+def _integer_relation_exists(basis: list[list], bound: int) -> bool:
+    """Any nonzero integer vector n with |n_i| <= bound and sum n_i v_i = 0,
+    given the kernel basis `rational_relations`(v)?
 
-    Decided exactly from the rational kernel.  Every kernel vector is
+    Decided exactly from that kernel.  Every kernel vector is
     sum_j t_j k_j over the RREF basis k_j, where t_j is its coordinate in the
     j-th free column; an integer vector inside the box therefore has integer
     t in [-bound, bound]^dim, and those are enumerated, keeping the ones whose
-    pivot coordinates are integers within the bound.
+    pivot coordinates are integers within the bound.  A zero value v_j,
+    and only that, puts a unit vector e_j in the basis.
     """
-    if bound < 1:
+    if bound < 1 or not basis:
         return False
-    basis = rational_relations(values)
-    if not basis:
-        return False
-    if any(v.is_zero() for v in values):
+    if any(sum(map(bool, k)) == 1 for k in basis):
         return True  # a unit vector is a relation
     # no zero value, so the kernel has dimension at most 3 here; scale the
     # basis to integers so that den * n_i = sum_j t_j rows[i][j]
@@ -618,17 +620,25 @@ def verify_no_curves(sol: PeriodLatticeSolution, bound: int = 20) -> NoCurvesCer
     equation; and a bounded integer-relation search on the elimination
     identity -n1 r + n2 p - n3 s + n4 q = 0 that any integral class would
     have to satisfy.
+
+    All on integers, and no product is built only to be signed or tested:
+    one `rational_relations` of (-r, p, -s, q), which span what (p, q, r, s)
+    span, decides independence (an empty kernel) and gives the integer
+    search its kernel; ps_qr_irrational reads single coefficients of
+    rho^2 D, D as stored (`product_is_irrational`); positivity signs its sum
+    from enclosures of the factors (`product_sum_sign`).
     """
     b12, b13, b14, b23, b24, b34 = sol.b.upper
+    kernel = rational_relations([-sol.r, sol.p, -sol.s, sol.q])
+    x, y, u, v, rho_sq = sol.x, sol.y, sol.u, sol.v, sol.rho_sq
     conditions = {
-        "rationally_independent": rationally_independent([sol.p, sol.q, sol.r, sol.s]),
-        "ps_qr_irrational": (sol.rho_sq * sol.det).is_irrational(),
-        "x_positive": sol.x.sign() > 0,
-        "positivity": (sol.rho_sq.sign() > 0 and (
-            sol.x * sol.y - sol.u * sol.u - sol.v * sol.v * sol.rho_sq).sign() > 0),
+        "rationally_independent": not kernel,
+        "ps_qr_irrational": product_is_irrational(rho_sq, sol.det),
+        "x_positive": x.sign() > 0,
+        "positivity": rho_sq.sign() > 0 and product_sum_sign(
+            [(1, (x, y)), (-1, (u, u)), (-1, (v, v, rho_sq))]) > 0,
         "compatibility": sol.r * b13 - sol.p * b14 == sol.q * b24 - sol.s * b23,
-        "integer_search": not _integer_relation_exists(
-            [-sol.r, sol.p, -sol.s, sol.q], bound),
+        "integer_search": not _integer_relation_exists(kernel, bound),
     }
     return NoCurvesCertificate(conditions, bound)
 

@@ -24,8 +24,10 @@ never 0, and floor((a + b sqrt(r)) / d) follows from isqrt(b^2 r), since
 b sqrt(r) lies strictly between consecutive integers (two irrational terms
 add one closed-form sign of a three-term value).  Three or more terms
 refine: value * denominator * 2**prec is bounded between two integers built
-from isqrt(n_i * 4**prec), doubling prec until the bounds decide; `approx`
-refines at any length.
+from isqrt(n_i * 4**prec), doubling prec until the bounds decide.  `approx`
+takes one enclosure, at a prec read off the numerators beforehand, and
+`product_sum_sign` and `product_is_irrational` decide a sign and an
+irrationality of products without building them.
 `Fraction` appears only where a value enters or leaves: `terms`,
 `as_fraction`, `from_terms`, `approx` and the hash of a rational; the
 triples are read and written on integers, and `clear_denominators` hands
@@ -43,8 +45,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import add, ge, gt, le, lt, sub
+from operator import add, ge, gt, le, lt, mul, sub
 
 
 class SurdError(ArithmeticError):
@@ -431,13 +434,13 @@ class SurdScalar:
     def __pow__(self, n: int) -> SurdScalar:
         if n < 0:
             return self.inverse() ** (-n)
-        out = rat(1)
-        base, k = self, n
-        while k:
-            if k & 1:
+        out, base = rat(1), self
+        while n:
+            if n & 1:
                 out = out * base
-            base = base * base
-            k >>= 1
+            n >>= 1
+            if n:  # past the top bit the square would go unread
+                base = base * base
         return out
 
     def _reciprocal(self) -> SurdScalar:
@@ -491,9 +494,16 @@ class SurdScalar:
         return _sign(self._num)
 
     def approx(self, digits: int = 30) -> Fraction:
-        """A rational within 10**-digits of the true value."""
-        return _refine(self._num, self._den, 32, lambda lo, hi, scale:
-                       Fraction(lo + hi, 2 * scale) if (hi - lo) * 10 ** digits < scale else None)
+        """A rational within 10**-digits of the true value: the midpoint of
+        one `_enclosure`, at the first prec = 32 * 2**j where its width (the
+        sum of |n| over the irrational numerators) * 10**digits is below
+        den * 2**prec."""
+        width = sum(abs(n) for r, n in self._num.items() if r != 1) * 10 ** digits
+        prec = 32
+        while width >= self._den << prec:
+            prec *= 2
+        lo, hi = _enclosure(self._num, prec)
+        return Fraction(lo + hi, 2 * self._den << prec)
 
     def __eq__(self, other) -> bool:
         if type(other) is not SurdScalar:
@@ -768,6 +778,56 @@ def lowest_terms(values: list, den: int) -> tuple[list, int]:
             s = _make({r: n // g for r, n in v._num.items()}, 1)
             out.append(s._num.get(1, 0) if s.is_rational() else s)
     return out, den // g
+
+
+def product_sum_sign(terms) -> int:
+    """Sign of the sum of sign * (product of factors) over the (sign,
+    factors) terms, sign +-1 and factors SurdScalars, from enclosures.
+
+    Times 2**(k prec) and the lcm L of the terms' denominators, k the most
+    factors of a term, each term is sign * (L / den) * 2**((k - len) prec)
+    times the product of its factors' numerator sums, each bounded times
+    2**prec by `_enclosure`.  Interval products and sums of those integers
+    decide once they exclude 0, prec doubling from 64 to 1024; past that
+    the sum is built and signed exactly, so an exact zero returns 0.
+    """
+    dens = [reduce(mul, (f._den for f in factors)) for _, factors in terms]
+    top, k = lcm(*dens), max(len(factors) for _, factors in terms)
+    prec = 64
+    while prec <= 1024:
+        bounds: dict[int, tuple[int, int]] = {}  # by id: u in u * u once
+        lo_sum = hi_sum = 0
+        for (sign, factors), den in zip(terms, dens):
+            lo = hi = sign * (top // den) << (k - len(factors)) * prec
+            for f in factors:
+                a, b = bounds.get(id(f)) or bounds.setdefault(id(f), _enclosure(f._num, prec))
+                corners = (lo * a, lo * b, hi * a, hi * b)
+                lo, hi = min(corners), max(corners)
+            lo_sum += lo
+            hi_sum += hi
+        if lo_sum > 0 or hi_sum < 0:
+            return 1 if lo_sum > 0 else -1
+        prec *= 2
+    return sum((sign * reduce(mul, factors) for sign, factors in terms), rat(0)).sign()
+
+
+def product_is_irrational(x: SurdScalar, y: SurdScalar) -> bool:
+    """(x * y).is_irrational(), from single coefficients of x y: for
+    squarefree r and t > 1, sqrt(r) sqrt(r') is a multiple of sqrt(t) only
+    for r' = (r / h)(t / h), h = gcd(r, t), and then it is (r / h) sqrt(t).
+    The t that radicand pairs produce are tried up to the first nonzero."""
+    xn, yn = x._num, y._num
+    tried = {1}
+    for r1 in xn:
+        for r2 in yn:
+            g = gcd(r1, r2)
+            t = (r1 // g) * (r2 // g)
+            if t not in tried:
+                tried.add(t)
+                if sum(n * yn.get((r // (h := gcd(r, t))) * (t // h), 0) * (r // h)
+                       for r, n in xn.items()):
+                    return True
+    return False
 
 
 def _coerce(value) -> SurdScalar:

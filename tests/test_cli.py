@@ -571,9 +571,12 @@ def test_period_lattice_matches_golden_bytes(tmp_path, capsys, case):
     # core was rewritten for speed.  Draws 21, 34, 56, 69, 634 and 1330 were
     # added, recorded before the normaliser moved to two-entry moves: with
     # the first cases, the winning base changes use all eight (target,
-    # source) transvection pairs.  Case "two-transvections" is the form of
-    # the normalize_basis docstring.  A change to these bytes must be
-    # deliberate: regenerate the file and say why.
+    # source) transvection pairs.  Draws 413 and 432, each with two fresh
+    # radicals and 32-term values, were added before the no-curves
+    # certificate stopped building the products it only signs or tests.
+    # Case "two-transvections" is the form of the normalize_basis docstring.
+    # A change to these bytes must be deliberate: regenerate the file and
+    # say why.
     matrix_file = tmp_path / "form.json"
     matrix_file.write_text(json.dumps(case["matrix"]))
     code, out, _ = run_cli(["period-lattice", str(matrix_file),

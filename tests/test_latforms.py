@@ -397,9 +397,9 @@ def golden_period_lattice_forms():
 
 def test_normalizer_spends_two_sums_and_two_products_per_transvection(monkeypatch):
     # outside its candidate checks the normaliser does surd arithmetic only
-    # for the input's orientation (three products, two sums) and for the
-    # transvection candidates it builds (two sums each, and two products
-    # unless k = +-1); permutations cost none
+    # for the transvection candidates it builds (two sums each, and two
+    # products unless k = +-1): the input's orientation is read from the
+    # omega^2 coefficient its constructor kept, and permutations cost none
     checks = CandidateChecks(monkeypatch)
     ops = {"products": 0, "sums": 0}
 
@@ -414,7 +414,7 @@ def test_normalizer_spends_two_sums_and_two_products_per_transvection(monkeypatc
                        ("__radd__", "sums"), ("__sub__", "sums"), ("__rsub__", "sums")):
         monkeypatch.setattr(SurdScalar, name, counting(getattr(SurdScalar, name), kind))
     forms = golden_period_lattice_forms()
-    assert len(forms) == 21
+    assert len(forms) == 23
     built_in_all = 0
     for b in forms:
         checks.candidates.clear()
@@ -423,8 +423,8 @@ def test_normalizer_spends_two_sums_and_two_products_per_transvection(monkeypatc
         # the 12 permutations are checked first, then each transvection
         # candidate once, as it is built
         built = max(0, len(checks.candidates) - 12)
-        assert ops["products"] <= 3 + 2 * built, (b.upper, built, ops)
-        assert ops["sums"] <= 2 + 2 * built, (b.upper, built, ops)
+        assert ops["products"] <= 2 * built, (b.upper, built, ops)
+        assert ops["sums"] <= 2 * built, (b.upper, built, ops)
         built_in_all += built
     assert built_in_all > 100
 
@@ -442,7 +442,7 @@ def assert_rank_tests_match_pairwise_loop(b):
 
 def test_rank_conditions_match_pairwise_loop(monkeypatch):
     golden_forms = golden_period_lattice_forms()
-    assert len(golden_forms) == 21
+    assert len(golden_forms) == 23
     rng = random.Random(1234)
     draws = [_random_surd_matrix(rng) for _ in range(200)]
     for b in golden_forms + draws:
@@ -594,6 +594,37 @@ def test_verify_no_curves_conditions():
     assert set(cert.conditions.values()) == {True}
 
 
+def test_verify_no_curves_eliminates_once_and_multiplies_no_solution_value(monkeypatch):
+    # one rational_relations serves independence and the integer search, and
+    # positivity and ps_qr_irrational are read off their factors: no product
+    # takes x, y, u, rho^2 or D as an operand
+    solutions = [build_period_lattice(normalize_basis(b)) for b in golden_period_lattice_forms()]
+    assert max(len(sol.rho_sq.radicands) for sol in solutions) == 32
+    echelons, products, watched = [], [], []
+    echelon = surd_module.int_echelon
+
+    def counted_echelon(m):
+        echelons.append(m)
+        return echelon(m)
+
+    def counting(op):
+        def counted(self, other):
+            if any(w is self or w is other for w in watched):
+                products.append((self, other))
+            return op(self, other)
+        return counted
+
+    monkeypatch.setattr(surd_module, "int_echelon", counted_echelon)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(SurdScalar, name, counting(getattr(SurdScalar, name)))
+    for sol in solutions:
+        echelons.clear()
+        watched[:] = [sol.x, sol.y, sol.u, sol.rho_sq, sol.det]
+        assert verify_no_curves(sol, bound=20).ok
+        assert len(echelons) == 1
+        assert products == []
+
+
 def test_positivity_needs_rho_sq_positive_and_weighs_v_by_rho_sq():
     b = AlternatingSurdMatrix([0, 1, sqrt(2), -1, -1, 0])
     sol = build_period_lattice(normalize_basis(b))
@@ -694,7 +725,7 @@ def test_integer_relation_search():
         ([rat(21), rat(1), sqrt(2), sqrt(3)], 20, False),
         ([rat(21), rat(1), sqrt(2), sqrt(3)], 21, True),
     ]:
-        assert _integer_relation_exists(values, bound) == expected
+        assert _integer_relation_exists(rational_relations(values), bound) == expected
         assert grid_relation_exists(values, bound) == expected
 
 
@@ -718,7 +749,7 @@ def test_integer_relation_search_matches_grid_on_random_kernels():
     for dim in (1, 2, 3):
         for _ in range(40):
             values, bound = random_quadruple(rng, dim), rng.randint(1, 4)
-            found = _integer_relation_exists(values, bound)
+            found = _integer_relation_exists(rational_relations(values), bound)
             assert found == grid_relation_exists(values, bound), (values, bound)
             verdicts[found] += 1
     assert min(verdicts.values()) >= 10  # both verdicts are exercised
@@ -735,7 +766,8 @@ def test_integer_relation_search_matches_grid_on_corpus():
             continue
         sol = build_period_lattice(normalized)
         values = [-sol.r, sol.p, -sol.s, sol.q]
-        assert _integer_relation_exists(values, 20) == grid_relation_exists(values, 20)
+        assert (_integer_relation_exists(rational_relations(values), 20)
+                == grid_relation_exists(values, 20))
         done += 1
 
 

@@ -3,6 +3,7 @@ import math
 import operator
 from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
+from functools import reduce
 from math import prod
 
 import pytest
@@ -20,6 +21,8 @@ from torusfill.surd import (
     _coprime_base,
     decimal_sqrt,
     int_echelon,
+    product_is_irrational,
+    product_sum_sign,
     rat,
     rational_rank,
     rational_relations,
@@ -898,3 +901,139 @@ def test_quad_int_matches_surd_scalar(case):
         assert op(x, y) == op(sx, sy) and op(y, x) == op(sy, sx), op
     assert x == QuadInt(x.a, x.b, r) != QuadInt(x.a + 1, x.b, r)
     assert x.sign() == sx.sign() and x.floor() == sx.floor()
+
+
+# every radicand that products of values over 2, 3, 5, 7 and 11 can reach
+FIELD_RADICANDS = sorted({prod(c) for n in range(len(WIDE_PRIMES) + 1)
+                          for c in itertools.combinations(WIDE_PRIMES, n)})
+FIELD_SURDS = surds(radicands=FIELD_RADICANDS, max_terms=6)
+
+
+def built_sum(terms) -> SurdScalar:
+    """The sum of sign * (product of factors) over the terms, multiplied out."""
+    return sum((sign * reduce(operator.mul, factors) for sign, factors in terms), rat(0))
+
+
+@st.composite
+def product_sums(draw):
+    """(sign, factors) terms of one to three factors each.  In a "zero"
+    draw each term recurs with the other sign and its factors reversed, so
+    the sum is exactly 0; in a "near" draw a term +-2**-e, e up to 1200,
+    joins them, so the sum is off 0 by less than any 64-bit enclosure (or
+    any 1024-bit one) resolves."""
+    term = st.tuples(st.sampled_from([1, -1]),
+                     st.lists(FIELD_SURDS, min_size=1, max_size=3).map(tuple))
+    terms = draw(st.lists(term, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["free", "zero", "near"]))
+    event(kind)
+    if kind != "free":
+        terms += [(-sign, factors[::-1]) for sign, factors in terms]
+    if kind == "near":
+        e = draw(st.integers(min_value=0, max_value=1200))
+        terms.append((draw(st.sampled_from([1, -1])), (rat(Fraction(1, 2 ** e)),)))
+    return terms
+
+
+@given(product_sums())
+# a term of fewer factors that outweighs the others
+@example([(1, (rat(100),)), (-1, (sqrt(2), sqrt(3)))])
+@example([(-1, (sqrt(7), rat(Fraction(9, 2)))), (1, (sqrt(2), sqrt(5), sqrt(11)))])
+@settings(max_examples=300, deadline=None)
+def test_product_sum_sign_matches_built_sign(terms):
+    assert product_sum_sign(terms) == built_sum(terms).sign()
+
+
+def test_product_sum_sign_builds_the_sum_only_past_1024_bits(monkeypatch):
+    x, y = 1 + sqrt(2) - 3 * sqrt(15), sqrt(3) + rat(Fraction(2, 7)) * sqrt(77) - sqrt(5)
+    precs, products = [], []
+    enclosure, mul = surd_module._enclosure, SurdScalar.__mul__
+
+    def counted_enclosure(num, prec):
+        precs.append(prec)
+        return enclosure(num, prec)
+
+    def counted_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(surd_module, "_enclosure", counted_enclosure)
+    monkeypatch.setattr(SurdScalar, "__mul__", counted_mul)
+    # decided at 64 bits, one enclosure per distinct factor
+    assert product_sum_sign([(1, (x, y)), (-1, (x, x, y))]) == (x * y - x * x * y).sign()
+    products.clear()
+    assert product_sum_sign([(1, (x, y)), (-1, (y, y))]) == -1  # about -18.4 - 4.0
+    assert precs[-2:] == [64, 64] and products == []
+    # an exact zero: 64 to 1024 bits, then the exact fallback
+    precs.clear()
+    assert product_sum_sign([(1, (x, y)), (-1, (y, x))]) == 0
+    assert sorted(set(precs)) == [64, 128, 256, 512, 1024] and len(products) == 2
+    # off 0 by 2**-1100: undecided at 1024 bits as well
+    products.clear()
+    tiny = rat(Fraction(1, 2 ** 1100))
+    assert product_sum_sign([(1, (x, y)), (-1, (y, x)), (-1, (tiny,))]) == -1
+    assert len(products) == 2
+
+
+@st.composite
+def product_pairs(draw):
+    """(x, y) over radicands from 2, 3, 5, 7 and 11; in a "rational" draw
+    y is a rational multiple of 1 / x, so the product is rational."""
+    x, y = draw(FIELD_SURDS), draw(FIELD_SURDS)
+    if draw(st.booleans()) and not x.is_zero():
+        event("rational")
+        y = x.inverse() * rat(draw(rationals()))
+    return x, y
+
+
+@given(product_pairs())
+@example((sqrt(2) + sqrt(3), sqrt(2) - sqrt(3)))
+@example((sqrt(6) + sqrt(10), sqrt(6) - sqrt(10)))
+@example((sqrt(2) + sqrt(3), sqrt(6)))
+@example((rat(0), sqrt(5)))
+@example((rat(3), rat(Fraction(2, 7))))
+@example((sqrt(77), 2 * sqrt(77)))
+@settings(max_examples=300, deadline=None)
+def test_product_is_irrational_matches_built_product(pair):
+    x, y = pair
+    assert product_is_irrational(x, y) == (x * y).is_irrational()
+    assert product_is_irrational(y, x) == (x * y).is_irrational()
+
+
+def doubling_approx(v: SurdScalar, digits: int) -> Fraction:
+    """`approx` as it was: enclosures at 32, 64, 128, ... bits, each taken,
+    until one is narrower than 10**-digits."""
+    prec = 32
+    while True:
+        lo, hi = surd_module._enclosure(v._num, prec)
+        scale = v._den << prec
+        if (hi - lo) * 10 ** digits < scale:
+            return Fraction(lo + hi, 2 * scale)
+        prec *= 2
+
+
+@given(st.one_of(FIELD_SURDS, surds(radicands=FIELD_RADICANDS, max_terms=6, large=True)),
+       st.integers(min_value=0, max_value=120))
+@settings(max_examples=300, deadline=None)
+def test_approx_matches_doubling_loop(v, digits):
+    event(f"{len(v.radicands)} terms")
+    assert v.approx(digits) == doubling_approx(v, digits)
+
+
+def test_power_squares_once_per_bit_below_the_top(monkeypatch):
+    products = []
+    mul = SurdScalar.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(SurdScalar, "__mul__", counted)
+    b = 3 - 2 * sqrt(2)
+    for n in range(10):
+        products.clear()
+        value = b ** n
+        monkeypatch.setattr(SurdScalar, "__mul__", mul)
+        assert value == reduce(operator.mul, [b] * n, rat(1))
+        monkeypatch.setattr(SurdScalar, "__mul__", counted)
+        # one product per set bit, one square per bit below the top one
+        assert len(products) == bin(n).count("1") + max(n.bit_length() - 1, 0)
