@@ -21,7 +21,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .surd import SurdScalar, rat
-from .geom import GeometryError, Region, pt, region_points
+from .geom import GeometryError, Region, pt, region_coordinates
 from .torus import Lattice2, LatticeRegion
 from .fillings import CONSTRUCTORS, ORIENTATIONS
 from .latforms import (
@@ -65,10 +65,11 @@ def _reading(path: str, faults=_FILE_FAULTS):
 
 
 def _load_json(path: str, parse):
-    """Read a JSON file and parse it; any fault in its content is malformed input."""
+    """Read a JSON file and parse it; any fault in its content is malformed
+    input.  The file is read as bytes and decoded as UTF-8 once."""
     with _reading(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+        with open(path, "rb") as fh:
+            return parse(json.loads(fh.read().decode("utf-8")))
 
 
 def _write(text: str, path: str | None) -> None:
@@ -189,13 +190,15 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Read the region's point lists and the lattice, then decide everything
-    on the region's lattice coordinates; no plane polygon is built."""
+    """Read the region's coordinates straight into integers over one common
+    denominator (`region_coordinates`), then the lattice, and decide
+    everything on the region's lattice coordinates: no scalar is made per
+    coordinate and no plane polygon is built."""
     t0 = time.perf_counter()
-    polygons = _load_json(args.region, region_points)
+    coordinates = _load_json(args.region, region_coordinates)
     lattice = _lattice_from_args(args)
     with _reading(args.region, GeometryError):  # bad polygons, overlapping pieces
-        verdict = LatticeRegion(polygons, lattice).verdict()
+        verdict = LatticeRegion.read(coordinates, lattice).verdict()
     fraction, decimal = verdict.fraction_json()
     report = {
         "input": args.region,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .surd import SurdScalar, rat, scalar
+from .surd import SurdScalar, clear_triples, rat, scalar
 
 
 class GeometryError(ValueError):
@@ -50,11 +50,17 @@ class Point2:
 
     @classmethod
     def from_json(cls, data) -> "Point2":
-        if type(data) is not list:  # an object would be read by its keys 0 and 1
-            raise TypeError(f"a point must be a list, got {type(data).__name__}")
-        if len(data) != 2:
-            raise GeometryError(f"a point has two coordinates, got {len(data)}")
-        return cls(SurdScalar.from_triples(data[0]), SurdScalar.from_triples(data[1]))
+        x1, x2 = _coordinates(data)
+        return cls(SurdScalar.from_triples(x1), SurdScalar.from_triples(x2))
+
+
+def _coordinates(data) -> list:
+    """The JSON of a point, checked to be a list of two coordinates."""
+    if type(data) is not list:  # an object would be read by its keys 0 and 1
+        raise TypeError(f"a point must be a list, got {type(data).__name__}")
+    if len(data) != 2:
+        raise GeometryError(f"a point has two coordinates, got {len(data)}")
+    return data
 
 
 def pt(x1, x2) -> Point2:
@@ -107,20 +113,50 @@ class ConvexPolygon:
         return [v.to_json() for v in self.vertices]
 
 
-def region_points(data) -> list[list[Point2]]:
-    """The point lists of {"polygons": [...]}, as given (not canonicalised).
-    A polygon list or a polygon that is not a list raises TypeError: iterated
-    as it comes, "" or {} would read as the empty region, and an object
-    would iterate its keys as points."""
+def _polygons(data) -> list:
+    """The polygon list of {"polygons": [...]}.  A polygon list that is not a
+    list raises TypeError: iterated as it comes, "" or {} would read as the
+    empty region."""
     polygons = data["polygons"]
     if type(polygons) is not list:
         raise TypeError(f"polygons must be a list, got {type(polygons).__name__}")
-    out = []
-    for points in polygons:
-        if type(points) is not list:
-            raise TypeError(f"a polygon must be a list of points, got {type(points).__name__}")
-        out.append([Point2.from_json(p) for p in points])
-    return out
+    return polygons
+
+
+def _points(polygon) -> list:
+    """A polygon's point list; anything else raises TypeError, as an object
+    would iterate its keys as points."""
+    if type(polygon) is not list:
+        raise TypeError(f"a polygon must be a list of points, got {type(polygon).__name__}")
+    return polygon
+
+
+def region_points(data) -> list[list[Point2]]:
+    """The point lists of {"polygons": [...]}, as given (not canonicalised)."""
+    return [[Point2.from_json(p) for p in _points(points)] for points in _polygons(data)]
+
+
+def region_coordinates(data):
+    """The polygons of {"polygons": [...]} read straight into integers, as
+    (sizes, xs, den, shown): xs holds x1 and x2 of every point in turn times
+    den, the lcm of their denominators (`surd.clear_triples`), sizes the
+    number of points of each polygon, and shown(k) builds the plane points
+    of polygon k, for a message that names them.  The checks, their order
+    and their messages are those of `region_points`, and no scalar is made
+    per coordinate."""
+    polygons = _polygons(data)
+    sizes: list[int] = []
+
+    def coordinates():
+        for points in polygons:
+            sizes.append(len(_points(points)))
+            for p in points:
+                x1, x2 = _coordinates(p)
+                yield x1
+                yield x2
+
+    xs, den = clear_triples(coordinates())
+    return sizes, xs, den, lambda k: [Point2.from_json(p) for p in polygons[k]]
 
 
 def _raw(vertices: list[Point2]) -> ConvexPolygon:
@@ -130,14 +166,15 @@ def _raw(vertices: list[Point2]) -> ConvexPolygon:
     return poly
 
 
-def _canonical(vertices: list[Point2], shown: list[Point2] | None = None) -> list[Point2]:
-    """`_canonicalize(vertices)`, or GeometryError naming the points `shown`
-    (by default `vertices`) when they bound no strictly convex polygon
-    winding once."""
+def _canonical(vertices: list[Point2], shown=None) -> list[Point2]:
+    """`_canonicalize(vertices)`, or GeometryError naming the plane points
+    that `shown()` builds (by default `vertices`) when they bound no
+    strictly convex polygon winding once."""
     vs = _canonicalize(vertices)
     if vs is None:
+        points = shown() if shown else vertices
         raise GeometryError("not a strictly convex polygon winding once: "
-                            f"{[str(v.x1)+','+str(v.x2) for v in (shown or vertices)]}")
+                            f"{[str(v.x1)+','+str(v.x2) for v in points]}")
     return vs
 
 

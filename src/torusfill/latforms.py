@@ -298,10 +298,16 @@ def _condition_ii(b: AlternatingSurdMatrix) -> bool:
 
 
 def _postconditions_hold(b: AlternatingSurdMatrix) -> bool:
-    b12, b13, b14, b23, b24, b34 = b.upper
-    return (_condition_i(b) and _condition_ii(b)
-            and b.volume_coefficient().sign() > 0
-            and (b13 * b24 - b14 * b23).sign() > 0)
+    """Conditions (i) and (ii) on a candidate of `normalize_basis`; the two
+    signs of the contract hold for every such candidate once (i) does.
+
+    A candidate is U^T B U for a base change U of determinant det U: one of
+    the permutations whose sign is the input's orientation, the sign of the
+    omega^2 coefficient V of B, followed by transvections of determinant 1.
+    Its omega^2 coefficient is V' = det U * V = |V| > 0.  Condition (i)
+    makes b12 and b34 both zero or both positive, so b12 b34 >= 0, and
+    b13 b24 - b14 b23 = V' + b12 b34 > 0.  So neither product is built."""
+    return _condition_i(b) and _condition_ii(b)
 
 
 def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
@@ -479,8 +485,8 @@ def build_period_lattice(normalized: NormalizationResult) -> PeriodLatticeSoluti
 
     It takes the normaliser's result, not a bare matrix, because that result
     carries the contract: `normalize_basis` returns a matrix only after
-    `_postconditions_hold` has decided conditions (i) and (ii) and
-    b13 b24 - b14 b23 > 0 on it.  So nothing here decides them again.
+    `_postconditions_hold` has decided conditions (i) and (ii) on it, which
+    give b13 b24 - b14 b23 > 0 there.  So nothing here decides them again.
     Neither re-check could fail: not (i) and (ii), and not the open-set
     condition at the base point, which is that same sign (see below).
 
@@ -526,8 +532,9 @@ def build_period_lattice(normalized: NormalizationResult) -> PeriodLatticeSoluti
     fresh_used: list[int] = []
 
     def in_open_set(pp, qq, rr, ss) -> bool:
-        return ((ss * b13 - qq * b14).sign() > 0
-                and (pp * ss - qq * rr).sign() > 0)
+        # signed from enclosures of the factors: no product is built
+        return (product_sum_sign([(1, (ss, b13)), (-1, (qq, b14))]) > 0
+                and product_sum_sign([(1, (pp, ss)), (-1, (qq, rr))]) > 0)
 
     directions = [
         (b13, rat(0), b14, rat(0)),

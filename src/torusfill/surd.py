@@ -12,8 +12,11 @@ denominator, with no factor common to the denominator and all numerators.
 difference with a zero operand is the other operand (negated for 0 - y),
 and two nonzero rationals skip the per-radicand merge: one cross product
 (or product) over d1*d2, reduced by one gcd.  An int operand needs no gcd
-for + and -, and one for * and /; two values a + b sqrt(r) and c + e sqrt(r)
-multiply in closed form.
+for + and -, and one for * and /.  In one field Q(sqrt r) (radicands in
+{1, r}) two values add, subtract, multiply and compare on their two
+numerators in closed form, and ((a + b sqrt(r)) / d)^-1 is
+d (a - b sqrt(r)) / (a^2 - b^2 r); two radicands or more keep the
+term-wise merge and the coprime-base inverse.
 
 Order, sign and floor are decided on integer numerators.  A comparison
 reads the sign of the numerators of self - other over the product of the
@@ -30,10 +33,13 @@ takes one enclosure, at a prec read off the numerators beforehand, and
 irrationality of products without building them.
 `Fraction` appears only where a value enters or leaves: `terms`,
 `as_fraction`, `from_terms`, `approx` and the hash of a rational; the
-triples are read and written on integers, and `clear_denominators` hands
-out integer multiples.  `QuadInt` is a + b sqrt(r) on two ints (b != 0)
-in one field Q(sqrt r), the lattice coordinates of `torus` once their
-denominators are cleared: its +, - and * with itself or an int return a
+triples are read and written on integers, through one validator
+(`_read_triples`) that `from_triples` reduces and `clear_triples` brings
+over one common denominator, and `clear_denominators` and `clear_triples`
+hand out integer multiples without making a scalar.  `QuadInt` is
+a + b sqrt(r) on two ints (b != 0) in one field Q(sqrt r), the lattice
+coordinates of `torus` once their denominators are cleared (see
+`quadratic_integers`): its +, - and * with itself or an int return a
 plain int when the sqrt(r) part cancels, and its sign and floor are the
 closed forms above.  Linear algebra over Q runs on integers too:
 `int_echelon` is a fraction-free Gauss-Jordan elimination, `rational_rank`
@@ -130,6 +136,99 @@ def _reduced(num: dict[int, int], den: int) -> SurdScalar:
     return _make(num, den)
 
 
+def _field(x: dict[int, int], y: dict[int, int]) -> int:
+    """The r > 1 with every radicand of x and y in {1, r}, or 0 when they
+    span two irrational radicands or more, or have none."""
+    r = 0
+    for num in (x, y):
+        for k in num:
+            if k != 1:
+                if r and k != r:
+                    return 0
+                r = k
+    return r
+
+
+def _shape_error(triples) -> TypeError:
+    """The fault of a scalar that is not a list of three-entry lists."""
+    return TypeError("a scalar is a list of [radicand, numerator, denominator] "
+                     f"lists, got {type(triples).__name__} {triples!r:.40}")
+
+
+def _read_triples(triples) -> tuple[dict[int, int], int]:
+    """The scalar a list of [radicand, numerator, denominator] lists holds,
+    as its nonzero numerators over den, the lcm of the denominators of its
+    nonzero terms, not reduced.
+
+    Checked in this order, the first fault raising: the shape (a list of
+    three-entry lists, TypeError), every radicand below 2**32 (ValueError),
+    and then per triple its numerator and denominator ints (TypeError), the
+    denominator nonzero (ZeroDivisionError), the radicand an int
+    (TypeError) and, for a nonzero numerator, positive (ValueError from
+    `squarefree_decompose`).  A zero term is dropped before its radicand is
+    factored, and radicand 1 needs no factoring."""
+    if type(triples) is not list:
+        raise _shape_error(triples)
+    huge = False  # a wrong shape in a later triple is reported first
+    for t in triples:
+        if type(t) is not list or len(t) != 3:
+            raise _shape_error(triples)
+        r = t[0]
+        if type(r) is int and r >= 1 << 32:
+            huge = True
+    if huge:
+        raise ValueError("radicands must be below 2**32")
+    num: dict[int, int] = {}
+    den = 1
+    for r, n, d in triples:
+        # bool subclasses int, so JSON true would otherwise read as 1
+        if type(n) is not int or type(d) is not int:
+            raise TypeError("numerator and denominator must be integers, "
+                            f"got {n!r}, {d!r}")
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        if type(r) is not int:  # a float is not truncated
+            raise TypeError(f"radicand must be an integer, got {r!r}")
+        if not n:
+            continue
+        if d < 0:
+            n, d = -n, -d
+        if r != 1:
+            s, r = squarefree_decompose(r)
+            n *= s
+        if not num:
+            num[r], den = n, d
+            continue
+        if den % d:
+            k = d // gcd(den, d)
+            num = {t: v * k for t, v in num.items()}
+            den *= k
+        v = num.get(r, 0) + n * (den // d)
+        if v:
+            num[r] = v
+        else:  # r was there: a new radicand gets a nonzero numerator
+            del num[r]
+    return num, den
+
+
+def _cleared(read) -> tuple[list, int]:
+    """([L * n / d for (n, d) in read], L) for numerator dicts n over
+    denominators d and L the lcm of the d: an int where the value is
+    rational, and otherwise its integer numerators {radicand: n}, read
+    only."""
+    den = lcm(*(d for _, d in read))
+    out: list[int | dict[int, int]] = []
+    for num, d in read:
+        k = den // d
+        if not num:
+            out.append(0)
+        elif len(num) == 1 and 1 in num:
+            out.append(num[1] * k)
+        else:
+            out.append({r: n * k for r, n in num.items()} if k != 1 else num)
+    return out, den
+
+
 def _sign2(a: int, r1: int, b: int, r2: int) -> int:
     """Sign of a sqrt(r1) + b sqrt(r2) for distinct squarefree r1, r2 >= 1.
     With a and b of opposite signs it is the sign of a times that of
@@ -161,6 +260,9 @@ def _difference_sign(x: dict[int, int], d1: int, y: dict[int, int], d2: int) -> 
     if len(x) == (a != 0) and len(y) == (b != 0):
         n = a * d2 - b * d1
         return (n > 0) - (n < 0)
+    r = _field(x, y)
+    if r:
+        return _sign2(a * d2 - b * d1, 1, x.get(r, 0) * d2 - y.get(r, 0) * d1, r)
     acc = {r: n * d2 for r, n in x.items()} if d2 != 1 else dict(x)
     for r, n in y.items():
         v = acc.get(r, 0) - n * d1
@@ -291,7 +393,8 @@ class SurdScalar:
         """self op other for op in (add, sub), term by term over the lcm of
         the two denominators.  A zero operand gives the other back, and two
         nonzero rationals n1/d1 and n2/d2 take (n1 d2 op n2 d1) / (d1 d2) and
-        one gcd."""
+        one gcd.  Two values of one Q(sqrt r) take the rational and the
+        sqrt(r) numerators over the lcm in closed form."""
         x, y = self._num, other._num
         if not y:
             return self
@@ -305,6 +408,15 @@ class SurdScalar:
             g = gcd(n, d)
             return _make({1: n // g}, d // g)
         d1, d2 = self._den, other._den
+        r = _field(x, y)
+        if r:
+            g = gcd(d1, d2)
+            a, b = d2 // g, d1 // g
+            p = op(x.get(1, 0) * a, y.get(1, 0) * b)
+            q = op(x.get(r, 0) * a, y.get(r, 0) * b)
+            if not q:
+                return _reduced({1: p}, d1 * a) if p else _make({}, 1)
+            return _reduced({1: p, r: q} if p else {r: q}, d1 * a)
         if d1 == d2:
             a = b = 1
             acc = dict(x)
@@ -450,19 +562,32 @@ class SurdScalar:
         return _make({1: self._den if n > 0 else -self._den}, abs(n))
 
     def inverse(self) -> SurdScalar:
-        """Multiplicative inverse, by rationalizing over a coprime base.
+        """Multiplicative inverse: in closed form in one Q(sqrt r), else by
+        rationalizing over a coprime base.
 
-        Each radicand is a product of pairwise coprime factors b, found by
-        gcds alone.  For each b, write the denominator as a + c*sqrt(b) with
-        a, c free of sqrt(b), and multiply numerator and denominator by
-        a - c*sqrt(b): the new denominator a^2 - b*c^2 is free of sqrt(b) and
-        nonzero, since b is squarefree and coprime to the other factors, so
-        sqrt(b) does not lie in the field their square roots generate.
+        In one field, ((a + b sqrt(r)) / d)^-1 = d (a - b sqrt(r)) / N with
+        N = a^2 - b^2 r, which is never 0 as r is squarefree > 1; when N < 0
+        the numerators and N change sign, and one gcd reduces.
+
+        Otherwise each radicand is a product of pairwise coprime factors b,
+        found by gcds alone.  For each b, write the denominator as
+        a + c*sqrt(b) with a, c free of sqrt(b), and multiply numerator and
+        denominator by a - c*sqrt(b): the new denominator a^2 - b*c^2 is free
+        of sqrt(b) and nonzero, since b is squarefree and coprime to the
+        other factors, so sqrt(b) does not lie in the field their square
+        roots generate.
         """
         if self.is_zero():
             raise SurdError("division by zero scalar")
         if self.is_rational():
             return self._reciprocal()
+        r = _field(self._num, {})
+        if r:
+            a, b, d = self._num.get(1, 0), self._num[r], self._den
+            n = a * a - b * b * r
+            if n < 0:
+                n, d = -n, -d
+            return _reduced({1: d * a, r: -d * b} if a else {r: -d * b}, n)
         num, den = rat(1), self
         for b in _coprime_base(r for r in self._num if r > 1):
             conj = _make({r: -n if r % b == 0 else n for r, n in den._num.items()}, den._den)
@@ -575,34 +700,11 @@ class SurdScalar:
         """Read a list of [radicand, numerator, denominator] lists.  Anything
         else raises TypeError: iterated as it comes, "" or {} would read as
         0.  Radicands must lie below 2**32, so that factoring one by trial
-        division cannot hang.  The integer numerators are summed over the lcm
-        of the denominators and divided by one gcd, with no `Fraction`; a
-        zero numerator skips its radicand's factoring, and radicand 1 needs
-        none."""
-        if type(triples) is not list or any(type(t) is not list or len(t) != 3
-                                            for t in triples):
-            raise TypeError("a scalar is a list of [radicand, numerator, denominator] "
-                            f"lists, got {type(triples).__name__} {triples!r:.40}")
-        if any(type(r) is int and r >= 2**32 for r, _, _ in triples):
-            raise ValueError("radicands must be below 2**32")
-        terms = []
-        for r, num, den in triples:
-            # bool subclasses int, so JSON true would otherwise read as 1
-            if type(num) is not int or type(den) is not int:
-                raise TypeError("numerator and denominator must be integers, "
-                                f"got {num!r}, {den!r}")
-            if not den:
-                raise ZeroDivisionError(f"Fraction({num}, 0)")
-            if type(r) is not int:  # a float is not truncated
-                raise TypeError(f"radicand must be an integer, got {r!r}")
-            if num:  # a zero term is dropped before its radicand is factored
-                s, t = (1, 1) if r == 1 else squarefree_decompose(r)
-                terms.append((t, num * s, den) if den > 0 else (t, -num * s, -den))
-        den = lcm(*(d for _, _, d in terms))
-        acc: dict[int, int] = {}
-        for t, n, d in terms:
-            acc[t] = acc.get(t, 0) + n * (den // d)
-        num = {t: n for t, n in acc.items() if n}
+        division cannot hang.  `_read_triples` checks them and sums the
+        integer numerators over the lcm of the denominators, with no
+        `Fraction`, and one gcd reduces (`clear_triples` reads many values
+        with the same checks)."""
+        num, den = _read_triples(triples)
         return _reduced(num, den) if num else _make({}, 1)
 
     def decimal(self, digits: int = 30) -> str:
@@ -720,37 +822,37 @@ class QuadInt:
 
 def clear_denominators(values: Sequence[SurdScalar]) -> tuple[list, int]:
     """([L * v for v in values], L) with L the lcm of the denominators: a
-    rational value comes back as an int, any other as a SurdScalar with
-    integer coefficients."""
-    den = lcm(*(v._den for v in values))
-    out: list[int | SurdScalar] = []
-    for v in values:
-        num, k = v._num, den // v._den
-        if not num:
-            out.append(0)
-        elif len(num) == 1 and 1 in num:
-            out.append(num[1] * k)
-        else:
-            out.append(_make({r: n * k for r, n in num.items()}, 1))
-    return out, den
+    rational value comes back as an int, any other as its integer
+    numerators {radicand: n}."""
+    return _cleared([(v._num, v._den) for v in values])
 
 
-def quadratic_integers(values: Sequence[int | SurdScalar]) -> list | None:
-    """The ints and integral SurdScalars of `clear_denominators` as ints and
-    QuadInts, when all of them lie in one Q(sqrt r); None when they span two
-    radicands or more."""
+def clear_triples(coordinates) -> tuple[list, int]:
+    """`clear_denominators` of the values that `SurdScalar.from_triples`
+    reads from the triple lists of the iterable `coordinates`, with its
+    checks and messages, one triple list after the other
+    (`_read_triples`).  No scalar is made and none is reduced: L is the lcm
+    of the denominators as given, and `lowest_terms` divides out what they
+    share with the numerators."""
+    return _cleared([_read_triples(t) for t in coordinates])
+
+
+def quadratic_integers(values: Sequence) -> list:
+    """The ints and numerator dicts of `clear_denominators` or
+    `clear_triples` as ring elements: ints and QuadInts when the irrational
+    values all lie in one Q(sqrt r), and otherwise ints and SurdScalars of
+    denominator 1."""
     out: list[int | QuadInt] = []
     root = 0
     for v in values:
         if type(v) is int:
             out.append(v)
             continue
-        num = v._num
-        r = max(num)
-        if len(num) > 1 + (1 in num) or root not in (0, r):
-            return None
+        r = max(v)
+        if len(v) > 1 + (1 in v) or root not in (0, r):
+            return [v if type(v) is int else _make(v, 1) for v in values]
         root = r
-        out.append(QuadInt(num.get(1, 0), num[r], r))
+        out.append(QuadInt(v.get(1, 0), v[r], r))
     return out
 
 

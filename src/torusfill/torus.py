@@ -3,7 +3,11 @@
 A region is decided on integer lattice coordinates (`LatticeRegion`).  Its
 vertices are mapped once into the coordinates of a Lagrange-reduced basis
 and multiplied by L, the lcm of their denominators, so that a lattice
-vector is a shift (aL, bL).  Each rational coordinate is an int.  When the
+vector is a shift (aL, bL).  Plane vertices are cleared of their
+denominators first (`surd.clear_denominators`), and a region file's
+triples are read straight into those integers (`geom.region_coordinates`),
+with no scalar per coordinate; one core takes both from there.  Each
+rational coordinate is an int.  When the
 inverse basis and the vertices all lie in one Q(sqrt r), an irrational
 coordinate is a `QuadInt` a + b sqrt(r) on two ints, and a result whose
 sqrt(r) part is 0 is a plain int, never a pair; when they span two
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .surd import (QuadInt, SurdScalar, clear_denominators, lowest_terms, quadratic_integers,
-                   rat, scalar)
+                   scalar)
 from .geom import GeometryError, Point2, _canonical, _sign, pt
 
 
@@ -121,18 +125,21 @@ def _reduced(g1: Point2, g2: Point2):
     Returns (h1, h2, c1, c2) with h_j = c_j[0]*g1 + c_j[1]*g2.  The shorter
     vector comes first, as (h1, h2) -> (h2, -h1), and h2 loses the integer
     multiple of h1 nearest to its projection, until that multiple is 0.
+    Each squared length n1, n2 is taken once per vector.
     """
     def dot(u, v):
         return u.x1 * v.x1 + u.x2 * v.x2
 
     h1, h2, c1, c2 = g1, g2, (1, 0), (0, 1)
+    n1, n2 = dot(h1, h1), dot(h2, h2)
     while True:
-        if dot(h1, h1) > dot(h2, h2):
-            h1, h2, c1, c2 = h2, -h1, c2, (-c1[0], -c1[1])
-        k = (dot(h1, h2) / dot(h1, h1) + Fraction(1, 2)).floor()
+        if n1 > n2:
+            h1, h2, c1, c2, n1, n2 = h2, -h1, c2, (-c1[0], -c1[1]), n2, n1
+        k = (dot(h1, h2) / n1 + Fraction(1, 2)).floor()
         if not k:
             return h1, h2, c1, c2
         h2, c2 = h2 - h1.scale(k), (c2[0] - k * c1[0], c2[1] - k * c1[1])
+        n2 = dot(h2, h2)
 
 
 def _floordiv(x, n: int) -> int:
@@ -209,47 +216,61 @@ def _overlap(piece: list[Point2], edges: list, su, sw):
 class LatticeRegion:
     """A region in the coordinates of a lattice's reduced basis h1, h2.
 
-    Built from the plane vertex lists of its pieces, as given; a list that
-    does not bound a strictly convex polygon winding once raises
-    GeometryError with its plane points.  A point x maps to (u, w) with
-    x = (u h1 + w h2) / L, so a*h1 + b*h2 is the shift (aL, bL); u and w are
-    ints where rational, and otherwise QuadInts of one Q(sqrt r), or
+    Built from the plane vertex lists of its pieces, as given, or by `read`
+    from the integers that `geom.region_coordinates` reads a region file
+    into; a list that does not bound a strictly convex polygon winding once
+    raises GeometryError with its plane points.  A point x maps to (u, w)
+    with x = (u h1 + w h2) / L, so a*h1 + b*h2 is the shift (aL, bL); u and
+    w are ints where rational, and otherwise QuadInts of one Q(sqrt r), or
     SurdScalars when several radicands meet.  Only the operators the three
     types share are used on them, with `_floordiv` and `_sign`.  `verdict`
     decides everything, overlapping pieces and the areas of collisions
     included, on these coordinates: no plane polygon is built, and an area
     becomes a SurdScalar only where it leaves the core (`_surd`).
 
-    The map is taken on integers: `clear_denominators` makes E times the
+    The map is taken on integers.  `clear_denominators` makes E times the
     four entries of the inverse basis integral, and D times the vertex
-    coordinates, so each product is D*E times the true coordinate.
-    `lowest_terms` then divides by the gcd g of D*E and every integer part,
-    which leaves L = D*E / g, the lcm of the denominators.
+    coordinates (or `clear_triples` does, reading the file), so each
+    product is D*E times the true coordinate.  From there one core
+    (`_build`) runs for both: `quadratic_integers`, the map, and
+    `lowest_terms`, which divides by the gcd g of D*E and every integer
+    part and leaves L = D*E / g, the lcm of the denominators.
     """
 
     __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges")
 
     def __init__(self, polygons: list[list[Point2]], lattice: Lattice2):
+        xs, d = clear_denominators([c for points in polygons for p in points for c in (p.x1, p.x2)])
+        self._build([len(points) for points in polygons], xs, d, polygons.__getitem__, lattice)
+
+    @classmethod
+    def read(cls, coordinates, lattice: Lattice2) -> LatticeRegion:
+        """The region that `geom.region_coordinates` read, as (sizes, xs,
+        den, shown); shown(k) builds the plane points of piece k only for
+        the message that rejects it."""
+        region = object.__new__(cls)
+        region._build(*coordinates, lattice)
+        return region
+
+    def _build(self, sizes: list[int], xs: list, d: int, shown, lattice: Lattice2) -> None:
+        """The core, from the cleared vertex coordinates xs over d on."""
         h1, h2, self._c1, self._c2 = _reduced(lattice.g1, lattice.g2)
         self._det = det = lattice.covolume()
-        inv = rat(1) / det
+        inv = det.inverse()
         m, e = clear_denominators([h2.x2 * inv, -h2.x1 * inv, -h1.x2 * inv, h1.x1 * inv])
-        xs, d = clear_denominators([c for points in polygons for p in points for c in (p.x1, p.x2)])
-        quad = quadratic_integers(m + xs)
-        if quad is not None:
-            m, xs = quad[:4], quad[4:]
-        m11, m12, m21, m22 = m
+        ring = quadratic_integers(m + xs)
+        m11, m12, m21, m22 = ring[:4]
         flat = []
-        for x1, x2 in zip(xs[::2], xs[1::2]):
+        for x1, x2 in zip(ring[4::2], ring[5::2]):
             flat += (m11 * x1 + m12 * x2, m21 * x1 + m22 * x2)
         coords, self.scale = lowest_terms(flat, d * e)
         self.pieces = []
         at = 0
-        for points in polygons:
-            self.pieces.append(_canonical([Point2(coords[k], coords[k + 1])
-                                           for k in range(at, at + 2 * len(points), 2)],
-                                          points))
-            at += 2 * len(points)
+        for k, size in enumerate(sizes):
+            self.pieces.append(_canonical([Point2(coords[i], coords[i + 1])
+                                           for i in range(at, at + 2 * size, 2)],
+                                          lambda: shown(k)))
+            at += 2 * size
         self._boxes = []
         self._edges = []
         for vs in self.pieces:

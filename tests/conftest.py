@@ -273,6 +273,38 @@ def plane_canonical(points: list[Point2]):
         return str(exc)
 
 
+ROOT2_LATTICE = Lattice2(pt(1 + sqrt(2) / 4, Fraction(1, 4)), pt(Fraction(-1, 2), 1 + sqrt(2) / 2))
+
+
+def jigsaw(pieces: int, lattice: Lattice2, nudge=0) -> Region:
+    """A fundamental domain of the lattice in 3 or 6 pieces: its basis cell
+    cut into three strips along g2, for 6 each cut along a diagonal too,
+    and the pieces scattered by lattice vectors.  With a nudge, the first
+    piece moves by nudge * g1 more, so that it collides."""
+    g1, g2 = lattice.g1, lattice.g2
+    third = Fraction(1, 3)
+    cells = []
+    for x in (0, third, 2 * third):
+        corners = [(x, 0), (x + third, 0), (x + third, 1), (x, 1)]
+        cells += ([corners] if pieces == 3
+                  else [corners[:3], [corners[0], corners[2], corners[3]]])
+    shifts = [(2, -1), (-2, 0), (0, 2), (1, 1), (-1, -2), (2, 2)]
+    out = []
+    for k, (cell, (a, b)) in enumerate(zip(cells, shifts)):
+        a = a + nudge if k == 0 else a
+        out.append(ConvexPolygon([g1.scale(u + a) + g2.scale(w + b) for u, w in cell]))
+    return Region(out)
+
+
+# (region, lattice) pairs over Q(sqrt 2): fundamental domains in 3 and 6
+# pieces, and the 6 with its first piece moved by half of g1
+JIGSAWS = {
+    "3-pieces": (jigsaw(3, ROOT2_LATTICE), ROOT2_LATTICE),
+    "6-pieces": (jigsaw(6, ROOT2_LATTICE), ROOT2_LATTICE),
+    "6-pieces-displaced": (jigsaw(6, ROOT2_LATTICE, Fraction(1, 2)), ROOT2_LATTICE),
+}
+
+
 R2 = sqrt(2) / 2
 REGULAR = [
     [pt(1, 0), pt(0, 1), pt(-1, -1)],                       # affine-regular triangle

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import JIGSAWS
 from test_latforms import snf_paired_divisors
 
 import torusfill
+import torusfill.surd as surd_module
 from torusfill.cli import _json_text, main, render_svg
 from torusfill.fillings import example_T2k2
 from torusfill.geom import Region
@@ -343,6 +345,16 @@ def test_verify_error_names_the_faulty_file(tmp_path, capsys, region, lattice, f
                               "--lattice-file", str(files["lattice"])], capsys)
     assert code == 2 and out == ""
     assert err == f"error: cannot read {files[faulty]}: {message}\n"
+
+
+def test_file_with_a_byte_order_mark_names_it(tmp_path, capsys):
+    # input is decoded as UTF-8, not UTF-8-SIG: the mark is malformed input
+    region_file = tmp_path / "region.json"
+    region_file.write_bytes(b'\xef\xbb\xbf{"polygons": []}')
+    code, out, err = run_cli(["verify", str(region_file), "--lattice", "1", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot read {region_file}: Unexpected UTF-8 BOM "
+                   "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
 
 
 def test_empty_polygon_list_is_the_empty_region(tmp_path, capsys):
@@ -927,3 +939,29 @@ def test_readme_examples_run(tmp_path, capsys, monkeypatch):
         outputs.append(capsys.readouterr().out)
     verdicts = json.loads(outputs[1])["verdicts"]
     assert verdicts == {"injective": True, "fundamental_domain": True}
+
+
+def test_verify_makes_no_scalar_per_coordinate(tmp_path, capsys, monkeypatch):
+    # the region's triples are read straight into integers over one common
+    # denominator, so deciding a jigsaw in 6 pieces makes as many scalars
+    # (`surd._make` calls) as one in 3 over the same Q(sqrt 2) lattice
+    made = {}
+    original = surd_module._make
+    for name in ("3-pieces", "6-pieces"):
+        region, lattice = JIGSAWS[name]
+        region_file, lattice_file = tmp_path / f"{name}.json", tmp_path / "lattice.json"
+        region_file.write_text(json.dumps(region.to_json()))
+        lattice_file.write_text(json.dumps(lattice.to_json()))
+        calls = []
+
+        def counted(num, den):
+            calls.append(1)
+            return original(num, den)
+
+        monkeypatch.setattr(surd_module, "_make", counted)
+        code, out, _ = run_cli(["verify", str(region_file), "--lattice-file", str(lattice_file)],
+                               capsys)
+        monkeypatch.setattr(surd_module, "_make", original)
+        assert code == 0 and json.loads(out)["verdicts"]["fundamental_domain"]
+        made[name] = len(calls)
+    assert made["3-pieces"] == made["6-pieces"] > 0

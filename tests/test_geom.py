@@ -32,6 +32,8 @@ from torusfill.geom import (
     _from_lowest,
     pt,
     rectangle,
+    region_coordinates,
+    region_points,
     shoelace,
 )
 from torusfill.surd import rat, sqrt
@@ -462,3 +464,35 @@ def test_canonicalize_matches_shoelace_oracle(vs):
         event("rejected by the oracle" if want is None else "winds more than once")
         assert _canonicalize(vs) is None
 
+
+
+POINT = [[[1, 1, 2]], [[2, 1, 1]]]
+BAD_TRIPLE_POINT = [[[2, 1, 0]], [[1, 1, 1]]]
+THREE_COORDINATE_POINT = [[[1, 1, 1]]] * 3
+
+
+@pytest.mark.parametrize("data", [
+    [], {}, {"polygons": "x"}, {"polygons": [{}]}, {"polygons": [[POINT, {"0": POINT[0]}]]},
+    {"polygons": [[POINT, THREE_COORDINATE_POINT]]},
+    {"polygons": [[POINT, BAD_TRIPLE_POINT, THREE_COORDINATE_POINT]]},
+    {"polygons": [[POINT, THREE_COORDINATE_POINT, BAD_TRIPLE_POINT]]},
+    {"polygons": [[BAD_TRIPLE_POINT], "x"]},
+    {"polygons": [[POINT], [[POINT[0], [[2**32, 1, 1]]]]]},
+], ids=["list", "no-polygons", "polygons-string", "object-polygon", "object-point",
+        "three-coordinates", "bad-triple-first", "three-coordinates-first",
+        "bad-triple-then-string-polygon", "huge-radicand-in-second-polygon"])
+def test_region_reader_raises_what_the_point_reader_raises(data):
+    # the first fault by polygon, point and coordinate, with its message
+    with pytest.raises(Exception) as want:
+        region_points(data)
+    with pytest.raises(type(want.value)) as got:
+        region_coordinates(data)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_region_reader_builds_plane_points_only_for_a_message():
+    data = {"polygons": [[POINT, [[[1, 3, 1]], [[2, 1, 1]]], [[[1, 5, 1]], [[2, 1, 1]]]]]}
+    sizes, xs, den, shown = region_coordinates(data)
+    assert (sizes, den) == ([3], 2)
+    assert xs == [1, {2: 2}, 6, {2: 2}, 10, {2: 2}]
+    assert shown(0) == region_points(data)[0]

@@ -97,6 +97,15 @@ def dense_conjugated(b, u) -> AlternatingSurdMatrix:
 NORMALIZER_TRANSVECTION_PAIRS = ((1, 2), (1, 3), (3, 0), (2, 0), (3, 1), (2, 1), (0, 2), (0, 3))
 
 
+def meets_contract(m) -> bool:
+    """The normaliser's contract in full, as an oracle: conditions (i) and
+    (ii), a positive omega^2 coefficient and b13 b24 - b14 b23 > 0, with
+    both products built."""
+    _, b13, b14, b23, b24, _ = m.upper
+    return (_condition_i(m) and _condition_ii(m) and m.volume_coefficient().sign() > 0
+            and (b13 * b24 - b14 * b23).sign() > 0)
+
+
 def three_pass_normalize(b, k_range=10) -> NormalizationResult:
     """Reference: the normalizer as three passes over all 24 permutations,
     each re-conjugating the input by dense_conjugated and skipping the
@@ -118,7 +127,7 @@ def three_pass_normalize(b, k_range=10) -> NormalizationResult:
         b0 = dense_conjugated(b, u0)
         if b0.volume_coefficient().sign() <= 0:
             continue
-        if _postconditions_hold(b0):
+        if meets_contract(b0):
             return NormalizationResult(b0, u0, _det_int(u0))
     for u0 in candidates:
         b0 = dense_conjugated(b, u0)
@@ -126,7 +135,7 @@ def three_pass_normalize(b, k_range=10) -> NormalizationResult:
             continue
         for t1 in transvections[1:]:
             b1 = dense_conjugated(b0, t1)
-            if _postconditions_hold(b1):
+            if meets_contract(b1):
                 return NormalizationResult(b1, _mat_mul_int(u0, t1), _det_int(u0))
     for u0 in candidates:
         b0 = dense_conjugated(b, u0)
@@ -138,7 +147,7 @@ def three_pass_normalize(b, k_range=10) -> NormalizationResult:
                 continue
             for t2 in transvections[1:]:
                 b2 = dense_conjugated(b1, t2)
-                if _postconditions_hold(b2):
+                if meets_contract(b2):
                     u = _mat_mul_int(_mat_mul_int(u0, t1), t2)
                     return NormalizationResult(b2, u, _det_int(u0))
     raise SearchExhausted(f"three passes found nothing (search range {k_range})")
@@ -429,6 +438,28 @@ def test_normalizer_spends_two_sums_and_two_products_per_transvection(monkeypatc
     assert built_in_all > 100
 
 
+def test_postconditions_imply_the_contract_on_every_candidate(monkeypatch):
+    # a candidate's omega^2 coefficient is det U * V = |V| > 0, and (i) gives
+    # b12 b34 >= 0, so b13 b24 - b14 b23 = V' + b12 b34 > 0: on every
+    # candidate the normaliser checks, (i) and (ii) decide the full contract
+    verdicts = []
+
+    def checked(m):
+        got = _postconditions_hold(m)
+        assert m.volume_coefficient().sign() > 0
+        assert got == meets_contract(m), m.upper
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(latforms_module, "_postconditions_hold", checked)
+    rng = random.Random(1234)
+    forms = [AlternatingSurdMatrix(f) for f in HAND_PICKED_FORMS + [TWO_TRANSVECTION_FORM]]
+    forms += [_random_surd_matrix(rng) for _ in range(20)]
+    for b in forms:
+        normalize_basis(b)
+    assert verdicts.count(True) == len(forms) < verdicts.count(False)
+
+
 def off_one_rational_ray(values) -> bool:
     """Reference: some nonzero value is independent of the first nonzero one."""
     nonzero = [x for x in values if not x.is_zero()]
@@ -467,8 +498,8 @@ def no_candidate_up_to_one_transvection(b, k_range):
     """True iff no permutation, alone or followed by one transvection of any
     source and target with |k| <= k_range, meets the contract."""
     starts = [dense_conjugated(b, _perm_matrix(perm)) for perm in permutations(range(4))]
-    return (not any(_postconditions_hold(m) for m in starts)
-            and not any(_postconditions_hold(dense_conjugated(m, _transvection(target, source, k)))
+    return (not any(meets_contract(m) for m in starts)
+            and not any(meets_contract(dense_conjugated(m, _transvection(target, source, k)))
                         for m in starts for target in range(4) for source in range(4)
                         if target != source
                         for k in range(-k_range, k_range + 1) if k))
@@ -482,7 +513,7 @@ def test_normalize_depth_two_branch_is_reached():
     expected = [[0, 1, 0, 0], [1, 0, 0, -1], [0, 1, 1, 0], [0, 0, 0, 1]]
     res = three_pass_normalize(b, k_range=1)
     assert res.base_change == expected
-    assert _postconditions_hold(res.matrix)
+    assert meets_contract(res.matrix)
     assert dense_conjugated(b, expected).upper == res.matrix.upper
 
 
@@ -497,7 +528,7 @@ def test_normalize_needs_two_transvections_at_default_range():
     expected = [[1, 0, 0, -10], [0, 1, 0, 0], [0, -9, 1, 0], [0, 0, 0, 1]]
     assert res.base_change == expected
     assert three_pass_normalize(b).base_change == expected
-    assert _postconditions_hold(res.matrix)
+    assert meets_contract(res.matrix)
     assert dense_conjugated(b, expected).upper == res.matrix.upper
     assert verify_no_curves(build_period_lattice(res)).ok
 

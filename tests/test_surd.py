@@ -19,10 +19,14 @@ from torusfill.surd import (
     SurdError,
     SurdScalar,
     _coprime_base,
+    clear_denominators,
+    clear_triples,
     decimal_sqrt,
     int_echelon,
+    lowest_terms,
     product_is_irrational,
     product_sum_sign,
+    quadratic_integers,
     rat,
     rational_rank,
     rational_relations,
@@ -403,6 +407,93 @@ def test_from_triples_matches_fraction_route(triples):
     event("read")
     got = SurdScalar.from_triples(triples)
     assert (got._num, got._den) == (want._num, want._den)
+
+
+def shape_fault(triples) -> str:
+    return ("a scalar is a list of [radicand, numerator, denominator] lists, "
+            f"got {type(triples).__name__} {triples!r:.40}")
+
+
+# malformed triple lists, each with the one error that reading it raises:
+# the shape of every triple is checked first, then every radicand below
+# 2**32, then each triple in turn (numerator and denominator types, a
+# nonzero denominator, the radicand's type, and a positive radicand where
+# the numerator is nonzero)
+TRIPLE_FAULTS = [
+    ("", TypeError, shape_fault("")),
+    ({}, TypeError, shape_fault({})),
+    ([[2, 1]], TypeError, shape_fault([[2, 1]])),
+    ([[2, 1, 1], (2, 1, 1)], TypeError, shape_fault([[2, 1, 1], (2, 1, 1)])),
+    ([[2**32, 1, 1], [2, 1]], TypeError, shape_fault([[2**32, 1, 1], [2, 1]])),
+    ([[2**32, 1, 1]], ValueError, "radicands must be below 2**32"),
+    ([[2**32 + 5, 0, 1]], ValueError, "radicands must be below 2**32"),
+    ([[2, 1.5, 1], [2**32, 1, 1]], ValueError, "radicands must be below 2**32"),
+    ([[2, True, 1]], TypeError, "numerator and denominator must be integers, got True, 1"),
+    ([[2, 1, 2.0]], TypeError, "numerator and denominator must be integers, got 1, 2.0"),
+    ([[2, True, 0]], TypeError, "numerator and denominator must be integers, got True, 0"),
+    ([[2, 1, 0]], ZeroDivisionError, "Fraction(1, 0)"),
+    ([[1.5, 1, 0]], ZeroDivisionError, "Fraction(1, 0)"),
+    ([[1.5, 1, 1]], TypeError, "radicand must be an integer, got 1.5"),
+    ([[True, 1, 1]], TypeError, "radicand must be an integer, got True"),
+    ([[True, 0, 1]], TypeError, "radicand must be an integer, got True"),
+    ([[0, 1, 1]], ValueError, "radicand must be positive, got 0"),
+    ([[-3, 2, -5]], ValueError, "radicand must be positive, got -3"),
+    ([[0, 1, 1], [2, 1.0, 1]], ValueError, "radicand must be positive, got 0"),
+    ([[2, 1.0, 1], [0, 1, 1]], TypeError, "numerator and denominator must be integers, got 1.0, 1"),
+    ([[0, 0, 1], [2, 1, 0]], ZeroDivisionError, "Fraction(1, 0)"),
+]
+
+
+@pytest.mark.parametrize("triples, error, message", TRIPLE_FAULTS, ids=[
+    "string", "object", "short", "tuple", "huge-radicand-then-short", "huge-radicand",
+    "huge-radicand-zero-term", "float-numerator-then-huge-radicand", "bool-numerator",
+    "float-denominator", "bool-numerator-zero-denominator", "zero-denominator",
+    "float-radicand-zero-denominator", "float-radicand", "bool-radicand",
+    "bool-radicand-zero-term", "zero-radicand", "negative-radicand",
+    "zero-radicand-then-float-numerator", "float-numerator-then-zero-radicand",
+    "zero-term-then-zero-denominator"])
+def test_reader_and_from_triples_raise_the_same_fault(triples, error, message):
+    # the region reader and from_triples share one validator: the same
+    # fault, type and message, also behind a well-formed coordinate
+    for read in (SurdScalar.from_triples, lambda t: clear_triples([[[2, 1, 3]], t])):
+        with pytest.raises(error) as info:
+            read(triples)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_reader_reports_the_first_faulty_coordinate():
+    # each coordinate is checked in full before the next is read
+    zero_den, huge = [[2, 1, 0]], [[2**32, 1, 1]]
+    with pytest.raises(ZeroDivisionError):
+        clear_triples([zero_den, huge])
+    with pytest.raises(ValueError, match="below 2"):
+        clear_triples([huge, zero_den])
+    assert clear_triples(iter([])) == ([], 1)
+
+
+@st.composite
+def coordinate_lists(draw):
+    """Lists of triple lists: non-lowest terms, negative denominators, zero
+    numerators, repeated and non-squarefree radicands and radicand 1, with
+    every value in Q(sqrt 2) or across several fields."""
+    one_field = draw(st.booleans())
+    event("one field" if one_field else "several fields")
+    radicands = [1, 2, 8, 18, 50] if one_field else [1, 2, 3, 4, 6, 8, 12, 15, 75]
+    triple = st.tuples(st.sampled_from(radicands), st.integers(-30, 30),
+                       st.integers(-12, 12).filter(bool)).map(list)
+    return draw(st.lists(st.lists(triple, max_size=4), min_size=1, max_size=8))
+
+
+@given(coordinate_lists())
+@example([[[2, 3, 6]], [[8, 1, 2], [1, 4, -8]], [[2, 1, 2], [8, -1, 4]], []])
+@settings(max_examples=200, deadline=None)
+def test_clear_triples_matches_clear_denominators_of_from_triples(coordinates):
+    # the reader's cleared values and denominator, once in lowest terms, are
+    # those of one scalar per coordinate cleared over their lcm
+    got, den = clear_triples(coordinates)
+    want, want_den = clear_denominators([SurdScalar.from_triples(t) for t in coordinates])
+    assert (lowest_terms(quadratic_integers(got), den)
+            == lowest_terms(quadratic_integers(want), want_den))
 
 
 @given(surds(), surds(), surds())
@@ -1037,3 +1128,71 @@ def test_power_squares_once_per_bit_below_the_top(monkeypatch):
         monkeypatch.setattr(SurdScalar, "__mul__", counted)
         # one product per set bit, one square per bit below the top one
         assert len(products) == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+
+# -- closed forms in one field Q(sqrt r) ----------------------------------------
+
+BIG = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@st.composite
+def one_field_values(draw, r):
+    """(a + b sqrt r) / d with b != 0, numerators up to 10**30, a = 0 (the
+    single term b sqrt r) about one time in three, and d a denominator up
+    to 10**6, times a large prime or not."""
+    a = 0 if draw(st.integers(0, 2)) == 0 else draw(BIG)
+    d = draw(st.integers(2, 10**6)) * draw(st.sampled_from([1, 2**31 - 1, 998244353]))
+    return SurdScalar.from_terms([(1, Fraction(a, d)), (r, Fraction(draw(BIG.filter(bool)), d))])
+
+
+@st.composite
+def one_field_pairs(draw):
+    """(x, y): x an irrational value of Q(sqrt r), y one of the same field,
+    its rational part alone or its sqrt(r) term alone."""
+    r = draw(st.sampled_from(SQUAREFREE[1:]))
+    x, y = draw(one_field_values(r)), draw(one_field_values(r))
+    kind = draw(st.sampled_from(["field", "rational", "root"]))
+    event(kind)
+    if kind == "rational":
+        y = rat(y.terms.get(1, Fraction(7, 3)))
+    elif kind == "root":
+        y = SurdScalar.from_terms([(r, y.terms[r])])
+    return x, y
+
+
+@given(one_field_pairs())
+@settings(max_examples=200, deadline=None)
+def test_one_field_closed_forms_match_the_oracles(case):
+    # the inverse d (a - b sqrt r) / (a^2 - b^2 r), sums, differences and
+    # comparisons in closed form store what the conjugate-product inverse,
+    # the term-wise merge and the general merge store, and order as the
+    # decimal values do
+    x, y = case
+    inv = x.inverse()
+    assert stored(inv) == stored(conjugate_product_inverse(x))
+    assert inv._den > 0 and x * inv == 1
+    tx, ty = x.terms, y.terms
+    for op, sign in ((operator.add, 1), (operator.sub, -1)):
+        got = op(x, y)
+        assert stored(got) == stored(general_merge(x, y, op))
+        assert got.terms == oracle_merge(tx, ty, sign)
+    assert stored(x - x) == ({}, 1)
+    diff = decimal_value(x, 150) - decimal_value(y, 150)
+    s = (diff > 0) - (diff < 0)
+    assert x.compare(y) == s == -y.compare(x)
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+
+
+def test_one_field_inverse_takes_no_coprime_base(monkeypatch):
+    def refuse(ns):
+        raise AssertionError("a one-field inverse took the coprime-base loop")
+
+    monkeypatch.setattr(surd_module, "_coprime_base", refuse)
+    values = [sqrt(2), -3 * sqrt(5) / 7, 1 + sqrt(2), (rat(-10**30) + 10**29 * sqrt(3)) / 12,
+              (sqrt(8) - 3) / (2**31 - 1)]
+    for x in values:
+        assert x * x.inverse() == 1
+        assert stored(1 / x) == stored(x.inverse()) == stored(conjugate_product_inverse(x))
+        assert stored((x + 1) / x) == stored((x + 1) * conjugate_product_inverse(x))
+    with pytest.raises(AssertionError, match="coprime-base loop"):
+        (sqrt(2) + sqrt(3)).inverse()  # two radicands still take it

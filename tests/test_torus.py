@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 import torusfill
 import torusfill.geom as geom_module
 import torusfill.torus as torus_module
-from conftest import (EQUIVALENCE_LATTICES, FAR, PENTAGRAM, SKEW, UNIT, candidate_collisions,
-                      candidate_vectors, clip, first_overlapping_pair, lattice_region,
-                      plane_canonical, region_pieces, skewed_doubled_regions, vertex_lists)
+from conftest import (EQUIVALENCE_LATTICES, FAR, JIGSAWS, PENTAGRAM, SKEW, UNIT,
+                      candidate_collisions, candidate_vectors, clip, first_overlapping_pair,
+                      lattice_region, plane_canonical, region_pieces, skewed_doubled_regions,
+                      vertex_lists)
 from torusfill.cli import main
 from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, family_filling,
                                 theorem1_filling)
-from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle
+from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle, region_coordinates
 from torusfill.surd import QuadInt, SurdScalar, rat, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
@@ -591,3 +592,15 @@ def test_verify_on_far_skewed_basis_finishes(tmp_path):
     report = json.loads(proc.stdout)
     assert report["verdicts"]["injective"] and report["collisions"] == []
     assert report["covered_fraction"] == [[2, 1, 2]]
+
+
+@pytest.mark.parametrize("name", sorted(JIGSAWS))
+def test_read_region_decides_as_its_point_lists_do(name):
+    # a region file read straight into integers and the same region's plane
+    # points give one core the same lattice coordinates and the same verdict
+    region, lattice = JIGSAWS[name]
+    read = LatticeRegion.read(region_coordinates(json.loads(json.dumps(region.to_json()))),
+                              lattice)
+    built = lattice_region(region, lattice)
+    assert (read.pieces, read.scale) == (built.pieces, built.scale)
+    assert read.verdict() == built.verdict()
