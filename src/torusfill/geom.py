@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .surd import SurdScalar, clear_triples, rat, scalar
+from .surd import SurdScalar, _read_triples, rat, scalar
 
 
 class GeometryError(ValueError):
@@ -137,26 +137,22 @@ def region_points(data) -> list[list[Point2]]:
 
 
 def region_coordinates(data):
-    """The polygons of {"polygons": [...]} read straight into integers, as
-    (sizes, xs, den, shown): xs holds x1 and x2 of every point in turn times
-    den, the lcm of their denominators (`surd.clear_triples`), sizes the
-    number of points of each polygon, and shown(k) builds the plane points
-    of polygon k, for a message that names them.  The checks, their order
-    and their messages are those of `region_points`, and no scalar is made
-    per coordinate."""
+    """The polygons of {"polygons": [...]} read for `torus.LatticeRegion.read`
+    with no scalar per coordinate, as (sizes, read, shown): read holds x1
+    and x2 of every point in turn as the numerators over a denominator that
+    `surd._read_triples` gives, sizes the number of points of each polygon,
+    and shown(k) builds the plane points of polygon k, for a message that
+    names them.  The checks, their order and their messages are those of
+    `region_points`."""
     polygons = _polygons(data)
     sizes: list[int] = []
-
-    def coordinates():
-        for points in polygons:
-            sizes.append(len(_points(points)))
-            for p in points:
-                x1, x2 = _coordinates(p)
-                yield x1
-                yield x2
-
-    xs, den = clear_triples(coordinates())
-    return sizes, xs, den, lambda k: [Point2.from_json(p) for p in polygons[k]]
+    read = []
+    for points in polygons:
+        sizes.append(len(_points(points)))
+        for p in points:
+            for c in _coordinates(p):
+                read.append(_read_triples(c))
+    return sizes, read, lambda k: [Point2.from_json(p) for p in polygons[k]]
 
 
 def _raw(vertices: list[Point2]) -> ConvexPolygon:

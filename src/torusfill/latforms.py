@@ -154,7 +154,8 @@ class AlternatingSurdMatrix:
     """Antisymmetric 4x4 matrix with surd entries, nondegenerate, stored as
     the tuple `upper` of its six strict upper entries in UPPER_INDEX order.
     `volume` keeps the omega^2 coefficient that the constructor checks; the
-    normaliser's candidates (`_form`) are built without it."""
+    normaliser's candidates (`_form`) are built without it, and its winner
+    is given |V| of the input (see `_postconditions_hold`)."""
 
     __slots__ = ("upper", "volume")
 
@@ -410,6 +411,7 @@ def normalize_basis(b: AlternatingSurdMatrix) -> NormalizationResult:
     for path, m in chain(starts, extend(starts), extend(fixed_i)):
         if _postconditions_hold(m):
             perm, *moves = path
+            m.volume = b.volume if orientation > 0 else -b.volume
             base_change = reduce(_mat_mul_int, [_transvection(*move) for move in moves],
                                  _perm_matrix(perm))
             return NormalizationResult(m, base_change, orientation)

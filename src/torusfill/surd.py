@@ -34,17 +34,17 @@ irrationality of products without building them.
 `Fraction` appears only where a value enters or leaves: `terms`,
 `as_fraction`, `from_terms`, `approx` and the hash of a rational; the
 triples are read and written on integers, through one validator
-(`_read_triples`) that `from_triples` reduces and `clear_triples` brings
-over one common denominator, and `clear_denominators` and `clear_triples`
-hand out integer multiples without making a scalar.  `QuadInt` is
-a + b sqrt(r) on two ints (b != 0) in one field Q(sqrt r), the lattice
-coordinates of `torus` once their denominators are cleared (see
-`quadratic_integers`): its +, - and * with itself or an int return a
-plain int when the sqrt(r) part cancels, and its sign and floor are the
-closed forms above.  Linear algebra over Q runs on integers too:
-`int_echelon` is a fraction-free Gauss-Jordan elimination, `rational_rank`
-reads its rank, and `rational_relations` builds `Fraction` only for the
-kernel it returns.
+(`_read_triples`) whose numerators over a denominator `from_triples`
+reduces.  `lattice_integers` clears groups of such numerators, a scalar's
+or the validator's, into the lattice coordinates of `torus`, with no
+scalar made per value and the field decided once for all groups.
+`QuadInt` is a + b sqrt(r) on two ints (b != 0) in one field Q(sqrt r),
+those coordinates where they share one r: its +, - and * with itself or
+an int return a plain int when the sqrt(r) part cancels, and its sign and
+floor are the closed forms above.  Linear algebra over Q runs on integers
+too: `int_echelon` is a fraction-free Gauss-Jordan elimination,
+`rational_rank` reads its rank, and `rational_relations` builds `Fraction`
+only for the kernel it returns.
 """
 
 from __future__ import annotations
@@ -211,24 +211,6 @@ def _read_triples(triples) -> tuple[dict[int, int], int]:
     return num, den
 
 
-def _cleared(read) -> tuple[list, int]:
-    """([L * n / d for (n, d) in read], L) for numerator dicts n over
-    denominators d and L the lcm of the d: an int where the value is
-    rational, and otherwise its integer numerators {radicand: n}, read
-    only."""
-    den = lcm(*(d for _, d in read))
-    out: list[int | dict[int, int]] = []
-    for num, d in read:
-        k = den // d
-        if not num:
-            out.append(0)
-        elif len(num) == 1 and 1 in num:
-            out.append(num[1] * k)
-        else:
-            out.append({r: n * k for r, n in num.items()} if k != 1 else num)
-    return out, den
-
-
 def _sign2(a: int, r1: int, b: int, r2: int) -> int:
     """Sign of a sqrt(r1) + b sqrt(r2) for distinct squarefree r1, r2 >= 1.
     With a and b of opposite signs it is the sign of a times that of
@@ -378,9 +360,6 @@ class SurdScalar:
     def is_rational(self) -> bool:
         num = self._num
         return not num or (len(num) == 1 and 1 in num)
-
-    def is_irrational(self) -> bool:
-        return not self.is_rational()
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -702,8 +681,8 @@ class SurdScalar:
         0.  Radicands must lie below 2**32, so that factoring one by trial
         division cannot hang.  `_read_triples` checks them and sums the
         integer numerators over the lcm of the denominators, with no
-        `Fraction`, and one gcd reduces (`clear_triples` reads many values
-        with the same checks)."""
+        `Fraction`, and one gcd reduces (`geom.region_coordinates` reads a
+        region's values with the same checks)."""
         num, den = _read_triples(triples)
         return _reduced(num, den) if num else _make({}, 1)
 
@@ -820,66 +799,30 @@ class QuadInt:
         return f"QuadInt({self.a}, {self.b}, {self.r})"
 
 
-def clear_denominators(values: Sequence[SurdScalar]) -> tuple[list, int]:
-    """([L * v for v in values], L) with L the lcm of the denominators: a
-    rational value comes back as an int, any other as its integer
-    numerators {radicand: n}."""
-    return _cleared([(v._num, v._den) for v in values])
-
-
-def clear_triples(coordinates) -> tuple[list, int]:
-    """`clear_denominators` of the values that `SurdScalar.from_triples`
-    reads from the triple lists of the iterable `coordinates`, with its
-    checks and messages, one triple list after the other
-    (`_read_triples`).  No scalar is made and none is reduced: L is the lcm
-    of the denominators as given, and `lowest_terms` divides out what they
-    share with the numerators."""
-    return _cleared([_read_triples(t) for t in coordinates])
-
-
-def quadratic_integers(values: Sequence) -> list:
-    """The ints and numerator dicts of `clear_denominators` or
-    `clear_triples` as ring elements: ints and QuadInts when the irrational
-    values all lie in one Q(sqrt r), and otherwise ints and SurdScalars of
-    denominator 1."""
-    out: list[int | QuadInt] = []
-    root = 0
-    for v in values:
-        if type(v) is int:
-            out.append(v)
-            continue
-        r = max(v)
-        if len(v) > 1 + (1 in v) or root not in (0, r):
-            return [v if type(v) is int else _make(v, 1) for v in values]
-        root = r
-        out.append(QuadInt(v.get(1, 0), v[r], r))
+def lattice_integers(*groups) -> list[tuple[list, int]]:
+    """(values, L) per group of (numerators, denominator) pairs, with L the
+    lcm of the group's denominators and values the L * n / d in turn: an int
+    where rational, and otherwise a QuadInt when every irrational radicand
+    of every group is one r, or else a SurdScalar of denominator 1.  The
+    field is decided once over all groups, so values of different groups
+    multiply; no scalar is reduced, and L is not minimal where the
+    numerators share a factor with it."""
+    roots = {r for group in groups for num, _ in group for r in num if r != 1}
+    root = roots.pop() if len(roots) == 1 else 0
+    out = []
+    for group in groups:
+        den = lcm(*(d for _, d in group))
+        values: list[int | QuadInt | SurdScalar] = []
+        for num, d in group:
+            k = den // d
+            if len(num) == (1 in num):
+                values.append(num.get(1, 0) * k)
+            elif root:
+                values.append(QuadInt(num.get(1, 0) * k, num[root] * k, root))
+            else:
+                values.append(_make({r: n * k for r, n in num.items()}, 1))
+        out.append((values, den))
     return out
-
-
-def lowest_terms(values: list, den: int) -> tuple[list, int]:
-    """(values / g, den / g) for g the gcd of den and every integer part of
-    the values (ints, QuadInts, or SurdScalars of denominator 1, which come
-    back as ints when rational).  v / den has the denominator
-    den / gcd(den, parts of v), so den / g is the lcm of those."""
-    parts = [den]
-    for v in values:
-        if type(v) is int:
-            parts.append(v)
-        elif type(v) is QuadInt:
-            parts += (v.a, v.b)
-        else:
-            parts += v._num.values()
-    g = gcd(*parts)
-    out: list = []
-    for v in values:
-        if type(v) is int:
-            out.append(v // g)
-        elif type(v) is QuadInt:
-            out.append(QuadInt(v.a // g, v.b // g, v.r))
-        else:
-            s = _make({r: n // g for r, n in v._num.items()}, 1)
-            out.append(s._num.get(1, 0) if s.is_rational() else s)
-    return out, den // g
 
 
 def product_sum_sign(terms) -> int:
@@ -914,7 +857,7 @@ def product_sum_sign(terms) -> int:
 
 
 def product_is_irrational(x: SurdScalar, y: SurdScalar) -> bool:
-    """(x * y).is_irrational(), from single coefficients of x y: for
+    """not (x * y).is_rational(), from single coefficients of x y: for
     squarefree r and t > 1, sqrt(r) sqrt(r') is a multiple of sqrt(t) only
     for r' = (r / h)(t / h), h = gcd(r, t), and then it is (r / h) sqrt(t).
     The t that radicand pairs produce are tried up to the first nonzero."""

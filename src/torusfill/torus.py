@@ -2,21 +2,21 @@
 
 A region is decided on integer lattice coordinates (`LatticeRegion`).  Its
 vertices are mapped once into the coordinates of a Lagrange-reduced basis
-and multiplied by L, the lcm of their denominators, so that a lattice
-vector is a shift (aL, bL).  Plane vertices are cleared of their
-denominators first (`surd.clear_denominators`), and a region file's
-triples are read straight into those integers (`geom.region_coordinates`),
-with no scalar per coordinate; one core takes both from there.  Each
-rational coordinate is an int.  When the
-inverse basis and the vertices all lie in one Q(sqrt r), an irrational
-coordinate is a `QuadInt` a + b sqrt(r) on two ints, and a result whose
-sqrt(r) part is 0 is a plain int, never a pair; when they span two
-radicands or more, it is a SurdScalar of denominator 1, through the same
-code.  The map has determinant 1/covolume > 0, so it keeps
-convexity, winding, collinearity, repeated points and positive-area
-overlap; there the pieces are canonicalised, and each pair of pieces is
-checked at every lattice shift that their boxes allow, the zero shift
-included: two pieces that meet unshifted overlap, and shifted they collide.
+and multiplied by L, a common denominator, so that a lattice vector is a
+shift (aL, bL).  The inverse basis and the vertices are cleared of their
+denominators in one step that decides their field once
+(`surd.lattice_integers`), from a scalar's numerators or from those that
+`geom.region_coordinates` reads off a region file's triples, with no
+scalar per coordinate; one core takes both from there.  When the inverse
+basis and the vertices all lie in one Q(sqrt r), a rational coordinate is
+an int and an irrational one a `QuadInt` a + b sqrt(r) on two ints, and a
+result whose sqrt(r) part is 0 is a plain int, never a pair; when they
+span two radicands or more, a coordinate is a SurdScalar of denominator 1
+or an int, through the same code.  The map has determinant 1/covolume > 0,
+so it keeps convexity, winding, collinearity, repeated points and
+positive-area overlap; there the pieces are canonicalised, and each pair
+of pieces is checked at every lattice shift that their boxes allow, the
+zero shift included: two pieces that meet unshifted overlap, and shifted they collide.
 Two convex pieces overlap in positive area unless an edge line of one
 separates them, and each piece's vertices are projected onto the other's
 edge normals once per pair, so a shift costs integer additions and
@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surd import (QuadInt, SurdScalar, clear_denominators, lowest_terms, quadratic_integers,
-                   scalar)
+from .surd import QuadInt, SurdScalar, lattice_integers, scalar
 from .geom import GeometryError, Point2, _canonical, _sign, pt
 
 
@@ -217,53 +216,55 @@ class LatticeRegion:
     """A region in the coordinates of a lattice's reduced basis h1, h2.
 
     Built from the plane vertex lists of its pieces, as given, or by `read`
-    from the integers that `geom.region_coordinates` reads a region file
-    into; a list that does not bound a strictly convex polygon winding once
-    raises GeometryError with its plane points.  A point x maps to (u, w)
-    with x = (u h1 + w h2) / L, so a*h1 + b*h2 is the shift (aL, bL); u and
-    w are ints where rational, and otherwise QuadInts of one Q(sqrt r), or
-    SurdScalars when several radicands meet.  Only the operators the three
+    from the numerators over denominators that `geom.region_coordinates`
+    reads a region file into; a list that does not bound a strictly convex
+    polygon winding once raises GeometryError with its plane points.  A
+    point x maps to (u, w) with x = (u h1 + w h2) / L, so a*h1 + b*h2 is
+    the shift (aL, bL); in one Q(sqrt r) u and w are ints where rational
+    and QuadInts otherwise, and when several radicands meet they are ints
+    or SurdScalars.  Only the operators the three
     types share are used on them, with `_floordiv` and `_sign`.  `verdict`
     decides everything, overlapping pieces and the areas of collisions
     included, on these coordinates: no plane polygon is built, and an area
     becomes a SurdScalar only where it leaves the core (`_surd`).
 
-    The map is taken on integers.  `clear_denominators` makes E times the
-    four entries of the inverse basis integral, and D times the vertex
-    coordinates (or `clear_triples` does, reading the file), so each
-    product is D*E times the true coordinate.  From there one core
-    (`_build`) runs for both: `quadratic_integers`, the map, and
-    `lowest_terms`, which divides by the gcd g of D*E and every integer
-    part and leaves L = D*E / g, the lcm of the denominators.
+    The map is taken on integers.  `surd.lattice_integers` makes E times
+    the four entries of the inverse basis integral, and D times the vertex
+    coordinates, E and D the lcms of their denominators; it decides the
+    field once for both, so each product is L = D*E times the true
+    coordinate.  L need not be minimal: it is read only through the shifts
+    (aL, bL) and the areas over 2 L^2, which do not depend on it.
     """
 
     __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges")
 
     def __init__(self, polygons: list[list[Point2]], lattice: Lattice2):
-        xs, d = clear_denominators([c for points in polygons for p in points for c in (p.x1, p.x2)])
-        self._build([len(points) for points in polygons], xs, d, polygons.__getitem__, lattice)
+        self._build([len(points) for points in polygons],
+                    [(c._num, c._den) for points in polygons for p in points for c in (p.x1, p.x2)],
+                    polygons.__getitem__, lattice)
 
     @classmethod
     def read(cls, coordinates, lattice: Lattice2) -> LatticeRegion:
-        """The region that `geom.region_coordinates` read, as (sizes, xs,
-        den, shown); shown(k) builds the plane points of piece k only for
-        the message that rejects it."""
+        """The region that `geom.region_coordinates` read, as (sizes, read,
+        shown); shown(k) builds the plane points of piece k only for the
+        message that rejects it."""
         region = object.__new__(cls)
         region._build(*coordinates, lattice)
         return region
 
-    def _build(self, sizes: list[int], xs: list, d: int, shown, lattice: Lattice2) -> None:
-        """The core, from the cleared vertex coordinates xs over d on."""
+    def _build(self, sizes: list[int], read: list, shown, lattice: Lattice2) -> None:
+        """The core, from the vertex coordinates as numerators over a
+        denominator on."""
         h1, h2, self._c1, self._c2 = _reduced(lattice.g1, lattice.g2)
         self._det = det = lattice.covolume()
         inv = det.inverse()
-        m, e = clear_denominators([h2.x2 * inv, -h2.x1 * inv, -h1.x2 * inv, h1.x1 * inv])
-        ring = quadratic_integers(m + xs)
-        m11, m12, m21, m22 = ring[:4]
-        flat = []
-        for x1, x2 in zip(ring[4::2], ring[5::2]):
-            flat += (m11 * x1 + m12 * x2, m21 * x1 + m22 * x2)
-        coords, self.scale = lowest_terms(flat, d * e)
+        inverse = (h2.x2 * inv, -h2.x1 * inv, -h1.x2 * inv, h1.x1 * inv)
+        ((m11, m12, m21, m22), e), (xs, d) = lattice_integers(
+            [(v._num, v._den) for v in inverse], read)
+        self.scale = d * e
+        coords = []
+        for x1, x2 in zip(xs[::2], xs[1::2]):
+            coords += (m11 * x1 + m12 * x2, m21 * x1 + m22 * x2)
         self.pieces = []
         at = 0
         for k, size in enumerate(sizes):

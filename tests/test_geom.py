@@ -36,7 +36,7 @@ from torusfill.geom import (
     region_points,
     shoelace,
 )
-from torusfill.surd import rat, sqrt
+from torusfill.surd import QuadInt, lattice_integers, rat, sqrt
 
 
 def diamond_poly(a) -> ConvexPolygon:
@@ -492,7 +492,9 @@ def test_region_reader_raises_what_the_point_reader_raises(data):
 
 def test_region_reader_builds_plane_points_only_for_a_message():
     data = {"polygons": [[POINT, [[[1, 3, 1]], [[2, 1, 1]]], [[[1, 5, 1]], [[2, 1, 1]]]]]}
-    sizes, xs, den, shown = region_coordinates(data)
-    assert (sizes, den) == ([3], 2)
-    assert xs == [1, {2: 2}, 6, {2: 2}, 10, {2: 2}]
+    sizes, read, shown = region_coordinates(data)
+    assert sizes == [3]
+    assert read == [({1: 1}, 2), ({2: 1}, 1), ({1: 3}, 1), ({2: 1}, 1), ({1: 5}, 1), ({2: 1}, 1)]
+    root2 = QuadInt(0, 2, 2)
+    assert lattice_integers(read) == [([1, root2, 6, root2, 10, root2], 2)]
     assert shown(0) == region_points(data)[0]

@@ -438,6 +438,18 @@ def test_normalizer_spends_two_sums_and_two_products_per_transvection(monkeypatc
     assert built_in_all > 100
 
 
+def test_normal_form_normalises_to_itself():
+    # the winner carries its omega^2 coefficient, |V| of the input, so it
+    # normalises again, by the identity, to the same entries
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    for b in golden_period_lattice_forms():
+        normal = normalize_basis(b).matrix
+        assert normal.volume == normal.volume_coefficient() == abs(b.volume)
+        again = normalize_basis(normal)
+        assert (again.base_change, again.determinant) == (identity, 1)
+        assert again.matrix.upper == normal.upper
+
+
 def test_postconditions_imply_the_contract_on_every_candidate(monkeypatch):
     # a candidate's omega^2 coefficient is det U * V = |V| > 0, and (i) gives
     # b12 b34 >= 0, so b13 b24 - b14 b23 = V' + b12 b34 > 0: on every
@@ -610,7 +622,7 @@ def test_period_lattice_zero_case_rho():
     res = normalize_basis(b)
     sol = build_period_lattice(res)
     assert sol.zero_case and sol.v.is_zero()
-    assert (sol.rho_sq * sol.det).is_irrational()
+    assert not (sol.rho_sq * sol.det).is_rational()
     assert len(sol.rho_decimal(50).split(".")[1]) == 50
 
 

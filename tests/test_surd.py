@@ -13,20 +13,19 @@ from hypothesis import strategies as st
 
 import torusfill.surd as surd_module
 from conftest import fraction_from_triples, nonzero_surds, rationals, surds
+from torusfill.geom import region_coordinates
 from torusfill.latforms import AlternatingSurdMatrix, _condition_i, _det_int
 from torusfill.surd import (
     QuadInt,
     SurdError,
     SurdScalar,
     _coprime_base,
-    clear_denominators,
-    clear_triples,
+    _read_triples,
     decimal_sqrt,
     int_echelon,
-    lowest_terms,
+    lattice_integers,
     product_is_irrational,
     product_sum_sign,
-    quadratic_integers,
     rat,
     rational_rank,
     rational_relations,
@@ -161,7 +160,6 @@ def test_is_rational():
     assert rat(Fraction(7, 5)).is_rational()
     assert not (rat(3) - 2 * sqrt(2)).is_rational()
     assert (sqrt(2) * sqrt(2)).is_rational()
-    assert (rat(3) - 2 * sqrt(2)).is_irrational()
 
 
 def test_division_and_inverse():
@@ -455,7 +453,8 @@ TRIPLE_FAULTS = [
 def test_reader_and_from_triples_raise_the_same_fault(triples, error, message):
     # the region reader and from_triples share one validator: the same
     # fault, type and message, also behind a well-formed coordinate
-    for read in (SurdScalar.from_triples, lambda t: clear_triples([[[2, 1, 3]], t])):
+    for read in (SurdScalar.from_triples,
+                 lambda t: region_coordinates({"polygons": [[[[[2, 1, 3]], t]]]})):
         with pytest.raises(error) as info:
             read(triples)
         assert type(info.value) is error and str(info.value) == message
@@ -465,10 +464,11 @@ def test_reader_reports_the_first_faulty_coordinate():
     # each coordinate is checked in full before the next is read
     zero_den, huge = [[2, 1, 0]], [[2**32, 1, 1]]
     with pytest.raises(ZeroDivisionError):
-        clear_triples([zero_den, huge])
+        region_coordinates({"polygons": [[[zero_den, huge]]]})
     with pytest.raises(ValueError, match="below 2"):
-        clear_triples([huge, zero_den])
-    assert clear_triples(iter([])) == ([], 1)
+        region_coordinates({"polygons": [[[huge, zero_den]]]})
+    assert region_coordinates({"polygons": []})[:2] == ([], [])
+    assert lattice_integers([]) == [([], 1)]
 
 
 @st.composite
@@ -484,16 +484,28 @@ def coordinate_lists(draw):
     return draw(st.lists(st.lists(triple, max_size=4), min_size=1, max_size=8))
 
 
+def over(v, den: int) -> dict[int, Fraction]:
+    """The terms of a lattice integer (an int, a QuadInt or a SurdScalar of
+    denominator 1) divided by den, as exact fractions."""
+    return ((v if type(v) is SurdScalar else as_surd(v)) / den).terms
+
+
 @given(coordinate_lists())
 @example([[[2, 3, 6]], [[8, 1, 2], [1, 4, -8]], [[2, 1, 2], [8, -1, 4]], []])
 @settings(max_examples=200, deadline=None)
-def test_clear_triples_matches_clear_denominators_of_from_triples(coordinates):
-    # the reader's cleared values and denominator, once in lowest terms, are
-    # those of one scalar per coordinate cleared over their lcm
-    got, den = clear_triples(coordinates)
-    want, want_den = clear_denominators([SurdScalar.from_triples(t) for t in coordinates])
-    assert (lowest_terms(quadratic_integers(got), den)
-            == lowest_terms(quadratic_integers(want), want_den))
+def test_lattice_integers_of_read_triples_match_from_triples(coordinates):
+    # the values over L that the triple reader's numerators clear into are
+    # those of one scalar per coordinate, term by term as exact fractions,
+    # and of the same types: QuadInts in one field, SurdScalars across two
+    scalars = [SurdScalar.from_triples(t) for t in coordinates]
+    [(got, den)] = lattice_integers([_read_triples(t) for t in coordinates])
+    [(want, want_den)] = lattice_integers([(s._num, s._den) for s in scalars])
+    assert [over(v, den) for v in got] == [s.terms for s in scalars]
+    assert [over(v, want_den) for v in want] == [s.terms for s in scalars]
+    assert [type(v) for v in got] == [type(v) for v in want]
+    one_field = len(set().union(*(s.radicands for s in scalars)) - {1}) <= 1
+    assert (SurdScalar not in map(type, got)) == one_field
+    assert all((type(v) is int) == s.is_rational() for v, s in zip(got, scalars))
 
 
 @given(surds(), surds(), surds())
@@ -1086,8 +1098,8 @@ def product_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_product_is_irrational_matches_built_product(pair):
     x, y = pair
-    assert product_is_irrational(x, y) == (x * y).is_irrational()
-    assert product_is_irrational(y, x) == (x * y).is_irrational()
+    assert product_is_irrational(x, y) == (not (x * y).is_rational())
+    assert product_is_irrational(y, x) == (not (x * y).is_rational())
 
 
 def doubling_approx(v: SurdScalar, digits: int) -> Fraction:

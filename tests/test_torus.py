@@ -561,7 +561,8 @@ def test_coordinates_over_two_radicands_take_the_same_path(tmp_path, capsys):
             (cell, lattice, True, 0), (moved, lattice, False, 1), (strip, UNIT, False, 0)]):
         core = lattice_region(region, lat)
         coords = [c for vs in core.pieces for v in vs for c in (v.x1, v.x2)]
-        assert {type(c) for c in coords} == {int, SurdScalar}
+        # rational coordinates are ints or SurdScalars here, never QuadInts
+        assert QuadInt not in {type(c) for c in coords} and SurdScalar in {type(c) for c in coords}
         assert set().union(*(c.radicands for c in coords if type(c) is SurdScalar)) >= {2, 3}
         verdict = core.verdict()
         assert verdict.collisions == candidate_collisions(region, lat)
@@ -572,6 +573,23 @@ def test_coordinates_over_two_radicands_take_the_same_path(tmp_path, capsys):
         assert main(["verify", str(region_file), "--lattice-file", str(lattice_file)]) == code
         capsys.readouterr()
     assert lattice_region(moved, lattice).verdict().collisions
+
+
+def test_inverse_basis_and_vertices_in_two_fields_share_one_decision():
+    # the lattice sqrt(2) Z x Z has its inverse basis in Q(sqrt 2), and the
+    # vertices lie in Q(sqrt 3): each alone is one field, so only a field
+    # decided over both keeps their products off QuadInts of two radicands
+    lattice = Lattice2.rectangular(sqrt(2), 1)
+    half = sqrt(3) / 2
+    wide = Region([rectangle(0, half, 0, 1), rectangle(half, 2 * half, 0, 1)])
+    narrow = Region([rectangle(0, half, 0, Fraction(1, 3)), rectangle(0, half, Fraction(1, 3), 1)])
+    for region, injective in ((wide, False), (narrow, True)):
+        core = lattice_region(region, lattice)
+        kinds = {type(c) for vs in core.pieces for v in vs for c in (v.x1, v.x2)}
+        assert QuadInt not in kinds and SurdScalar in kinds
+        verdict = core.verdict()
+        assert verdict.collisions == candidate_collisions(region, lattice)
+        assert verdict.injective == injective and verdict.area == region.area()
 
 
 def test_verify_on_far_skewed_basis_finishes(tmp_path):
