@@ -1,32 +1,27 @@
 """Constructors for the explicit torus fillings, with verification bundles.
 
 Each constructor assembles a source region (a diamond, or in `theorem1` the
-diamond distorted into a rectangle, two triangles and two flaps), a shear
-sequence, and a target lattice, then runs the full verification:
+diamond distorted into a rectangle, two triangles and two flaps), a list of
+shears, and a target lattice, then runs the full verification:
 composability of the shears, exact injectivity of the final region modulo
-the lattice, and exact area bookkeeping.  The 4D lift of every shear is
-symplectic on each slab whatever its slope (see `shears`), so a
-certificate carries no per-slab check of it.  A jump shear, acting on open
-pieces, realizes the width-zero limit of a steep ramp band.  The x1-shear
-is one in `theorem1` at every eps, in `family` at every k, and in
-`example3` at eps = 0 only, where eps > 0 puts honest ramps in its place;
-`example1`, `example2`, `cube` and `polydisc` have none.
+the lattice, and exact area bookkeeping.  A certificate holds those three
+inputs and what is derived from them, so its JSON alone can be re-checked.
+The 4D lift of every shear is symplectic on each slab whatever its slope
+(see `shears`), so a certificate carries no per-slab check of it.  A jump
+shear, acting on open pieces, realizes the width-zero limit of a steep ramp
+band.  The x1-shear is one in `theorem1` at every eps, in `family` at every
+k, and in `example3` at eps = 0 only, where eps > 0 puts honest ramps in
+its place; `example1`, `example2`, `cube` and `polydisc` have none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .surd import SurdScalar, rat, scalar, sqrt
 from .geom import ConvexPolygon, Region, pt, rectangle
-from .shears import (
-    ComposabilityReport,
-    PLFunction,
-    Shear,
-    ShearSequence,
-    check_composable,
-)
+from .shears import ComposabilityReport, PLFunction, Shear, check_composable
 from .torus import Lattice2, LatticeRegion, RegionVerdict
 
 
@@ -48,16 +43,17 @@ def diamond(a) -> Region:
 
 @dataclass
 class FillingCertificate:
-    """Verification bundle for one constructed embedding."""
+    """Verification bundle for one constructed embedding: the source, the
+    shears and the lattice, and what is derived from them."""
 
     name: str
     params: dict
-    sequence: ShearSequence
+    source: Region
+    shears: list[Shear]
     lattice: Lattice2
-    composability: ComposabilityReport
+    composability: ComposabilityReport  # of the source under the shears
     verdict: RegionVerdict  # of the final region modulo the lattice
     source_area: SurdScalar
-    identities: dict[str, bool] = field(default_factory=dict)
 
     @property
     def final(self) -> Region:
@@ -70,9 +66,7 @@ class FillingCertificate:
 
     @property
     def valid(self) -> bool:
-        return (self.composability.ok and self.verdict.injective
-                and self.area_preserved
-                and all(self.identities.values()))
+        return self.composability.ok and self.verdict.injective and self.area_preserved
 
     def to_json(self):
         verdict = self.verdict
@@ -80,8 +74,8 @@ class FillingCertificate:
         return {
             "name": self.name,
             "params": self.params,
-            "source": self.sequence.source.to_json(),
-            "shears": [s.to_json() for s in self.sequence.shears],
+            "source": self.source.to_json(),
+            "shears": [s.to_json() for s in self.shears],
             "final": self.final.to_json(),
             "lattice": self.lattice.to_json(),
             "composability": self.composability.to_json(),
@@ -90,25 +84,24 @@ class FillingCertificate:
             "final_area": verdict.area.to_triples(),
             "fraction": fraction,
             "fraction_decimal": decimal,
-            "identities": self.identities,
             "valid": self.valid,
             "is_fundamental_domain": verdict.fundamental_domain,
         }
 
 
-def certify(name, params, source, shears, lattice, identities=None) -> FillingCertificate:
-    seq = ShearSequence(list(shears), source)
-    composability = check_composable(seq)
+def certify(name, params, source, shears, lattice) -> FillingCertificate:
+    shears = list(shears)
+    composability = check_composable(source, shears)
     return FillingCertificate(
         name=name,
         params=params,
-        sequence=seq,
+        source=source,
+        shears=shears,
         lattice=lattice,
         composability=composability,
         verdict=LatticeRegion([p.vertices for p in composability.final.pieces],
                               lattice).verdict(),
         source_area=source.area(),
-        identities=identities or {},
     )
 
 
@@ -206,18 +199,6 @@ def example_fortynine_fiftieths(eps=0) -> FillingCertificate:
 
 # -- the full filling of T(1, 1) ----------------------------------------------
 
-def theorem1_constants() -> dict[str, SurdScalar]:
-    """The exact constants of the full T(1,1) filling, in Q(sqrt 2)."""
-    s2 = sqrt(2)
-    b = rat(3) - 2 * s2
-    return {
-        "b": b,
-        "h_t": 2 * b / (1 + b),
-        "h_b": 4 * b * b / (1 - b * b),
-        "ell": (1 - 3 * b) / (1 - b),
-    }
-
-
 def theorem1_filling(eps=0) -> FillingCertificate:
     """Distorted diamond of size sqrt(2) - eps/2 fully filling T(1, 1) at eps 0.
 
@@ -262,18 +243,9 @@ def theorem1_filling(eps=0) -> FillingCertificate:
         anchor=(w / 2, 0),
     )
     f = PLFunction([-HALF, HALF], [0, 0, 0], anchor=(0, 0), jumps=[-w, W])
-
-    consts = theorem1_constants()
-    identities = {
-        "b_quadratic": (consts["b"] ** 2 - 6 * consts["b"] + 1).is_zero(),
-        "h_t_closed_form": consts["h_t"] == rat(1) - sqrt(2) / 2,
-        "h_b_closed_form": consts["h_b"] == rat(3) * sqrt(2) / 2 - 2,
-        "height_sum": consts["h_t"] + consts["h_b"] == (1 - consts["b"]) / 2,
-        "height_sum_via_ell": rat(1) - consts["ell"] == 2 * consts["b"] / (1 - consts["b"]),
-    }
     lattice = Lattice2.rectangular(1, 1)
     return certify("theorem1", {"eps": str(eps)}, source,
-                   [Shear("x2", g), Shear("x1", f)], lattice, identities)
+                   [Shear("x2", g), Shear("x1", f)], lattice)
 
 
 # -- the family of full fillings of T((2k+1)^2 / (2(k+1)^2), 1) ---------------

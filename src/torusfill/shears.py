@@ -252,18 +252,7 @@ class ComposabilityReport:
         }
 
 
-@dataclass
-class ShearSequence:
-    shears: list[Shear]
-    source: Region
-
-    @classmethod
-    def from_json(cls, data) -> "ShearSequence":
-        return cls([Shear.from_json(s) for s in data["shears"]],
-                   Region.from_json(data["source"]))
-
-
-def check_composable(seq: ShearSequence) -> ComposabilityReport:
+def check_composable(source: Region, shears: list[Shear]) -> ComposabilityReport:
     """Every point of the source may be moved by at most one shear.
 
     For i < j the j-th shear must act as the identity on the image (under
@@ -274,8 +263,8 @@ def check_composable(seq: ShearSequence) -> ComposabilityReport:
     rotated once to its lowest vertex at the end.
     """
     violations: list[Violation] = []
-    cur = [(piece, ()) for piece in seq.source.pieces]  # (piece, shears that moved it)
-    for j, shear in enumerate(seq.shears):
+    cur = [(piece, ()) for piece in source.pieces]  # (piece, shears that moved it)
+    for j, shear in enumerate(shears):
         hits: dict[int, SurdScalar] = {}
         nxt = []
         for piece, movers in cur:

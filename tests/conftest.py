@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hypothesis import strategies as st
 
 from torusfill.geom import ConvexPolygon, GeometryError, Point2, Region, pt, rectangle
-from torusfill.surd import SurdScalar, rat, sqrt
+from torusfill.surd import SurdScalar, rat, scalar, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
 SMALL_RADICANDS = [1, 2, 3, 5, 6]
@@ -362,3 +362,120 @@ def fraction_from_triples(triples) -> SurdScalar:
         return Fraction(num, den)
 
     return SurdScalar.from_terms((r, fraction(num, den)) for r, num, den in triples)
+
+
+# -- the eps = 0 constants of the full T(1, 1) filling -----------------------
+
+def theorem1_constants() -> dict[str, SurdScalar]:
+    """The exact constants of the full T(1,1) filling, in Q(sqrt 2)."""
+    b = rat(3) - 2 * sqrt(2)
+    return {
+        "b": b,
+        "h_t": 2 * b / (1 + b),
+        "h_b": 4 * b * b / (1 - b * b),
+        "ell": (1 - 3 * b) / (1 - b),
+    }
+
+
+# -- shears as maps of points, as an oracle for `check_composable` ------------
+# It reads a profile's breakpoints, slopes, jumps and anchor as data and maps
+# one point at a time, so it shares no splitting or mapping code with
+# `shears`.
+
+def evaluate(f, x) -> SurdScalar:
+    """f(x) from the anchor, slopes and jumps alone, with the right-hand slab
+    at a breakpoint: the anchor value plus the integral of the slope from the
+    anchor to x, plus the jumps at the breakpoints in (x0, x], or minus those
+    in (x, x0)."""
+    x0, y0 = f.anchor
+    x = scalar(x)
+    sign, lo, hi = (1, x0, x) if x >= x0 else (-1, x, x0)
+    ends = [lo] + [min(max(b, lo), hi) for b in f.breakpoints] + [hi]
+    total = rat(0)
+    for s, a, b in zip(f.slopes, ends, ends[1:]):
+        total = total + s * (b - a)
+    for b, j in zip(f.breakpoints, f.jumps):
+        if lo < b <= hi:
+            total = total + j
+    return y0 + sign * total
+
+
+# positive weights (i, j, k) / 17 of a triangle's corners, one point each
+FAN_WEIGHTS = [(Fraction(i, 17), Fraction(j, 17), Fraction(17 - i - j, 17))
+               for i in range(1, 16) for j in range(1, 17 - i)]
+
+
+def interior_samples(poly: ConvexPolygon, count: int) -> list[Point2]:
+    """count exact points strictly inside the open convex polygon, evenly
+    strided through the positive combinations FAN_WEIGHTS of the corners of
+    each triangle that fans out from its first vertex."""
+    vs = poly.vertices
+    points = [vs[0].scale(u) + vs[i].scale(v) + vs[i + 1].scale(w)
+              for i in range(1, len(vs) - 1) for u, v, w in FAN_WEIGHTS]
+    return [points[k * len(points) // count] for k in range(count)]
+
+
+def shear_point(shear, p: Point2, inverse=False):
+    """(image, moved): p under the shear, or under its inverse, and whether
+    the 4D lift over p is not the identity, f or f' being nonzero there;
+    None when p lies on a breakpoint line of the shear."""
+    f = shear.f
+    c = p.x2 if shear.axis == "x1" else p.x1
+    if any(c == b for b in f.breakpoints):
+        return None
+    d = evaluate(f, c)
+    moved = not (d.is_zero() and f.slopes[sum(b < c for b in f.breakpoints)].is_zero())
+    d = -d if inverse else d
+    return (Point2(p.x1 + d, p.x2) if shear.axis == "x1" else Point2(p.x1, p.x2 + d)), moved
+
+
+def shear_walk_failures(source: Region, shears, final: Region, samples=200) -> list[str]:
+    """Why the shears, taken as maps of points, disagree with the stated
+    final region of the source: [] when they agree.
+
+    Forward, half the samples, spread over the source pieces: each is pushed
+    through the shears one at a time, must be moved by at most one of them,
+    and must land strictly inside exactly one final piece.  Backward, the
+    other half, spread over the final pieces: each is pulled back through the
+    inverse shears in reverse order and must land strictly inside the
+    source.  A sample on a breakpoint line at any stage is skipped, but
+    every piece must keep at least one sample.
+    """
+    failures = []
+
+    def walk(p, order, inverse):
+        moves = 0
+        for shear in order:
+            step = shear_point(shear, p, inverse)
+            if step is None:
+                return None, 0
+            p, moved = step
+            moves += moved
+        return p, moves
+
+    for n, piece in enumerate(source.pieces):
+        kept = 0
+        for p in interior_samples(piece, max(1, samples // 2 // len(source.pieces))):
+            q, moves = walk(p, shears, False)
+            if q is None:
+                continue
+            kept += 1
+            if moves > 1:
+                failures.append(f"source piece {n}: a sample is moved by {moves} shears")
+            inside = sum(contains(f, q) for f in final.pieces)
+            if inside != 1:
+                failures.append(f"source piece {n}: a sample lands in {inside} final pieces")
+        if not kept:
+            failures.append(f"source piece {n}: every sample lies on a breakpoint line")
+    for n, piece in enumerate(final.pieces):
+        kept = 0
+        for p in interior_samples(piece, max(1, samples // 2 // len(final.pieces))):
+            q, _ = walk(p, reversed(shears), True)
+            if q is None:
+                continue
+            kept += 1
+            if not any(contains(s, q) for s in source.pieces):
+                failures.append(f"final piece {n}: a sample pulls back outside the source")
+        if not kept:
+            failures.append(f"final piece {n}: every sample lies on a breakpoint line")
+    return failures

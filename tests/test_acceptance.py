@@ -14,7 +14,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from conftest import (candidate_vectors, map_region, region_overlap_area,
-                      symmetric_difference_area)
+                      symmetric_difference_area, theorem1_constants)
 from torusfill.cli import main as cli_main
 from torusfill.fillings import (
     cube_filling,
@@ -23,7 +23,6 @@ from torusfill.fillings import (
     example_fortynine_fiftieths,
     family_filling,
     polydisc_filling,
-    theorem1_constants,
     theorem1_filling,
 )
 from torusfill.latforms import (

@@ -8,12 +8,12 @@ of that name or imports it with `from`; a name in a docstring or a comment is
 not a read.  A definition that `src/` and `bench/` never read but `tests/`
 does belongs in the tests, unless `KEPT_FOR_TESTS` names it with its reason.
 A method or property is read by its own bare name, whatever object it is
-read on: `ShearSequence.from_json` is read by nothing, yet it passes because
-`Region.from_json` is read.  A name that a function, a lambda or a
-comprehension loads is not a read when symtable finds it local or free there:
-the function's own argument, a name it assigns, or one that an enclosing
-function binds.  The imports of `src/torusfill/__init__.py` are the
-package's exports and read nothing.
+read on: `Shear.from_json` and `PLFunction.from_json` are read only by the
+tests, yet they pass because `Region.from_json` is read.  A name that a
+function, a lambda or a comprehension loads is not a read when symtable
+finds it local or free there: the function's own argument, a name it
+assigns, or one that an enclosing function binds.  The imports of
+`src/torusfill/__init__.py` are the package's exports and read nothing.
 """
 
 import ast

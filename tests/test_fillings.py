@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import (UNIT, lattice_region, map_region, region_overlap_area,
-                      symmetric_difference_area)
+from conftest import (UNIT, interior_samples, lattice_region, map_region,
+                      region_overlap_area, shear_walk_failures,
+                      symmetric_difference_area, theorem1_constants)
 from torusfill.fillings import (
     CONSTRUCTORS,
     FillingError,
@@ -14,11 +17,10 @@ from torusfill.fillings import (
     example_fortynine_fiftieths,
     family_filling,
     polydisc_filling,
-    theorem1_constants,
     theorem1_filling,
 )
 from torusfill.geom import ConvexPolygon, Region, pt, rectangle
-from torusfill.shears import ShearSequence, check_composable
+from torusfill.shears import PLFunction, Shear, check_composable
 from torusfill.surd import rat, sqrt
 from torusfill.torus import Lattice2
 
@@ -39,7 +41,7 @@ def test_theorem1_source_is_a_distorted_diamond(eps):
     # horizontal edge and a flap on each vertical one, area a^2/2
     a, h = sqrt(2) - rat(eps) / 2, rat(Fraction(1, 2))
     w = a - 1
-    source = theorem1_filling(eps).sequence.source
+    source = theorem1_filling(eps).source
     assert len(source.pieces) == 5
     rect, top, bottom, left, right = source.pieces
     assert rect == rectangle(0, w, -h, h)
@@ -177,13 +179,12 @@ def test_theorem1_identities():
 def test_theorem1_schematic_full_filling():
     cert = theorem1_filling(0)
     assert cert.valid
-    assert all(cert.identities.values())
     assert cert.verdict.fraction == rat(1)
     assert cert.verdict.fundamental_domain
     assert cert.source_area == rat(1)  # a^2/2 for a = sqrt 2
     # re-checkable: the recorded final region still injects and tiles
     assert lattice_region(cert.final, cert.lattice).verdict().injective
-    assert check_composable(cert.sequence).ok
+    assert check_composable(cert.source, cert.shears).ok
 
 
 def test_theorem1_eps_sequence():
@@ -222,7 +223,7 @@ def test_family_k1_is_the_nine_eighths_filling():
 
 def test_family_k2_slice_heights():
     cert = family_filling(2)
-    x1 = next(s for s in cert.sequence.shears if s.axis == "x1")
+    x1 = next(s for s in cert.shears if s.axis == "x1")
     tops = [b for b in x1.f.breakpoints if b >= rat(1)]
     # slice boundaries above x2 = 1 at cumulative heights 1/9, then the apex
     assert tops == [rat(1), rat(1) + rat(Fraction(1, 9))]
@@ -265,9 +266,10 @@ def test_certificate_json_round_trip():
     cert = example_fortynine_fiftieths(0)
     blob = cert.to_json()
     assert blob["valid"] and blob["is_fundamental_domain"] is False
-    seq = ShearSequence.from_json({"shears": blob["shears"], "source": blob["source"]})
-    final = check_composable(seq).final
+    final = check_composable(Region.from_json(blob["source"]),
+                             [Shear.from_json(s) for s in blob["shears"]]).final
     assert symmetric_difference_area(final, cert.final).is_zero()
+    assert final.to_json() == blob["final"]  # the same pieces, vertex for vertex
     again = Region.from_json(blob["final"])
     assert symmetric_difference_area(again, cert.final).is_zero()
 
@@ -312,3 +314,33 @@ JUMP_SHEARS = [
 def test_which_constructions_carry_jump_shears(name, params, jumps):
     shears = CONSTRUCTORS[name](**params).to_json()["shears"]
     assert ["jumps" in shear for shear in shears] == jumps
+
+
+CONSTRUCT_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "construct_golden.json").read_text())["cases"]
+
+
+def golden_walk(case):
+    """(source, shears, final) of a golden certificate, read from its JSON."""
+    blob = json.loads(case["stdout"])
+    return (Region.from_json(blob["source"]), [Shear.from_json(s) for s in blob["shears"]],
+            Region.from_json(blob["final"]))
+
+
+@pytest.mark.parametrize("case", CONSTRUCT_GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
+def test_golden_shears_as_point_maps_give_the_final_region(case):
+    assert shear_walk_failures(*golden_walk(case)) == []
+
+
+@pytest.mark.parametrize("case", CONSTRUCT_GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
+def test_point_map_oracle_fails_a_changed_slope(case):
+    # the first shear's slope, one more on the slab of the first source
+    # sample, against the final region of the unchanged shears
+    source, shears, final = golden_walk(case)
+    shear, p = shears[0], interior_samples(source.pieces[0], 1)[0]
+    f = shear.f
+    c = p.x2 if shear.axis == "x1" else p.x1
+    i = sum(b < c for b in f.breakpoints)
+    slopes = f.slopes[:i] + [f.slopes[i] + 1] + f.slopes[i + 1:]
+    changed = Shear(shear.axis, PLFunction(f.breakpoints, slopes, f.anchor, f.jumps))
+    assert shear_walk_failures(source, [changed] + shears[1:], final) != []

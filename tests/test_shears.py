@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clip_halfplane, contains, edges, rationals, symmetric_difference_area
+from conftest import (clip_halfplane, evaluate, rationals, shear_walk_failures,
+                      symmetric_difference_area)
 from torusfill.fillings import certify
 from torusfill.geom import (
     ConvexPolygon,
@@ -20,11 +21,10 @@ from torusfill.shears import (
     PLFunction,
     Shear,
     ShearError,
-    ShearSequence,
     Violation,
     check_composable,
 )
-from torusfill.surd import rat, scalar, sqrt
+from torusfill.surd import rat, sqrt
 from torusfill.torus import Lattice2
 
 
@@ -43,7 +43,7 @@ def ramp() -> PLFunction:
 
 def image_under(shear, region) -> Region:
     """The region pushed through one shear, as `check_composable` reports it."""
-    return check_composable(ShearSequence([shear], region)).final
+    return check_composable(region, [shear]).final
 
 
 MOVES_EVERYTHING = Shear("x2", PLFunction.linear(1))
@@ -51,25 +51,7 @@ MOVES_EVERYTHING = Shear("x2", PLFunction.linear(1))
 
 def violated_pairs(shears, region):
     return [(v.first, v.second, v.overlap)
-            for v in check_composable(ShearSequence(shears, region)).violations]
-
-
-def evaluate(f: PLFunction, x):
-    """f(x) from the anchor, slopes and jumps alone, with the right-hand slab
-    at a breakpoint: the anchor value plus the integral of the slope from the
-    anchor to x, plus the jumps at the breakpoints in (x0, x], or minus those
-    in (x, x0)."""
-    x0, y0 = f.anchor
-    x = scalar(x)
-    sign, lo, hi = (1, x0, x) if x >= x0 else (-1, x, x0)
-    ends = [lo] + [min(max(b, lo), hi) for b in f.breakpoints] + [hi]
-    total = rat(0)
-    for s, a, b in zip(f.slopes, ends, ends[1:]):
-        total = total + s * (b - a)
-    for b, j in zip(f.breakpoints, f.jumps):
-        if lo < b <= hi:
-            total = total + j
-    return y0 + sign * total
+            for v in check_composable(region, shears).violations]
 
 
 def test_pl_function_evaluation():
@@ -145,20 +127,17 @@ def test_plane_image_preserves_area():
 
 def test_check_composable_single_and_pair():
     reg = diamond_region(Fraction(4, 3))
-    one = ShearSequence([Shear("x1", ramp())], reg)
-    assert check_composable(one).ok
+    assert check_composable(reg, [Shear("x1", ramp())]).ok
 
     f = ramp()
     neg = PLFunction(f.breakpoints, [-s for s in f.slopes], anchor=(0, 0))
-    pair = ShearSequence([Shear("x1", f), Shear("x2", neg)], reg)
-    assert check_composable(pair).ok
+    assert check_composable(reg, [Shear("x1", f), Shear("x2", neg)]).ok
 
 
 def test_check_composable_violation():
     reg = Region([rectangle(0, 1, 0, 1)])
-    seq = ShearSequence([Shear("x1", PLFunction.linear(1)),
-                         Shear("x2", PLFunction.linear(1))], reg)
-    report = check_composable(seq)
+    report = check_composable(reg, [Shear("x1", PLFunction.linear(1)),
+                                    Shear("x2", PLFunction.linear(1))])
     assert not report.ok
     assert report.violations[0].overlap == rat(1)
 
@@ -207,41 +186,13 @@ def test_moved_and_fixed_sets_partition_region():
 
 def test_composite_agrees_with_pointwise_map():
     # for a composable pair, chasing individual points through the pointwise
-    # shear formulas lands inside the staged plane image
+    # shear formulas lands inside the staged plane image, and back
     f = ramp()
     neg = PLFunction(f.breakpoints, [-s for s in f.slopes], anchor=(0, 0))
-    seq = ShearSequence([Shear("x1", f), Shear("x2", neg)],
-                        diamond_region(Fraction(4, 3)))
-    report = check_composable(seq)
+    source, shears = diamond_region(Fraction(4, 3)), [Shear("x1", f), Shear("x2", neg)]
+    report = check_composable(source, shears)
     assert report.ok
-    final = report.final
-    samples = [pt(Fraction(a, 24), Fraction(b, 24))
-               for a in range(-15, 16, 3) for b in range(-15, 16, 3)]
-    checked = 0
-    for p in samples:
-        if abs(p.x1) + abs(p.x2) >= rat(Fraction(2, 3)):
-            continue  # outside the open diamond
-        if any(p.x2 == bp for bp in f.breakpoints):
-            continue  # slab boundaries belong to no slab
-        q = pt(p.x1 + evaluate(f, p.x2), p.x2)
-        if any(q.x1 == bp for bp in neg.breakpoints):
-            continue
-        image = pt(q.x1, q.x2 + evaluate(neg, q.x1))
-        assert any(contains(piece, image) or any(v == image for v in piece.vertices)
-                   or _on_boundary(piece, image)
-                   for piece in final.pieces)
-        checked += 1
-    assert checked > 50
-
-
-def _on_boundary(piece, p):
-    for a, b in edges(piece):
-        if ((b - a).cross(p - a)).is_zero():
-            lo = min(a.x1, b.x1), min(a.x2, b.x2)
-            hi = max(a.x1, b.x1), max(a.x2, b.x2)
-            if lo[0] <= p.x1 <= hi[0] and lo[1] <= p.x2 <= hi[1]:
-                return True
-    return False
+    assert shear_walk_failures(source, shears, report.final) == []
 
 
 @given(rationals(bound=4), rationals(bound=4), st.sampled_from(["x1", "x2"]))
@@ -464,15 +415,15 @@ def test_certify_pushes_the_source_through_each_shear_once(monkeypatch):
 
 # -- carried moved sets as an oracle for the labelled walk -------------------
 
-def carried_check_composable(seq):
+def carried_check_composable(source, shears):
     """check_composable as it once was: the image of each earlier shear's
     moved set is carried beside the region and split again at every stage."""
     def full_slab_moved_set(shear, region):
         return Region([part for piece in region.pieces
                        for _, part in full_slab_parts(shear, piece, moving_only=True)])
 
-    violations, carried, cur = [], [], seq.source
-    for j, shear in enumerate(seq.shears):
+    violations, carried, cur = [], [], source
+    for j, shear in enumerate(shears):
         moved_j = full_slab_moved_set(shear, cur)
         for i, img in carried:
             a = full_slab_moved_set(shear, img).area()
@@ -484,8 +435,9 @@ def carried_check_composable(seq):
     return ComposabilityReport(violations, cur)
 
 
-def assert_matches_carried_oracle(seq):
-    report, oracle = check_composable(seq), carried_check_composable(seq)
+def assert_matches_carried_oracle(source, shears):
+    report = check_composable(source, shears)
+    oracle = carried_check_composable(source, shears)
     assert report.to_json() == oracle.to_json()
     assert [p.vertices for p in report.final.pieces] == \
         [p.vertices for p in oracle.final.pieces]
@@ -504,15 +456,13 @@ SOURCES = [
        st.sampled_from(SOURCES))
 @settings(max_examples=60, deadline=None)
 def test_labelled_walk_matches_carried_oracle(profiles, source):
-    seq = ShearSequence([Shear(axis, f) for axis, f in profiles], source)
-    assert_matches_carried_oracle(seq)
+    assert_matches_carried_oracle(source, [Shear(axis, f) for axis, f in profiles])
 
 
 def test_piece_moved_by_three_shears_violates_every_pair():
-    seq = ShearSequence([Shear("x1", PLFunction.linear(1)),
-                         Shear("x2", PLFunction.linear(1)),
-                         Shear("x1", PLFunction.linear(1))],
-                        Region([rectangle(0, 1, 0, 1)]))
-    report = assert_matches_carried_oracle(seq)
+    report = assert_matches_carried_oracle(Region([rectangle(0, 1, 0, 1)]),
+                                           [Shear("x1", PLFunction.linear(1)),
+                                            Shear("x2", PLFunction.linear(1)),
+                                            Shear("x1", PLFunction.linear(1))])
     assert [(v.first, v.second) for v in report.violations] == [(0, 1), (0, 2), (1, 2)]
     assert all(v.overlap == rat(1) for v in report.violations)
