@@ -5,7 +5,8 @@ still printed), 2 = malformed input.  Exact scalars are serialized as
 [radicand, numerator, denominator] triples; decimals appear only in
 human-readable report fields, with 30 digits.  Every JSON report is
 written by `_json_text`: two-space indent, one value per line, ASCII only,
-the same bytes as `json.dumps(report, indent=2)`, plus a final newline.
+the same bytes as `json.dumps(report, indent=2)` with each `SurdScalar`
+given as its triples, which it formats from the integer numerators.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .surd import SurdScalar, rat
 from .geom import GeometryError, Region, pt, region_coordinates
@@ -82,35 +84,56 @@ def _write(text: str, path: str | None) -> None:
 
 
 _INT_REPR = int.__repr__
-_INT_ONLY = frozenset({int})
 
 
 def _json_text(data) -> str:
-    """The bytes of `json.dumps(data, indent=2)`, in one pass.
+    """The bytes of `json.dumps(data, indent=2)`, in one pass, with each
+    `SurdScalar` in data written as its [radicand, numerator, denominator]
+    triples: radicands ascending, each term in lowest terms.
 
     With an indent, json encodes in pure Python; this writer appends the
     pieces to one list and joins it once.  It takes dicts with str keys,
-    lists, tuples, str, int, finite float, bool and None, and raises
-    TypeError on any other type or key, as json does; a NaN or infinite
-    float raises ValueError, as json does with allow_nan=False.
+    lists, tuples, SurdScalar, str, int, finite float, bool and None, and
+    raises TypeError on any other type or key, as json does; a NaN or
+    infinite float raises ValueError, as json does with allow_nan=False.
     """
     parts: list[str] = []
     _encode(data, "\n", parts)
     return "".join(parts)
 
 
+@cache
+def _scalar_template(newline: str) -> tuple[str, str, str]:
+    """(opening, one triple's %-template, separator) of a scalar whose
+    lines start with newline."""
+    inner = newline + "  "
+    deep = inner + "  "
+    triple = "[" + deep + "%d," + deep + "%d," + deep + "%d" + inner + "]"
+    return "[" + inner, triple, "," + inner
+
+
 def _encode(value, newline: str, parts: list[str]) -> None:
-    """Append value's JSON to parts; newline starts each line at value's depth."""
+    """Append value's JSON to parts; newline starts each line at value's depth.
+    A SurdScalar is written from its numerators over its denominator, each
+    term divided by gcd(numerator, denominator)."""
     kind = type(value)
-    if kind is list or kind is tuple:
+    if kind is SurdScalar:
+        num, den = value._num, value._den
+        if not num:
+            parts.append("[]")
+            return
+        opening, triple, comma = _scalar_template(newline)
+        terms = []
+        for r in sorted(num):
+            g = gcd(num[r], den)
+            terms.append(triple % (r, num[r] // g, den // g))
+        parts += opening, comma.join(terms), newline, "]"
+    elif kind is list or kind is tuple:
         if not value:
             parts.append("[]")
             return
         inner = newline + "  "
         comma = "," + inner
-        if set(map(type, value)) <= _INT_ONLY:  # the [radicand, num, den] triples
-            parts += "[", inner, comma.join(map(_INT_REPR, value)), newline, "]"
-            return
         sep = "[" + inner
         for item in value:
             parts.append(sep)
@@ -207,8 +230,8 @@ def cmd_verify(args) -> int:
             "injective": verdict.injective,
             "fundamental_domain": verdict.fundamental_domain,
         },
-        "area": verdict.area.to_triples(),
-        "covolume": verdict.covolume.to_triples(),
+        "area": verdict.area,
+        "covolume": verdict.covolume,
         "covered_fraction": fraction,
         "covered_fraction_decimal": decimal,
         "collisions": verdict.collisions_json(),

@@ -69,6 +69,7 @@ class FillingCertificate:
         return self.composability.ok and self.verdict.injective and self.area_preserved
 
     def to_json(self):
+        """The certificate as JSON data, each scalar held as a `SurdScalar`."""
         verdict = self.verdict
         fraction, decimal = verdict.fraction_json()
         return {
@@ -80,8 +81,8 @@ class FillingCertificate:
             "lattice": self.lattice.to_json(),
             "composability": self.composability.to_json(),
             "injectivity": {"ok": verdict.injective, "collisions": verdict.collisions_json()},
-            "source_area": self.source_area.to_triples(),
-            "final_area": verdict.area.to_triples(),
+            "source_area": self.source_area,
+            "final_area": verdict.area,
             "fraction": fraction,
             "fraction_decimal": decimal,
             "valid": self.valid,

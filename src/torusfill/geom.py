@@ -46,7 +46,8 @@ class Point2:
         return self.x1 * other.x2 - self.x2 * other.x1
 
     def to_json(self):
-        return [self.x1.to_triples(), self.x2.to_triples()]
+        """[x1, x2], the scalars themselves."""
+        return [self.x1, self.x2]
 
     @classmethod
     def from_json(cls, data) -> "Point2":

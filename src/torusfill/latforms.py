@@ -178,7 +178,8 @@ class AlternatingSurdMatrix:
         return rational_rank(self.upper) >= 2
 
     def to_json(self):
-        return {"n": 2, "upper": [x.to_triples() for x in self.upper]}
+        """n and the six upper entries, a fresh list of the scalars."""
+        return {"n": 2, "upper": list(self.upper)}
 
 
 def _det_int(a) -> int:
@@ -469,16 +470,15 @@ class PeriodLatticeSolution:
         return decimal_sqrt(self.rho_sq, digits)
 
     def to_json(self):
+        """The solution's values, each scalar held as itself."""
         return {
-            "p": self.p.to_triples(), "q": self.q.to_triples(),
-            "r": self.r.to_triples(), "s": self.s.to_triples(),
-            "x": self.x.to_triples(), "y": self.y.to_triples(),
-            "u": self.u.to_triples(), "v": self.v.to_triples(),
-            "rho_sq": self.rho_sq.to_triples(),
+            "p": self.p, "q": self.q, "r": self.r, "s": self.s,
+            "x": self.x, "y": self.y, "u": self.u, "v": self.v,
+            "rho_sq": self.rho_sq,
             "rho_decimal_50": self.rho_decimal(50),
             "zero_case": self.zero_case,
             "fresh_radicals": self.fresh_radicals,
-            "D": self.det.to_triples(),
+            "D": self.det,
         }
 
 

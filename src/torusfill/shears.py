@@ -93,13 +93,14 @@ class PLFunction:
         return all(j.is_zero() for j in self.jumps)
 
     def to_json(self):
+        """Breakpoints, slopes, anchor and any jumps, as fresh lists of scalars."""
         data = {
-            "breakpoints": [b.to_triples() for b in self.breakpoints],
-            "slopes": [s.to_triples() for s in self.slopes],
-            "anchor": [self.anchor[0].to_triples(), self.anchor[1].to_triples()],
+            "breakpoints": list(self.breakpoints),
+            "slopes": list(self.slopes),
+            "anchor": list(self.anchor),
         }
         if not self.is_continuous():
-            data["jumps"] = [j.to_triples() for j in self.jumps]
+            data["jumps"] = list(self.jumps)
         return data
 
     @classmethod
@@ -243,10 +244,11 @@ class ComposabilityReport:
         return not self.violations
 
     def to_json(self):
+        """The verdict and each violation, its overlap area a scalar."""
         return {
             "ok": self.ok,
             "violations": [
-                {"first": v.first, "second": v.second, "overlap": v.overlap.to_triples()}
+                {"first": v.first, "second": v.second, "overlap": v.overlap}
                 for v in self.violations
             ],
         }

@@ -32,12 +32,14 @@ takes one enclosure, at a prec read off the numerators beforehand, and
 `product_sum_sign` and `product_is_irrational` decide a sign and an
 irrationality of products without building them.
 `Fraction` appears only where a value enters or leaves: `terms`,
-`as_fraction`, `from_terms`, `approx` and the hash of a rational; the
-triples are read and written on integers, through one validator
-(`_read_triples`) whose numerators over a denominator `from_triples`
-reduces.  `lattice_integers` clears groups of such numerators, a scalar's
-or the validator's, into the lattice coordinates of `torus`, with no
-scalar made per value and the field decided once for all groups.
+`as_fraction`, `from_terms`, `approx` and the hash of a rational.  The
+[radicand, numerator, denominator] triples are read on integers, through
+one validator (`_read_triples`) whose numerators over a denominator
+`from_triples` reduces, and `cli._json_text` writes a scalar's triples
+straight from its numerators.  `lattice_integers` clears groups of such
+numerators, a scalar's or the validator's, into the lattice coordinates of
+`torus`, with no scalar made per value and the field decided once for all
+groups.
 `QuadInt` is a + b sqrt(r) on two ints (b != 0) in one field Q(sqrt r),
 those coordinates where they share one r: its +, - and * with itself or
 an int return a plain int when the sqrt(r) part cancels, and its sign and
@@ -664,15 +666,6 @@ class SurdScalar:
         return _floor(self._num, self._den)
 
     # -- serialization and display -------------------------------------------
-
-    def to_triples(self) -> list[list[int]]:
-        """Canonical [radicand, numerator, denominator] triples, sorted, each
-        coefficient in lowest terms."""
-        out = []
-        for r, n in sorted(self._num.items()):
-            g = gcd(n, self._den)
-            out.append([r, n // g, self._den // g])
-        return out
 
     @classmethod
     def from_triples(cls, triples) -> SurdScalar:

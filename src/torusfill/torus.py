@@ -109,12 +109,13 @@ class RegionVerdict:
         return self.injective and self.area == self.covolume
 
     def fraction_json(self) -> tuple:
-        """(triples, 30-digit decimal) of the fraction, or (None, None)."""
+        """(the fraction, its 30-digit decimal), or (None, None)."""
         f = self.fraction
-        return (None, None) if f is None else (f.to_triples(), f.decimal(30))
+        return (None, None) if f is None else (f, f.decimal(30))
 
     def collisions_json(self) -> list:
-        return [{"coeffs": list(ab), "overlap": area.to_triples()}
+        """Each collision's coefficients and its overlap area, a scalar."""
+        return [{"coeffs": list(ab), "overlap": area}
                 for ab, area in self.collisions]
 
 

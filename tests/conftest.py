@@ -1,18 +1,33 @@
+import json
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st
 
+from torusfill.cli import _json_text
 from torusfill.geom import ConvexPolygon, GeometryError, Point2, Region, pt, rectangle
 from torusfill.surd import SurdScalar, rat, scalar, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
 SMALL_RADICANDS = [1, 2, 3, 5, 6]
 LARGE_PRIMES = [2**31 - 1, 998244353, 1000000007, 2**61 - 1]
+
+
+def triples_of(x: SurdScalar) -> list[list[int]]:
+    """x's [radicand, numerator, denominator] triples, radicands ascending,
+    each coefficient in lowest terms, read off `SurdScalar.terms` alone: it
+    shares no code with the writer `cli._json_text`."""
+    return [[r, c.numerator, c.denominator] for r, c in sorted(x.terms.items())]
+
+
+def written(value):
+    """value as the CLI writes it (`cli._json_text`), read back by json."""
+    return json.loads(_json_text(value))
 
 
 @st.composite
@@ -429,9 +444,11 @@ def shear_point(shear, p: Point2, inverse=False):
     return (Point2(p.x1 + d, p.x2) if shear.axis == "x1" else Point2(p.x1, p.x2 + d)), moved
 
 
-def shear_walk_failures(source: Region, shears, final: Region, samples=200) -> list[str]:
-    """Why the shears, taken as maps of points, disagree with the stated
-    final region of the source: [] when they agree.
+def shear_walk(source: Region, shears, final: Region, samples=200):
+    """(failures, moved): why the shears, taken as maps of points, disagree
+    with the stated final region of the source ([] when they agree), and for
+    each forward sample kept the tuple of indices of the shears that moved
+    it, in order.
 
     Forward, half the samples, spread over the source pieces: each is pushed
     through the shears one at a time, must be moved by at most one of them,
@@ -441,27 +458,30 @@ def shear_walk_failures(source: Region, shears, final: Region, samples=200) -> l
     source.  A sample on a breakpoint line at any stage is skipped, but
     every piece must keep at least one sample.
     """
-    failures = []
+    failures, moved = [], []
 
     def walk(p, order, inverse):
-        moves = 0
-        for shear in order:
+        movers = ()
+        for n, shear in order:
             step = shear_point(shear, p, inverse)
             if step is None:
-                return None, 0
-            p, moved = step
-            moves += moved
-        return p, moves
+                return None, ()
+            p, was_moved = step
+            if was_moved:
+                movers += (n,)
+        return p, movers
 
+    forward = list(enumerate(shears))
     for n, piece in enumerate(source.pieces):
         kept = 0
         for p in interior_samples(piece, max(1, samples // 2 // len(source.pieces))):
-            q, moves = walk(p, shears, False)
+            q, movers = walk(p, forward, False)
             if q is None:
                 continue
             kept += 1
-            if moves > 1:
-                failures.append(f"source piece {n}: a sample is moved by {moves} shears")
+            moved.append(movers)
+            if len(movers) > 1:
+                failures.append(f"source piece {n}: a sample is moved by {len(movers)} shears")
             inside = sum(contains(f, q) for f in final.pieces)
             if inside != 1:
                 failures.append(f"source piece {n}: a sample lands in {inside} final pieces")
@@ -470,7 +490,7 @@ def shear_walk_failures(source: Region, shears, final: Region, samples=200) -> l
     for n, piece in enumerate(final.pieces):
         kept = 0
         for p in interior_samples(piece, max(1, samples // 2 // len(final.pieces))):
-            q, _ = walk(p, reversed(shears), True)
+            q, _ = walk(p, reversed(forward), True)
             if q is None:
                 continue
             kept += 1
@@ -478,4 +498,11 @@ def shear_walk_failures(source: Region, shears, final: Region, samples=200) -> l
                 failures.append(f"final piece {n}: a sample pulls back outside the source")
         if not kept:
             failures.append(f"final piece {n}: every sample lies on a breakpoint line")
-    return failures
+    return failures, moved
+
+
+def unreported_moves(report, moved) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of shears that moved one sample together (see
+    `shear_walk`) but that `check_composable`'s report names no violation of."""
+    reported = {(v.first, v.second) for v in report.violations}
+    return sorted({pair for movers in moved for pair in combinations(movers, 2)} - reported)

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (UNIT, interior_samples, lattice_region, map_region,
-                      region_overlap_area, shear_walk_failures,
-                      symmetric_difference_area, theorem1_constants)
+                      region_overlap_area, shear_walk, symmetric_difference_area,
+                      theorem1_constants, unreported_moves, written)
 from torusfill.fillings import (
     CONSTRUCTORS,
     FillingError,
@@ -264,12 +264,12 @@ def test_eps_monotonicity_within_ranges():
 
 def test_certificate_json_round_trip():
     cert = example_fortynine_fiftieths(0)
-    blob = cert.to_json()
+    blob = written(cert.to_json())
     assert blob["valid"] and blob["is_fundamental_domain"] is False
     final = check_composable(Region.from_json(blob["source"]),
                              [Shear.from_json(s) for s in blob["shears"]]).final
     assert symmetric_difference_area(final, cert.final).is_zero()
-    assert final.to_json() == blob["final"]  # the same pieces, vertex for vertex
+    assert written(final.to_json()) == blob["final"]  # the same pieces, vertex for vertex
     again = Region.from_json(blob["final"])
     assert symmetric_difference_area(again, cert.final).is_zero()
 
@@ -329,7 +329,12 @@ def golden_walk(case):
 
 @pytest.mark.parametrize("case", CONSTRUCT_GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
 def test_golden_shears_as_point_maps_give_the_final_region(case):
-    assert shear_walk_failures(*golden_walk(case)) == []
+    # no sample is moved twice, and so no pair of shears is left unreported
+    source, shears, final = golden_walk(case)
+    failures, moved = shear_walk(source, shears, final)
+    assert failures == []
+    assert max(map(len, moved)) <= 1
+    assert unreported_moves(check_composable(source, shears), moved) == []
 
 
 @pytest.mark.parametrize("case", CONSTRUCT_GOLDEN, ids=lambda case: " ".join(case["argv"][1:]))
@@ -343,4 +348,4 @@ def test_point_map_oracle_fails_a_changed_slope(case):
     i = sum(b < c for b in f.breakpoints)
     slopes = f.slopes[:i] + [f.slopes[i] + 1] + f.slopes[i + 1:]
     changed = Shear(shear.axis, PLFunction(f.breakpoints, slopes, f.anchor, f.jumps))
-    assert shear_walk_failures(source, [changed] + shears[1:], final) != []
+    assert shear_walk(source, [changed] + shears[1:], final)[0] != []

@@ -19,6 +19,7 @@ from conftest import (
     region_pieces,
     skewed_doubled_regions,
     vertex_lists,
+    written,
 )
 import torusfill.geom as geom_module
 import torusfill.torus as torus_module
@@ -111,7 +112,7 @@ def test_surd_coordinates():
 def test_region_json_round_trip():
     reg = Region([diamond_poly(Fraction(4, 3)),
                   rectangle(Fraction(5, 2), 3, 0, 1)])
-    again = Region.from_json(reg.to_json())
+    again = Region.from_json(written(reg.to_json()))
     assert [p.vertices for p in again.pieces] == [p.vertices for p in reg.pieces]
 
 

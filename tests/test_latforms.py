@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
+from conftest import triples_of
 from test_acceptance import _random_surd_matrix
 
 import torusfill.latforms as latforms_module
@@ -368,7 +369,7 @@ def test_normalize_picks_same_base_change_as_dense_oracle():
 
     def outcome(normalize, b):
         res = normalize(b)
-        return [x.to_triples() for x in res.matrix.upper], res.base_change, res.determinant
+        return [triples_of(x) for x in res.matrix.upper], res.base_change, res.determinant
 
     found = [outcome(normalize_basis, b) for b in forms]
     assert [outcome(three_pass_normalize, b) for b in forms] == found

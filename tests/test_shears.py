@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (clip_halfplane, evaluate, rationals, shear_walk_failures,
-                      symmetric_difference_area)
+from conftest import (clip_halfplane, evaluate, rationals, region_pieces, shear_walk,
+                      symmetric_difference_area, unreported_moves, written)
 from torusfill.fillings import certify
 from torusfill.geom import (
     ConvexPolygon,
@@ -142,6 +142,51 @@ def test_check_composable_violation():
     assert report.violations[0].overlap == rat(1)
 
 
+def test_point_map_oracle_sees_the_reported_violation():
+    # the control for the agreement below: both shears move every point of
+    # the open square, so the oracle finds samples moved twice
+    reg, shears = Region([rectangle(0, 1, 0, 1)]), [Shear("x1", PLFunction.linear(1)),
+                                                     Shear("x2", PLFunction.linear(1))]
+    report = check_composable(reg, shears)
+    failures, moved = shear_walk(reg, shears, report.final)
+    assert [(v.first, v.second) for v in report.violations] == [(0, 1)]
+    assert (0, 1) in moved and any("moved by 2 shears" in f for f in failures)
+    assert unreported_moves(report, moved) == []
+
+
+@st.composite
+def rational_shears(draw):
+    """A shear on a random axis whose profile has 0 to 3 rational
+    breakpoints, rational slopes, often rational jumps, and its anchor inside
+    a slab, often an identity slab."""
+    bps = sorted(draw(st.lists(rationals(bound=4), max_size=3, unique=True)))
+    slopes = draw(st.lists(rationals(bound=3), min_size=len(bps) + 1, max_size=len(bps) + 1))
+    jumps = (draw(st.lists(rationals(bound=3), min_size=len(bps), max_size=len(bps)))
+             if draw(st.booleans()) else None)
+    k = draw(st.integers(0, len(bps)))  # the anchor's slab
+    outer = bps or [Fraction(0)]
+    ends = [outer[0] - 1] + bps + [outer[-1] + 1]
+    anchor = ((ends[k] + ends[k + 1]) / 2, draw(rationals(bound=2)))
+    if draw(st.booleans()):
+        slopes[k], anchor = 0, (anchor[0], 0)
+    return Shear(draw(st.sampled_from(["x1", "x2"])), PLFunction(bps, slopes, anchor, jumps))
+
+
+@given(region_pieces(surd=False), st.lists(rational_shears(), min_size=1, max_size=3))
+@settings(max_examples=50, deadline=None)
+def test_shears_as_point_maps_agree_with_check_composable(piece, shears):
+    # every pair of shears that moves one sample is a reported violation; a
+    # small violation can escape the samples, so the converse is not asked.
+    # Apart from moves, the final region is the source's image point by point.
+    source = Region([piece])
+    report = check_composable(source, shears)
+    failures, moved = shear_walk(source, shears, report.final, samples=100)
+    assert unreported_moves(report, moved) == []
+    assert [f for f in failures if "shears" not in f] == []
+    if report.ok:
+        assert failures == []
+
+
 def test_shear_reflections():
     f = ramp()
     shear = Shear("x1", f)
@@ -164,13 +209,13 @@ def test_shear_json_round_trip():
                    anchor=(Fraction(1, 2), 0),
                    jumps=[Fraction(-2, 5), Fraction(-2, 5)])
     shear = Shear("x1", f)
-    again = Shear.from_json(shear.to_json())
+    again = Shear.from_json(written(shear.to_json()))
     assert again.axis == shear.axis
     assert again.f.breakpoints == f.breakpoints
     assert again.f.slopes == f.slopes
     assert again.f.jumps == f.jumps
     cont = Shear("x2", ramp())
-    assert Shear.from_json(cont.to_json()).f.is_continuous()
+    assert Shear.from_json(written(cont.to_json())).f.is_continuous()
 
 
 def test_moved_and_fixed_sets_partition_region():
@@ -192,7 +237,7 @@ def test_composite_agrees_with_pointwise_map():
     source, shears = diamond_region(Fraction(4, 3)), [Shear("x1", f), Shear("x2", neg)]
     report = check_composable(source, shears)
     assert report.ok
-    assert shear_walk_failures(source, shears, report.final) == []
+    assert shear_walk(source, shears, report.final)[0] == []
 
 
 @given(rationals(bound=4), rationals(bound=4), st.sampled_from(["x1", "x2"]))

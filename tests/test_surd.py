@@ -12,7 +12,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import torusfill.surd as surd_module
-from conftest import fraction_from_triples, nonzero_surds, rationals, surds
+from conftest import fraction_from_triples, nonzero_surds, rationals, surds, triples_of
 from torusfill.geom import region_coordinates
 from torusfill.latforms import AlternatingSurdMatrix, _condition_i, _det_int
 from torusfill.surd import (
@@ -332,7 +332,7 @@ def test_decimal_rounds_half_away_from_zero(case):
 
 def test_serialization_round_trip():
     value = rat(Fraction(3, 7)) - 2 * sqrt(2) + rat(Fraction(1, 3)) * sqrt(15)
-    triples = value.to_triples()
+    triples = triples_of(value)
     assert SurdScalar.from_triples(triples) == value
     assert SurdScalar.from_triples([[8, 1, 1]]) == 2 * sqrt(2)  # canonicalized on read
 
@@ -350,7 +350,7 @@ def test_sqrt_accepts_only_int(radicand):
     # a float radicand would serialise as a triple that from_triples rejects
     with pytest.raises(TypeError):
         sqrt(radicand)
-    assert SurdScalar.from_triples(sqrt(8).to_triples()) == 2 * sqrt(2)
+    assert SurdScalar.from_triples(triples_of(sqrt(8))) == 2 * sqrt(2)
 
 
 @pytest.mark.parametrize("triple", [[2, True, 1], [2, 1, True], [1, 1.0, 1], [1, 1, 2.0]])
@@ -530,7 +530,7 @@ def test_sign_compatible_with_add(a, b):
 def test_mul_canonicalization_idempotent(a, b):
     product = a * b
     assert SurdScalar.from_terms(product.terms.items()) == product
-    assert SurdScalar.from_triples(product.to_triples()) == product
+    assert SurdScalar.from_triples(triples_of(product)) == product
 
 
 @given(surds())
@@ -553,7 +553,7 @@ def test_independence_scale_invariant(a, b, q):
 @settings(max_examples=40, deadline=None)
 def test_inverse_round_trip(v):
     assert v * v.inverse() == rat(1)
-    assert v.inverse().to_triples() == conjugate_product_inverse(v).to_triples()
+    assert triples_of(v.inverse()) == triples_of(conjugate_product_inverse(v))
 
 
 @given(surds())
@@ -616,7 +616,7 @@ def test_inverse_matches_conjugate_product_oracle(v):
     assert len(set().union(*map(sympy.primefactors, v.radicands))) >= 4
     inv = v.inverse()
     assert v * inv == rat(1)
-    assert inv.to_triples() == conjugate_product_inverse(v).to_triples()
+    assert triples_of(inv) == triples_of(conjugate_product_inverse(v))
 
 
 def termwise_product(a, b):
@@ -639,14 +639,14 @@ def test_rational_times_irrational_products():
     assert rat(1) * x == x * 1 == x
     for zero in (rat(0), 0, Fraction(0)):
         assert (zero * x).is_zero() and (x * zero).is_zero()
-        assert (zero * x).to_triples() == (x * zero).to_triples() == []
+        assert triples_of(zero * x) == triples_of(x * zero) == []
 
 
 @given(surds(), rationals())
 @settings(max_examples=60, deadline=None)
 def test_rational_factor_matches_termwise_oracle(a, q):
-    assert (a * rat(q)).to_triples() == termwise_product(a, rat(q)).to_triples()
-    assert (rat(q) * a).to_triples() == termwise_product(rat(q), a).to_triples()
+    assert triples_of(a * rat(q)) == triples_of(termwise_product(a, rat(q)))
+    assert triples_of(rat(q) * a) == triples_of(termwise_product(rat(q), a))
 
 
 SQUAREFREE = [n for n in range(1, 400) if squarefree_decompose(n)[0] == 1]
@@ -658,13 +658,13 @@ SQUAREFREE = [n for n in range(1, 400) if squarefree_decompose(n)[0] == 1]
 def test_root_product_matches_squarefree_decomposition(r1, r2, c1, c2):
     s, t = squarefree_decompose(r1 * r2)
     product = SurdScalar.from_terms([(r1, c1)]) * SurdScalar.from_terms([(r2, c2)])
-    assert product.to_triples() == SurdScalar.from_terms([(t, c1 * c2 * s)]).to_triples()
+    assert triples_of(product) == triples_of(SurdScalar.from_terms([(t, c1 * c2 * s)]))
 
 
 @given(wide_surds(), wide_surds())
 @settings(max_examples=40, deadline=None)
 def test_product_matches_termwise_oracle(a, b):
-    assert (a * b).to_triples() == termwise_product(a, b).to_triples()
+    assert triples_of(a * b) == triples_of(termwise_product(a, b))
 
 
 def general_merge(x, y, op):
@@ -701,7 +701,7 @@ def test_rational_fast_path_matches_general_merge_and_fractions(x, y):
         assert stored(got) == stored(want)
         assert got.as_fraction() == value
         assert got == want and hash(got) == hash(want) == hash(value)
-        assert got.to_triples() == want.to_triples()
+        assert triples_of(got) == triples_of(want)
     assert (x < y) == (general_merge(x, y, operator.sub).sign() < 0) == (fx < fy)
     assert (x == y) == (stored(x) == stored(y)) == (fx == fy)
     assert stored(x - x) == stored(x + -x) == ({}, 1)
@@ -732,7 +732,7 @@ def test_large_prime_root_product_needs_no_factoring(monkeypatch):
     monkeypatch.setattr(surd_module, "squarefree_decompose", refuse)
     assert root * root == rat(p)
     assert (root + 1) * (root - 1) == rat(p - 1)
-    assert ((root + 1) * (root2 * root)).to_triples() == [[2, p, 1], [2 * p, 1, 1]]
+    assert triples_of((root + 1) * (root2 * root)) == [[2, p, 1], [2 * p, 1, 1]]
     assert (1 / (root + 1)) * (root + 1) == rat(1)
 
 
@@ -888,8 +888,8 @@ def test_constructor_canonicalizes_like_from_terms():
 
 
 def test_rat_of_int_and_fraction():
-    assert rat(3).to_triples() == [[1, 3, 1]]
-    assert rat(Fraction(-6, 4)).to_triples() == [[1, -3, 2]]
+    assert triples_of(rat(3)) == [[1, 3, 1]]
+    assert triples_of(rat(Fraction(-6, 4))) == [[1, -3, 2]]
     assert rat(0).is_zero() and rat(Fraction(0)).is_zero()
 
 
@@ -901,7 +901,7 @@ def oracle_triples(terms):
 
 def assert_same(x, y):
     assert x == y and hash(x) == hash(y)
-    assert x.to_triples() == y.to_triples()
+    assert triples_of(x) == triples_of(y)
 
 
 @given(surds(large=True), surds(large=True), nonzero_surds(large=True))
@@ -913,9 +913,9 @@ def test_large_coefficients_equal_values_equal_and_hash_equally(a, b, c):
     assert_same(a / c + b / c, (a + b) / c)
     for x, y in [(a, b), (a, c), (b, c)]:
         tx, ty = oracle_terms(x), oracle_terms(y)
-        assert (x + y).to_triples() == oracle_triples(oracle_merge(tx, ty, 1))
-        assert (x - y).to_triples() == oracle_triples(oracle_merge(tx, ty, -1))
-        assert (x * y).to_triples() == oracle_triples(oracle_mul(tx, ty))
+        assert triples_of(x + y) == oracle_triples(oracle_merge(tx, ty, 1))
+        assert triples_of(x - y) == oracle_triples(oracle_merge(tx, ty, -1))
+        assert triples_of(x * y) == oracle_triples(oracle_mul(tx, ty))
         rational = SurdScalar.from_terms([(1, x.terms.get(1, 0))])
         assert hash(rational) == hash(x.terms.get(1, Fraction(0)))
 

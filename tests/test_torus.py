@@ -16,8 +16,8 @@ import torusfill.torus as torus_module
 from conftest import (EQUIVALENCE_LATTICES, FAR, JIGSAWS, PENTAGRAM, SKEW, UNIT,
                       candidate_collisions, candidate_vectors, clip, first_overlapping_pair,
                       lattice_region, plane_canonical, region_pieces, skewed_doubled_regions,
-                      vertex_lists)
-from torusfill.cli import main
+                      vertex_lists, written)
+from torusfill.cli import _json_text, main
 from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, family_filling,
                                 theorem1_filling)
 from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle, region_coordinates
@@ -192,7 +192,7 @@ def test_injects_catches_skewed_collisions():
 
 
 def test_lattice_json_and_orientation():
-    lat = Lattice2.from_json(Lattice2.rectangular(Fraction(9, 8), 1).to_json())
+    lat = Lattice2.from_json(written(Lattice2.rectangular(Fraction(9, 8), 1).to_json()))
     assert lat.covolume() == rat(Fraction(9, 8))
     swapped = Lattice2(pt(0, 1), pt(1, 0))  # negative orientation gets fixed
     assert swapped.covolume() == rat(1)
@@ -568,8 +568,8 @@ def test_coordinates_over_two_radicands_take_the_same_path(tmp_path, capsys):
         assert verdict.collisions == candidate_collisions(region, lat)
         assert verdict.fundamental_domain == fundamental and verdict.area == region.area()
         region_file, lattice_file = tmp_path / f"region{k}.json", tmp_path / f"lattice{k}.json"
-        region_file.write_text(json.dumps(region.to_json()))
-        lattice_file.write_text(json.dumps(lat.to_json()))
+        region_file.write_text(_json_text(region.to_json()))
+        lattice_file.write_text(_json_text(lat.to_json()))
         assert main(["verify", str(region_file), "--lattice-file", str(lattice_file)]) == code
         capsys.readouterr()
     assert lattice_region(moved, lattice).verdict().collisions
@@ -617,7 +617,7 @@ def test_read_region_decides_as_its_point_lists_do(name):
     # a region file read straight into integers and the same region's plane
     # points give one core the same lattice coordinates and the same verdict
     region, lattice = JIGSAWS[name]
-    read = LatticeRegion.read(region_coordinates(json.loads(json.dumps(region.to_json()))),
+    read = LatticeRegion.read(region_coordinates(written(region.to_json())),
                               lattice)
     built = lattice_region(region, lattice)
     assert (read.pieces, read.scale) == (built.pieces, built.scale)
