@@ -12,8 +12,6 @@ the plane polygons here and those lattice coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .surd import SurdScalar, _read_triples, rat, scalar
 
 
@@ -21,13 +19,27 @@ class GeometryError(ValueError):
     """Raised on invalid polygons or bad region data."""
 
 
-@dataclass(frozen=True)
 class Point2:
     """A plane point; `torus` also holds lattice coordinates in it, each an
-    int where it is rational (see `torus.LatticeRegion`)."""
+    int where it is rational (see `torus.LatticeRegion`).  A value: equal
+    coordinates make equal points with equal hashes, and only a point
+    equals a point."""
 
-    x1: SurdScalar
-    x2: SurdScalar
+    __slots__ = ("x1", "x2")
+
+    def __init__(self, x1, x2):
+        self.x1, self.x2 = x1, x2
+
+    def __eq__(self, other):
+        if type(other) is not Point2:
+            return NotImplemented
+        return self.x1 == other.x1 and self.x2 == other.x2
+
+    def __hash__(self):
+        return hash((self.x1, self.x2))
+
+    def __repr__(self):
+        return f"Point2({self.x1!r}, {self.x2!r})"
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x1 + other.x1, self.x2 + other.x2)
@@ -75,12 +87,6 @@ def _sign(t) -> int:
     return (t > 0) - (t < 0) if type(t) is int else t.sign()
 
 
-def _turn(d: Point2, e: Point2) -> int:
-    """Sign of d x e (+1 when e turns left from d), for coordinates that are
-    SurdScalars, QuadInts or ints."""
-    return _sign(d.cross(e))
-
-
 class ConvexPolygon:
     """Strictly convex polygon, vertices stored counterclockwise.
 
@@ -92,7 +98,8 @@ class ConvexPolygon:
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: list[Point2]):
-        self.vertices = _canonical(vertices)
+        self.vertices = _canonical([v.x1 for v in vertices], [v.x2 for v in vertices],
+                                   lambda: vertices)[0]
 
     def area(self) -> SurdScalar:
         return shoelace(self.vertices)
@@ -163,50 +170,73 @@ def _raw(vertices: list[Point2]) -> ConvexPolygon:
     return poly
 
 
-def _canonical(vertices: list[Point2], shown=None) -> list[Point2]:
-    """`_canonicalize(vertices)`, or GeometryError naming the plane points
-    that `shown()` builds (by default `vertices`) when they bound no
-    strictly convex polygon winding once."""
-    vs = _canonicalize(vertices)
-    if vs is None:
-        points = shown() if shown else vertices
+def _canonical(xs: list, ys: list, shown) -> tuple[list[Point2], list[tuple]]:
+    """`_canonicalize(xs, ys)`, or GeometryError naming the plane points
+    that `shown()` builds when they bound no strictly convex polygon winding
+    once."""
+    canon = _canonicalize(xs, ys)
+    if canon is None:
         raise GeometryError("not a strictly convex polygon winding once: "
-                            f"{[str(v.x1)+','+str(v.x2) for v in points]}")
-    return vs
+                            f"{[str(v.x1)+','+str(v.x2) for v in shown()]}")
+    return canon
 
 
-def _canonicalize(vertices: list[Point2]) -> list[Point2] | None:
-    """Canonical vertex list of the polygon a cyclic point list bounds, or None.
+def _canonicalize(xs: list, ys: list) -> tuple[list[Point2], list[tuple]] | None:
+    """The canonical polygon that the cyclic point list (xs[k], ys[k])
+    bounds, as (vertices, steps) with steps[k] = (du, dw) the edge from
+    vertices[k] to the next vertex, or None.
 
-    Repeated points and points collinear with their neighbours are merged
-    away (a vertex whose turn is 0 is dropped, its two edges become one and
-    its neighbours' turns are recomputed). What is left must bound a
-    strictly convex polygon that winds once: every turn has the same sign,
-    and the lexicographic up/down direction of the edges switches exactly
-    twice around the cycle (a list turning one way throughout but winding k
-    times switches 2k times). Either orientation is read; the result is
-    counterclockwise and starts at the lowest vertex.  Coordinates may be
+    One pass reads each edge once, as a coordinate pair: a repeated point
+    gives the edge (0, 0) and is skipped, and an edge whose turn from the
+    edge kept before it is 0 is merged into that edge; where the cycle
+    closes, the first edges kept are taken again until one keeps its turn.
+    What is left must bound a strictly convex polygon that winds once: every
+    turn has the same sign, and the edges' up/down direction, the sign of
+    du (of dw when du = 0), switches exactly twice around the cycle (2k
+    times for a list that winds k times).  The lowest vertex, by (x, y), is
+    where a down edge meets an up one.  Either orientation is read; the
+    result is counterclockwise from the lowest vertex.  Coordinates may be
     SurdScalars, QuadInts or ints: an affine map of positive determinant
     keeps every turn sign and the winding, so it accepts a list exactly when
     it accepts the list's image.
     """
-    vs = [p for i, p in enumerate(vertices) if p != vertices[i - 1]]
-    edges = [q - p for p, q in zip(vs, vs[1:] + vs[:1])]  # vs[i] -> vs[i + 1]
-    turns = [_turn(edges[i - 1], e) for i, e in enumerate(edges)]
-    while len(vs) >= 3 and 0 in turns:
-        i = turns.index(0)
-        edges[i - 1] = edges[i - 1] + edges[i]
-        del vs[i], turns[i], edges[i]
-        for j in (i - 1, i % len(vs)):
-            turns[j] = _turn(edges[j - 1], edges[j])
-    if len(vs) < 3 or len(set(turns)) != 1:
+    kept = []  # (x, y, du, dw, turn): a vertex, its edge, the turn into that edge
+
+    def keep(sx, sy, du, dw) -> bool:
+        """Keep the edge (du, dw) from (sx, sy); True if it merged."""
+        merged, t = False, 0
+        while kept and not (t := _sign(kept[-1][2] * dw - kept[-1][3] * du)):
+            sx, sy, qu, qw, _ = kept.pop()
+            du, dw, merged = qu + du, qw + dw, True
+        if du or dw:
+            kept.append((sx, sy, du, dw, t))
+        return merged
+
+    for k in range(len(xs)):  # the edge from point k - 1 to point k
+        du, dw = xs[k] - xs[k - 1], ys[k] - ys[k - 1]
+        if du or dw:
+            keep(xs[k - 1], ys[k - 1], du, dw)
+    while len(kept) >= 3 and keep(*kept.pop(0)[:4]):
+        pass
+    if len(kept) < 3:
         return None
-    up = [(0, 0) < (e.x1, e.x2) for e in edges]
-    if sum(u != w for u, w in zip(up, up[1:] + up[:1])) != 2:
+    turn, lowest, switches = kept[0][4], 0, 0
+    up = (_sign(kept[-1][2]) or _sign(kept[-1][3])) > 0
+    for k, (_, _, du, dw, t) in enumerate(kept):
+        was, up = up, (_sign(du) or _sign(dw)) > 0
+        if t != turn:
+            return None
+        if up != was:
+            switches, lowest = switches + 1, k if up else lowest
+    if switches != 2:
         return None
-    if turns[0] < 0:
-        vs.reverse()
-    return _from_lowest(vs)
+    m = len(kept)
+    if turn > 0:
+        order = [kept[(lowest + k) % m] for k in range(m)]
+        return [Point2(x, y) for x, y, _, _, _ in order], [(du, dw) for _, _, du, dw, _ in order]
+    order = [kept[lowest - k] for k in range(m)]  # clockwise: walk back, edges reversed
+    return ([Point2(x, y) for x, y, _, _, _ in order],
+            [(-du, -dw) for _, _, du, dw, _ in order[1:] + order[:1]])
 
 
 def _from_lowest(vs: list[Point2]) -> list[Point2]:

@@ -14,13 +14,16 @@ result whose sqrt(r) part is 0 is a plain int, never a pair; when they
 span two radicands or more, a coordinate is a SurdScalar of denominator 1
 or an int, through the same code.  The map has determinant 1/covolume > 0,
 so it keeps convexity, winding, collinearity, repeated points and
-positive-area overlap; there the pieces are canonicalised, and each pair
-of pieces is checked at every lattice shift that their boxes allow, the
-zero shift included: two pieces that meet unshifted overlap, and shifted they collide.
-Two convex pieces overlap in positive area unless an edge line of one
-separates them, and each piece's vertices are projected onto the other's
-edge normals once per pair, so a shift costs integer additions and
-comparisons.  A colliding (pair, shift) is measured there too
+positive-area overlap; there each piece is canonicalised in one pass over
+its edges that also gives its box, edge lines and twice its area, and
+each pair of pieces is checked at every lattice shift that their boxes
+allow, the zero shift included: two pieces that meet unshifted overlap,
+and shifted they collide.  A pair's shift bounds are taken one at a time,
+and it is dropped at the first empty range.  Two convex pieces overlap in
+positive area unless an edge line of one separates them, and each piece's
+vertices are projected onto the other's edge normals once per pair with a
+shift to test, so a shift costs integer additions and comparisons.  A
+colliding (pair, shift) is measured there too
 (`_overlap`): one piece is cut by the other's shifted edge lines in
 homogeneous points, with no division, and one shoelace gives the area.
 Shared edges are allowed, per the open-set convention.
@@ -237,7 +240,7 @@ class LatticeRegion:
     (aL, bL) and the areas over 2 L^2, which do not depend on it.
     """
 
-    __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges")
+    __slots__ = ("pieces", "scale", "_det", "_c1", "_c2", "_boxes", "_edges", "_twice")
 
     def __init__(self, polygons: list[list[Point2]], lattice: Lattice2):
         self._build([len(points) for points in polygons],
@@ -266,31 +269,28 @@ class LatticeRegion:
         coords = []
         for x1, x2 in zip(xs[::2], xs[1::2]):
             coords += (m11 * x1 + m12 * x2, m21 * x1 + m22 * x2)
-        self.pieces = []
-        at = 0
+        self.pieces, self._boxes, self._edges = [], [], []
+        twice = at = 0
         for k, size in enumerate(sizes):
-            self.pieces.append(_canonical([Point2(coords[i], coords[i + 1])
-                                           for i in range(at, at + 2 * size, 2)],
-                                          lambda: shown(k)))
-            at += 2 * size
-        self._boxes = []
-        self._edges = []
-        for vs in self.pieces:
-            us, ws = [v.x1 for v in vs], [v.x2 for v in vs]
-            self._boxes.append((min(us), max(us), min(ws), max(ws)))
-            edges = []  # edge p -> q as (du, dw, d x p), with d x v = du*v.w - dw*v.u
-            for p, q in zip(vs, vs[1:] + vs[:1]):
-                du, dw = q.x1 - p.x1, q.x2 - p.x2
-                edges.append((du, dw, du * p.x2 - dw * p.x1))
+            end = at + 2 * size
+            vs, steps = _canonical(coords[at:end:2], coords[at + 1:end:2], lambda: shown(k))
+            at = end
+            edges = []  # edge p -> p + d as (du, dw, d x p), with d x v = du*v.w - dw*v.u
+            for p, (du, dw) in zip(vs, steps):
+                c = du * p.x2 - dw * p.x1
+                edges.append((du, dw, c))
+                twice = twice - c
+            ws = [v.x2 for v in vs]
+            self.pieces.append(vs)
+            self._boxes.append((vs[0].x1, max(v.x1 for v in vs), min(ws), max(ws)))
             self._edges.append(edges)
+        self._twice = twice
 
     def area(self) -> SurdScalar:
-        """Plane area: the integer shoelace times covolume / (2 L^2)."""
-        twice = 0
-        for vs in self.pieces:
-            for p, q in zip(vs, vs[1:] + vs[:1]):
-                twice = twice + (p.x1 * q.x2 - p.x2 * q.x1)
-        return self._det * _surd(twice) / (2 * self.scale * self.scale)
+        """Plane area: covolume / (2 L^2) times the integer shoelace, which
+        `_build` sums as -c over the edge lines (du, dw, c) of every piece,
+        as c = -(p x q) for the edge p -> q."""
+        return self._det * _surd(self._twice) / (2 * self.scale * self.scale)
 
     def _lines(self, i: int, j: int):
         """(alpha, beta, t) per edge line of piece j and then of piece i,
@@ -312,9 +312,11 @@ class LatticeRegion:
 
         Piece q = j shifted by (aL, bL) meets piece p = i in positive area
         only if their boxes do: aL lies strictly between p.umin - q.umax and
-        p.umax - q.umin, and bL likewise.  Those ranges are taken once per
-        pair, and only for pairs that the floors and ceilings of the piece
-        boxes over L, taken once per piece, leave a shift.  Shifts by v and
+        p.umax - q.umin, and bL likewise.  Those bounds are taken only for
+        pairs that the floors and ceilings of the piece boxes over L, taken
+        once per piece, leave a shift, and then one at a time, a_hi, a_lo,
+        b_hi and b_lo: the pair is dropped at the first empty range, and
+        its edge lines are made only when a shift is left.  Shifts by v and
         -v overlap equally, so only a > 0, or a = 0 < b, is tried, and for
         i < j the zero shift too, first.  It is in range exactly when the
         boxes overlap; if no edge line separates the pieces there, they
@@ -338,10 +340,14 @@ class LatticeRegion:
                 if pa - qa < 1 or (pa - qa == 1 and pb - qb <= b0):
                     continue
                 a_hi = -_floordiv(qu1 - pu2, L)
-                b_lo, b_hi = _floordiv(pw1 - qw2, L) + 1, -_floordiv(qw1 - pw2, L)
+                if a_hi < 1 or (a_lo := max(_floordiv(pu1 - qu2, L) + 1, 0)) >= a_hi:
+                    continue
+                b_hi = -_floordiv(qw1 - pw2, L)  # at a = 0 alone, b0 <= b < b_hi
+                if (a_hi == 1 and b_hi <= b0) or (b_lo := _floordiv(pw1 - qw2, L) + 1) >= b_hi:
+                    continue
                 seen: list = []
                 lines = self._lines(i, j)
-                for a in range(max(_floordiv(pu1 - qu2, L) + 1, 0), a_hi):
+                for a in range(a_lo, a_hi):
                     for b in range(b_lo if a else max(b_lo, b0), b_hi):
                         if _separates(seen, lines, a, b):
                             continue

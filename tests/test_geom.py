@@ -46,6 +46,16 @@ def diamond_poly(a) -> ConvexPolygon:
                           Point2(-h, rat(0)), Point2(rat(0), -h)])
 
 
+def test_point_is_a_value():
+    # equal coordinates make equal points with equal hashes; a point is not
+    # its coordinate pair, and it carries no instance dict
+    p, q = pt(1, sqrt(2)), Point2(rat(1), sqrt(2))
+    assert p == q and not p != q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != Point2(sqrt(2), rat(1)) and pt(1, 2) != pt(2, 1)
+    assert p != (p.x1, p.x2) and (p.x1, p.x2) != p
+    assert not hasattr(p, "__dict__")
+
+
 def test_shoelace_areas():
     assert diamond_poly(Fraction(4, 3)).area() == rat(Fraction(8, 9))
     assert rectangle(0, 1, 0, 1).area() == rat(1)
@@ -457,13 +467,18 @@ def winds_once(vs):
 @given(vertex_lists())
 @settings(max_examples=400, deadline=None)
 def test_canonicalize_matches_shoelace_oracle(vs):
+    # the steps that come with the vertices are their edges, in turn
     want = shoelace_canonicalize(vs)
+    got = _canonicalize([p.x1 for p in vs], [p.x2 for p in vs])
     if want is not None and winds_once(want):
         event("strictly convex, winds once")
-        assert _canonicalize(vs) == want
+        vertices, steps = got
+        assert vertices == want
+        assert steps == [(q.x1 - p.x1, q.x2 - p.x2)
+                         for p, q in zip(want, want[1:] + want[:1])]
     else:
         event("rejected by the oracle" if want is None else "winds more than once")
-        assert _canonicalize(vs) is None
+        assert got is None
 
 
 

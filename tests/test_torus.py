@@ -20,7 +20,8 @@ from conftest import (EQUIVALENCE_LATTICES, FAR, JIGSAWS, PENTAGRAM, SKEW, UNIT,
 from torusfill.cli import _json_text, main
 from torusfill.fillings import (diamond, example_T2k2, example_eight_ninths, family_filling,
                                 theorem1_filling)
-from torusfill.geom import ConvexPolygon, GeometryError, Region, pt, rectangle, region_coordinates
+from torusfill.geom import (ConvexPolygon, GeometryError, Region, pt, rectangle, region_coordinates,
+                            shoelace)
 from torusfill.surd import QuadInt, SurdScalar, rat, sqrt
 from torusfill.torus import Lattice2, LatticeRegion, TorusError
 
@@ -283,16 +284,19 @@ def test_injects_matches_candidate_vector_oracle(pieces, lattice, offset):
     assert_verdict_matches_oracle(reg, lattice)
 
 
+def skewed(lattice: Lattice2, n: int, first: bool) -> Lattice2:
+    """The basis g1 + n*g2, g2 (first) or g1, g2 + n*g1 of the same lattice."""
+    g1, g2 = lattice.g1, lattice.g2
+    return Lattice2(g1 + g2.scale(n), g2) if first else Lattice2(g1, g2 + g1.scale(n))
+
+
 @given(st.lists(region_pieces(False), min_size=1, max_size=3),
        st.sampled_from(EQUIVALENCE_LATTICES), st.integers(min_value=-20, max_value=20),
        st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_injects_on_skewed_basis_matches_candidate_vector_oracle(pieces, lattice, n, first):
-    # g1 + n*g2 (or g2 + n*g1) spans the same lattice; collisions are
-    # reported in the coefficients of the basis as given
-    g1, g2 = lattice.g1, lattice.g2
-    skewed = Lattice2(g1 + g2.scale(n), g2) if first else Lattice2(g1, g2 + g1.scale(n))
-    assert_verdict_matches_oracle(Region(pieces), skewed)
+    # collisions are reported in the coefficients of the basis as given
+    assert_verdict_matches_oracle(Region(pieces), skewed(lattice, n, first))
 
 
 def colliding_shifts(r: Region, lattice: Lattice2) -> int:
@@ -507,6 +511,123 @@ def test_verdict_names_the_pair_the_plane_clip_loop_names(case, lattice, offset)
     else:
         with pytest.raises(GeometryError, match=f"^region pieces {want[0]} and {want[1]} overlap$"):
             region.verdict()
+
+
+# a lattice over Q(sqrt 3): with Q(sqrt 2) pieces, lattice coordinates span
+# two radicands and the core runs on SurdScalars
+ROOT3_LATTICE = Lattice2(pt(sqrt(3), Fraction(1, 3)), pt(Fraction(-1, 2), 1))
+
+# the final region and lattice of each golden certificate, by its arguments
+GOLDEN_FINALS = {
+    " ".join(case["argv"][1:]): (Region.from_json(blob["final"]), Lattice2.from_json(blob["lattice"]))
+    for case in json.loads((Path(__file__).parent / "data" / "construct_golden.json").read_text())["cases"]
+    for blob in [json.loads(case["stdout"])]}
+
+
+@given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=1, max_size=5))
+       .flatmap(lambda pieces: st.tuples(st.just(pieces),
+                                         st.tuples(*(given_orders(p) for p in pieces)))),
+       st.sampled_from(EQUIVALENCE_LATTICES + [ROOT3_LATTICE]),
+       st.integers(min_value=-20, max_value=20), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_area_is_the_plane_shoelace_summed_over_pieces(case, lattice, n, first):
+    # pieces as a file may give them, rotated and in either orientation; the
+    # area is read off the edge lines, the plane one off `shoelace`
+    pieces, orders = case
+    core = LatticeRegion(list(orders), skewed(lattice, n, first))
+    assert core.area() == sum((shoelace(p.vertices) for p in pieces), rat(0))
+
+
+@pytest.mark.parametrize("name", GOLDEN_FINALS)
+def test_golden_final_area_is_the_plane_shoelace(name):
+    region, lattice = GOLDEN_FINALS[name]
+    core = lattice_region(region, lattice)
+    assert core.area() == sum((shoelace(p.vertices) for p in region.pieces), rat(0))
+
+
+# -- the separation tests of the verdict against its four-floor loop ----------
+
+class PairLines:
+    """The edge-line iterator that `LatticeRegion._lines` made for a pair,
+    tagged with the pair."""
+
+    def __init__(self, pair, lines):
+        self.pair, self.lines = pair, lines
+
+    def __iter__(self):
+        return self.lines
+
+
+def separation_tests(run):
+    """(made, tests) while run() goes, up to a GeometryError: the pairs
+    (i, j) whose edge lines `LatticeRegion._lines` made, in turn, and the
+    (i, j, a, b) of every `_separates` call."""
+    made, tests = [], []
+    lines, separates = LatticeRegion._lines, torus_module._separates
+
+    def tagged(self, i, j):
+        made.append((i, j))
+        return PairLines((i, j), lines(self, i, j))
+
+    def recorded(seen, pair_lines, a, b):
+        tests.append((*pair_lines.pair, a, b))
+        return separates(seen, pair_lines, a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LatticeRegion, "_lines", tagged)
+        patch.setattr(torus_module, "_separates", recorded)
+        try:
+            run()
+        except GeometryError:
+            pass
+    return made, tests
+
+
+def four_floor_loop(region: LatticeRegion) -> None:
+    """The shift tests of `verdict` as its loop once ran them: all four
+    exact shift bounds of every pair that the integer boxes let through,
+    its edge lines made, then its shifts; GeometryError at the first pair
+    that overlaps unshifted.  A collision is not measured."""
+    L, floordiv = region.scale, torus_module._floordiv
+    boxes = region._boxes
+    ints = [(floordiv(u1, L), -floordiv(-u2, L), floordiv(w1, L), -floordiv(-w2, L))
+            for u1, u2, w1, w2 in boxes]
+    for i, ((pu1, pu2, pw1, pw2), (_, pa, _, pb)) in enumerate(zip(boxes, ints)):
+        for j, ((qu1, qu2, qw1, qw2), (qa, _, qb, _)) in enumerate(zip(boxes, ints)):
+            b0 = 0 if i < j else 1
+            if pa - qa < 1 or (pa - qa == 1 and pb - qb <= b0):
+                continue
+            a_hi = -floordiv(qu1 - pu2, L)
+            b_lo, b_hi = floordiv(pw1 - qw2, L) + 1, -floordiv(qw1 - pw2, L)
+            seen: list = []
+            lines = region._lines(i, j)
+            for a in range(max(floordiv(pu1 - qu2, L) + 1, 0), a_hi):
+                for b in range(b_lo if a else max(b_lo, b0), b_hi):
+                    if not torus_module._separates(seen, lines, a, b) and not (a or b):
+                        raise GeometryError(f"region pieces {i} and {j} overlap")
+
+
+def assert_four_floor_shift_tests(region: LatticeRegion) -> None:
+    """`verdict` runs the separation tests of the four-floor loop, in the
+    same order, and makes edge lines only for the pairs it tests."""
+    made, tests = separation_tests(region.verdict)
+    assert tests == separation_tests(lambda: four_floor_loop(region))[1]
+    assert made == list(dict.fromkeys((i, j) for i, j, _, _ in tests))
+
+
+@given(st.booleans().flatmap(lambda surd: st.lists(region_pieces(surd), min_size=1, max_size=5)),
+       st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR),
+       st.integers(min_value=-20, max_value=20), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_verdict_runs_the_separation_tests_of_the_four_floor_loop(pieces, lattice, offset, n, first):
+    region = lattice_region(Region(pieces).translate(offset), skewed(lattice, n, first))
+    assert_four_floor_shift_tests(region)
+
+
+@pytest.mark.parametrize("name", GOLDEN_FINALS)
+def test_golden_final_runs_the_separation_tests_of_the_four_floor_loop(name):
+    region, lattice = GOLDEN_FINALS[name]
+    assert_four_floor_shift_tests(lattice_region(region, lattice))
 
 
 @given(vertex_lists(), st.sampled_from(EQUIVALENCE_LATTICES), st.sampled_from(FAR))
